@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import replace
 
 import click
 
@@ -15,16 +16,7 @@ from .config import build_semantic_executor, load_config
 from .data import load_instances_jsonl, write_instances_jsonl
 from .engine import execute, trace_to_json
 from .errors import ConfigError, TablePrepError
-from .gate import (
-    CandidateGroup,
-    GateConfig,
-    GroupMember,
-    SampleOutcome,
-    as_fraction,
-    advantages,
-    gate_record,
-    vgr_accept,
-)
+from .gate import GateConfig, GroupMember, as_fraction, gate_record, sample_accepted_group
 from .merge import merge_pipelines
 from .ops import parse_pipeline, pipeline_to_json
 from .reward import AnswerSet, approx_token_count, filter_dataset, total_reward
@@ -76,16 +68,11 @@ def main():
 @click.option("--dataset", required=True, type=click.Path())
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Report path (default stdout).")
-@click.option("--seed", type=int, default=None, help="Override run.seed from the config.")
 @click.option("--log-llm", "log_llm", type=click.Path(), default=None,
               help="Append generator request/response JSONL to this file.")
-def run(dataset, config_path, out, seed, log_llm):
+def run(dataset, config_path, out, log_llm):
     """Answer every dataset instance end to end and write a run report."""
     config = _load_config(config_path)
-    if seed is not None:
-        from dataclasses import replace
-
-        config.run = replace(config.run, seed=seed)
     try:
         instances, line_errors = load_instances_jsonl(dataset, config.reward.matching)
     except OSError as err:
@@ -231,37 +218,29 @@ def _read_groups(path: str) -> list[dict]:
 
 
 def _gate_all(groups: list[dict], cfg: GateConfig):
-    """Replay pre-sampled groups per instance through the acceptance gate."""
-    by_instance: dict[str, list[list]] = {}
-    order: list[str] = []
-    for group in groups:
-        instance_id = str(group["instance_id"])
-        if instance_id not in by_instance:
-            by_instance[instance_id] = []
-            order.append(instance_id)
-        by_instance[instance_id].append(group["rewards"])
+    """Replay pre-sampled groups per instance through the acceptance gate.
 
-    for instance_id in order:
-        attempts = by_instance[instance_id][: cfg.max_resample_attempts]
-        reasons: list[str] = []
-        outcome = None
-        for attempt_no, rewards in enumerate(attempts, start=1):
-            try:
-                decision = vgr_accept(rewards, cfg)
-            except TablePrepError as err:
-                _fail(DATASET_EXIT, f"instance {instance_id}: {err}")
-            if decision.accepted:
-                members = tuple(GroupMember("", as_fraction(r)) for r in rewards)
-                outcome = SampleOutcome(
-                    CandidateGroup(members),
-                    tuple(advantages(rewards, cfg.advantage_epsilon)),
-                    attempt_no,
-                    tuple(reasons),
-                )
-                break
-            reasons.append(decision.reason or "rejected")
-        if outcome is None:
-            outcome = SampleOutcome(None, None, len(attempts), tuple(reasons))
+    Each instance's groups are the gate's source, drawn in file order, so it
+    makes at most as many attempts as there are groups. The group size passed
+    to the gate is the smallest replayed group's, so any group of fewer than
+    two rewards is refused.
+    """
+    by_instance: dict[str, list[list]] = {}
+    for group in groups:
+        by_instance.setdefault(str(group["instance_id"]), []).append(group["rewards"])
+
+    for instance_id, attempts in by_instance.items():
+        attempts = attempts[: cfg.max_resample_attempts]
+        replay = iter(attempts)
+
+        def source(group_size: int) -> list[GroupMember]:
+            return [GroupMember("", as_fraction(r)) for r in next(replay)]
+
+        capped = replace(cfg, max_resample_attempts=len(attempts))
+        try:
+            outcome = sample_accepted_group(source, min(map(len, attempts)), capped)
+        except TablePrepError as err:
+            _fail(DATASET_EXIT, f"instance {instance_id}: {err}")
         yield instance_id, outcome
 
 

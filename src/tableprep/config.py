@@ -12,8 +12,8 @@ Example::
                  "compression_orientation": "as_written", "matching": "exact"},
       "gate": {"variance_threshold": 0.1, "quality_threshold": 0.5,
                "advantage_epsilon": 1e-6, "max_resample_attempts": 4},
-      "run": {"n": 5, "seed": 0, "parallelism": 1,
-              "eval_matching": "normalized", "request_cap": null}
+      "run": {"n": 5, "parallelism": 1, "eval_matching": "normalized",
+              "request_cap": null}
     }
 
 Relative paths resolve against the config file's directory. Every training
@@ -32,13 +32,12 @@ from .gate import GateConfig
 from .llm import GenerationConfig, HttpChatTransport, ScriptedTransport
 from .reward import RewardConfig
 from .rollback import CellLookupQaClient, HttpQaClient, ScriptedQaClient
-from .semantic import MockSemanticExecutor
+from .semantic import LlmSemanticExecutor, MockSemanticExecutor
 
 
 @dataclass(frozen=True)
 class RunSection:
     n: int = 5
-    seed: int = 0
     parallelism: int = 1
     eval_matching: str = "normalized"
     request_cap: int | None = None
@@ -72,7 +71,6 @@ def load_config(path: str) -> AppConfig:
         run_doc = doc.get("run", {})
         run = RunSection(
             n=int(run_doc.get("n", 5)),
-            seed=int(run_doc.get("seed", 0)),
             parallelism=int(run_doc.get("parallelism", 1)),
             eval_matching=str(run_doc.get("eval_matching", "normalized")),
             request_cap=run_doc.get("request_cap"),
@@ -90,6 +88,9 @@ def load_config(path: str) -> AppConfig:
         raise ConfigError(f"bad config value: {err}") from err
     if run.eval_matching not in ("exact", "normalized"):
         raise ConfigError(f"run.eval_matching must be 'exact' or 'normalized', got {run.eval_matching!r}")
+    cap = run.request_cap
+    if cap is not None and (type(cap) is not int or cap < 1):
+        raise ConfigError(f"run.request_cap must be a positive integer or null, got {cap!r}")
     return config
 
 
@@ -101,33 +102,40 @@ def _load_json_file(config: AppConfig, path: str, what: str):
         raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err
 
 
-def generation_config(config: AppConfig) -> GenerationConfig:
-    gen = config.generator
+def client_config(section: dict, temperature: float, max_tokens: int, n: int = 1) -> GenerationConfig:
+    """Chat-client settings from one config section (generator, qa or
+    semantic_executor); ``temperature`` and ``max_tokens`` are that client's
+    defaults, the other keys share theirs."""
     return GenerationConfig(
-        endpoint=gen.get("endpoint", "http://localhost:8000/v1/chat/completions"),
-        model=gen.get("model", ""),
-        temperature=float(gen.get("temperature", 0.8)),
-        max_tokens=int(gen.get("max_tokens", 1024)),
-        n=int(gen.get("n", config.run.n)),
-        timeout=float(gen.get("timeout", 60.0)),
-        retries=int(gen.get("retries", 2)),
-        api_key_env=gen.get("api_key_env"),
-        prompt_max_rows=gen.get("prompt_max_rows"),
+        endpoint=section.get("endpoint", "http://localhost:8000/v1/chat/completions"),
+        model=section.get("model", ""),
+        temperature=float(section.get("temperature", temperature)),
+        max_tokens=int(section.get("max_tokens", max_tokens)),
+        n=n,
+        timeout=float(section.get("timeout", 60.0)),
+        retries=int(section.get("retries", 2)),
+        api_key_env=section.get("api_key_env"),
+        prompt_max_rows=section.get("prompt_max_rows"),
     )
+
+
+def generation_config(config: AppConfig) -> GenerationConfig:
+    return client_config(config.generator, 0.8, 1024, int(config.generator.get("n", config.run.n)))
 
 
 class GeneratorFactory:
     """Yields the chat transport to use for each instance.
 
-    HTTP mode shares one transport; mock mode builds a per-instance scripted
-    transport from a script file keyed by instance id (or question).
+    HTTP mode shares one transport, capped at ``run.request_cap`` requests in
+    flight; mock mode builds a per-instance scripted transport from a script
+    file keyed by instance id (or question).
     """
 
     def __init__(self, config: AppConfig):
         gen = config.generator
         self.mode = gen.get("mode", "mock")
         if self.mode == "http":
-            self._shared = HttpChatTransport()
+            self._shared = HttpChatTransport(request_cap=config.run.request_cap)
         elif self.mode == "mock":
             self._scripts = {}
             if "script" in gen:
@@ -153,17 +161,7 @@ def build_qa_client(config: AppConfig):
     qa = config.qa
     mode = qa.get("mode", "cell_lookup")
     if mode == "http":
-        qa_gen = GenerationConfig(
-            endpoint=qa.get("endpoint", "http://localhost:8000/v1/chat/completions"),
-            model=qa.get("model", ""),
-            temperature=float(qa.get("temperature", 0.0)),
-            max_tokens=int(qa.get("max_tokens", 256)),
-            n=1,
-            timeout=float(qa.get("timeout", 60.0)),
-            retries=int(qa.get("retries", 2)),
-            api_key_env=qa.get("api_key_env"),
-        )
-        return HttpQaClient(HttpChatTransport(), qa_gen, qa.get("prompt_max_rows"))
+        return HttpQaClient(HttpChatTransport(), client_config(qa, 0.0, 256))
     if mode == "cell_lookup":
         expected = qa.get("expected", {})
         if "script" in qa:
@@ -192,17 +190,5 @@ def build_semantic_executor(config: AppConfig):
             rules = _load_json_file(config, rules, "semantic rules")
         return MockSemanticExecutor.from_json(rules)
     if mode == "http":
-        from .semantic import LlmSemanticExecutor
-
-        sem_gen = GenerationConfig(
-            endpoint=sem.get("endpoint", "http://localhost:8000/v1/chat/completions"),
-            model=sem.get("model", ""),
-            temperature=float(sem.get("temperature", 0.0)),
-            max_tokens=int(sem.get("max_tokens", 1024)),
-            n=1,
-            timeout=float(sem.get("timeout", 60.0)),
-            retries=int(sem.get("retries", 2)),
-            api_key_env=sem.get("api_key_env"),
-        )
-        return LlmSemanticExecutor(HttpChatTransport(), sem_gen)
+        return LlmSemanticExecutor(HttpChatTransport(), client_config(sem, 0.0, 1024))
     raise ConfigError(f"unknown semantic executor mode {mode!r}")

@@ -89,10 +89,11 @@ def group_stats(rewards: Sequence) -> GroupStats:
 
 
 def advantages(rewards: Sequence, advantage_epsilon=Fraction(1, 10**6)) -> list[Fraction]:
-    """Normalized deviations (R_i - mean) / (std + epsilon).
+    """Normalized deviations (R_i - mean) / (std + epsilon), as Fractions.
 
-    Exact rationals: the denominator is shared, so the advantages sum to zero
-    exactly and constant groups map to exact zeros.
+    The mean and deviations are exact, but the std is a float ``math.sqrt``,
+    so the shared denominator is float-rounded. What stays exact: the
+    advantages sum to zero, and constant groups map to zeros.
     """
     if len(rewards) < 2:
         raise GroupTooSmallError("advantages need a group of at least 2")

@@ -14,8 +14,9 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from .errors import (
     AllRequestsFailedError,
@@ -27,6 +28,8 @@ from .ops import Pipeline, parse_pipeline
 from .table import Table, serialize_markdown
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 GENERATOR_SYSTEM_PROMPT = """You are a data preparation planner for table question answering.
 Given a question and a table, output a pipeline of table operators that \
@@ -76,22 +79,18 @@ class ChatTransport(Protocol):
         ...
 
 
-# Optional global cap on concurrent outbound requests across all instances.
-_request_gate: threading.Semaphore | None = None
-
-
-def set_request_cap(limit: int | None):
-    global _request_gate
-    _request_gate = threading.Semaphore(limit) if limit else None
-
-
 class HttpChatTransport:
-    """POSTs OpenAI-compatible chat completion requests with ``requests``."""
+    """POSTs OpenAI-compatible chat completion requests with ``requests``.
 
-    def __init__(self, session=None):
+    ``request_cap`` bounds how many requests through this transport are in
+    flight at once; ``None`` leaves them unbounded.
+    """
+
+    def __init__(self, session=None, request_cap: int | None = None):
         import requests
 
         self._session = session or requests.Session()
+        self._gate = threading.Semaphore(request_cap) if request_cap is not None else nullcontext()
 
     def preflight(self, config: GenerationConfig):
         if config.api_key_env and not os.environ.get(config.api_key_env):
@@ -110,19 +109,13 @@ class HttpChatTransport:
             "temperature": config.temperature,
             "max_tokens": config.max_tokens,
         }
-        gate = _request_gate
-        if gate is not None:
-            gate.acquire()
-        try:
+        with self._gate:
             response = self._session.post(
                 config.endpoint, json=payload, headers=headers, timeout=config.timeout
             )
             response.raise_for_status()
             body = response.json()
-            return body["choices"][0]["message"]["content"]
-        finally:
-            if gate is not None:
-                gate.release()
+        return body["choices"][0]["message"]["content"]
 
 
 class ScriptedTransport:
@@ -177,6 +170,23 @@ def build_generation_prompt(question: str, table: Table, max_rows: int | None = 
     ]
 
 
+def call_with_retries(call: Callable[[], T], retries: int) -> T:
+    """Return ``call()``, retrying up to ``retries`` times after a failure.
+
+    Attempt ``k`` that fails is followed by a ``min(2**k * 0.1, 2.0)`` s
+    backoff. A missing API key is raised at once, since retrying cannot fix
+    it; once every attempt has failed, the last error propagates.
+    """
+    for attempt in range(retries):
+        try:
+            return call()
+        except AuthMissingError:
+            raise
+        except Exception:
+            time.sleep(min(2**attempt * 0.1, 2.0))
+    return call()
+
+
 @dataclass(frozen=True)
 class GenerationOutcome:
     index: int
@@ -203,18 +213,14 @@ def generate_candidates(
     messages = build_generation_prompt(question, table, config.prompt_max_rows)
 
     def one(index: int) -> GenerationOutcome:
-        last_error: Exception | None = None
-        for attempt in range(config.retries + 1):
-            try:
-                return GenerationOutcome(index, transport.complete(messages, config, index))
-            except AuthMissingError:
-                raise
-            except Exception as err:
-                last_error = err
-                if attempt < config.retries:
-                    time.sleep(min(2**attempt * 0.1, 2.0))
-        log.warning("candidate %d failed after %d attempts: %s", index, config.retries + 1, last_error)
-        return GenerationOutcome(index, None, error=str(last_error))
+        try:
+            text = call_with_retries(lambda: transport.complete(messages, config, index), config.retries)
+        except AuthMissingError:
+            raise
+        except Exception as err:
+            log.warning("candidate %d failed after %d attempts: %s", index, config.retries + 1, err)
+            return GenerationOutcome(index, None, error=str(err))
+        return GenerationOutcome(index, text)
 
     workers = max_workers if max_workers is not None else config.n
     if workers <= 1 or config.n == 1:

@@ -16,6 +16,7 @@ from typing import Callable, Iterable
 
 from .engine import OK, ExecutionTrace
 from .errors import BadBudgetError, DegenerateInitialTableError
+from .gate import as_fraction
 from .table import Table, render_value, serialize_markdown
 
 log = logging.getLogger(__name__)
@@ -49,7 +50,8 @@ def _normalize(text: str) -> str:
     return text.strip().casefold()
 
 
-def _match(answer: str, cell_text: str, matching: str) -> bool:
+def match_answer(answer: str, cell_text: str, matching: str) -> bool:
+    """True iff ``answer`` equals ``cell_text`` under the matching policy."""
     if matching == NORMALIZED:
         return _normalize(answer) == _normalize(cell_text)
     return answer == cell_text
@@ -59,7 +61,7 @@ def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     """True iff every answer string matches at least one cell rendering."""
     rendered = [render_value(cell) for row in table.rows for cell in row]
     return all(
-        any(_match(answer, cell, answers.matching) for cell in rendered)
+        any(match_answer(answer, cell, answers.matching) for cell in rendered)
         for answer in answers.answers
     )
 
@@ -147,12 +149,6 @@ def length_reward(token_len: int, l_max: int = 2560, l_cache: int = 512) -> Frac
     return Fraction(-1)
 
 
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(str(x))
-    return Fraction(x)
-
-
 @dataclass(frozen=True)
 class RewardConfig:
     lambda_compress: Fraction = Fraction(1, 2)
@@ -166,9 +162,9 @@ class RewardConfig:
     def from_json(cls, doc: dict) -> "RewardConfig":
         kwargs = {}
         if "lambda_compress" in doc:
-            kwargs["lambda_compress"] = _as_fraction(doc["lambda_compress"])
+            kwargs["lambda_compress"] = as_fraction(doc["lambda_compress"])
         if "lambda_length" in doc:
-            kwargs["lambda_length"] = _as_fraction(doc["lambda_length"])
+            kwargs["lambda_length"] = as_fraction(doc["lambda_length"])
         for key in ("l_max", "l_cache"):
             if key in doc:
                 kwargs[key] = int(doc[key])

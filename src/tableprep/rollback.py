@@ -13,6 +13,7 @@ from typing import Protocol
 
 from .engine import ExecutionTrace, execute
 from .errors import QaTransportError
+from .llm import GenerationConfig, call_with_retries
 from .ops import Pipeline
 from .semantic import SemanticExecutor
 from .table import Table, serialize_markdown, table_digest
@@ -146,18 +147,20 @@ class CellLookupQaClient:
 
 
 class HttpQaClient:
-    """Chat-completion QA client; prompts with the question plus the markdown table."""
+    """Chat-completion QA client; prompts with the question plus the markdown table.
 
-    def __init__(self, transport, config, max_table_rows: int | None = None):
-        # transport/config as in tableprep.llm; duck-typed for tests.
+    The table is cut to ``config.prompt_max_rows`` rows; failed requests are
+    retried ``config.retries`` times before a QaTransportError is raised.
+    """
+
+    def __init__(self, transport, config: GenerationConfig):
         self._transport = transport
         self._config = config
-        self._max_table_rows = max_table_rows
 
     def build_messages(self, question: str, table: Table) -> list[dict]:
         user = (
             f"Question: {question}\n\nTable:\n"
-            f"{serialize_markdown(table, self._max_table_rows)}"
+            f"{serialize_markdown(table, self._config.prompt_max_rows)}"
         )
         return [
             {"role": "system", "content": QA_SYSTEM_PROMPT},
@@ -165,8 +168,11 @@ class HttpQaClient:
         ]
 
     def ask(self, question: str, table: Table) -> str:
+        messages = self.build_messages(question, table)
         try:
-            return self._transport.complete(self.build_messages(question, table), self._config)
+            return call_with_retries(
+                lambda: self._transport.complete(messages, self._config), self._config.retries
+            )
         except QaTransportError:
             raise
         except Exception as err:

@@ -18,10 +18,10 @@ from .config import AppConfig, GeneratorFactory, build_qa_client, build_semantic
 from .data import Instance
 from .engine import OK
 from .errors import TablePrepError
-from .llm import LoggingTransport, extract_pipeline_json, generate_candidates, set_request_cap
+from .llm import LoggingTransport, extract_pipeline_json, generate_candidates
 from .merge import merge_pipelines
 from .ops import Pipeline
-from .reward import NORMALIZED, AnswerSet
+from .reward import match_answer
 from .rollback import answer_with_rollback
 from .table import cell_count
 
@@ -107,13 +107,6 @@ def compute_aggregates(records: list[dict]) -> dict:
     }
 
 
-def _eval_correct(answer: str, answers: AnswerSet, matching: str) -> bool:
-    def norm(s: str) -> str:
-        return s.strip().casefold() if matching == NORMALIZED else s
-
-    return any(norm(answer) == norm(gold) for gold in answers.answers)
-
-
 def run_instance(instance: Instance, config: AppConfig, factory: GeneratorFactory, qa, executor) -> InstanceRecord:
     gen_cfg = generation_config(config)
     transport = factory.transport_for(instance.id, instance.question)
@@ -143,17 +136,16 @@ def run_instance(instance: Instance, config: AppConfig, factory: GeneratorFactor
         ops_executed=sum(1 for s in trace.steps if s.status == OK),
         cells_before=cell_count(trace.initial),
         cells_after=cell_count(trace.final),
-        merged_ops=[_op_kind(spec) for spec in merged.ops],
+        merged_ops=[spec.kind for spec in merged.ops],
         candidates_ok=len(pipelines),
         candidate_errors=candidate_errors,
     )
     if instance.answers is not None:
-        record.correct = _eval_correct(result.answer, instance.answers, config.run.eval_matching)
+        record.correct = any(
+            match_answer(result.answer, gold, config.run.eval_matching)
+            for gold in instance.answers.answers
+        )
     return record
-
-
-def _op_kind(spec) -> str:
-    return spec.kind
 
 
 class _LoggingFactory:
@@ -178,7 +170,6 @@ def run_dataset(
         factory = _LoggingFactory(factory, log_llm_path)
     qa = build_qa_client(config)
     executor = build_semantic_executor(config)
-    set_request_cap(config.run.request_cap)
 
     report = RunReport()
     report.errors.extend(dataset_errors or [])
@@ -205,7 +196,6 @@ def run_dataset(
     report.records.sort(key=lambda r: r.id)
     report.errors.sort(key=lambda e: (str(e.get("id", "")), e.get("line", 0)))
     report.metadata = {
-        "seed": config.run.seed,
         "n_candidates": generation_config(config).n,
         "eval_matching": config.run.eval_matching,
         "compression_definition": "mean over instances of 1 - cells_after/cells_before",

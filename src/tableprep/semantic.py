@@ -13,6 +13,7 @@ import logging
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
+from .llm import GenerationConfig, call_with_retries, first_json_array
 from .table import Table, Value, ingest_cell, render_value
 
 log = logging.getLogger(__name__)
@@ -138,7 +139,8 @@ class LlmSemanticExecutor:
     The prompt lists one line per row: the row index plus the cells of the
     columns named in the description when any match, otherwise the whole row.
     The model must answer with a JSON array of exactly one string per row;
-    length mismatches are repaired upstream by padding or truncation.
+    length mismatches are repaired upstream by padding or truncation. Failed
+    requests are retried ``config.retries`` times.
     """
 
     SYSTEM_PROMPT = (
@@ -147,9 +149,7 @@ class LlmSemanticExecutor:
         "determined. Do not add prose."
     )
 
-    def __init__(self, transport, config):
-        # transport/config come from tableprep.llm; kept duck-typed so tests can
-        # inject any callable-style transport.
+    def __init__(self, transport, config: GenerationConfig):
         self._transport = transport
         self._config = config
 
@@ -176,11 +176,11 @@ class LlmSemanticExecutor:
             {"role": "user", "content": user},
         ]
         try:
-            raw = self._transport.complete(messages, self._config)
+            raw = call_with_retries(
+                lambda: self._transport.complete(messages, self._config), self._config.retries
+            )
         except Exception as err:
             raise ExecutorFailureError(f"semantic executor transport failed: {err}") from err
-        from .llm import first_json_array  # local import; llm depends on ops
-
         doc = first_json_array(raw)
         if doc is None:
             raise ExecutorFailureError("semantic executor returned no JSON array")

@@ -1,5 +1,6 @@
 import random
 from decimal import Decimal
+from types import SimpleNamespace
 
 import pytest
 
@@ -46,6 +47,34 @@ class SequenceQaClient:
         response = self.responses[min(self.calls, len(self.responses) - 1)]
         self.calls += 1
         return response
+
+
+class FlakyTransport:
+    """Chat transport that fails the first ``fail_first`` calls per index, then succeeds."""
+
+    def __init__(self, text="[]", fail_first=0, dead_indices=()):
+        self.text = text
+        self.fail_first = fail_first
+        self.dead_indices = set(dead_indices)
+        self.attempts = {}
+
+    def complete(self, messages, config, index=0):
+        self.attempts[index] = self.attempts.get(index, 0) + 1
+        if index in self.dead_indices:
+            raise RuntimeError("permanently down")
+        if self.attempts[index] <= self.fail_first:
+            raise RuntimeError("transient")
+        return self.text
+
+
+@pytest.fixture
+def backoffs(monkeypatch):
+    """Records the retry backoffs ``tableprep.llm`` asks for instead of sleeping them."""
+    from tableprep import llm
+
+    slept = []
+    monkeypatch.setattr(llm, "time", SimpleNamespace(sleep=slept.append))
+    return slept
 
 
 class CountingExecutor:

@@ -79,15 +79,6 @@ class TestRun:
         assert doc["aggregates"]["accuracy"] is None
         assert all("correct" not in r for r in doc["records"])
 
-    def test_seed_override_lands_in_metadata(self, runner, tmp_path):
-        out = tmp_path / "report.json"
-        result = runner.invoke(
-            main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", fx("run_config.json"),
-                   "--out", str(out), "--seed", "99"],
-        )
-        assert result.exit_code == 0
-        assert json.loads(out.read_text())["metadata"]["seed"] == 99
-
 
 class TestExec:
     def test_identity_echoes_table(self, runner, tmp_path):
@@ -208,6 +199,16 @@ class TestGate:
         result = runner.invoke(main, ["gate", str(path)])
         assert result.exit_code == 0
         assert json.loads(result.output.splitlines()[0])["accepted"]
+
+    @pytest.mark.parametrize("gate_doc", [{}, {"variance_threshold": 0}])
+    def test_group_of_one_reward_is_dataset_error(self, runner, tmp_path, gate_doc):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text(json.dumps({"instance_id": "a", "rewards": [0.9]}) + "\n")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"gate": gate_doc}))
+        result = runner.invoke(main, ["gate", str(groups), "--config", str(config)])
+        assert result.exit_code == 3
+        assert "instance a: group_size must be at least 2" in result.output
 
 
 class TestFilterDataset:

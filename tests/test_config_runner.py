@@ -3,16 +3,19 @@ import os
 
 import pytest
 
+from tableprep import config as config_mod
 from tableprep.config import (
     AppConfig,
     GeneratorFactory,
     build_qa_client,
     build_semantic_executor,
+    client_config,
     generation_config,
     load_config,
 )
 from tableprep.data import instance_from_json, load_instances_jsonl
 from tableprep.errors import ConfigError, DatasetError, TablePrepError
+from tableprep.llm import GenerationConfig
 from tableprep.rollback import CellLookupQaClient, ScriptedQaClient
 from tableprep.runner import compute_aggregates, dump_report, load_run_report, run_dataset
 from tableprep.semantic import MockSemanticExecutor
@@ -56,6 +59,20 @@ class TestLoadConfig:
         path.write_text(json.dumps({"run": {"eval_matching": "fuzzy"}}))
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    @pytest.mark.parametrize("cap", [0, -1, True, "2", 1.5])
+    def test_bad_request_cap(self, tmp_path, cap):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"run": {"request_cap": cap}}))
+        with pytest.raises(ConfigError, match="request_cap"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("cap", [None, 1, 8])
+    def test_good_request_cap(self, tmp_path, cap):
+        path = tmp_path / "c.json"
+        # unknown keys such as the retired run.seed are ignored
+        path.write_text(json.dumps({"run": {"request_cap": cap, "seed": 7}}))
+        assert load_config(str(path)).run.request_cap == cap
 
 
 class TestFactories:
@@ -101,6 +118,29 @@ class TestFactories:
         config = load_config(fx("run_config.json"))
         executor = build_semantic_executor(config)
         assert isinstance(executor, MockSemanticExecutor)
+
+    def test_http_generator_transport_carries_request_cap(self, tmp_path, monkeypatch):
+        made = []
+        monkeypatch.setattr(config_mod, "HttpChatTransport", lambda **kw: made.append(kw) or object())
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"generator": {"mode": "http"}, "run": {"request_cap": 3}}))
+        factory = GeneratorFactory(load_config(str(path)))
+        assert made == [{"request_cap": 3}]
+        assert factory.transport_for("a", "q") is factory.transport_for("b", "q")
+
+    def test_client_sections_share_one_builder(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "qa": {"mode": "http", "retries": 5, "timeout": 9, "prompt_max_rows": 4},
+            "semantic_executor": {"mode": "http", "retries": 0, "model": "m"},
+        }))
+        config = load_config(str(path))
+        qa_cfg = build_qa_client(config)._config
+        sem_cfg = build_semantic_executor(config)._config
+        assert (qa_cfg.retries, qa_cfg.timeout, qa_cfg.prompt_max_rows) == (5, 9.0, 4)
+        assert (qa_cfg.temperature, qa_cfg.max_tokens, qa_cfg.n) == (0.0, 256, 1)
+        assert (sem_cfg.retries, sem_cfg.model, sem_cfg.max_tokens, sem_cfg.n) == (0, "m", 1024, 1)
+        assert client_config({}, 0.8, 1024, n=3) == GenerationConfig(n=3)
 
     def test_generation_config_inherits_run_n(self, tmp_path):
         path = tmp_path / "c.json"

@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import pytest
 
@@ -13,14 +15,16 @@ from tableprep.llm import (
     GENERATOR_SYSTEM_PROMPT,
     GenerationConfig,
     ScriptedTransport,
+    HttpChatTransport,
     build_generation_prompt,
+    call_with_retries,
     extract_pipeline_json,
     first_json_array,
     generate_candidates,
 )
 from tableprep.ops import Pipeline, SelectOp, pipeline_to_json
 
-from conftest import make_table
+from conftest import FlakyTransport, make_table
 
 
 @pytest.fixture
@@ -93,24 +97,6 @@ class TestExtractPipelineJson:
         assert first_json_array('["a", 1]') == ["a", 1]
 
 
-class _FlakyTransport:
-    """Fails the first ``fail_first`` calls per index, then succeeds."""
-
-    def __init__(self, text="[]", fail_first=0, dead_indices=()):
-        self.text = text
-        self.fail_first = fail_first
-        self.dead_indices = set(dead_indices)
-        self.attempts = {}
-
-    def complete(self, messages, config, index=0):
-        self.attempts[index] = self.attempts.get(index, 0) + 1
-        if index in self.dead_indices:
-            raise RuntimeError("permanently down")
-        if self.attempts[index] <= self.fail_first:
-            raise RuntimeError("transient")
-        return self.text
-
-
 class TestGenerateCandidates:
     def test_all_succeed(self, table):
         cfg = GenerationConfig(n=3)
@@ -120,7 +106,7 @@ class TestGenerateCandidates:
 
     def test_partial_failure_recorded(self, table):
         cfg = GenerationConfig(n=3, retries=1)
-        transport = _FlakyTransport(dead_indices={1})
+        transport = FlakyTransport(dead_indices={1})
         outcomes = generate_candidates("q", table, cfg, transport, max_workers=1)
         assert outcomes[1].text is None
         assert "permanently down" in outcomes[1].error
@@ -128,7 +114,7 @@ class TestGenerateCandidates:
 
     def test_retry_then_success(self, table):
         cfg = GenerationConfig(n=1, retries=2)
-        transport = _FlakyTransport(fail_first=2)
+        transport = FlakyTransport(fail_first=2)
         outcomes = generate_candidates("q", table, cfg, transport, max_workers=1)
         assert outcomes[0].text == "[]"
         assert transport.attempts[0] == 3
@@ -136,7 +122,7 @@ class TestGenerateCandidates:
     def test_all_fail(self, table):
         cfg = GenerationConfig(n=2, retries=0)
         with pytest.raises(AllRequestsFailedError):
-            generate_candidates("q", table, cfg, _FlakyTransport(dead_indices={0, 1}), max_workers=1)
+            generate_candidates("q", table, cfg, FlakyTransport(dead_indices={0, 1}), max_workers=1)
 
     def test_auth_missing_before_any_request(self, table, monkeypatch):
         monkeypatch.delenv("TP_TEST_KEY", raising=False)
@@ -177,21 +163,12 @@ class TestGenerateCandidates:
 
 class TestHttpTransportShape:
     def test_payload_and_auth_header(self, table, monkeypatch):
-        from tableprep.llm import HttpChatTransport
-
         captured = {}
-
-        class FakeResponse:
-            def raise_for_status(self):
-                pass
-
-            def json(self):
-                return {"choices": [{"message": {"content": "[]"}}]}
 
         class FakeSession:
             def post(self, url, json=None, headers=None, timeout=None):
                 captured.update(url=url, payload=json, headers=headers, timeout=timeout)
-                return FakeResponse()
+                return _OkResponse()
 
         monkeypatch.setenv("TP_KEY", "secret")
         transport = HttpChatTransport(session=FakeSession())
@@ -206,12 +183,110 @@ class TestHttpTransportShape:
         assert captured["headers"]["Authorization"] == "Bearer secret"
 
     def test_preflight_auth(self, monkeypatch):
-        from tableprep.llm import HttpChatTransport
-
         monkeypatch.delenv("TP_MISSING", raising=False)
         transport = HttpChatTransport(session=object())
         with pytest.raises(AuthMissingError):
             transport.preflight(GenerationConfig(api_key_env="TP_MISSING"))
+
+
+class TestCallWithRetries:
+    def test_recovers_with_backoff_schedule(self, backoffs):
+        transport = FlakyTransport(fail_first=3)
+        assert call_with_retries(lambda: transport.complete([], None), retries=5) == "[]"
+        assert transport.attempts[0] == 4
+        assert backoffs == [0.1, 0.2, 0.4]
+
+    def test_exhausted_raises_last_error_with_capped_backoff(self, backoffs):
+        transport = FlakyTransport(dead_indices={0})
+        with pytest.raises(RuntimeError, match="permanently down"):
+            call_with_retries(lambda: transport.complete([], None), retries=6)
+        assert transport.attempts[0] == 7
+        assert backoffs == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+
+    def test_zero_retries_is_one_attempt(self, backoffs):
+        transport = FlakyTransport(fail_first=1)
+        with pytest.raises(RuntimeError, match="transient"):
+            call_with_retries(lambda: transport.complete([], None), retries=0)
+        assert transport.attempts[0] == 1 and backoffs == []
+
+    def test_auth_missing_not_retried(self, backoffs):
+        calls = []
+
+        def call():
+            calls.append(1)
+            raise AuthMissingError("TP_KEY")
+
+        with pytest.raises(AuthMissingError):
+            call_with_retries(call, retries=3)
+        assert len(calls) == 1 and backoffs == []
+
+
+class _OkResponse:
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": "[]"}}]}
+
+
+class _InFlightSession:
+    """Fake ``requests`` session recording the peak number of concurrent posts.
+
+    Each post holds until ``together`` posts have been in flight at once, or
+    ``hold_s`` has passed, so an unthrottled transport reliably reaches that
+    peak and a throttled one is kept busy while it waits.
+    """
+
+    def __init__(self, together: int, hold_s: float = 0.05):
+        self.together = together
+        self.hold_s = hold_s
+        self.in_flight = 0
+        self.peak = 0
+        self._cond = threading.Condition()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._cond:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: self.peak >= self.together, timeout=self.hold_s)
+            self.in_flight -= 1
+        return _OkResponse()
+
+
+def _drive(transport, n_threads: int) -> list[str]:
+    results = []
+    cfg = GenerationConfig()
+    threads = [
+        threading.Thread(target=lambda: results.append(transport.complete([], cfg)))
+        for _ in range(n_threads)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    return results
+
+
+class TestRequestCap:
+    def test_capped_transport_never_exceeds_cap(self):
+        session = _InFlightSession(together=3)
+        results = _drive(HttpChatTransport(session=session, request_cap=2), n_threads=8)
+        assert results == ["[]"] * 8
+        assert session.peak == 2
+
+    def test_uncapped_transport_in_same_process_is_not_throttled(self):
+        capped = _InFlightSession(together=3)
+        _drive(HttpChatTransport(session=capped, request_cap=2), n_threads=4)
+        free = _InFlightSession(together=8, hold_s=5.0)
+        assert _drive(HttpChatTransport(session=free), n_threads=8) == ["[]"] * 8
+        assert capped.peak == 2 and free.peak == 8
 
 
 def test_generation_config_validation():

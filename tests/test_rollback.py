@@ -1,16 +1,18 @@
 import pytest
 
 from tableprep.errors import QaTransportError
+from tableprep.llm import GenerationConfig
 from tableprep.ops import parse_pipeline
 from tableprep.rollback import (
     CellLookupQaClient,
+    HttpQaClient,
     ScriptedQaClient,
     answer_with_rollback,
     detect_no_data,
 )
 from tableprep.table import table_digest
 
-from conftest import CountingExecutor, SequenceQaClient, make_table
+from conftest import CountingExecutor, FlakyTransport, SequenceQaClient, make_table
 
 NO_DATA = "No data available"
 
@@ -202,3 +204,24 @@ class TestCellLookupQaClient:
         result = answer_with_rollback("q", table, pipeline, qa)
         assert result.state_used == 2
         assert result.answer == "target"
+
+
+class TestHttpQaClient:
+    def test_recovers_after_retries(self, table, backoffs):
+        transport = FlakyTransport(text="target", fail_first=2)
+        qa = HttpQaClient(transport, GenerationConfig(n=1, retries=2))
+        assert qa.ask("q", table) == "target"
+        assert transport.attempts[0] == 3
+        assert backoffs == [0.1, 0.2]
+
+    def test_exhausted_retries_raise_qa_transport_error(self, table, backoffs):
+        transport = FlakyTransport(fail_first=3)
+        qa = HttpQaClient(transport, GenerationConfig(n=1, retries=2))
+        with pytest.raises(QaTransportError, match="transient"):
+            qa.ask("q", table)
+        assert transport.attempts[0] == 3
+
+    def test_prompt_rows_capped_by_config(self):
+        big = make_table(["a"], [[i] for i in range(30)])
+        qa = HttpQaClient(FlakyTransport(), GenerationConfig(n=1, prompt_max_rows=5))
+        assert "(25 rows omitted)" in qa.build_messages("q", big)[1]["content"]

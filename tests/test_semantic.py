@@ -4,6 +4,7 @@ from decimal import Decimal
 import pytest
 
 from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
+from tableprep.llm import GenerationConfig
 from tableprep.semantic import (
     LlmSemanticExecutor,
     MockSemanticExecutor,
@@ -11,7 +12,7 @@ from tableprep.semantic import (
     exec_clean_column,
 )
 
-from conftest import make_table
+from conftest import FlakyTransport, make_table
 
 
 @pytest.fixture
@@ -157,7 +158,7 @@ class _FixedTransport:
 class TestLlmExecutor:
     def test_batched_add_column(self, names_table):
         transport = _FixedTransport('["F", "M"]')
-        executor = LlmSemanticExecutor(transport, None)
+        executor = LlmSemanticExecutor(transport, GenerationConfig())
         out = exec_add_column(names_table, "Gender", "infer genders from Name", executor)
         assert [row[2] for row in out.rows] == ["F", "M"]
         # one request for the whole column
@@ -167,7 +168,7 @@ class TestLlmExecutor:
 
     def test_relevant_columns_only(self, names_table):
         transport = _FixedTransport('["F", "M"]')
-        executor = LlmSemanticExecutor(transport, None)
+        executor = LlmSemanticExecutor(transport, GenerationConfig())
         exec_add_column(names_table, "Gender", "infer genders from the column Name", executor)
         user = transport.requests[0][1]["content"]
         assert "Name=Ada" in user
@@ -175,13 +176,13 @@ class TestLlmExecutor:
 
     def test_whole_row_when_no_column_named(self, names_table):
         transport = _FixedTransport('["x", "y"]')
-        executor = LlmSemanticExecutor(transport, None)
+        executor = LlmSemanticExecutor(transport, GenerationConfig())
         exec_add_column(names_table, "g", "something unrelated", executor)
         user = transport.requests[0][1]["content"]
         assert "Name=Ada" in user and "Score=10" in user
 
     def test_no_json_is_executor_failure(self, names_table):
-        executor = LlmSemanticExecutor(_FixedTransport("cannot comply"), None)
+        executor = LlmSemanticExecutor(_FixedTransport("cannot comply"), GenerationConfig())
         with pytest.raises(ExecutorFailureError):
             exec_add_column(names_table, "g", "x", executor)
 
@@ -190,13 +191,28 @@ class TestLlmExecutor:
             def complete(self, messages, config, index=0):
                 raise RuntimeError("down")
 
-        executor = LlmSemanticExecutor(Boom(), None)
+        executor = LlmSemanticExecutor(Boom(), GenerationConfig())
         with pytest.raises(ExecutorFailureError):
             exec_add_column(names_table, "g", "x", executor)
+
+    def test_recovers_after_retries(self, names_table, backoffs):
+        transport = FlakyTransport(text='["F", "M"]', fail_first=2)
+        executor = LlmSemanticExecutor(transport, GenerationConfig(retries=2))
+        out = exec_add_column(names_table, "g", "x", executor)
+        assert [row[2] for row in out.rows] == ["F", "M"]
+        assert transport.attempts[0] == 3
+        assert backoffs == [0.1, 0.2]
+
+    def test_exhausted_retries_raise_executor_failure(self, names_table, backoffs):
+        transport = FlakyTransport(text='["F", "M"]', fail_first=3)
+        executor = LlmSemanticExecutor(transport, GenerationConfig(retries=2))
+        with pytest.raises(ExecutorFailureError, match="transient"):
+            exec_add_column(names_table, "g", "x", executor)
+        assert transport.attempts[0] == 3
 
     def test_clean_column_empty_answers_keep_original(self):
         table = make_table(["d"], [["keep"], ["change"]])
         transport = _FixedTransport('["", "changed"]')
-        executor = LlmSemanticExecutor(transport, None)
+        executor = LlmSemanticExecutor(transport, GenerationConfig())
         out = exec_clean_column(table, "d", "normalize d", executor)
         assert [row[0] for row in out.rows] == ["keep", "changed"]
