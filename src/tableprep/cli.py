@@ -211,9 +211,11 @@ def _read_groups(path: str) -> list[dict]:
             doc = [json.loads(line) for line in text.splitlines() if line.strip()]
     except json.JSONDecodeError as err:
         _fail(DATASET_EXIT, f"cannot parse rewards file: {err}")
-    for item in doc:
-        if "instance_id" not in item or "rewards" not in item:
-            _fail(DATASET_EXIT, "each group needs 'instance_id' and 'rewards'")
+    for i, item in enumerate(doc):
+        if not isinstance(item, dict) or "instance_id" not in item or "rewards" not in item:
+            _fail(DATASET_EXIT, f"group {i}: each group needs 'instance_id' and 'rewards'")
+        if not isinstance(item["rewards"], list):
+            _fail(DATASET_EXIT, f"instance {item['instance_id']}: 'rewards' must be a list")
     return doc
 
 
@@ -227,14 +229,19 @@ def _gate_all(groups: list[dict], cfg: GateConfig):
     """
     by_instance: dict[str, list[list]] = {}
     for group in groups:
-        by_instance.setdefault(str(group["instance_id"]), []).append(group["rewards"])
+        instance_id = str(group["instance_id"])
+        try:
+            rewards = [as_fraction(r) for r in group["rewards"]]
+        except (ValueError, ZeroDivisionError) as err:
+            _fail(DATASET_EXIT, f"instance {instance_id}: bad reward: {err}")
+        by_instance.setdefault(instance_id, []).append(rewards)
 
     for instance_id, attempts in by_instance.items():
         attempts = attempts[: cfg.max_resample_attempts]
         replay = iter(attempts)
 
         def source(group_size: int) -> list[GroupMember]:
-            return [GroupMember("", as_fraction(r)) for r in next(replay)]
+            return [GroupMember("", r) for r in next(replay)]
 
         capped = replace(cfg, max_resample_attempts=len(attempts))
         try:

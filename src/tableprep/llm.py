@@ -29,6 +29,8 @@ from .table import Table, serialize_markdown
 
 log = logging.getLogger(__name__)
 
+_DECODER = json.JSONDecoder()
+
 T = TypeVar("T")
 
 GENERATOR_SYSTEM_PROMPT = """You are a data preparation planner for table question answering.
@@ -234,46 +236,19 @@ def generate_candidates(
 
 
 def first_json_array(text: str):
-    """Locate and decode the first balanced, JSON-valid array in free text.
+    """Decode the first JSON-valid array in free text.
 
-    The scan is string-aware, so brackets inside JSON string literals do not
-    confuse the balance count. Spans that fail to decode are skipped and the
-    scan continues at the next opening bracket.
+    Decoding is tried at each opening bracket in turn. A valid array ends at
+    its string-aware balanced closing bracket, so brackets inside JSON string
+    literals do not cut it short. Nesting too deep for the decoder counts as
+    invalid.
     """
     start = text.find("[")
     while start != -1:
-        end = _balanced_end(text, start)
-        if end is not None:
-            try:
-                return json.loads(text[start : end + 1])
-            except json.JSONDecodeError:
-                pass
-        start = text.find("[", start + 1)
-    return None
-
-
-def _balanced_end(text: str, start: int) -> int | None:
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-            if depth == 0:
-                return i
+        try:
+            return _DECODER.raw_decode(text, start)[0]
+        except (json.JSONDecodeError, RecursionError):
+            start = text.find("[", start + 1)
     return None
 
 

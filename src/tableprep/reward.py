@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 from .engine import OK, ExecutionTrace
 from .errors import BadBudgetError, DegenerateInitialTableError
 from .gate import as_fraction
-from .table import Table, render_value, serialize_markdown
+from .table import Table, format_number, parse_number, serialize_markdown
 
 log = logging.getLogger(__name__)
 
@@ -58,12 +58,36 @@ def match_answer(answer: str, cell_text: str, matching: str) -> bool:
 
 
 def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
-    """True iff every answer string matches at least one cell rendering."""
-    rendered = [render_value(cell) for row in table.rows for cell in row]
-    return all(
-        any(match_answer(answer, cell, answers.matching) for cell in rendered)
-        for answer in answers.answers
-    )
+    """True iff every answer string matches at least one cell rendering.
+
+    Text and missing cells compare as their rendering. Numbers match by value
+    against the answers spelled canonically (``format_number`` of their own
+    parse): ``format_number`` is a canonical function of the value, so this is
+    equivalent to matching the rendering, and no cell is rendered. That holds
+    for numbers within the decimal context's precision (28 digits by
+    default), beyond which ``format_number`` rounds. The scan stops once
+    every answer has matched.
+    """
+    normalized = answers.matching == NORMALIZED
+    missing = {_normalize(a) for a in answers.answers} if normalized else set(answers.answers)
+    by_value = {}
+    for text in missing:
+        number = parse_number(text)
+        if number is not None and format_number(number) == text:
+            by_value[number] = text
+    for row in table.rows:
+        for cell in row:
+            if isinstance(cell, str):
+                text = _normalize(cell) if normalized else cell
+            elif cell is None:
+                text = ""
+            else:
+                text = by_value.get(cell)
+            if text in missing:
+                missing.remove(text)
+                if not missing:
+                    return True
+    return False
 
 
 def op_correctness(table_after: Table, answers: AnswerSet) -> int:
@@ -212,7 +236,8 @@ def total_reward(
     """Weighted sum of accuracy, compression, and length rewards."""
     cfg = config or RewardConfig()
     bits = per_op_correctness(trace, answers)
-    r_acc = accuracy_reward(trace, answers)
+    n = len(trace.steps)
+    r_acc = Fraction(sum(bits), n) if n else accuracy_reward(trace, answers)
     r_compress = compression_reward(trace, orientation=cfg.compression_orientation)
     r_length = length_reward(token_len, cfg.l_max, cfg.l_cache)
     total = r_acc + cfg.lambda_compress * r_compress + cfg.lambda_length * r_length
@@ -222,7 +247,7 @@ def total_reward(
         r_compress=r_compress,
         r_length=r_length,
         total=total,
-        n=len(trace.steps),
+        n=n,
         token_len=token_len,
     )
 

@@ -15,6 +15,7 @@ from .engine import ExecutionTrace, execute
 from .errors import QaTransportError
 from .llm import GenerationConfig, call_with_retries
 from .ops import Pipeline
+from .reward import AnswerSet, contains_all_answers
 from .semantic import SemanticExecutor
 from .table import Table, serialize_markdown, table_digest
 
@@ -137,11 +138,8 @@ class CellLookupQaClient:
         self.expected = dict(expected)
 
     def ask(self, question: str, table: Table) -> str:
-        from .table import render_value
-
-        cells = {render_value(cell) for row in table.rows for cell in row}
         for answer in self.expected.get(question, []):
-            if answer in cells:
+            if contains_all_answers(table, AnswerSet.of(answer)):
                 return answer
         return "No data available"
 

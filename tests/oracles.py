@@ -6,9 +6,11 @@ hashing, and full prefix-sum enumeration instead of a trie walk. They are only
 meant for the small random domains the tests draw from.
 """
 
+import json
 from decimal import Decimal
 
-from tableprep.table import Table
+from tableprep.reward import AnswerSet, match_answer
+from tableprep.table import Table, render_value
 
 
 def ref_render(cell):
@@ -18,6 +20,55 @@ def ref_render(cell):
         # oracle domain uses integer decimals only
         return str(int(cell))
     return cell
+
+
+def ref_contains_all_answers(table: Table, answers: AnswerSet) -> bool:
+    """Render every cell, then look for each answer among the renderings."""
+    rendered = [render_value(cell) for row in table.rows for cell in row]
+    return all(
+        any(match_answer(answer, cell, answers.matching) for cell in rendered)
+        for answer in answers.answers
+    )
+
+
+def ref_first_json_array(text: str):
+    """At each opening bracket, find the string-aware balanced closing bracket
+    and decode that span; the first span that decodes wins."""
+    start = text.find("[")
+    while start != -1:
+        end = _ref_balanced_end(text, start)
+        if end is not None:
+            try:
+                return json.loads(text[start : end + 1])
+            except json.JSONDecodeError:
+                pass
+        start = text.find("[", start + 1)
+    return None
+
+
+def _ref_balanced_end(text: str, start: int):
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "[":
+            depth += 1
+        elif ch == "]":
+            depth -= 1
+            if depth == 0:
+                return i
+    return None
 
 
 def ref_select(table: Table, requested) -> Table:

@@ -210,6 +210,18 @@ class TestGate:
         assert result.exit_code == 3
         assert "instance a: group_size must be at least 2" in result.output
 
+    @pytest.mark.parametrize("groups, message", [
+        ([1, 2], "group 0: each group needs 'instance_id' and 'rewards'"),
+        ([{"instance_id": "a", "rewards": 5}], "instance a: 'rewards' must be a list"),
+        ([{"instance_id": "a", "rewards": [0.9, "x"]}], "instance a: bad reward"),
+    ])
+    def test_malformed_group_is_dataset_error(self, runner, tmp_path, groups, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(groups))
+        result = runner.invoke(main, ["gate", str(path)])
+        assert result.exit_code == 3, result.output
+        assert message in result.output
+
 
 class TestFilterDataset:
     def test_fixture_keeps_25(self, runner, tmp_path):

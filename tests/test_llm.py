@@ -3,6 +3,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableprep.errors import (
     AllRequestsFailedError,
@@ -25,6 +27,18 @@ from tableprep.llm import (
 from tableprep.ops import Pipeline, SelectOp, pipeline_to_json
 
 from conftest import FlakyTransport, make_table
+from oracles import ref_first_json_array
+
+
+_JSON_CHARS = ["[", "]", '"', "\\", ",", "{", "}", ":", "1", "a", "null", " "]
+_junk = st.lists(st.sampled_from(_JSON_CHARS), max_size=8).map("".join)
+# valid arrays over the same characters, with brackets and quotes inside strings
+_json_values = st.recursive(
+    st.none() | st.just(1) | _junk,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["a", "1"]), inner, max_size=2),
+    max_leaves=6,
+)
+_texts = st.lists(st.one_of(_junk, st.lists(_json_values, max_size=3).map(json.dumps)), max_size=4).map("".join)
 
 
 @pytest.fixture
@@ -95,6 +109,19 @@ class TestExtractPipelineJson:
     def test_first_json_array_helper(self):
         assert first_json_array("no arrays here") is None
         assert first_json_array('["a", 1]') == ["a", 1]
+
+    @pytest.mark.parametrize("text, error", [
+        ("[" * 3000, NoJsonFoundError),
+        ("[" * 3000 + "]" * 3000, PipelineParseError),
+    ], ids=["unbalanced", "balanced"])
+    def test_nesting_deeper_than_the_decoder_is_a_candidate_error(self, text, error):
+        with pytest.raises(error):
+            extract_pipeline_json(text)
+
+    @settings(max_examples=300)
+    @given(_texts)
+    def test_first_json_array_agrees_with_balanced_scan(self, text):
+        assert first_json_array(text) == ref_first_json_array(text)
 
 
 class TestGenerateCandidates:

@@ -1,9 +1,13 @@
 import logging
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from tableprep.engine import execute
+from tableprep import reward
+from tableprep.engine import FAILED, OK, SKIPPED, execute
 from tableprep.errors import BadBudgetError, DegenerateInitialTableError
 from tableprep.ops import parse_pipeline
 from tableprep.reward import (
@@ -21,8 +25,10 @@ from tableprep.reward import (
     per_op_correctness,
     total_reward,
 )
+from tableprep.table import Table, render_value
 
 from conftest import make_table
+from oracles import ref_contains_all_answers
 
 
 def pipe(*docs):
@@ -60,6 +66,48 @@ class TestContainsAllAnswers:
         sub = make_table(["name"], [["target"]])
         assert contains_all_answers(sub, answers)
         assert contains_all_answers(answer_table, answers)
+
+
+_WORDS = st.sampled_from(["paris", "Paris", " paris ", "PARIS\t", "", " ", "7", "7.0", "a b"])
+_CELLS = st.one_of(
+    st.none(),
+    _WORDS,
+    _WORDS,
+    st.sampled_from([Decimal("7.00"), Decimal("-0"), Decimal("0.0"), Decimal("1E+1"),
+                     Decimal("0.50"), Decimal("-7"), Decimal("5E-1")]),
+    st.builds(lambda digits, exp: Decimal(digits).scaleb(exp),
+              st.integers(-120, 120), st.integers(-3, 3)),
+)
+_ANSWERS = st.sampled_from(["", " 7 ", "7", "7.0", "+7", "07", ".5", "0.5", "-0", "0",
+                            "1E+1", "10", "-7", "paris", "Paris ", "a b", "100"])
+
+
+@st.composite
+def _tables_and_answers(draw):
+    n_cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * n_cols), max_size=5))
+    table = Table(tuple(f"c{i}" for i in range(n_cols)), tuple(rows))
+    # answers spelled like a cell of the table (or a variant of it) make
+    # positive cases common; the fixed spellings probe the near misses
+    spelled = [render_value(cell) for row in rows for cell in row]
+    variant = st.sampled_from(spelled or [""]).flatmap(
+        lambda text: st.sampled_from([text, text.upper(), text.strip().lower(), f" {text}", f"{text}.0"]))
+    answers = draw(st.lists(st.one_of(_ANSWERS, variant, variant), min_size=1, max_size=3))
+    return table, answers
+
+
+class TestContainsAllAnswersOracle:
+    @settings(max_examples=300)
+    @given(_tables_and_answers(), st.sampled_from(["exact", "normalized"]))
+    @example((make_table(["x"], [["PARIS "]]), ["paris"]), "normalized")
+    @example((make_table(["x"], [[" "], [None]]), ["", " 7 "]), "normalized")
+    @example((make_table(["x"], [[Decimal("7.00")], [Decimal("-0")]]), ["7", "0"]), "exact")
+    @example((make_table(["x"], [[Decimal("-0")], [Decimal("1E+1")]]), ["-0", "1E+1"]), "exact")
+    @example((make_table(["x"], [[Decimal("1E+1")], [Decimal("0.50")]]), ["10", ".5"]), "exact")
+    def test_agrees_with_rendering_every_cell(self, table_and_answers, matching):
+        table, answers = table_and_answers
+        answer_set = AnswerSet(tuple(answers), matching)
+        assert contains_all_answers(table, answer_set) == ref_contains_all_answers(table, answer_set)
 
 
 class TestOpCorrectness:
@@ -257,6 +305,36 @@ class TestTotalReward:
         assert b2.total - b1.total == Fraction(1, 2) * (b2.r_compress - b1.r_compress) + Fraction(
             1, 2
         ) * (b2.r_length - b1.r_length)
+
+
+class TestOneScanPerTrace:
+    def test_each_ok_step_scanned_once(self, wide_table, monkeypatch):
+        calls = []
+        inner = reward.contains_all_answers
+
+        def counting(table, answers):
+            calls.append(table)
+            return inner(table, answers)
+
+        monkeypatch.setattr(reward, "contains_all_answers", counting)
+        pipeline = pipe(
+            {"operation": "select", "columns": ["name", "v1"]},
+            {"operation": "sort_by", "column": "v1", "order": "asc", "k": 3},
+            {"operation": "filter", "column": "ghost", "cmp": "==", "value": 1},
+            {"operation": "sort_by", "column": "v1", "order": "desc"},
+        )
+        trace = execute(pipeline, wide_table)
+        assert [step.status for step in trace.steps] == [OK, OK, FAILED, SKIPPED]
+        answers = AnswerSet.of("target")
+        breakdown = total_reward(trace, answers, token_len=10)
+        assert [id(t) for t in calls] == [id(step.table_after) for step in trace.steps[:2]]
+        assert breakdown.r_acc == accuracy_reward(trace, answers) == Fraction(2, 4)
+
+    def test_empty_pipeline_scores_zero(self, wide_table, caplog):
+        trace = execute(pipe(), wide_table)
+        with caplog.at_level(logging.WARNING):
+            assert total_reward(trace, AnswerSet.of("target"), token_len=10).r_acc == 0
+        assert any("empty pipeline" in r.message for r in caplog.records)
 
 
 class TestCellFocused:
