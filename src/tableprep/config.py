@@ -4,7 +4,7 @@ Example::
 
     {
       "generator": {"mode": "mock", "script": "generator_script.json",
-                    "default_texts": ["[]"], "n": 3},
+                    "default_texts": ["[]"]},
       "qa": {"mode": "cell_lookup", "script": "qa_script.json"},
       "semantic_executor": {"mode": "mock", "rules": "semantic_rules.json"},
       "reward": {"lambda_compress": 0.5, "lambda_length": 0.5,
@@ -12,7 +12,7 @@ Example::
                  "compression_orientation": "as_written", "matching": "exact"},
       "gate": {"variance_threshold": 0.1, "quality_threshold": 0.5,
                "advantage_epsilon": 1e-6, "max_resample_attempts": 4},
-      "run": {"n": 5, "parallelism": 1, "eval_matching": "normalized",
+      "run": {"n": 3, "parallelism": 1, "eval_matching": "normalized",
               "request_cap": null}
     }
 
@@ -75,6 +75,9 @@ def load_config(path: str) -> AppConfig:
             eval_matching=str(run_doc.get("eval_matching", "normalized")),
             request_cap=run_doc.get("request_cap"),
         )
+        for key in ("n", "parallelism"):
+            if getattr(run, key) < 1:
+                raise ConfigError(f"run.{key} must be at least 1, got {getattr(run, key)}")
         config = AppConfig(
             generator=doc.get("generator", {"mode": "mock", "default_texts": ["[]"]}),
             qa=doc.get("qa", {"mode": "cell_lookup", "expected": {}}),
@@ -84,7 +87,8 @@ def load_config(path: str) -> AppConfig:
             run=run,
             base_dir=os.path.dirname(os.path.abspath(path)),
         )
-    except (TypeError, ValueError, KeyError) as err:
+        generation_config(config)  # checks the generator's client keys
+    except (TypeError, ValueError, KeyError, AttributeError) as err:
         raise ConfigError(f"bad config value: {err}") from err
     if run.eval_matching not in ("exact", "normalized"):
         raise ConfigError(f"run.eval_matching must be 'exact' or 'normalized', got {run.eval_matching!r}")
@@ -120,22 +124,21 @@ def client_config(section: dict, temperature: float, max_tokens: int, n: int = 1
 
 
 def generation_config(config: AppConfig) -> GenerationConfig:
-    return client_config(config.generator, 0.8, 1024, int(config.generator.get("n", config.run.n)))
+    return client_config(config.generator, 0.8, 1024, config.run.n)
 
 
 class GeneratorFactory:
     """Yields the chat transport to use for each instance.
 
-    HTTP mode shares one transport, capped at ``run.request_cap`` requests in
-    flight; mock mode builds a per-instance scripted transport from a script
-    file keyed by instance id (or question).
+    HTTP mode shares one transport; mock mode builds a per-instance scripted
+    transport from a script file keyed by instance id (or question).
     """
 
     def __init__(self, config: AppConfig):
         gen = config.generator
         self.mode = gen.get("mode", "mock")
         if self.mode == "http":
-            self._shared = HttpChatTransport(request_cap=config.run.request_cap)
+            self._shared = HttpChatTransport()
         elif self.mode == "mock":
             self._scripts = {}
             if "script" in gen:

@@ -13,8 +13,7 @@ import logging
 import os
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, TypeVar
 
@@ -82,21 +81,12 @@ class ChatTransport(Protocol):
 
 
 class HttpChatTransport:
-    """POSTs OpenAI-compatible chat completion requests with ``requests``.
+    """POSTs OpenAI-compatible chat completion requests with ``requests``."""
 
-    ``request_cap`` bounds how many requests through this transport are in
-    flight at once; ``None`` leaves them unbounded.
-    """
-
-    def __init__(self, session=None, request_cap: int | None = None):
+    def __init__(self, session=None):
         import requests
 
         self._session = session or requests.Session()
-        self._gate = threading.Semaphore(request_cap) if request_cap is not None else nullcontext()
-
-    def preflight(self, config: GenerationConfig):
-        if config.api_key_env and not os.environ.get(config.api_key_env):
-            raise AuthMissingError(config.api_key_env)
 
     def complete(self, messages: list[dict], config: GenerationConfig, index: int = 0) -> str:
         headers = {"Content-Type": "application/json"}
@@ -111,12 +101,11 @@ class HttpChatTransport:
             "temperature": config.temperature,
             "max_tokens": config.max_tokens,
         }
-        with self._gate:
-            response = self._session.post(
-                config.endpoint, json=payload, headers=headers, timeout=config.timeout
-            )
-            response.raise_for_status()
-            body = response.json()
+        response = self._session.post(
+            config.endpoint, json=payload, headers=headers, timeout=config.timeout
+        )
+        response.raise_for_status()
+        body = response.json()
         return body["choices"][0]["message"]["content"]
 
 
@@ -141,11 +130,6 @@ class LoggingTransport:
         self._inner = inner
         self._path = path
         self._lock = threading.Lock()
-
-    def preflight(self, config: GenerationConfig):
-        preflight = getattr(self._inner, "preflight", None)
-        if preflight:
-            preflight(config)
 
     def _log(self, record: dict):
         with self._lock, open(self._path, "a", encoding="utf-8") as fh:
@@ -201,17 +185,15 @@ def generate_candidates(
     table: Table,
     config: GenerationConfig,
     transport: ChatTransport,
-    max_workers: int | None = None,
+    pool: Executor | None = None,
 ) -> list[GenerationOutcome]:
     """Sample N candidate completions with index-stable ordering.
 
-    Individual failures are retried up to ``config.retries`` times and then
-    recorded per index rather than dropped. Raises only when every candidate
-    failed or authentication is missing.
+    The N requests run as tasks of ``pool``; with no pool they run one after
+    another on the calling thread. Individual failures are retried up to
+    ``config.retries`` times and then recorded per index rather than dropped.
+    Raises only when every candidate failed or authentication is missing.
     """
-    preflight = getattr(transport, "preflight", None)
-    if preflight:
-        preflight(config)
     messages = build_generation_prompt(question, table, config.prompt_max_rows)
 
     def one(index: int) -> GenerationOutcome:
@@ -224,12 +206,7 @@ def generate_candidates(
             return GenerationOutcome(index, None, error=str(err))
         return GenerationOutcome(index, text)
 
-    workers = max_workers if max_workers is not None else config.n
-    if workers <= 1 or config.n == 1:
-        outcomes = [one(i) for i in range(config.n)]
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, config.n)) as pool:
-            outcomes = list(pool.map(one, range(config.n)))
+    outcomes = list((pool.map if pool else map)(one, range(config.n)))
     if all(o.text is None for o in outcomes):
         raise AllRequestsFailedError(f"all {config.n} generation requests failed")
     return outcomes

@@ -82,8 +82,6 @@ class CleanColumnOp:
 
 OperatorSpec = Union[SelectOp, FilterOp, SortByOp, GroupByOp, AddColumnOp, CleanColumnOp]
 
-SEMANTIC_KINDS = ("add_column", "clean_column")
-
 
 @dataclass(frozen=True)
 class Pipeline:

@@ -63,10 +63,8 @@ def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     Text and missing cells compare as their rendering. Numbers match by value
     against the answers spelled canonically (``format_number`` of their own
     parse): ``format_number`` is a canonical function of the value, so this is
-    equivalent to matching the rendering, and no cell is rendered. That holds
-    for numbers within the decimal context's precision (28 digits by
-    default), beyond which ``format_number`` rounds. The scan stops once
-    every answer has matched.
+    equivalent to matching the rendering, and no cell is rendered. The scan
+    stops once every answer has matched.
     """
     normalized = answers.matching == NORMALIZED
     missing = {_normalize(a) for a in answers.answers} if normalized else set(answers.answers)

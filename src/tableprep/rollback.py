@@ -47,7 +47,6 @@ class RollbackResult:
     state_used: int
     qa_calls: int
     tables_tried: tuple[tuple[int, int], ...]  # (rows, cols) per QA call
-    short_circuited: bool
     trace: ExecutionTrace  # state-1 trace, kept so callers never re-execute
 
 
@@ -57,7 +56,6 @@ def answer_with_rollback(
     pipeline: Pipeline,
     qa: QaClient,
     executor: SemanticExecutor | None = None,
-    short_circuit_empty: bool = True,
 ) -> RollbackResult:
     """Ask over the prepared table, falling back on "No data available".
 
@@ -65,19 +63,17 @@ def answer_with_rollback(
     operator only (reused from the state-1 trace, so semantic ops never run
     twice), state 3 the original table. At most three QA calls; the state-3
     response is returned verbatim. With an empty pipeline all three states
-    would submit the same table, so by default a single state-3 call is made
-    and flagged as short-circuited.
+    would submit the same table, so a single state-3 call is made.
     """
     trace = execute(pipeline, table, executor)
 
-    if len(pipeline) == 0 and short_circuit_empty:
+    if len(pipeline) == 0:
         answer = _ask(qa, question, table, state=3)
         return RollbackResult(
             answer=answer,
             state_used=3,
             qa_calls=1,
             tables_tried=((table.n_rows, table.n_cols),),
-            short_circuited=True,
             trace=trace,
         )
 
@@ -97,7 +93,6 @@ def answer_with_rollback(
         state_used=state_used,
         qa_calls=len(tried),
         tables_tried=tuple(tried),
-        short_circuited=False,
         trace=trace,
     )
 

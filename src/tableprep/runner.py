@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -107,10 +107,12 @@ def compute_aggregates(records: list[dict]) -> dict:
     }
 
 
-def run_instance(instance: Instance, config: AppConfig, factory: GeneratorFactory, qa, executor) -> InstanceRecord:
+def run_instance(
+    instance: Instance, config: AppConfig, factory: GeneratorFactory, qa, executor, requests: Executor
+) -> InstanceRecord:
     gen_cfg = generation_config(config)
     transport = factory.transport_for(instance.id, instance.question)
-    outcomes = generate_candidates(instance.question, instance.table, gen_cfg, transport)
+    outcomes = generate_candidates(instance.question, instance.table, gen_cfg, transport, requests)
 
     pipelines = []
     candidate_errors = []
@@ -176,16 +178,17 @@ def run_dataset(
 
     def one(instance: Instance):
         try:
-            return instance.id, run_instance(instance, config, factory, qa, executor), None
+            return instance.id, run_instance(instance, config, factory, qa, executor, requests), None
         except TablePrepError as err:
             log.warning("instance %s failed: %s", instance.id, err)
             return instance.id, None, str(err)
 
-    if config.run.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.run.parallelism) as pool:
+    # Instance tasks wait on their candidates in the request pool, but request
+    # tasks never wait on another task, so the two pools cannot deadlock.
+    run = config.run
+    with ThreadPoolExecutor(run.request_cap or run.parallelism * run.n) as requests:
+        with ThreadPoolExecutor(run.parallelism) as pool:
             results = list(pool.map(one, instances))
-    else:
-        results = [one(instance) for instance in instances]
 
     for instance_id, record, error in results:
         if record is not None:
@@ -196,7 +199,7 @@ def run_dataset(
     report.records.sort(key=lambda r: r.id)
     report.errors.sort(key=lambda e: (str(e.get("id", "")), e.get("line", 0)))
     report.metadata = {
-        "n_candidates": generation_config(config).n,
+        "n_candidates": config.run.n,
         "eval_matching": config.run.eval_matching,
         "compression_definition": "mean over instances of 1 - cells_after/cells_before",
     }

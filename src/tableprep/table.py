@@ -45,10 +45,14 @@ def parse_number(text: str) -> Decimal | None:
 
 
 def format_number(value: Decimal) -> str:
-    """Canonical rendering: no trailing zeros, no exponent, no leading plus."""
+    """Canonical rendering, exact at any precision: no trailing fractional
+    zeros, no exponent, no leading plus."""
     if value == 0:
         return "0"
-    return format(value.normalize(), "f")
+    text = str(value)  # exact, and cheaper than format(); exponent form only for some values
+    if "E" in text:
+        text = format(value, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def render_value(value: Value) -> str:
@@ -96,11 +100,6 @@ class Table:
                     f"unsupported cell type {type(cell).__name__} in row {i}"
                 )
 
-    @classmethod
-    def build(cls, columns, rows) -> "Table":
-        """Construct from any iterables, normalizing to tuples."""
-        return cls(tuple(columns), tuple(tuple(r) for r in rows))
-
     @property
     def n_rows(self) -> int:
         return len(self.rows)
@@ -114,10 +113,6 @@ class Table:
             return self.columns.index(name)
         except ValueError:
             return None
-
-    def column_values(self, name: str) -> list[Value]:
-        idx = self.columns.index(name)
-        return [row[idx] for row in self.rows]
 
 
 def cell_count(table: Table) -> int:

@@ -48,6 +48,16 @@ class TestRun:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("run_doc", [{"parallelism": 0}, {"parallelism": -1}, {"n": 0}])
+    def test_bad_run_size_exit_2_before_running(self, runner, tmp_path, run_doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"run": run_doc}))
+        result = runner.invoke(
+            main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(bad)]
+        )
+        assert result.exit_code == 2
+        assert "must be at least 1" in result.output
+
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]

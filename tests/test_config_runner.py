@@ -1,9 +1,12 @@
 import json
 import os
+import threading
+from dataclasses import replace
 
 import pytest
 
 from tableprep import config as config_mod
+from tableprep import runner
 from tableprep.config import (
     AppConfig,
     GeneratorFactory,
@@ -67,6 +70,22 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="request_cap"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"run": {"n": 0}}, "run.n must be at least 1"),
+        ({"run": {"n": -1}}, "run.n must be at least 1"),
+        ({"run": {"parallelism": 0}}, "run.parallelism must be at least 1"),
+        ({"run": {"parallelism": -1}}, "run.parallelism must be at least 1"),
+        ({"generator": {"timeout": 0}}, "timeout must be positive"),
+        ({"generator": {"retries": "x"}}, "'x'"),
+        ({"generator": ["mock"]}, "bad config value"),
+        ({"run": [3]}, "bad config value"),
+    ])
+    def test_bad_run_or_generator_values(self, tmp_path, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
     @pytest.mark.parametrize("cap", [None, 1, 8])
     def test_good_request_cap(self, tmp_path, cap):
         path = tmp_path / "c.json"
@@ -119,13 +138,13 @@ class TestFactories:
         executor = build_semantic_executor(config)
         assert isinstance(executor, MockSemanticExecutor)
 
-    def test_http_generator_transport_carries_request_cap(self, tmp_path, monkeypatch):
+    def test_http_generator_shares_one_plain_transport(self, tmp_path, monkeypatch):
         made = []
         monkeypatch.setattr(config_mod, "HttpChatTransport", lambda **kw: made.append(kw) or object())
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"generator": {"mode": "http"}, "run": {"request_cap": 3}}))
         factory = GeneratorFactory(load_config(str(path)))
-        assert made == [{"request_cap": 3}]
+        assert made == [{}]
         assert factory.transport_for("a", "q") is factory.transport_for("b", "q")
 
     def test_client_sections_share_one_builder(self, tmp_path):
@@ -145,6 +164,11 @@ class TestFactories:
     def test_generation_config_inherits_run_n(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"run": {"n": 7}}))
+        assert generation_config(load_config(str(path))).n == 7
+
+    def test_generator_n_is_not_read(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"generator": {"mode": "mock", "n": 2}, "run": {"n": 7}}))
         assert generation_config(load_config(str(path))).n == 7
 
 
@@ -191,11 +215,41 @@ class TestRunner:
         instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
         serial = dump_report(run_dataset(instances, config))
 
-        from dataclasses import replace
-
         config.run = replace(config.run, parallelism=4)
         parallel = dump_report(run_dataset(instances, config))
         assert serial == parallel
+
+    def test_one_instance_pool_and_one_request_pool(self, monkeypatch):
+        config = load_config(fx("run_config.json"))
+        config.run = replace(config.run, parallelism=2)
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+        assert (len(instances), config.run.n) == (20, 3)
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread) or start(thread))
+        run_dataset(instances, config)
+        assert len(started) <= 2 + 2 * 3
+
+    def test_request_cap_bounds_mock_requests_in_flight(self, monkeypatch):
+        probe = _InFlightProbe(together=3)
+        inner_factory = runner.GeneratorFactory
+
+        class Factory:
+            def __init__(self, config):
+                self._inner = inner_factory(config)
+
+            def transport_for(self, instance_id, question):
+                return probe.wrap(self._inner.transport_for(instance_id, question))
+
+        monkeypatch.setattr(runner, "GeneratorFactory", Factory)
+        config = load_config(fx("run_config.json"))
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+        uncapped = dump_report(run_dataset(instances[:6], config))
+        assert probe.peak == 3
+        probe.peak = 0
+        config.run = replace(config.run, parallelism=4, request_cap=2)
+        assert dump_report(run_dataset(instances[:6], config)) == uncapped
+        assert probe.peak == 2
 
     def test_aggregates_self_consistency(self, tmp_path):
         config = load_config(fx("run_config.json"))
@@ -229,6 +283,36 @@ class TestRunner:
         lines = [json.loads(l) for l in log_path.read_text().splitlines()]
         assert len(lines) == 6  # 2 instances x 3 candidates
         assert all("messages" in l and "response" in l for l in lines)
+
+
+class _InFlightProbe:
+    """Records the peak number of generator calls in flight at once.
+
+    Each call holds until ``together`` calls have been in flight at once, or
+    ``hold_s`` has passed, so an unthrottled run reliably reaches that peak.
+    """
+
+    def __init__(self, together: int, hold_s: float = 0.05):
+        self.together = together
+        self.hold_s = hold_s
+        self.in_flight = 0
+        self.peak = 0
+        self._cond = threading.Condition()
+
+    def wrap(self, inner):
+        probe = self
+
+        class Transport:
+            def complete(self, messages, config, index=0):
+                with probe._cond:
+                    probe.in_flight += 1
+                    probe.peak = max(probe.peak, probe.in_flight)
+                    probe._cond.notify_all()
+                    probe._cond.wait_for(lambda: probe.peak >= probe.together, timeout=probe.hold_s)
+                    probe.in_flight -= 1
+                return inner.complete(messages, config, index)
+
+        return Transport()
 
 
 def test_default_appconfig_is_usable():

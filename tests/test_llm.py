@@ -1,6 +1,5 @@
 import json
-import sys
-import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -134,7 +133,7 @@ class TestGenerateCandidates:
     def test_partial_failure_recorded(self, table):
         cfg = GenerationConfig(n=3, retries=1)
         transport = FlakyTransport(dead_indices={1})
-        outcomes = generate_candidates("q", table, cfg, transport, max_workers=1)
+        outcomes = generate_candidates("q", table, cfg, transport)
         assert outcomes[1].text is None
         assert "permanently down" in outcomes[1].error
         assert outcomes[0].text == "[]" and outcomes[2].text == "[]"
@@ -142,44 +141,27 @@ class TestGenerateCandidates:
     def test_retry_then_success(self, table):
         cfg = GenerationConfig(n=1, retries=2)
         transport = FlakyTransport(fail_first=2)
-        outcomes = generate_candidates("q", table, cfg, transport, max_workers=1)
+        outcomes = generate_candidates("q", table, cfg, transport)
         assert outcomes[0].text == "[]"
         assert transport.attempts[0] == 3
 
     def test_all_fail(self, table):
         cfg = GenerationConfig(n=2, retries=0)
         with pytest.raises(AllRequestsFailedError):
-            generate_candidates("q", table, cfg, FlakyTransport(dead_indices={0, 1}), max_workers=1)
+            generate_candidates("q", table, cfg, FlakyTransport(dead_indices={0, 1}))
 
     def test_auth_missing_before_any_request(self, table, monkeypatch):
         monkeypatch.delenv("TP_TEST_KEY", raising=False)
-
-        class AuthTransport:
-            def __init__(self):
-                self.calls = 0
-
-            def preflight(self, config):
-                if config.api_key_env:
-                    import os
-
-                    if not os.environ.get(config.api_key_env):
-                        raise AuthMissingError(config.api_key_env)
-
-            def complete(self, messages, config, index=0):
-                self.calls += 1
-                return "[]"
-
-        transport = AuthTransport()
+        session = _CountingSession()
         cfg = GenerationConfig(n=2, api_key_env="TP_TEST_KEY")
         with pytest.raises(AuthMissingError):
-            generate_candidates("q", table, cfg, transport)
-        assert transport.calls == 0
+            generate_candidates("q", table, cfg, HttpChatTransport(session=session))
+        assert session.posts == 0
 
     def test_index_stable_under_concurrency(self, table):
         cfg = GenerationConfig(n=5)
-        outcomes = generate_candidates(
-            "q", table, cfg, ScriptedTransport(["a", "b", "c", "d", "e"]), max_workers=5
-        )
+        with ThreadPoolExecutor(5) as pool:
+            outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["a", "b", "c", "d", "e"]), pool)
         assert [o.text for o in outcomes] == ["a", "b", "c", "d", "e"]
 
     def test_never_more_than_n(self, table):
@@ -208,12 +190,6 @@ class TestHttpTransportShape:
         assert captured["payload"]["messages"] == messages
         assert captured["payload"]["temperature"] == 0.8
         assert captured["headers"]["Authorization"] == "Bearer secret"
-
-    def test_preflight_auth(self, monkeypatch):
-        monkeypatch.delenv("TP_MISSING", raising=False)
-        transport = HttpChatTransport(session=object())
-        with pytest.raises(AuthMissingError):
-            transport.preflight(GenerationConfig(api_key_env="TP_MISSING"))
 
 
 class TestCallWithRetries:
@@ -256,64 +232,13 @@ class _OkResponse:
         return {"choices": [{"message": {"content": "[]"}}]}
 
 
-class _InFlightSession:
-    """Fake ``requests`` session recording the peak number of concurrent posts.
-
-    Each post holds until ``together`` posts have been in flight at once, or
-    ``hold_s`` has passed, so an unthrottled transport reliably reaches that
-    peak and a throttled one is kept busy while it waits.
-    """
-
-    def __init__(self, together: int, hold_s: float = 0.05):
-        self.together = together
-        self.hold_s = hold_s
-        self.in_flight = 0
-        self.peak = 0
-        self._cond = threading.Condition()
+class _CountingSession:
+    def __init__(self):
+        self.posts = 0
 
     def post(self, url, json=None, headers=None, timeout=None):
-        with self._cond:
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-            self._cond.notify_all()
-            self._cond.wait_for(lambda: self.peak >= self.together, timeout=self.hold_s)
-            self.in_flight -= 1
+        self.posts += 1
         return _OkResponse()
-
-
-def _drive(transport, n_threads: int) -> list[str]:
-    results = []
-    cfg = GenerationConfig()
-    threads = [
-        threading.Thread(target=lambda: results.append(transport.complete([], cfg)))
-        for _ in range(n_threads)
-    ]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    return results
-
-
-class TestRequestCap:
-    def test_capped_transport_never_exceeds_cap(self):
-        session = _InFlightSession(together=3)
-        results = _drive(HttpChatTransport(session=session, request_cap=2), n_threads=8)
-        assert results == ["[]"] * 8
-        assert session.peak == 2
-
-    def test_uncapped_transport_in_same_process_is_not_throttled(self):
-        capped = _InFlightSession(together=3)
-        _drive(HttpChatTransport(session=capped, request_cap=2), n_threads=4)
-        free = _InFlightSession(together=8, hold_s=5.0)
-        assert _drive(HttpChatTransport(session=free), n_threads=8) == ["[]"] * 8
-        assert capped.peak == 2 and free.peak == 8
 
 
 def test_generation_config_validation():

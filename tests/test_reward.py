@@ -109,6 +109,16 @@ class TestContainsAllAnswersOracle:
         answer_set = AnswerSet(tuple(answers), matching)
         assert contains_all_answers(table, answer_set) == ref_contains_all_answers(table, answer_set)
 
+    @pytest.mark.parametrize("cell, answer, expected", [
+        ("123456789012345678901234567890", "123456789012345678901234567890", True),
+        ("123456789012345678901234567890", "123456789012345678901234567900", False),
+        ("1.00000000000000000000000000001", "1", False),
+    ])
+    def test_numbers_beyond_28_digits(self, cell, answer, expected):
+        table = make_table(["id"], [[Decimal(cell)]])
+        answer_set = AnswerSet.of(answer)
+        assert contains_all_answers(table, answer_set) is ref_contains_all_answers(table, answer_set) is expected
+
 
 class TestOpCorrectness:
     def test_kept_answer_scores_one(self, answer_table):

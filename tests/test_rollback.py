@@ -112,23 +112,9 @@ class TestEmptyPipeline:
     def test_short_circuit_default(self, table):
         qa = SequenceQaClient(["42"])
         result = answer_with_rollback("q", table, pipe(), qa)
-        assert result.short_circuited
         assert result.qa_calls == 1
         assert result.state_used == 3
         assert result.tables_tried == ((3, 2),)
-
-    def test_short_circuit_disabled(self, table):
-        qa = SequenceQaClient([NO_DATA])
-        result = answer_with_rollback("q", table, pipe(), qa, short_circuit_empty=False)
-        assert not result.short_circuited
-        assert result.qa_calls == 3
-        assert result.state_used == 3
-
-    def test_short_circuit_disabled_answer_at_one(self, table):
-        qa = SequenceQaClient(["42"])
-        result = answer_with_rollback("q", table, pipe(), qa, short_circuit_empty=False)
-        assert result.qa_calls == 1
-        assert result.state_used == 1
 
 
 class TestExecutorEconomy:

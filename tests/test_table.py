@@ -114,6 +114,13 @@ class TestNumberDetection:
         assert format_number(Decimal("-0")) == "0"
         assert format_number(Decimal("-2.10")) == "-2.1"
 
+    @pytest.mark.parametrize("text", [
+        "123456789012345678901234567890", "-0.00000000000000000000000000000001", "1.00000000000000000000000000001",
+    ])
+    def test_long_numbers_survive_a_csv_round_trip(self, text):
+        table = load_csv(f"id\n{text}\n".encode())
+        assert serialize_json(table)["rows"] == [[text]]
+
     def test_render_value(self):
         assert render_value(None) == ""
         assert render_value("x ") == "x "
