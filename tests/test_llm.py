@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -239,6 +241,59 @@ class _CountingSession:
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts += 1
         return _OkResponse()
+
+
+class _InFlightSession:
+    """Fake ``requests`` session recording the peak number of concurrent posts.
+
+    Each post holds until ``together`` posts have been in flight at once, or
+    ``hold_s`` has passed, so an unthrottled transport reliably reaches that
+    peak and a throttled one is kept busy while it waits.
+    """
+
+    def __init__(self, together: int, hold_s: float = 0.05):
+        self.together = together
+        self.hold_s = hold_s
+        self.in_flight = 0
+        self.peak = 0
+        self._cond = threading.Condition()
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        with self._cond:
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+            self._cond.notify_all()
+            self._cond.wait_for(lambda: self.peak >= self.together, timeout=self.hold_s)
+            self.in_flight -= 1
+        return _OkResponse()
+
+
+def _drive(transport, n: int, pool_size: int) -> list[str]:
+    """Generates ``n`` candidates through ``transport`` on a request pool of ``pool_size``."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(pool_size) as pool:
+            outcomes = generate_candidates("q", make_table(["a"], [[1]]), GenerationConfig(n=n), transport, pool)
+    finally:
+        sys.setswitchinterval(interval)
+    return [o.text for o in outcomes]
+
+
+class TestRequestCap:
+    """``run.request_cap`` is the size of the run's request pool; the transport itself never throttles."""
+
+    def test_capped_transport_never_exceeds_cap(self):
+        session = _InFlightSession(together=3)
+        assert _drive(HttpChatTransport(session=session), n=8, pool_size=2) == ["[]"] * 8
+        assert session.peak == 2
+
+    def test_uncapped_transport_in_same_process_is_not_throttled(self):
+        capped = _InFlightSession(together=3)
+        _drive(HttpChatTransport(session=capped), n=4, pool_size=2)
+        free = _InFlightSession(together=8, hold_s=5.0)
+        assert _drive(HttpChatTransport(session=free), n=8, pool_size=8) == ["[]"] * 8
+        assert capped.peak == 2 and free.peak == 8
 
 
 def test_generation_config_validation():
