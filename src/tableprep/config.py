@@ -70,14 +70,17 @@ def load_config(path: str) -> AppConfig:
     try:
         run_doc = doc.get("run", {})
         run = RunSection(
-            n=int(run_doc.get("n", 5)),
-            parallelism=int(run_doc.get("parallelism", 1)),
+            n=run_doc.get("n", 5),
+            parallelism=run_doc.get("parallelism", 1),
             eval_matching=str(run_doc.get("eval_matching", "normalized")),
             request_cap=run_doc.get("request_cap"),
         )
         for key in ("n", "parallelism"):
-            if getattr(run, key) < 1:
-                raise ConfigError(f"run.{key} must be at least 1, got {getattr(run, key)}")
+            value = getattr(run, key)
+            if type(value) is not int:
+                raise ConfigError(f"run.{key} must be an integer, got {value!r}")
+            if value < 1:
+                raise ConfigError(f"run.{key} must be at least 1, got {value}")
         config = AppConfig(
             generator=doc.get("generator", {"mode": "mock", "default_texts": ["[]"]}),
             qa=doc.get("qa", {"mode": "cell_lookup", "expected": {}}),
@@ -87,7 +90,10 @@ def load_config(path: str) -> AppConfig:
             run=run,
             base_dir=os.path.dirname(os.path.abspath(path)),
         )
-        generation_config(config)  # checks the generator's client keys
+        # check every section's client keys now, not when its client is built
+        generation_config(config)
+        qa_client_config(config)
+        semantic_client_config(config)
     except (TypeError, ValueError, KeyError, AttributeError) as err:
         raise ConfigError(f"bad config value: {err}") from err
     if run.eval_matching not in ("exact", "normalized"):
@@ -127,6 +133,14 @@ def generation_config(config: AppConfig) -> GenerationConfig:
     return client_config(config.generator, 0.8, 1024, config.run.n)
 
 
+def qa_client_config(config: AppConfig) -> GenerationConfig:
+    return client_config(config.qa, 0.0, 256)
+
+
+def semantic_client_config(config: AppConfig) -> GenerationConfig:
+    return client_config(config.semantic_executor, 0.0, 1024)
+
+
 class GeneratorFactory:
     """Yields the chat transport to use for each instance.
 
@@ -164,7 +178,7 @@ def build_qa_client(config: AppConfig):
     qa = config.qa
     mode = qa.get("mode", "cell_lookup")
     if mode == "http":
-        return HttpQaClient(HttpChatTransport(), client_config(qa, 0.0, 256))
+        return HttpQaClient(HttpChatTransport(), qa_client_config(config))
     if mode == "cell_lookup":
         expected = qa.get("expected", {})
         if "script" in qa:
@@ -193,5 +207,5 @@ def build_semantic_executor(config: AppConfig):
             rules = _load_json_file(config, rules, "semantic rules")
         return MockSemanticExecutor.from_json(rules)
     if mode == "http":
-        return LlmSemanticExecutor(HttpChatTransport(), client_config(sem, 0.0, 1024))
+        return LlmSemanticExecutor(HttpChatTransport(), semantic_client_config(config))
     raise ConfigError(f"unknown semantic executor mode {mode!r}")

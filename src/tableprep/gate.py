@@ -48,6 +48,8 @@ class GateConfig:
             raise ValueError("variance_threshold must be >= 0")
         if self.advantage_epsilon <= 0:
             raise ValueError("advantage_epsilon must be > 0")
+        if type(self.max_resample_attempts) is not int:
+            raise ValueError(f"max_resample_attempts must be an integer, got {self.max_resample_attempts!r}")
         if self.max_resample_attempts < 1:
             raise ValueError("max_resample_attempts must be >= 1")
 
@@ -58,7 +60,7 @@ class GateConfig:
             if key in doc:
                 kwargs[key] = as_fraction(doc[key])
         if "max_resample_attempts" in doc:
-            kwargs["max_resample_attempts"] = int(doc["max_resample_attempts"])
+            kwargs["max_resample_attempts"] = doc["max_resample_attempts"]
         return cls(**kwargs)
 
 
@@ -77,8 +79,13 @@ def group_stats(rewards: Sequence) -> GroupStats:
         raise EmptyGroupError("cannot compute statistics of an empty group")
     values = [as_fraction(r) for r in rewards]
     n = len(values)
-    mean = sum(values, Fraction(0)) / n
-    variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / n
+    # one integer pass over a common denominator d: v_i = a_i / d, so
+    # mean = sum(a) / (n d) and variance = (n sum(a^2) - sum(a)^2) / (n d)^2
+    d = math.lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (d // v.denominator) for v in values]
+    s = sum(scaled)
+    mean = Fraction(s, n * d)
+    variance = Fraction(n * sum(a * a for a in scaled) - s * s, (n * d) ** 2)
     return GroupStats(
         mean=mean,
         variance=variance,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 import time
 from concurrent.futures import Executor
@@ -29,6 +30,11 @@ from .table import Table, serialize_markdown
 log = logging.getLogger(__name__)
 
 _DECODER = json.JSONDecoder()
+# A bracket where a JSON array can begin: optional whitespace, then "]" or the
+# first character of a value. Every array the decoder accepts starts this way;
+# \s and \d also admit non-ASCII whitespace and digits, which then fail to decode.
+# Only the bracket is consumed, so a bracket inside the lookahead is still tried.
+_ARRAY_START = re.compile(r'\[(?=\s*(?:[\]\[{"\-\d]|true|false|null|NaN|Infinity))')
 
 T = TypeVar("T")
 
@@ -215,17 +221,18 @@ def generate_candidates(
 def first_json_array(text: str):
     """Decode the first JSON-valid array in free text.
 
-    Decoding is tried at each opening bracket in turn. A valid array ends at
-    its string-aware balanced closing bracket, so brackets inside JSON string
-    literals do not cut it short. Nesting too deep for the decoder counts as
-    invalid.
+    Decoding is tried, left to right, at each opening bracket followed by
+    optional whitespace and the start of a JSON value or a closing bracket;
+    other brackets (such as ``[note 1]``) cannot begin an array and are
+    skipped without a decode. A valid array ends at its string-aware balanced
+    closing bracket, so brackets inside JSON string literals do not cut it
+    short. Nesting too deep for the decoder counts as invalid.
     """
-    start = text.find("[")
-    while start != -1:
+    for match in _ARRAY_START.finditer(text):
         try:
-            return _DECODER.raw_decode(text, start)[0]
+            return _DECODER.raw_decode(text, match.start())[0]
         except (json.JSONDecodeError, RecursionError):
-            start = text.find("[", start + 1)
+            pass
     return None
 
 

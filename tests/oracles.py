@@ -7,8 +7,11 @@ meant for the small random domains the tests draw from.
 """
 
 import json
+import math
 from decimal import Decimal
+from fractions import Fraction
 
+from tableprep.gate import GroupStats, as_fraction
 from tableprep.reward import AnswerSet, match_answer
 from tableprep.table import Table, render_value
 
@@ -69,6 +72,16 @@ def _ref_balanced_end(text: str, start: int):
             if depth == 0:
                 return i
     return None
+
+
+def ref_group_stats(rewards) -> GroupStats:
+    """Fraction-by-Fraction population statistics: the mean, then the mean of
+    squared deviations from it."""
+    values = [as_fraction(r) for r in rewards]
+    n = len(values)
+    mean = sum(values, Fraction(0)) / n
+    variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / n
+    return GroupStats(mean=mean, variance=variance, std=math.sqrt(variance), max=max(values), size=n)
 
 
 def ref_select(table: Table, requested) -> Table:

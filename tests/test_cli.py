@@ -58,6 +58,19 @@ class TestRun:
         assert result.exit_code == 2
         assert "must be at least 1" in result.output
 
+    @pytest.mark.parametrize("doc", [
+        {"qa": {"mode": "http", "timeout": 0}},
+        {"semantic_executor": {"mode": "http", "retries": "x"}},
+    ], ids=["qa_timeout", "semantic_retries"])
+    def test_bad_client_keys_exit_2_before_running(self, runner, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(bad)]
+        )
+        assert result.exit_code == 2
+        assert "bad config value" in result.output
+
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]

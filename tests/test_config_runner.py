@@ -86,6 +86,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(str(path))
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"qa": {"mode": "http", "timeout": 0}}, "timeout must be positive"),
+        ({"semantic_executor": {"mode": "http", "retries": "x"}}, "'x'"),
+    ])
+    def test_bad_qa_or_semantic_client_keys(self, tmp_path, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("section, key", [("run", "n"), ("run", "parallelism"), ("gate", "max_resample_attempts")])
+    @pytest.mark.parametrize("value", [2.9, True, "3"])
+    def test_counts_must_be_integers(self, tmp_path, section, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=f"{key} must be an integer"):
+            load_config(str(path))
+
     @pytest.mark.parametrize("cap", [None, 1, 8])
     def test_good_request_cap(self, tmp_path, cap):
         path = tmp_path / "c.json"

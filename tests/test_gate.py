@@ -1,9 +1,10 @@
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tableprep.errors import EmptyGroupError, GroupTooSmallError
@@ -19,6 +20,17 @@ from tableprep.gate import (
     group_stats,
     sample_accepted_group,
     vgr_accept,
+)
+
+from oracles import ref_group_stats
+
+# rewards of every type the gate accepts; the Fractions share denominators
+# 3, 7 and 1024, so a group's common denominator grows past each of them
+_rewards = st.one_of(
+    st.integers(-3, 3),
+    st.floats(-10, 10, allow_nan=False),
+    st.builds(Fraction, st.integers(-5000, 5000), st.sampled_from([1, 3, 7, 1024])),
+    st.decimals(-10, 10, allow_nan=False, places=3),
 )
 
 
@@ -48,6 +60,12 @@ class TestGroupStats:
     def test_single_element_allowed(self):
         stats = group_stats([0.4])
         assert stats.variance == 0 and stats.max == Fraction(2, 5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_rewards, min_size=1, max_size=16))
+    @example([Fraction(1, 3), Fraction(2, 7), Fraction(5, 1024), 1, 0.1, Decimal("0.125")])
+    def test_agrees_with_fraction_by_fraction_oracle(self, rewards):
+        assert group_stats(rewards) == ref_group_stats(rewards)
 
 
 class TestAdvantages:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tableprep import llm
 from tableprep.errors import (
     AllRequestsFailedError,
     AuthMissingError,
@@ -31,7 +32,11 @@ from conftest import FlakyTransport, make_table
 from oracles import ref_first_json_array
 
 
-_JSON_CHARS = ["[", "]", '"', "\\", ",", "{", "}", ":", "1", "a", "null", " "]
+# the characters that open a JSON value, JSON and non-ASCII whitespace, a
+# non-ASCII digit and a bracketed note: the bracket pre-check must skip only
+# brackets the decoder would reject
+_JSON_CHARS = ["[", "]", '"', "\\", ",", "{", "}", ":", "1", "a", "null", " ",
+               "n", "t", "f", "e", "N", "I", "-", "0", "\t", "\n", "\u00a0", "\u0661", "[note 1]"]
 _junk = st.lists(st.sampled_from(_JSON_CHARS), max_size=8).map("".join)
 # valid arrays over the same characters, with brackets and quotes inside strings
 _json_values = st.recursive(
@@ -122,7 +127,30 @@ class TestExtractPipelineJson:
     @settings(max_examples=300)
     @given(_texts)
     def test_first_json_array_agrees_with_balanced_scan(self, text):
-        assert first_json_array(text) == ref_first_json_array(text)
+        # repr, so that a decoded NaN compares equal to itself
+        assert repr(first_json_array(text)) == repr(ref_first_json_array(text))
+
+    @pytest.mark.parametrize("text", [
+        "[NaN]", "[Infinity]", "[-Infinity]", "[\n\t1]", "[\u00a0 1]", "x [note] [1]", "[true]", "[false]",
+    ])
+    def test_first_json_array_pinned_cases(self, text):
+        assert repr(first_json_array(text)) == repr(ref_first_json_array(text))
+
+    def test_brackets_that_cannot_open_an_array_are_not_decoded(self, monkeypatch):
+        class CountingDecoder:
+            attempts = 0
+
+            def raw_decode(self, text, start):
+                self.attempts += 1
+                return json.JSONDecoder().raw_decode(text, start)
+
+        decoder = CountingDecoder()
+        monkeypatch.setattr(llm, "_DECODER", decoder)
+        notes = " ".join(f"[note {i}] the column is not needed." for i in range(190))
+        assert first_json_array(notes + "\n" + '[{"operation": "select", "columns": ["a"]}]') == [
+            {"operation": "select", "columns": ["a"]}
+        ]
+        assert decoder.attempts == 1
 
 
 class TestGenerateCandidates:
