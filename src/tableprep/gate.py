@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import EmptyGroupError, GroupTooSmallError
+from .errors import ConfigError, EmptyGroupError, GroupTooSmallError
 from .ops import Pipeline
 
 LOW_VARIANCE = "low_variance"
@@ -34,6 +34,14 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, (int, Decimal)):
         return Fraction(x)
     return Fraction(str(x))
+
+
+def config_fraction(section: str, key: str, value) -> Fraction:
+    """A rational hyperparameter read from a config file. JSON ``true`` and
+    ``false`` are not numbers, although Python's ``bool`` is an ``int``."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
+    return as_fraction(value)
 
 
 @dataclass(frozen=True)
@@ -58,7 +66,7 @@ class GateConfig:
         kwargs = {}
         for key in ("variance_threshold", "quality_threshold", "advantage_epsilon"):
             if key in doc:
-                kwargs[key] = as_fraction(doc[key])
+                kwargs[key] = config_fraction("gate", key, doc[key])
         if "max_resample_attempts" in doc:
             kwargs["max_resample_attempts"] = doc["max_resample_attempts"]
         return cls(**kwargs)

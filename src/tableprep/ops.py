@@ -15,6 +15,8 @@ and a pipeline is a JSON array of such objects.
 from __future__ import annotations
 
 import json
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from decimal import Decimal
 from typing import ClassVar, Union
@@ -284,6 +286,19 @@ def canonical_key(spec: OperatorSpec) -> str:
 
 
 # --- structured execution ---
+#
+# The inputs of these kernels are validated tables, and every output cell is
+# one of their cells or an integral Decimal count, so outputs are built with
+# ``Table._trusted``.
+
+_COMPARE = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    ">": operator.gt,
+    "<": operator.lt,
+    ">=": operator.ge,
+    "<=": operator.le,
+}
 
 
 def exec_select(table: Table, columns) -> Table:
@@ -296,42 +311,41 @@ def exec_select(table: Table, columns) -> Table:
     kept = [name for name in table.columns if name in requested]
     if not kept:
         raise NoValidColumnsError(tuple(columns))
+    if len(kept) == table.n_cols:
+        return Table._trusted(table.columns, table.rows)
     indices = [table.columns.index(name) for name in kept]
-    rows = tuple(tuple(row[i] for i in indices) for row in table.rows)
-    return Table(tuple(kept), rows)
+    if len(indices) == 1:
+        (i,) = indices
+        rows = tuple((row[i],) for row in table.rows)
+    else:
+        rows = tuple(map(operator.itemgetter(*indices), table.rows))
+    return Table._trusted(tuple(kept), rows)
 
 
-def _as_comparable(cell: Value, value: Value) -> tuple:
-    """Pick the comparison domain for one cell/threshold pair.
+def _cell_predicate(cmp: str, value: Value):
+    """The filter test for one cell, with the threshold resolved once.
 
     Numeric when the cell is a number and the threshold is a number or a
-    numeric-looking string; otherwise both sides compare as rendered strings.
+    numeric-looking string; otherwise both sides compare as rendered strings,
+    the threshold keeping its own spelling.
     """
-    if isinstance(cell, Decimal):
-        if isinstance(value, Decimal):
-            return cell, value
-        if isinstance(value, str):
-            number = parse_number(value)
-            if number is not None:
-                return cell, number
-    return render_value(cell), render_value(value)
+    compare = _COMPARE[cmp]
+    number = value if isinstance(value, Decimal) else (
+        parse_number(value) if isinstance(value, str) else None
+    )
+    text = render_value(value)
+    keep_null = cmp == "!=" and value is not None
 
+    def keep(cell: Value) -> bool:
+        if isinstance(cell, str):
+            return compare(cell, text)
+        if cell is None:
+            return keep_null
+        if number is not None:
+            return compare(cell, number)
+        return compare(format_number(cell), text)
 
-def _satisfies(cell: Value, cmp: str, value: Value) -> bool:
-    if cell is None:
-        return cmp == "!=" and value is not None
-    left, right = _as_comparable(cell, value)
-    if cmp == "==":
-        return left == right
-    if cmp == "!=":
-        return left != right
-    if cmp == ">":
-        return left > right
-    if cmp == "<":
-        return left < right
-    if cmp == ">=":
-        return left >= right
-    return left <= right
+    return keep
 
 
 def exec_filter(table: Table, column: str, cmp: str, value: Value) -> Table:
@@ -344,8 +358,9 @@ def exec_filter(table: Table, column: str, cmp: str, value: Value) -> Table:
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
-    rows = tuple(row for row in table.rows if _satisfies(row[idx], cmp, value))
-    return Table(table.columns, rows)
+    keep = _cell_predicate(cmp, value)
+    rows = tuple(row for row in table.rows if keep(row[idx]))
+    return Table._trusted(table.columns, rows)
 
 
 def exec_sort_by(table: Table, column: str, order: str, k: int | None = None) -> Table:
@@ -357,41 +372,29 @@ def exec_sort_by(table: Table, column: str, order: str, k: int | None = None) ->
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
-    cells = [row[idx] for row in table.rows]
-    numeric = all(isinstance(c, Decimal) for c in cells if c is not None)
-
-    def key(row):
-        cell = row[idx]
-        return cell if numeric else render_value(cell)
-
     non_null = [row for row in table.rows if row[idx] is not None]
-    nulls = tuple(row for row in table.rows if row[idx] is None)
-    ordered = tuple(sorted(non_null, key=key, reverse=(order == "desc"))) + nulls
+    nulls = [row for row in table.rows if row[idx] is None]
+    if len({type(row[idx]) for row in non_null}) <= 1:
+        key = operator.itemgetter(idx)  # all text or all numbers: order the cells
+    else:
+        key = lambda row: render_value(row[idx])  # mixed: order the renderings
+    ordered = sorted(non_null, key=key, reverse=(order == "desc"))
+    ordered += nulls
     if k is not None:
-        ordered = ordered[: min(k, len(ordered))]
-    return Table(table.columns, ordered)
-
-
-def _group_key(cell: Value):
-    # None groups with itself; Decimal keys use numeric equality.
-    return ("null",) if cell is None else (type(cell).__name__, cell)
+        del ordered[k:]
+    return Table._trusted(table.columns, tuple(ordered))
 
 
 def exec_group_by(table: Table, column: str) -> Table:
-    """One row per distinct value (first-appearance order) with its count."""
+    """One row per distinct value (first-appearance order) with its count.
+
+    Cells are their own group keys: text never equals a number, equal numbers
+    share a group, and the dict keeps each group's first cell.
+    """
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
-    counts: dict = {}
-    representatives: dict = {}
-    for row in table.rows:
-        key = _group_key(row[idx])
-        if key not in counts:
-            counts[key] = 0
-            representatives[key] = row[idx]
-        counts[key] += 1
+    counts = Counter(map(operator.itemgetter(idx), table.rows))
     count_name = "count" if column != "count" else "count_"
-    rows = tuple(
-        (representatives[key], Decimal(counts[key])) for key in counts
-    )
-    return Table((column, count_name), rows)
+    rows = tuple((cell, Decimal(n)) for cell, n in counts.items())
+    return Table._trusted((column, count_name), rows)

@@ -12,11 +12,12 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable
 
 from .engine import OK, ExecutionTrace
-from .errors import BadBudgetError, DegenerateInitialTableError
-from .gate import as_fraction
+from .errors import BadBudgetError, ConfigError, DegenerateInitialTableError
+from .gate import config_fraction
 from .table import Table, format_number, parse_number, serialize_markdown
 
 log = logging.getLogger(__name__)
@@ -57,26 +58,42 @@ def match_answer(answer: str, cell_text: str, matching: str) -> bool:
     return answer == cell_text
 
 
+def _by_value(texts) -> dict:
+    """The texts spelled as canonical numbers, keyed by their value."""
+    by_value = {}
+    for text in texts:
+        number = parse_number(text)
+        if number is not None and format_number(number) == text:
+            by_value[number] = text
+    return by_value
+
+
 def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     """True iff every answer string matches at least one cell rendering.
 
     Text and missing cells compare as their rendering. Numbers match by value
     against the answers spelled canonically (``format_number`` of their own
     parse): ``format_number`` is a canonical function of the value, so this is
-    equivalent to matching the rendering, and no cell is rendered. The scan
-    stops once every answer has matched.
+    equivalent to matching the rendering, and no cell is rendered.
+
+    Exact matching maps every cell that can match (answer text, canonical
+    number, and ``None`` when ``""`` is an answer) to its answer and
+    intersects that lookup with all cells at once. Normalized matching scans
+    the cells and stops once every answer has matched.
     """
-    normalized = answers.matching == NORMALIZED
-    missing = {_normalize(a) for a in answers.answers} if normalized else set(answers.answers)
-    by_value = {}
-    for text in missing:
-        number = parse_number(text)
-        if number is not None and format_number(number) == text:
-            by_value[number] = text
+    if answers.matching != NORMALIZED:
+        lookup = _by_value(answers.answers)
+        lookup.update((text, text) for text in answers.answers)
+        if "" in lookup:
+            lookup[None] = ""
+        found = lookup.keys() & chain.from_iterable(table.rows)
+        return len({lookup[cell] for cell in found}) == len(set(answers.answers))
+    missing = {_normalize(a) for a in answers.answers}
+    by_value = _by_value(missing)
     for row in table.rows:
         for cell in row:
             if isinstance(cell, str):
-                text = _normalize(cell) if normalized else cell
+                text = _normalize(cell)
             elif cell is None:
                 text = ""
             else:
@@ -145,8 +162,9 @@ def compression_reward(
             f"initial table is {initial.n_rows}x{initial.n_cols}"
         )
     current = _table_at(trace, k)
-    value = Fraction(current.n_rows, 2 * initial.n_rows) + Fraction(
-        current.n_cols, 2 * initial.n_cols
+    value = Fraction(
+        current.n_rows * initial.n_cols + current.n_cols * initial.n_rows,
+        2 * initial.n_rows * initial.n_cols,
     )
     if orientation == INVERTED:
         return max(Fraction(0), 1 - value)
@@ -183,13 +201,14 @@ class RewardConfig:
     @classmethod
     def from_json(cls, doc: dict) -> "RewardConfig":
         kwargs = {}
-        if "lambda_compress" in doc:
-            kwargs["lambda_compress"] = as_fraction(doc["lambda_compress"])
-        if "lambda_length" in doc:
-            kwargs["lambda_length"] = as_fraction(doc["lambda_length"])
+        for key in ("lambda_compress", "lambda_length"):
+            if key in doc:
+                kwargs[key] = config_fraction("reward", key, doc[key])
         for key in ("l_max", "l_cache"):
             if key in doc:
-                kwargs[key] = int(doc[key])
+                if type(doc[key]) is not int:
+                    raise ConfigError(f"reward.{key} must be an integer, got {doc[key]!r}")
+                kwargs[key] = doc[key]
         if "compression_orientation" in doc:
             kwargs["compression_orientation"] = doc["compression_orientation"]
         if "matching" in doc:

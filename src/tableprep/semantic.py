@@ -14,7 +14,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from .llm import GenerationConfig, call_with_retries, first_json_array
-from .table import Table, Value, ingest_cell, render_value
+from .table import Table, Value, check_rows, ingest_cell, render_value
 
 log = logging.getLogger(__name__)
 
@@ -47,8 +47,9 @@ def exec_add_column(table: Table, new_column: str, description: str, executor: S
         raise ColumnExistsError(new_column)
     values = executor.infer_column(table, new_column, description)
     values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
-    rows = tuple(row + (values[i],) for i, row in enumerate(table.rows))
-    return Table(table.columns + (new_column,), rows)
+    check_rows([(value,) for value in values], 1)  # the rest of the table is validated
+    rows = tuple(row + (value,) for row, value in zip(table.rows, values))
+    return Table._trusted(table.columns + (new_column,), rows)
 
 
 def exec_clean_column(table: Table, column: str, description: str, executor: SemanticExecutor) -> Table:
@@ -60,10 +61,11 @@ def exec_clean_column(table: Table, column: str, description: str, executor: Sem
     values = _repair_length(
         values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
     )
+    check_rows([(value,) for value in values], 1)  # the rest of the table is validated
     rows = tuple(
-        row[:idx] + (values[i],) + row[idx + 1 :] for i, row in enumerate(table.rows)
+        row[:idx] + (value,) + row[idx + 1 :] for row, value in zip(table.rows, values)
     )
-    return Table(table.columns, rows)
+    return Table._trusted(table.columns, rows)
 
 
 # A mock rule is either a mapping from rendered input value to output string,
@@ -77,7 +79,14 @@ class MockSemanticExecutor:
     """Deterministic executor dispatching on substring match of the description."""
 
     def __init__(self, rules: Mapping[str, MockRule] | None = None):
-        self._rules: dict[str, MockRule] = dict(rules or {})
+        # mapping outputs are typed once here, as ingestion types a raw cell
+        self._rules: dict[str, MockRule] = {
+            pattern: rule if callable(rule) else {
+                key: ingest_cell(out) if isinstance(out, str) else out
+                for key, out in rule.items()
+            }
+            for pattern, rule in (rules or {}).items()
+        }
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Mapping[str, str]]) -> "MockSemanticExecutor":
@@ -91,28 +100,32 @@ class MockSemanticExecutor:
         return None
 
     @staticmethod
-    def _apply(rule: MockRule, cell: Value) -> Value | None:
-        if callable(rule):
+    def _per_cell(rule: MockRule) -> Callable[[Value], Value | None]:
+        """The rule as one function of a cell, resolved once per call."""
+        if not callable(rule):
+            get = rule.get
+            return lambda cell: get(render_value(cell))
+
+        def apply(cell: Value) -> Value | None:
             try:
                 result = rule(cell)
             except Exception as err:
                 raise ExecutorFailureError(f"mock rule raised: {err}") from err
-        else:
-            result = rule.get(render_value(cell))
-        if isinstance(result, str):
-            return ingest_cell(result)
-        return result
+            return ingest_cell(result) if isinstance(result, str) else result
+
+        return apply
 
     def infer_column(self, table: Table, new_column: str, description: str) -> list[Value]:
         rule = self._find_rule(description)
         if rule is None:
             log.warning("no mock rule matches add_column description %r; filling nulls", description)
             return [None] * table.n_rows
+        apply = self._per_cell(rule)
         values: list[Value] = []
         for row in table.rows:
             hit: Value = None
             for cell in row:
-                result = self._apply(rule, cell)
+                result = apply(cell)
                 if result is not None:
                     hit = result
                     break
@@ -126,11 +139,8 @@ class MockSemanticExecutor:
         if rule is None:
             log.warning("no mock rule matches clean_column description %r; column unchanged", description)
             return cells
-        out: list[Value] = []
-        for cell in cells:
-            result = self._apply(rule, cell)
-            out.append(cell if result is None else result)
-        return out
+        apply = self._per_cell(rule)
+        return [cell if (result := apply(cell)) is None else result for cell in cells]
 
 
 class LlmSemanticExecutor:

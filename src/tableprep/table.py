@@ -8,6 +8,13 @@ A cell value is one of three Python types:
 
 Tables are immutable after construction and safe to share across threads;
 every operator returns a new table.
+
+Cells are validated where they enter the program: the public ``Table(...)``
+constructor, CSV/JSON ingestion, and the cells a semantic executor returns
+(:mod:`tableprep.semantic`). The structured operators in :mod:`tableprep.ops`
+only move, drop or count cells of a table that already passed these checks, so
+they build their outputs with ``Table._trusted`` and reuse the validated cells
+without checking them again.
 """
 
 from __future__ import annotations
@@ -72,6 +79,24 @@ def ingest_cell(text: str) -> Value:
     return number if number is not None else text
 
 
+def check_rows(rows, width: int) -> None:
+    """Raise unless every row has ``width`` cells and each cell is None, text
+    or a finite Decimal."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRowError(i, width, len(row))
+        for cell in row:
+            if cell is None or isinstance(cell, str):
+                continue
+            if isinstance(cell, Decimal):
+                if not cell.is_finite():
+                    raise InvalidCellError(f"non-finite number in row {i}")
+                continue
+            raise InvalidCellError(
+                f"unsupported cell type {type(cell).__name__} in row {i}"
+            )
+
+
 @dataclass(frozen=True)
 class Table:
     """Ordered named columns plus row-major cells."""
@@ -85,20 +110,19 @@ class Table:
             if name in seen:
                 raise DuplicateColumnError(name)
             seen.add(name)
-        width = len(self.columns)
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise RaggedRowError(i, width, len(row))
-            for cell in row:
-                if cell is None or isinstance(cell, str):
-                    continue
-                if isinstance(cell, Decimal):
-                    if not cell.is_finite():
-                        raise InvalidCellError(f"non-finite number in row {i}")
-                    continue
-                raise InvalidCellError(
-                    f"unsupported cell type {type(cell).__name__} in row {i}"
-                )
+        check_rows(self.rows, len(self.columns))
+
+    @classmethod
+    def _trusted(cls, columns: tuple[str, ...], rows: tuple[tuple[Value, ...], ...]) -> "Table":
+        """Build a table without ``__post_init__``'s checks.
+
+        Only for operator kernels whose columns and cells come from a table
+        that was already validated (or were checked with :func:`check_rows`).
+        """
+        table = object.__new__(cls)
+        object.__setattr__(table, "columns", columns)
+        object.__setattr__(table, "rows", rows)
+        return table
 
     @property
     def n_rows(self) -> int:
@@ -199,7 +223,11 @@ def serialize_markdown(table: Table, max_rows: int | None = None) -> str:
         shown = table.rows[:max_rows]
         omitted = table.n_rows - max_rows
     for row in shown:
-        lines.append("| " + " | ".join(render_value(cell) for cell in row) + " |")
+        cells = [
+            cell if isinstance(cell, str) else "" if cell is None else format_number(cell)
+            for cell in row
+        ]
+        lines.append("| " + " | ".join(cells) + " |")
     if omitted:
         lines.append(f"... ({omitted} rows omitted)")
     return "\n".join(lines)

@@ -71,6 +71,21 @@ class TestRun:
         assert result.exit_code == 2
         assert "bad config value" in result.output
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"reward": {"l_max": 2560.9}}, "reward.l_max must be an integer"),
+        ({"reward": {"l_cache": True}}, "reward.l_cache must be an integer"),
+        ({"reward": {"lambda_compress": True}}, "reward.lambda_compress must be a number"),
+        ({"gate": {"variance_threshold": True}}, "gate.variance_threshold must be a number"),
+    ], ids=["l_max", "l_cache", "lambda_compress", "variance_threshold"])
+    def test_bad_reward_or_gate_keys_exit_2_before_running(self, runner, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(bad)]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]

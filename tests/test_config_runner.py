@@ -2,6 +2,7 @@ import json
 import os
 import threading
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -96,13 +97,38 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(str(path))
 
-    @pytest.mark.parametrize("section, key", [("run", "n"), ("run", "parallelism"), ("gate", "max_resample_attempts")])
-    @pytest.mark.parametrize("value", [2.9, True, "3"])
+    @pytest.mark.parametrize("section, key", [
+        ("run", "n"), ("run", "parallelism"), ("gate", "max_resample_attempts"),
+        ("reward", "l_max"), ("reward", "l_cache"),
+    ])
+    @pytest.mark.parametrize("value", [2.9, True, "3", "x"])
     def test_counts_must_be_integers(self, tmp_path, section, key, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ConfigError, match=f"{key} must be an integer"):
             load_config(str(path))
+
+    _RATIONALS = [
+        ("reward", "lambda_compress"), ("reward", "lambda_length"),
+        ("gate", "variance_threshold"), ("gate", "quality_threshold"), ("gate", "advantage_epsilon"),
+    ]
+
+    @pytest.mark.parametrize("section, key", _RATIONALS)
+    @pytest.mark.parametrize("value, message", [
+        (True, "must be a number, got True"),
+        ("x", "bad config value"),
+    ])
+    def test_rationals_reject_bools_and_text(self, tmp_path, section, key, value, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("section, key", _RATIONALS)
+    def test_rationals_keep_decimal_spelling(self, tmp_path, section, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {key: 2.9}}))
+        assert getattr(getattr(load_config(str(path)), section), key) == Fraction(29, 10)
 
     @pytest.mark.parametrize("cap", [None, 1, 8])
     def test_good_request_cap(self, tmp_path, cap):

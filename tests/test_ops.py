@@ -30,6 +30,7 @@ from tableprep.ops import (
     parse_pipeline,
     pipeline_to_json,
 )
+from tableprep.table import Table
 
 from conftest import CELL_TEXTS, make_table, random_table
 from oracles import ref_filter, ref_group_by, ref_select, ref_sort_by
@@ -364,3 +365,70 @@ def test_operator_to_json_value_forms():
     assert operator_to_json(FilterOp("a", ">", Decimal(5)))["value"] == 5
     assert operator_to_json(FilterOp("a", ">", Decimal("0.1")))["value"] == "0.1"
     assert operator_to_json(FilterOp("a", "==", "USA"))["value"] == "USA"
+
+
+# Text cells spelled like numbers, and thresholds given directly as such
+# strings, probe where numeric and text comparison part ways.
+_NUMERIC_SPELLINGS = ["5", "5.0", "+5", "07", "7", ""]
+_TEXT_CELLS = st.sampled_from(["x", "apple", *_NUMERIC_SPELLINGS])
+_NUMBER_CELLS = st.integers(0, 9).map(Decimal)
+_COLUMN_KINDS = {
+    "text": _TEXT_CELLS,
+    "number": _NUMBER_CELLS,
+    "mixed": st.one_of(_TEXT_CELLS, _NUMBER_CELLS),
+}
+_THRESHOLDS = st.one_of(_NUMBER_CELLS, st.sampled_from(["x", "apple", "5.0", "+5", "07", "5", "7"]))
+
+
+@st.composite
+def _typed_tables(draw):
+    """Tables whose columns are all text, all numbers or mixed, with nulls."""
+    kinds = draw(st.lists(st.sampled_from(sorted(_COLUMN_KINDS)), min_size=1, max_size=4))
+    cells = [st.one_of(st.none(), _COLUMN_KINDS[kind]) for kind in kinds]
+    rows = draw(st.lists(st.tuples(*cells), max_size=8))
+    return Table(tuple(f"c{i}" for i in range(len(kinds))), tuple(rows))
+
+
+def _assert_valid(out: Table) -> None:
+    """The output of a trusted build is what the validating constructor builds."""
+    assert type(out.columns) is tuple and type(out.rows) is tuple
+    assert all(type(row) is tuple for row in out.rows)
+    assert Table(out.columns, out.rows) == out
+
+
+class TestStructuredOpsProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(_typed_tables(), st.data())
+    def test_select_and_group_by(self, table, data):
+        request = data.draw(st.lists(st.sampled_from(table.columns), min_size=1))
+        out = exec_select(table, request)
+        _assert_valid(out)
+        assert out == ref_select(table, request)
+        column = data.draw(st.sampled_from(table.columns))
+        out = exec_group_by(table, column)
+        _assert_valid(out)
+        assert out == ref_group_by(table, column)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_typed_tables(), st.data(), st.sampled_from(["==", "!=", ">", "<", ">=", "<="]), _THRESHOLDS)
+    def test_filter(self, table, data, cmp, value):
+        column = data.draw(st.sampled_from(table.columns))
+        out = exec_filter(table, column, cmp, value)
+        _assert_valid(out)
+        assert out == ref_filter(table, column, cmp, value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_typed_tables(), st.data(), st.sampled_from(["asc", "desc"]))
+    def test_sort_by_every_k(self, table, data, order):
+        column = data.draw(st.sampled_from(table.columns))
+        for k in [None, *range(1, table.n_rows + 2)]:
+            out = exec_sort_by(table, column, order, k)
+            _assert_valid(out)
+            assert out == ref_sort_by(table, column, order, k)
+
+
+def test_numeric_looking_threshold_against_text_keeps_its_spelling():
+    table = make_table(["x"], [["5.0"], ["5"], [5]])
+    # text cells compare with the threshold as written, numbers by value
+    assert exec_filter(table, "x", "==", "5.0").rows == (("5.0",), (Decimal(5),))
+    assert exec_filter(table, "x", "==", "+5").rows == ((Decimal(5),),)

@@ -69,10 +69,13 @@ class TestContainsAllAnswers:
 
 
 _WORDS = st.sampled_from(["paris", "Paris", " paris ", "PARIS\t", "", " ", "7", "7.0", "a b"])
+# a text cell and a number sharing a spelling, "" text and missing cells
+_SHARED = st.sampled_from(["7", Decimal(7), "0", Decimal(0), "", None])
 _CELLS = st.one_of(
     st.none(),
     _WORDS,
     _WORDS,
+    _SHARED,
     st.sampled_from([Decimal("7.00"), Decimal("-0"), Decimal("0.0"), Decimal("1E+1"),
                      Decimal("0.50"), Decimal("-7"), Decimal("5E-1")]),
     st.builds(lambda digits, exp: Decimal(digits).scaleb(exp),
@@ -104,6 +107,12 @@ class TestContainsAllAnswersOracle:
     @example((make_table(["x"], [[Decimal("7.00")], [Decimal("-0")]]), ["7", "0"]), "exact")
     @example((make_table(["x"], [[Decimal("-0")], [Decimal("1E+1")]]), ["-0", "1E+1"]), "exact")
     @example((make_table(["x"], [[Decimal("1E+1")], [Decimal("0.50")]]), ["10", ".5"]), "exact")
+    @example((make_table(["x", "y"], [["7", 7]]), ["7"]), "exact")
+    @example((make_table(["x"], [[7], ["7.0"]]), ["7", "7.0", "+7"]), "exact")
+    @example((make_table(["x"], [[""]]), [""]), "exact")
+    @example((make_table(["x"], [[None]]), [""]), "exact")
+    @example((make_table(["x"], [[None], ["7"]]), ["", "7", "x"]), "exact")
+    @example((make_table(["x"], [["x"]]), ["", "x"]), "exact")
     def test_agrees_with_rendering_every_cell(self, table_and_answers, matching):
         table, answers = table_and_answers
         answer_set = AnswerSet(tuple(answers), matching)

@@ -3,8 +3,10 @@ from decimal import Decimal
 
 import pytest
 
+from tableprep.engine import FAILED, SKIPPED, execute
 from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from tableprep.llm import GenerationConfig
+from tableprep.ops import parse_pipeline
 from tableprep.semantic import (
     LlmSemanticExecutor,
     MockSemanticExecutor,
@@ -143,6 +145,41 @@ class TestMockExecutor:
         first = exec_add_column(names_table, "g", "infer genders", executor)
         second = exec_add_column(names_table, "g", "infer genders", executor)
         assert first == second
+
+
+_ADD = {"operation": "add_column", "new_column": "g", "description": "derive"}
+_CLEAN = {"operation": "clean_column", "column": "Score", "description": "derive"}
+
+
+class TestExecutorCellsValidated:
+    """Only the cells an executor returns are checked; a bad one fails the step."""
+
+    @pytest.mark.parametrize("op", [_ADD, _CLEAN], ids=["add_column", "clean_column"])
+    @pytest.mark.parametrize("bad, message", [
+        (Decimal("NaN"), "non-finite number in row 1"),
+        (Decimal("Infinity"), "non-finite number in row 1"),
+        (3, "unsupported cell type int in row 1"),
+        (2.5, "unsupported cell type float in row 1"),
+    ], ids=["nan", "infinity", "int", "float"])
+    def test_callable_rule_returning_a_non_cell(self, names_table, op, bad, message):
+        # valid for Ada's row, invalid for Bob's: the message names row 1
+        def rule(cell):
+            if cell == "Bob" or cell == Decimal(7):
+                return bad
+            return "ok" if isinstance(cell, str) or cell == Decimal(10) else None
+
+        pipeline = parse_pipeline([op, {"operation": "select", "columns": ["Name"]}])
+        trace = execute(pipeline, names_table, MockSemanticExecutor({"derive": rule}))
+        assert [step.status for step in trace.steps] == [FAILED, SKIPPED]
+        assert trace.steps[0].error == message
+        assert trace.final == names_table
+
+    @pytest.mark.parametrize("op", [_ADD, _CLEAN], ids=["add_column", "clean_column"])
+    def test_json_mapping_rule_with_a_number_output(self, names_table, op):
+        executor = MockSemanticExecutor.from_json({"derive": {"Ada": 3, "10": 3}})
+        trace = execute(parse_pipeline([op]), names_table, executor)
+        assert trace.steps[0].status == FAILED
+        assert trace.steps[0].error == "unsupported cell type int in row 0"
 
 
 class _FixedTransport:

@@ -1,10 +1,13 @@
+import ast
 import json
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tableprep
 from tableprep.errors import (
     DuplicateColumnError,
     EmptyInputError,
@@ -213,3 +216,19 @@ def test_serialize_json_shape():
     doc = serialize_json(table)
     assert doc == {"header": ["a", "b"], "rows": [["1", ""]]}
     assert json.dumps(doc)  # JSON-serializable
+
+
+def test_trusted_constructor_stays_inside_the_operator_kernels():
+    """Only the operator kernels skip validation; ingestion and the public
+    constructor must keep checking every cell."""
+    package = Path(tableprep.__file__).parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
+                users.add(path.name)
+            elif isinstance(node, ast.Name) and node.id == "_trusted":
+                users.add(path.name)
+    assert users <= {"ops.py", "semantic.py"}
+    assert users  # the scan sees the kernels' own references
