@@ -4,117 +4,9 @@ Parse and execute table operator pipelines produced by a language model,
 merge multiple candidate pipelines by trie consensus, score pipelines with
 self-supervised rewards, gate reward groups for stable policy optimization,
 and answer questions with adaptive rollback when preparation loses data.
+
+The package re-exports nothing; import the module that defines a name, such
+as ``tableprep.engine`` or ``tableprep.runner``.
 """
 
-from .engine import ExecutionTrace, StepRecord, apply_prefix, execute
-from .errors import TablePrepError
-from .gate import GateConfig, advantages, group_stats, sample_accepted_group, vgr_accept
-from .llm import (
-    GenerationConfig,
-    build_generation_prompt,
-    extract_pipeline_json,
-    generate_candidates,
-)
-from .merge import build_trie, best_path, merge_pipelines
-from .ops import (
-    AddColumnOp,
-    CleanColumnOp,
-    FilterOp,
-    GroupByOp,
-    OperatorSpec,
-    Pipeline,
-    SelectOp,
-    SortByOp,
-    canonical_key,
-    exec_filter,
-    exec_group_by,
-    exec_select,
-    exec_sort_by,
-    parse_operator,
-    parse_pipeline,
-)
-from .reward import (
-    AnswerSet,
-    RewardBreakdown,
-    RewardConfig,
-    accuracy_reward,
-    compression_reward,
-    contains_all_answers,
-    filter_dataset,
-    is_cell_focused,
-    length_reward,
-    op_correctness,
-    total_reward,
-)
-from .rollback import RollbackResult, answer_with_rollback, detect_no_data
-from .semantic import MockSemanticExecutor, exec_add_column, exec_clean_column
-from .table import (
-    Table,
-    Value,
-    cell_count,
-    load_csv,
-    load_json_table,
-    serialize_json,
-    serialize_markdown,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AddColumnOp",
-    "AnswerSet",
-    "CleanColumnOp",
-    "ExecutionTrace",
-    "FilterOp",
-    "GateConfig",
-    "GenerationConfig",
-    "GroupByOp",
-    "MockSemanticExecutor",
-    "OperatorSpec",
-    "Pipeline",
-    "RewardBreakdown",
-    "RewardConfig",
-    "RollbackResult",
-    "SelectOp",
-    "SortByOp",
-    "StepRecord",
-    "Table",
-    "TablePrepError",
-    "Value",
-    "accuracy_reward",
-    "advantages",
-    "answer_with_rollback",
-    "apply_prefix",
-    "best_path",
-    "build_generation_prompt",
-    "build_trie",
-    "canonical_key",
-    "cell_count",
-    "compression_reward",
-    "contains_all_answers",
-    "detect_no_data",
-    "exec_add_column",
-    "exec_clean_column",
-    "exec_filter",
-    "exec_group_by",
-    "exec_select",
-    "exec_sort_by",
-    "execute",
-    "extract_pipeline_json",
-    "filter_dataset",
-    "generate_candidates",
-    "group_stats",
-    "is_cell_focused",
-    "length_reward",
-    "load_csv",
-    "load_json_table",
-    "merge_pipelines",
-    "op_correctness",
-    "parse_operator",
-    "parse_pipeline",
-    "sample_accepted_group",
-    "serialize_json",
-    "serialize_markdown",
-    "total_reward",
-    "vgr_accept",
-]

@@ -50,13 +50,17 @@ def _read_json(path: str, code: int = DATASET_EXIT):
         _fail(code, f"cannot read {path}: {err}")
 
 
-def _write_json(doc, out: str | None):
-    text = json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+def _write_text(text: str, out: str | None):
+    """Write ``text`` to the file ``out``, or to stdout when no path is given."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         click.echo(text, nl=False)
+
+
+def _write_json(doc, out: str | None):
+    _write_text(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n", out)
 
 
 @click.group()
@@ -68,9 +72,7 @@ def main():
 @click.option("--dataset", required=True, type=click.Path())
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", type=click.Path(), default=None, help="Report path (default stdout).")
-@click.option("--log-llm", "log_llm", type=click.Path(), default=None,
-              help="Append generator request/response JSONL to this file.")
-def run(dataset, config_path, out, log_llm):
+def run(dataset, config_path, out):
     """Answer every dataset instance end to end and write a run report."""
     config = _load_config(config_path)
     try:
@@ -80,15 +82,10 @@ def run(dataset, config_path, out, log_llm):
     if not instances and line_errors:
         _fail(DATASET_EXIT, f"dataset has no readable instances ({len(line_errors)} bad lines)")
     try:
-        report = runner_mod.run_dataset(instances, config, line_errors, log_llm_path=log_llm)
-        text = runner_mod.dump_report(report)
+        report = runner_mod.run_dataset(instances, config, line_errors)
     except ConfigError as err:
         _fail(CONFIG_EXIT, str(err))
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _write_text(runner_mod.dump_report(report), out)
 
 
 @main.command("exec")
@@ -189,12 +186,7 @@ def gate(rewards_path, config_path, out):
     groups = _read_groups(rewards_path)
     records = [gate_record(instance_id, outcome)
                for instance_id, outcome in _gate_all(groups, config.gate)]
-    lines = "".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(lines)
-    else:
-        click.echo(lines, nl=False)
+    _write_text("".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records), out)
 
 
 def _read_groups(path: str) -> list[dict]:

@@ -112,7 +112,22 @@ def _load_json_file(config: AppConfig, path: str, what: str):
         raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err
 
 
-def client_config(section: dict, temperature: float, max_tokens: int, n: int = 1) -> GenerationConfig:
+def _all_str(items) -> bool:
+    return all(isinstance(item, str) for item in items)
+
+
+def _is_texts(value) -> bool:
+    return isinstance(value, list) and bool(value) and _all_str(value)
+
+
+def _check_map(doc, what: str, value_ok, shape: str) -> dict:
+    """``doc`` itself if it is a JSON object whose every value passes ``value_ok``."""
+    if not isinstance(doc, dict) or not all(map(value_ok, doc.values())):
+        raise ConfigError(f"{what} must be a JSON object mapping each key to {shape}")
+    return doc
+
+
+def client_config(section: dict, temperature: float, max_tokens: int) -> GenerationConfig:
     """Chat-client settings from one config section (generator, qa or
     semantic_executor); ``temperature`` and ``max_tokens`` are that client's
     defaults, the other keys share theirs."""
@@ -121,7 +136,6 @@ def client_config(section: dict, temperature: float, max_tokens: int, n: int = 1
         model=section.get("model", ""),
         temperature=float(section.get("temperature", temperature)),
         max_tokens=int(section.get("max_tokens", max_tokens)),
-        n=n,
         timeout=float(section.get("timeout", 60.0)),
         retries=int(section.get("retries", 2)),
         api_key_env=section.get("api_key_env"),
@@ -130,7 +144,7 @@ def client_config(section: dict, temperature: float, max_tokens: int, n: int = 1
 
 
 def generation_config(config: AppConfig) -> GenerationConfig:
-    return client_config(config.generator, 0.8, 1024, config.run.n)
+    return client_config(config.generator, 0.8, 1024)
 
 
 def qa_client_config(config: AppConfig) -> GenerationConfig:
@@ -156,10 +170,12 @@ class GeneratorFactory:
         elif self.mode == "mock":
             self._scripts = {}
             if "script" in gen:
-                self._scripts = _load_json_file(config, gen["script"], "generator script")
-                if not isinstance(self._scripts, dict):
-                    raise ConfigError("generator script must be a JSON object")
+                scripts = _load_json_file(config, gen["script"], "generator script")
+                self._scripts = _check_map(scripts, "generator script", _is_texts,
+                                           "a non-empty list of strings")
             self._default_texts = gen.get("default_texts", ["[]"])
+            if not _is_texts(self._default_texts):
+                raise ConfigError("generator.default_texts must be a non-empty list of strings")
             self._key_field = gen.get("key", "id")
         else:
             raise ConfigError(f"unknown generator mode {self.mode!r}")
@@ -168,10 +184,7 @@ class GeneratorFactory:
         if self.mode == "http":
             return self._shared
         key = instance_id if self._key_field == "id" else question
-        texts = self._scripts.get(key, self._default_texts)
-        if not isinstance(texts, list) or not texts:
-            raise ConfigError(f"generator script entry for {key!r} must be a non-empty list")
-        return ScriptedTransport(texts)
+        return ScriptedTransport(self._scripts.get(key, self._default_texts))
 
 
 def build_qa_client(config: AppConfig):
@@ -183,16 +196,23 @@ def build_qa_client(config: AppConfig):
         expected = qa.get("expected", {})
         if "script" in qa:
             expected = _load_json_file(config, qa["script"], "QA script")
+        _check_map(expected, "qa expected answers", lambda v: isinstance(v, list) and _all_str(v),
+                   "a list of answer strings")
         return CellLookupQaClient(expected)
     if mode == "scripted":
         raw = qa.get("responses", {})
         if "script" in qa:
             raw = _load_json_file(config, qa["script"], "QA script")
+        _check_map(raw, "qa responses", lambda v: isinstance(v, dict) and _all_str(v.values()),
+                   "an object of {table digest: response string}")
+        default = qa.get("default", "No data available")
+        if not isinstance(default, str):
+            raise ConfigError(f"qa.default must be a string, got {default!r}")
         responses = {}
         for question, by_digest in raw.items():
             for digest, response in by_digest.items():
                 responses[(question, digest)] = response
-        return ScriptedQaClient(responses, qa.get("default", "No data available"))
+        return ScriptedQaClient(responses, default)
     raise ConfigError(f"unknown qa mode {mode!r}")
 
 
@@ -205,6 +225,8 @@ def build_semantic_executor(config: AppConfig):
         rules = sem.get("rules", {})
         if isinstance(rules, str):
             rules = _load_json_file(config, rules, "semantic rules")
+        _check_map(rules, "semantic_executor rules", lambda v: isinstance(v, dict),
+                   "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)
     if mode == "http":
         return LlmSemanticExecutor(HttpChatTransport(), semantic_client_config(config))

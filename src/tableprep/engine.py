@@ -1,4 +1,4 @@
-"""Pipeline execution with full intermediate traces and prefix re-execution.
+"""Pipeline execution with full intermediate traces.
 
 Failure policy: the first operator error truncates the pipeline. The failed
 step is recorded, every later step is marked skipped, and the trace's final
@@ -96,15 +96,6 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
             truncated_at = i
             steps.append(StepRecord(spec, FAILED, current, error=str(err)))
     return ExecutionTrace(table, tuple(steps), current, truncated_at)
-
-
-def apply_prefix(pipeline: Pipeline, table: Table, k: int, executor: SemanticExecutor | None = None) -> Table:
-    """Run only the first ``k`` operators under the same truncation policy."""
-    if k < 0 or k > len(pipeline):
-        raise ValueError(f"prefix length {k} out of range for pipeline of {len(pipeline)} ops")
-    if k == 0:
-        return table
-    return execute(Pipeline(pipeline.ops[:k]), table, executor).final
 
 
 def trace_to_json(trace: ExecutionTrace) -> dict:

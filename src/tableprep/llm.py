@@ -12,7 +12,6 @@ import json
 import logging
 import os
 import re
-import threading
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -65,15 +64,12 @@ class GenerationConfig:
     model: str = ""
     temperature: float = 0.8
     max_tokens: int = 1024
-    n: int = 5
     timeout: float = 60.0
     retries: int = 2
     api_key_env: str | None = None
     prompt_max_rows: int | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("candidate count n must be >= 1")
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
 
@@ -122,33 +118,9 @@ class ScriptedTransport:
         if not texts:
             raise ValueError("scripted transport needs at least one text")
         self.texts = list(texts)
-        self.calls = 0
 
     def complete(self, messages: list[dict], config: GenerationConfig, index: int = 0) -> str:
-        self.calls += 1
         return self.texts[index % len(self.texts)]
-
-
-class LoggingTransport:
-    """Wraps a transport, appending request/response JSONL records to a file."""
-
-    def __init__(self, inner, path: str):
-        self._inner = inner
-        self._path = path
-        self._lock = threading.Lock()
-
-    def _log(self, record: dict):
-        with self._lock, open(self._path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-
-    def complete(self, messages: list[dict], config: GenerationConfig, index: int = 0) -> str:
-        try:
-            text = self._inner.complete(messages, config, index)
-        except Exception as err:
-            self._log({"index": index, "messages": messages, "error": str(err)})
-            raise
-        self._log({"index": index, "messages": messages, "response": text})
-        return text
 
 
 def build_generation_prompt(question: str, table: Table, max_rows: int | None = None) -> list[dict]:
@@ -191,11 +163,12 @@ def generate_candidates(
     table: Table,
     config: GenerationConfig,
     transport: ChatTransport,
+    n: int,
     pool: Executor | None = None,
 ) -> list[GenerationOutcome]:
-    """Sample N candidate completions with index-stable ordering.
+    """Sample ``n`` candidate completions with index-stable ordering.
 
-    The N requests run as tasks of ``pool``; with no pool they run one after
+    The ``n`` requests run as tasks of ``pool``; with no pool they run one after
     another on the calling thread. Individual failures are retried up to
     ``config.retries`` times and then recorded per index rather than dropped.
     Raises only when every candidate failed or authentication is missing.
@@ -212,9 +185,9 @@ def generate_candidates(
             return GenerationOutcome(index, None, error=str(err))
         return GenerationOutcome(index, text)
 
-    outcomes = list((pool.map if pool else map)(one, range(config.n)))
+    outcomes = list((pool.map if pool else map)(one, range(n)))
     if all(o.text is None for o in outcomes):
-        raise AllRequestsFailedError(f"all {config.n} generation requests failed")
+        raise AllRequestsFailedError(f"all {n} generation requests failed")
     return outcomes
 
 

@@ -33,15 +33,6 @@ class TrieNode:
 class OperationTrie:
     children: dict = field(default_factory=dict)  # root level, key -> TrieNode
 
-    def total_weight(self) -> int:
-        total = 0
-        stack = list(self.children.values())
-        while stack:
-            node = stack.pop()
-            total += node.weight
-            stack.extend(node.children.values())
-        return total
-
 
 def build_trie(sequences: list[list[OperatorSpec]]) -> OperationTrie:
     """Insert each op sequence as a branch, bumping weights along its path.

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .engine import OK, ExecutionTrace
 from .errors import BadBudgetError, ConfigError, DegenerateInitialTableError
@@ -139,18 +139,8 @@ def accuracy_reward(trace: ExecutionTrace, answers: AnswerSet, k: int | None = N
     return Fraction(sum(bits[:k]), n)
 
 
-def _table_at(trace: ExecutionTrace, k: int | None) -> Table:
-    if k is None or k >= len(trace.steps):
-        return trace.final
-    if k <= 0:
-        return trace.initial
-    return trace.steps[k - 1].table_after
-
-
-def compression_reward(
-    trace: ExecutionTrace, k: int | None = None, orientation: str = AS_WRITTEN
-) -> Fraction:
-    """Half row ratio plus half column ratio of table k versus the initial table.
+def compression_reward(trace: ExecutionTrace, orientation: str = AS_WRITTEN) -> Fraction:
+    """Half row ratio plus half column ratio of the final versus the initial table.
 
     As written, an identity pipeline scores 1 and adding columns can exceed 1;
     ``orientation="inverted"`` flips to ``max(0, 1 - value)`` for callers that
@@ -161,7 +151,7 @@ def compression_reward(
         raise DegenerateInitialTableError(
             f"initial table is {initial.n_rows}x{initial.n_cols}"
         )
-    current = _table_at(trace, k)
+    current = trace.final
     value = Fraction(
         current.n_rows * initial.n_cols + current.n_cols * initial.n_rows,
         2 * initial.n_rows * initial.n_cols,
@@ -294,18 +284,13 @@ class FilterStats:
         }
 
 
-def filter_dataset(
-    instances: Iterable,
-    token_counter: Callable[[str], int] | None = None,
-    max_tokens: int = 2800,
-):
+def filter_dataset(instances: Iterable, max_tokens: int = 2800):
     """Keep instances that are cell-focused and fit the training token budget.
 
     Each instance must expose ``id``, ``question``, ``table``, and ``answers``.
     Returns ``(kept, stats)`` where stats tags every drop with its reason;
     cell-focus is checked before length.
     """
-    count = token_counter or approx_token_count
     kept = []
     stats = FilterStats()
     for instance in instances:
@@ -316,7 +301,7 @@ def filter_dataset(
             stats.reasons.append((instance.id, NOT_CELL_FOCUSED))
             continue
         serialized = instance.question + "\n" + serialize_markdown(instance.table)
-        if count(serialized) >= max_tokens:
+        if approx_token_count(serialized) >= max_tokens:
             stats.dropped[TOO_LONG] += 1
             stats.reasons.append((instance.id, TOO_LONG))
             continue

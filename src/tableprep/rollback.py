@@ -66,31 +66,19 @@ def answer_with_rollback(
     would submit the same table, so a single state-3 call is made.
     """
     trace = execute(pipeline, table, executor)
-
-    if len(pipeline) == 0:
-        answer = _ask(qa, question, table, state=3)
-        return RollbackResult(
-            answer=answer,
-            state_used=3,
-            qa_calls=1,
-            tables_tried=((table.n_rows, table.n_cols),),
-            trace=trace,
-        )
-
-    first_op_table = trace.steps[0].table_after if trace.steps else table
-    states = ((1, trace.final), (2, first_op_table), (3, table))
+    if trace.steps:
+        states = ((1, trace.final), (2, trace.steps[0].table_after), (3, table))
+    else:
+        states = ((3, table),)
     tried: list[tuple[int, int]] = []
-    answer = ""
-    state_used = 1
     for state, candidate in states:
         tried.append((candidate.n_rows, candidate.n_cols))
         answer = _ask(qa, question, candidate, state=state)
-        state_used = state
         if state == 3 or not detect_no_data(answer):
             break
     return RollbackResult(
         answer=answer,
-        state_used=state_used,
+        state_used=state,
         qa_calls=len(tried),
         tables_tried=tuple(tried),
         trace=trace,

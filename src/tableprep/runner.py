@@ -11,14 +11,14 @@ import json
 import logging
 from collections import Counter
 from concurrent.futures import Executor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .config import AppConfig, GeneratorFactory, build_qa_client, build_semantic_executor, generation_config
 from .data import Instance
 from .engine import OK
 from .errors import TablePrepError
-from .llm import LoggingTransport, extract_pipeline_json, generate_candidates
+from .llm import extract_pipeline_json, generate_candidates
 from .merge import merge_pipelines
 from .ops import Pipeline
 from .reward import match_answer
@@ -43,20 +43,9 @@ class InstanceRecord:
     correct: bool | None = None
 
     def to_json(self) -> dict:
-        doc = {
-            "id": self.id,
-            "final_answer": self.final_answer,
-            "state_used": self.state_used,
-            "qa_calls": self.qa_calls,
-            "ops_executed": self.ops_executed,
-            "cells_before": self.cells_before,
-            "cells_after": self.cells_after,
-            "merged_ops": self.merged_ops,
-            "candidates_ok": self.candidates_ok,
-            "candidate_errors": self.candidate_errors,
-        }
-        if self.correct is not None:
-            doc["correct"] = self.correct
+        doc = asdict(self)
+        if self.correct is None:
+            del doc["correct"]
         return doc
 
 
@@ -67,10 +56,11 @@ class RunReport:
     metadata: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        records = [r.to_json() for r in self.records]
         return {
             "metadata": self.metadata,
-            "aggregates": compute_aggregates([r.to_json() for r in self.records]),
-            "records": [r.to_json() for r in self.records],
+            "aggregates": compute_aggregates(records),
+            "records": records,
             "errors": self.errors,
         }
 
@@ -110,9 +100,10 @@ def compute_aggregates(records: list[dict]) -> dict:
 def run_instance(
     instance: Instance, config: AppConfig, factory: GeneratorFactory, qa, executor, requests: Executor
 ) -> InstanceRecord:
-    gen_cfg = generation_config(config)
     transport = factory.transport_for(instance.id, instance.question)
-    outcomes = generate_candidates(instance.question, instance.table, gen_cfg, transport, requests)
+    outcomes = generate_candidates(
+        instance.question, instance.table, generation_config(config), transport, config.run.n, requests
+    )
 
     pipelines = []
     candidate_errors = []
@@ -150,26 +141,10 @@ def run_instance(
     return record
 
 
-class _LoggingFactory:
-    """Decorates every generator transport with request/response logging."""
-
-    def __init__(self, inner: GeneratorFactory, path: str):
-        self._inner = inner
-        self._path = path
-
-    def transport_for(self, instance_id: str, question: str):
-        return LoggingTransport(self._inner.transport_for(instance_id, question), self._path)
-
-
 def run_dataset(
-    instances: list[Instance],
-    config: AppConfig,
-    dataset_errors: list[dict] | None = None,
-    log_llm_path: str | None = None,
+    instances: list[Instance], config: AppConfig, dataset_errors: list[dict] | None = None
 ) -> RunReport:
     factory = GeneratorFactory(config)
-    if log_llm_path:
-        factory = _LoggingFactory(factory, log_llm_path)
     qa = build_qa_client(config)
     executor = build_semantic_executor(config)
 

@@ -8,7 +8,6 @@ add_column, a same-shape column rewrite for clean_column.
 
 from __future__ import annotations
 
-import json
 import logging
 from typing import Callable, Mapping, Protocol, Sequence
 

@@ -234,6 +234,6 @@ def serialize_markdown(table: Table, max_rows: int | None = None) -> str:
 
 
 def table_digest(table: Table) -> str:
-    """Stable content hash; keys scripted QA mocks and memo caches."""
+    """Stable content hash; keys scripted QA mocks."""
     payload = json.dumps(serialize_json(table), sort_keys=True, ensure_ascii=False)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -86,6 +86,22 @@ class TestRun:
         assert result.exit_code == 2
         assert message in result.output
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"semantic_executor": {"mode": "mock", "rules": {"p": "x"}}}, "semantic_executor rules"),
+        ({"qa": {"mode": "scripted", "responses": {"q": "x"}}}, "qa responses"),
+        ({"qa": {"mode": "scripted", "default": 5}}, "qa.default"),
+        ({"qa": {"mode": "cell_lookup", "expected": {"q": "x"}}}, "qa expected answers"),
+        ({"generator": {"mode": "mock", "default_texts": "[]"}}, "generator.default_texts"),
+    ], ids=["semantic_rules", "qa_responses", "qa_default", "qa_expected", "default_texts"])
+    def test_malformed_mock_section_exit_2(self, runner, tmp_path, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(
+            main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(bad)]
+        )
+        assert result.exit_code == 2
+        assert message in result.output
+
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]

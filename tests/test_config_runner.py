@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from tableprep.config import (
     build_qa_client,
     build_semantic_executor,
     client_config,
-    generation_config,
     load_config,
 )
 from tableprep.data import instance_from_json, load_instances_jsonl
@@ -201,19 +201,49 @@ class TestFactories:
         qa_cfg = build_qa_client(config)._config
         sem_cfg = build_semantic_executor(config)._config
         assert (qa_cfg.retries, qa_cfg.timeout, qa_cfg.prompt_max_rows) == (5, 9.0, 4)
-        assert (qa_cfg.temperature, qa_cfg.max_tokens, qa_cfg.n) == (0.0, 256, 1)
-        assert (sem_cfg.retries, sem_cfg.model, sem_cfg.max_tokens, sem_cfg.n) == (0, "m", 1024, 1)
-        assert client_config({}, 0.8, 1024, n=3) == GenerationConfig(n=3)
+        assert (qa_cfg.temperature, qa_cfg.max_tokens) == (0.0, 256)
+        assert (sem_cfg.retries, sem_cfg.model, sem_cfg.max_tokens) == (0, "m", 1024)
+        assert client_config({}, 0.8, 1024) == GenerationConfig()
 
-    def test_generation_config_inherits_run_n(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"run": {"n": 7}}))
-        assert generation_config(load_config(str(path))).n == 7
+    @staticmethod
+    def _generator_calls(tmp_path, monkeypatch, doc):
+        """Runs three fixture instances under config `doc`; returns generator calls per id."""
+        calls = []  # list.append is atomic, and requests run on the request pool
+        inner_factory = runner.GeneratorFactory
 
-    def test_generator_n_is_not_read(self, tmp_path):
+        class Factory:
+            def __init__(self, config):
+                self._inner = inner_factory(config)
+
+            def transport_for(self, instance_id, question):
+                inner = self._inner.transport_for(instance_id, question)
+
+                class Transport:
+                    def complete(self, messages, config, index=0):
+                        calls.append(instance_id)
+                        return inner.complete(messages, config, index)
+
+                return Transport()
+
+        monkeypatch.setattr(runner, "GeneratorFactory", Factory)
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"generator": {"mode": "mock", "n": 2}, "run": {"n": 7}}))
-        assert generation_config(load_config(str(path))).n == 7
+        path.write_text(json.dumps(doc))
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+        report = run_dataset(instances[:3], load_config(str(path)))
+        assert len(report.records) == 3
+        return Counter(calls), [instance.id for instance in instances[:3]]
+
+    def test_generation_config_inherits_run_n(self, tmp_path, monkeypatch):
+        calls, ids = self._generator_calls(
+            tmp_path, monkeypatch, {"generator": {"mode": "mock"}, "run": {"n": 7}}
+        )
+        assert calls == {instance_id: 7 for instance_id in ids}
+
+    def test_generator_n_is_not_read(self, tmp_path, monkeypatch):
+        calls, ids = self._generator_calls(
+            tmp_path, monkeypatch, {"generator": {"mode": "mock", "n": 2}, "run": {"n": 7}}
+        )
+        assert calls == {instance_id: 7 for instance_id in ids}
 
 
 class TestDataModule:
@@ -318,15 +348,6 @@ class TestRunner:
         agg = compute_aggregates([])
         assert agg["instances"] == 0
         assert agg["accuracy"] is None
-
-    def test_log_llm_writes_jsonl(self, tmp_path):
-        config = load_config(fx("run_config.json"))
-        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
-        log_path = tmp_path / "llm.jsonl"
-        run_dataset(instances[:2], config, log_llm_path=str(log_path))
-        lines = [json.loads(l) for l in log_path.read_text().splitlines()]
-        assert len(lines) == 6  # 2 instances x 3 candidates
-        assert all("messages" in l and "response" in l for l in lines)
 
 
 class _InFlightProbe:

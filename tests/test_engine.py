@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableprep.engine import FAILED, OK, SKIPPED, apply_prefix, execute, trace_to_json
-from tableprep.ops import parse_pipeline
+from tableprep.engine import FAILED, OK, SKIPPED, execute, trace_to_json
+from tableprep.ops import Pipeline, parse_pipeline
 from tableprep.semantic import MockSemanticExecutor
 
 from conftest import make_table, random_table
@@ -78,33 +78,6 @@ class TestExecute:
             assert len(trace.steps) == n
 
 
-class TestApplyPrefix:
-    def test_zero_is_original(self, table):
-        pipeline = pipe({"operation": "select", "columns": ["a"]})
-        assert apply_prefix(pipeline, table, 0) == table
-
-    def test_first_op_only(self, table):
-        pipeline = pipe(
-            {"operation": "select", "columns": ["a"]},
-            {"operation": "filter", "column": "a", "cmp": "==", "value": "x"},
-            {"operation": "group_by", "column": "a"},
-        )
-        out = apply_prefix(pipeline, table, 1)
-        assert out.columns == ("a",)
-        assert out.n_rows == 3
-
-    def test_full_prefix_equals_execute(self, table):
-        pipeline = pipe(
-            {"operation": "select", "columns": ["a"]},
-            {"operation": "group_by", "column": "a"},
-        )
-        assert apply_prefix(pipeline, table, len(pipeline)) == execute(pipeline, table).final
-
-    def test_out_of_range(self, table):
-        with pytest.raises(ValueError):
-            apply_prefix(pipe(), table, 1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**9), n_ops=st.integers(min_value=0, max_value=4))
 def test_prefix_consistency_property(seed, n_ops):
@@ -123,7 +96,10 @@ def test_prefix_consistency_property(seed, n_ops):
         else:
             docs.append({"operation": "group_by", "column": column})
     pipeline = pipe(*docs)
-    assert execute(pipeline, t).final == apply_prefix(pipeline, t, len(pipeline))
+    trace = execute(pipeline, t)
+    # rollback's state 2 reads the first step's table instead of re-executing
+    for k in range(1, len(pipeline) + 1):
+        assert execute(Pipeline(pipeline.ops[:k]), t).final == trace.steps[k - 1].table_after
 
 
 def test_reexecution_with_mock_is_identical(table):

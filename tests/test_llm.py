@@ -155,48 +155,48 @@ class TestExtractPipelineJson:
 
 class TestGenerateCandidates:
     def test_all_succeed(self, table):
-        cfg = GenerationConfig(n=3)
-        outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["[]", "x", "y"]))
+        cfg = GenerationConfig()
+        outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["[]", "x", "y"]), 3)
         assert [o.index for o in outcomes] == [0, 1, 2]
         assert [o.text for o in outcomes] == ["[]", "x", "y"]
 
     def test_partial_failure_recorded(self, table):
-        cfg = GenerationConfig(n=3, retries=1)
+        cfg = GenerationConfig(retries=1)
         transport = FlakyTransport(dead_indices={1})
-        outcomes = generate_candidates("q", table, cfg, transport)
+        outcomes = generate_candidates("q", table, cfg, transport, 3)
         assert outcomes[1].text is None
         assert "permanently down" in outcomes[1].error
         assert outcomes[0].text == "[]" and outcomes[2].text == "[]"
 
     def test_retry_then_success(self, table):
-        cfg = GenerationConfig(n=1, retries=2)
+        cfg = GenerationConfig(retries=2)
         transport = FlakyTransport(fail_first=2)
-        outcomes = generate_candidates("q", table, cfg, transport)
+        outcomes = generate_candidates("q", table, cfg, transport, 1)
         assert outcomes[0].text == "[]"
         assert transport.attempts[0] == 3
 
     def test_all_fail(self, table):
-        cfg = GenerationConfig(n=2, retries=0)
+        cfg = GenerationConfig(retries=0)
         with pytest.raises(AllRequestsFailedError):
-            generate_candidates("q", table, cfg, FlakyTransport(dead_indices={0, 1}))
+            generate_candidates("q", table, cfg, FlakyTransport(dead_indices={0, 1}), 2)
 
     def test_auth_missing_before_any_request(self, table, monkeypatch):
         monkeypatch.delenv("TP_TEST_KEY", raising=False)
         session = _CountingSession()
-        cfg = GenerationConfig(n=2, api_key_env="TP_TEST_KEY")
+        cfg = GenerationConfig(api_key_env="TP_TEST_KEY")
         with pytest.raises(AuthMissingError):
-            generate_candidates("q", table, cfg, HttpChatTransport(session=session))
+            generate_candidates("q", table, cfg, HttpChatTransport(session=session), 2)
         assert session.posts == 0
 
     def test_index_stable_under_concurrency(self, table):
-        cfg = GenerationConfig(n=5)
+        cfg = GenerationConfig()
         with ThreadPoolExecutor(5) as pool:
-            outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["a", "b", "c", "d", "e"]), pool)
+            outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["a", "b", "c", "d", "e"]), 5, pool)
         assert [o.text for o in outcomes] == ["a", "b", "c", "d", "e"]
 
     def test_never_more_than_n(self, table):
-        cfg = GenerationConfig(n=2)
-        outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["a"]))
+        cfg = GenerationConfig()
+        outcomes = generate_candidates("q", table, cfg, ScriptedTransport(["a"]), 2)
         assert len(outcomes) == 2
 
 
@@ -302,7 +302,7 @@ def _drive(transport, n: int, pool_size: int) -> list[str]:
     sys.setswitchinterval(1e-5)
     try:
         with ThreadPoolExecutor(pool_size) as pool:
-            outcomes = generate_candidates("q", make_table(["a"], [[1]]), GenerationConfig(n=n), transport, pool)
+            outcomes = generate_candidates("q", make_table(["a"], [[1]]), GenerationConfig(), transport, n, pool)
     finally:
         sys.setswitchinterval(interval)
     return [o.text for o in outcomes]
@@ -325,7 +325,5 @@ class TestRequestCap:
 
 
 def test_generation_config_validation():
-    with pytest.raises(ValueError):
-        GenerationConfig(n=0)
     with pytest.raises(ValueError):
         GenerationConfig(timeout=0)

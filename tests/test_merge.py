@@ -53,8 +53,13 @@ class TestBuildTrie:
                 [rng.choice(vocabulary) for _ in range(rng.randint(0, 5))]
                 for _ in range(rng.randint(1, 6))
             ]
-            trie = build_trie(sequences)
-            assert trie.total_weight() == sum(len(s) for s in sequences)
+            nodes = list(build_trie(sequences).children.values())
+            total = 0
+            while nodes:
+                node = nodes.pop()
+                total += node.weight
+                nodes.extend(node.children.values())
+            assert total == sum(len(s) for s in sequences)
 
 
 class TestBestPath:

@@ -195,19 +195,19 @@ class TestCellLookupQaClient:
 class TestHttpQaClient:
     def test_recovers_after_retries(self, table, backoffs):
         transport = FlakyTransport(text="target", fail_first=2)
-        qa = HttpQaClient(transport, GenerationConfig(n=1, retries=2))
+        qa = HttpQaClient(transport, GenerationConfig(retries=2))
         assert qa.ask("q", table) == "target"
         assert transport.attempts[0] == 3
         assert backoffs == [0.1, 0.2]
 
     def test_exhausted_retries_raise_qa_transport_error(self, table, backoffs):
         transport = FlakyTransport(fail_first=3)
-        qa = HttpQaClient(transport, GenerationConfig(n=1, retries=2))
+        qa = HttpQaClient(transport, GenerationConfig(retries=2))
         with pytest.raises(QaTransportError, match="transient"):
             qa.ask("q", table)
         assert transport.attempts[0] == 3
 
     def test_prompt_rows_capped_by_config(self):
         big = make_table(["a"], [[i] for i in range(30)])
-        qa = HttpQaClient(FlakyTransport(), GenerationConfig(n=1, prompt_max_rows=5))
+        qa = HttpQaClient(FlakyTransport(), GenerationConfig(prompt_max_rows=5))
         assert "(25 rows omitted)" in qa.build_messages("q", big)[1]["content"]
