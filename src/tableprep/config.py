@@ -68,6 +68,9 @@ def load_config(path: str) -> AppConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     try:
+        for name in ("generator", "qa", "semantic_executor", "reward", "gate", "run"):
+            if not isinstance(doc.get(name, {}), dict):
+                raise ValueError(f"{name} must be a JSON object, got {doc[name]!r}")
         run_doc = doc.get("run", {})
         run = RunSection(
             n=run_doc.get("n", 5),
@@ -94,7 +97,7 @@ def load_config(path: str) -> AppConfig:
         generation_config(config)
         qa_client_config(config)
         semantic_client_config(config)
-    except (TypeError, ValueError, KeyError, AttributeError) as err:
+    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as err:
         raise ConfigError(f"bad config value: {err}") from err
     if run.eval_matching not in ("exact", "normalized"):
         raise ConfigError(f"run.eval_matching must be 'exact' or 'normalized', got {run.eval_matching!r}")
@@ -127,19 +130,45 @@ def _check_map(doc, what: str, value_ok, shape: str) -> dict:
     return doc
 
 
+def _setting(section: dict, key: str, default, ok, expected: str):
+    """``section[key]``, or ``default`` when the key is absent, if ``ok``
+    accepts it."""
+    value = section.get(key, default)
+    if not ok(value):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return value
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON number; bool is not one
+
+
+def _at_least(low: int):
+    return lambda value: type(value) is int and value >= low
+
+
+def _or_null(ok):
+    return lambda value: value is None or ok(value)
+
+
 def client_config(section: dict, temperature: float, max_tokens: int) -> GenerationConfig:
     """Chat-client settings from one config section (generator, qa or
     semantic_executor); ``temperature`` and ``max_tokens`` are that client's
     defaults, the other keys share theirs."""
     return GenerationConfig(
-        endpoint=section.get("endpoint", "http://localhost:8000/v1/chat/completions"),
-        model=section.get("model", ""),
-        temperature=float(section.get("temperature", temperature)),
-        max_tokens=int(section.get("max_tokens", max_tokens)),
-        timeout=float(section.get("timeout", 60.0)),
-        retries=int(section.get("retries", 2)),
-        api_key_env=section.get("api_key_env"),
-        prompt_max_rows=section.get("prompt_max_rows"),
+        endpoint=_setting(section, "endpoint", GenerationConfig.endpoint, _is_str, "a string"),
+        model=_setting(section, "model", GenerationConfig.model, _is_str, "a string"),
+        temperature=float(_setting(section, "temperature", temperature, _is_number, "a number")),
+        max_tokens=_setting(section, "max_tokens", max_tokens, _at_least(1), "an integer >= 1"),
+        timeout=float(_setting(section, "timeout", GenerationConfig.timeout, _is_number, "a number")),
+        retries=_setting(section, "retries", GenerationConfig.retries, _at_least(0), "an integer >= 0"),
+        api_key_env=_setting(section, "api_key_env", None, _or_null(_is_str), "a string or null"),
+        prompt_max_rows=_setting(section, "prompt_max_rows", None, _or_null(_at_least(0)),
+                                 "an integer >= 0 or null"),
     )
 
 
@@ -159,7 +188,7 @@ class GeneratorFactory:
     """Yields the chat transport to use for each instance.
 
     HTTP mode shares one transport; mock mode builds a per-instance scripted
-    transport from a script file keyed by instance id (or question).
+    transport from a script file keyed by instance id.
     """
 
     def __init__(self, config: AppConfig):
@@ -176,15 +205,13 @@ class GeneratorFactory:
             self._default_texts = gen.get("default_texts", ["[]"])
             if not _is_texts(self._default_texts):
                 raise ConfigError("generator.default_texts must be a non-empty list of strings")
-            self._key_field = gen.get("key", "id")
         else:
             raise ConfigError(f"unknown generator mode {self.mode!r}")
 
     def transport_for(self, instance_id: str, question: str):
         if self.mode == "http":
             return self._shared
-        key = instance_id if self._key_field == "id" else question
-        return ScriptedTransport(self._scripts.get(key, self._default_texts))
+        return ScriptedTransport(self._scripts.get(instance_id, self._default_texts))
 
 
 def build_qa_client(config: AppConfig):

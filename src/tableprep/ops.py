@@ -17,15 +17,16 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from decimal import Decimal
-from typing import ClassVar, Union
+from typing import ClassVar, Union, get_args
 
 from .errors import (
     BadParamTypeError,
     ColumnNotFoundError,
     MissingParamError,
     NoValidColumnsError,
+    OperatorParseError,
     PipelineParseError,
     UnknownOperatorError,
 )
@@ -98,47 +99,73 @@ class Pipeline:
         return iter(self.ops)
 
 
-# --- parsing ---
+# --- wire format ---
+# Each spec field is named after its wire key, so the spec dataclasses declare
+# the format: one reader per wire key, and a field with a default is optional.
 
 
-def _require(doc: dict, op: str, param: str):
-    if param not in doc:
-        raise MissingParamError(op, param)
-    return doc[param]
-
-
-def _require_str(doc: dict, op: str, param: str, allow_empty: bool = True) -> str:
-    value = _require(doc, op, param)
+def _string(op: str, key: str, value) -> str:
     if not isinstance(value, str):
-        raise BadParamTypeError(op, param, "expected a string")
-    if not allow_empty and value.strip() == "":
-        raise BadParamTypeError(op, param, "must be non-empty")
+        raise BadParamTypeError(op, key, "expected a string")
     return value
 
 
-def _optional_explanation(doc: dict, op: str) -> str | None:
-    if "explanation" not in doc:
-        return None
-    value = doc["explanation"]
-    if not isinstance(value, str):
-        raise BadParamTypeError(op, "explanation", "expected a string")
+def _text(op: str, key: str, value) -> str:
+    if _string(op, key, value).strip() == "":
+        raise BadParamTypeError(op, key, "must be non-empty")
     return value
 
 
-def _coerce_scalar(op: str, param: str, value) -> Value:
+def _names(op: str, key: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list) or not value or not all(isinstance(c, str) for c in value):
+        raise BadParamTypeError(op, key, "expected a non-empty list of names")
+    return tuple(value)
+
+
+def _one_of(choices: tuple[str, ...], detail: str):
+    def read(op: str, key: str, value) -> str:
+        if value not in choices:
+            raise BadParamTypeError(op, key, detail)
+        return value
+
+    return read
+
+
+def _top_k(op: str, key: str, value) -> int | None:
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise BadParamTypeError(op, key, "expected an integer >= 1")
+    return value
+
+
+def _coerce_scalar(op: str, key: str, value) -> Value:
     """Filter thresholds arrive as JSON scalars; numeric-looking strings and
     JSON numbers both normalize to Decimal so comparison and canonicalization
     agree with cell ingestion."""
-    if isinstance(value, bool) or value is None or isinstance(value, (list, dict)):
-        raise BadParamTypeError(op, param, "expected a string or number")
-    if isinstance(value, int):
-        return Decimal(value)
-    if isinstance(value, float):
-        return Decimal(str(value))
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise BadParamTypeError(op, key, "expected a string or number")
     if isinstance(value, str):
         number = parse_number(value)
         return number if number is not None else value
-    raise BadParamTypeError(op, param, "expected a string or number")
+    return Decimal(value if isinstance(value, int) else str(value))
+
+
+_READERS = {
+    "columns": _names,
+    "column": _string,
+    "new_column": _text,
+    "description": _text,
+    "cmp": _one_of(COMPARATORS, f"expected one of {list(COMPARATORS)}"),
+    "value": _coerce_scalar,
+    "order": _one_of(("asc", "desc"), "expected 'asc' or 'desc'"),
+    "k": _top_k,
+    "explanation": _string,
+}
+
+# kind -> (spec class, ((wire key, reader, required), ...) in field order)
+_WIRE = {
+    cls.kind: (cls, tuple((f.name, _READERS[f.name], f.default is MISSING) for f in fields(cls)))
+    for cls in get_args(OperatorSpec)
+}
 
 
 def parse_operator(doc: dict) -> OperatorSpec:
@@ -153,52 +180,16 @@ def parse_operator(doc: dict) -> OperatorSpec:
     name = doc["operation"]
     if not isinstance(name, str):
         raise BadParamTypeError("?", "operation", "expected a string")
-
-    if name == "select":
-        columns = _require(doc, name, "columns")
-        if (
-            not isinstance(columns, list)
-            or not columns
-            or not all(isinstance(c, str) for c in columns)
-        ):
-            raise BadParamTypeError(name, "columns", "expected a non-empty list of names")
-        return SelectOp(tuple(columns), _optional_explanation(doc, name))
-
-    if name == "filter":
-        column = _require_str(doc, name, "column")
-        cmp = _require(doc, name, "cmp")
-        if cmp not in COMPARATORS:
-            raise BadParamTypeError(name, "cmp", f"expected one of {list(COMPARATORS)}")
-        value = _coerce_scalar(name, "value", _require(doc, name, "value"))
-        return FilterOp(column, cmp, value, _optional_explanation(doc, name))
-
-    if name == "sort_by":
-        column = _require_str(doc, name, "column")
-        order = _require(doc, name, "order")
-        if order not in ("asc", "desc"):
-            raise BadParamTypeError(name, "order", "expected 'asc' or 'desc'")
-        k = None
-        if "k" in doc and doc["k"] is not None:
-            k = doc["k"]
-            if isinstance(k, bool) or not isinstance(k, int) or k < 1:
-                raise BadParamTypeError(name, "k", "expected an integer >= 1")
-        return SortByOp(column, order, k, _optional_explanation(doc, name))
-
-    if name == "group_by":
-        column = _require_str(doc, name, "column")
-        return GroupByOp(column, _optional_explanation(doc, name))
-
-    if name == "add_column":
-        new_column = _require_str(doc, name, "new_column", allow_empty=False)
-        description = _require_str(doc, name, "description", allow_empty=False)
-        return AddColumnOp(new_column, description, _optional_explanation(doc, name))
-
-    if name == "clean_column":
-        column = _require_str(doc, name, "column")
-        description = _require_str(doc, name, "description", allow_empty=False)
-        return CleanColumnOp(column, description, _optional_explanation(doc, name))
-
-    raise UnknownOperatorError(name)
+    if name not in _WIRE:
+        raise UnknownOperatorError(name)
+    cls, params = _WIRE[name]
+    kwargs = {}
+    for key, read, required in params:
+        if key in doc:
+            kwargs[key] = read(name, key, doc[key])
+        elif required:
+            raise MissingParamError(name, key)
+    return cls(**kwargs)
 
 
 def parse_pipeline(doc: list) -> Pipeline:
@@ -209,15 +200,25 @@ def parse_pipeline(doc: list) -> Pipeline:
     for i, item in enumerate(doc):
         try:
             ops.append(parse_operator(item))
-        except (BadParamTypeError, MissingParamError, UnknownOperatorError) as err:
+        except OperatorParseError as err:
             raise PipelineParseError(i, err) from err
     return Pipeline(tuple(ops))
 
 
-# --- serialization ---
+def _params(spec: OperatorSpec) -> dict:
+    """Wire key -> field value in field order; an optional field left at None
+    is omitted."""
+    params = {}
+    for key, _, required in _WIRE[spec.kind][1]:
+        value = getattr(spec, key)
+        if required or value is not None:
+            params[key] = value
+    return params
 
 
-def _value_to_json(value: Value):
+def _value_to_json(value):
+    if isinstance(value, tuple):
+        return list(value)
     if isinstance(value, Decimal):
         if value == value.to_integral_value():
             return int(value)
@@ -226,29 +227,8 @@ def _value_to_json(value: Value):
 
 
 def operator_to_json(spec: OperatorSpec) -> dict:
-    doc: dict = {"operation": spec.kind}
-    if isinstance(spec, SelectOp):
-        doc["columns"] = list(spec.columns)
-    elif isinstance(spec, FilterOp):
-        doc["column"] = spec.column
-        doc["cmp"] = spec.cmp
-        doc["value"] = _value_to_json(spec.value)
-    elif isinstance(spec, SortByOp):
-        doc["column"] = spec.column
-        doc["order"] = spec.order
-        if spec.k is not None:
-            doc["k"] = spec.k
-    elif isinstance(spec, GroupByOp):
-        doc["column"] = spec.column
-    elif isinstance(spec, AddColumnOp):
-        doc["new_column"] = spec.new_column
-        doc["description"] = spec.description
-    elif isinstance(spec, CleanColumnOp):
-        doc["column"] = spec.column
-        doc["description"] = spec.description
-    if spec.explanation is not None:
-        doc["explanation"] = spec.explanation
-    return doc
+    params = _params(spec)
+    return {"operation": spec.kind, **{key: _value_to_json(value) for key, value in params.items()}}
 
 
 def pipeline_to_json(pipeline: Pipeline) -> list[dict]:
@@ -262,26 +242,17 @@ def canonical_key(spec: OperatorSpec) -> str:
     "5" and as the number 5 produce the same key. Select columns are treated
     as a set because execution preserves the table's own column order.
     """
+    params = _params(spec)
+    params.pop("explanation", None)
     if isinstance(spec, SelectOp):
-        params = {"columns": sorted(set(spec.columns))}
+        params["columns"] = sorted(set(spec.columns))
     elif isinstance(spec, FilterOp):
         value = spec.value
         if isinstance(value, str):
             number = parse_number(value)
-            canonical = format_number(number) if number is not None else value
+            params["value"] = format_number(number) if number is not None else value
         else:
-            canonical = render_value(value)
-        params = {"column": spec.column, "cmp": spec.cmp, "value": canonical}
-    elif isinstance(spec, SortByOp):
-        params = {"column": spec.column, "order": spec.order}
-        if spec.k is not None:
-            params["k"] = spec.k
-    elif isinstance(spec, GroupByOp):
-        params = {"column": spec.column}
-    elif isinstance(spec, AddColumnOp):
-        params = {"new_column": spec.new_column, "description": spec.description}
-    else:
-        params = {"column": spec.column, "description": spec.description}
+            params["value"] = render_value(value)
     return json.dumps([spec.kind, params], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 

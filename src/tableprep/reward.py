@@ -188,6 +188,16 @@ class RewardConfig:
     compression_orientation: str = AS_WRITTEN
     matching: str = EXACT
 
+    def __post_init__(self):
+        if self.compression_orientation not in (AS_WRITTEN, INVERTED):
+            raise ValueError(f"reward.compression_orientation must be {AS_WRITTEN!r} or {INVERTED!r}, "
+                             f"got {self.compression_orientation!r}")
+        if self.matching not in (EXACT, NORMALIZED):
+            raise ValueError(f"reward.matching must be {EXACT!r} or {NORMALIZED!r}, got {self.matching!r}")
+        if not 0 < self.l_cache < self.l_max:
+            raise ValueError(f"reward needs 0 < l_cache < l_max, "
+                             f"got l_cache={self.l_cache}, l_max={self.l_max}")
+
     @classmethod
     def from_json(cls, doc: dict) -> "RewardConfig":
         kwargs = {}

@@ -157,13 +157,8 @@ def load_csv(data: bytes) -> Table:
     records = [row for row in reader if row != []]
     if not records:
         raise EmptyInputError("CSV input has no header row")
-    header = tuple(records[0])
-    rows = []
-    for i, raw in enumerate(records[1:]):
-        if len(raw) != len(header):
-            raise RaggedRowError(i, len(header), len(raw))
-        rows.append(tuple(ingest_cell(cell) for cell in raw))
-    return Table(header, tuple(rows))
+    rows = tuple(tuple(ingest_cell(cell) for cell in raw) for raw in records[1:])
+    return Table(tuple(records[0]), rows)
 
 
 def load_json_table(doc: dict) -> Table:
@@ -187,8 +182,6 @@ def load_json_table(doc: dict) -> Table:
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise InvalidCellError(f"row {i} is not a list")
-        if len(raw) != len(header):
-            raise RaggedRowError(i, len(header), len(raw))
         rows.append(
             tuple(
                 None if cell is None else ingest_cell(cell if isinstance(cell, str) else str(cell))

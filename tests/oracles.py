@@ -12,8 +12,9 @@ from decimal import Decimal
 from fractions import Fraction
 
 from tableprep.gate import GroupStats, as_fraction
+from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, SelectOp, SortByOp
 from tableprep.reward import AnswerSet, match_answer
-from tableprep.table import Table, render_value
+from tableprep.table import Table, format_number, parse_number, render_value
 
 
 def ref_render(cell):
@@ -82,6 +83,68 @@ def ref_group_stats(rewards) -> GroupStats:
     mean = sum(values, Fraction(0)) / n
     variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / n
     return GroupStats(mean=mean, variance=variance, std=math.sqrt(variance), max=max(values), size=n)
+
+
+def _ref_value_to_json(value):
+    if isinstance(value, Decimal):
+        if value == value.to_integral_value():
+            return int(value)
+        return format_number(value)
+    return value
+
+
+def ref_operator_to_json(spec) -> dict:
+    """One branch per operator kind, writing out each kind's wire keys."""
+    doc: dict = {"operation": spec.kind}
+    if isinstance(spec, SelectOp):
+        doc["columns"] = list(spec.columns)
+    elif isinstance(spec, FilterOp):
+        doc["column"] = spec.column
+        doc["cmp"] = spec.cmp
+        doc["value"] = _ref_value_to_json(spec.value)
+    elif isinstance(spec, SortByOp):
+        doc["column"] = spec.column
+        doc["order"] = spec.order
+        if spec.k is not None:
+            doc["k"] = spec.k
+    elif isinstance(spec, GroupByOp):
+        doc["column"] = spec.column
+    elif isinstance(spec, AddColumnOp):
+        doc["new_column"] = spec.new_column
+        doc["description"] = spec.description
+    elif isinstance(spec, CleanColumnOp):
+        doc["column"] = spec.column
+        doc["description"] = spec.description
+    if spec.explanation is not None:
+        doc["explanation"] = spec.explanation
+    return doc
+
+
+def ref_canonical_key(spec) -> str:
+    """One branch per operator kind: kind plus parameters, explanation
+    excluded, select columns as a sorted set and the filter threshold in its
+    canonical rendering."""
+    if isinstance(spec, SelectOp):
+        params = {"columns": sorted(set(spec.columns))}
+    elif isinstance(spec, FilterOp):
+        value = spec.value
+        if isinstance(value, str):
+            number = parse_number(value)
+            canonical = format_number(number) if number is not None else value
+        else:
+            canonical = render_value(value)
+        params = {"column": spec.column, "cmp": spec.cmp, "value": canonical}
+    elif isinstance(spec, SortByOp):
+        params = {"column": spec.column, "order": spec.order}
+        if spec.k is not None:
+            params["k"] = spec.k
+    elif isinstance(spec, GroupByOp):
+        params = {"column": spec.column}
+    elif isinstance(spec, AddColumnOp):
+        params = {"new_column": spec.new_column, "description": spec.description}
+    else:
+        params = {"column": spec.column, "description": spec.description}
+    return json.dumps([spec.kind, params], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def ref_select(table: Table, requested) -> Table:

@@ -230,6 +230,20 @@ class TestReward:
         assert result.exit_code == 3
 
 
+@pytest.mark.parametrize("reward_doc", [
+    {"matching": "fuzzy"}, {"compression_orientation": "bogus"}, {"l_cache": 0},
+], ids=["matching", "orientation", "l_cache"])
+@pytest.mark.parametrize("args", [
+    ["run", "--dataset", fx("run_instances.jsonl")], ["reward", fx("reward_bundle.json")],
+], ids=["run", "reward"])
+def test_bad_reward_section_exit_2(runner, tmp_path, reward_doc, args):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"reward": reward_doc}))
+    result = runner.invoke(main, [*args, "--config", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "bad config value" in result.output
+
+
 class TestGate:
     def test_fixture_groups(self, runner):
         result = runner.invoke(main, ["gate", fx("gate_groups.jsonl")])

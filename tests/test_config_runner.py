@@ -138,6 +138,72 @@ class TestLoadConfig:
         assert load_config(str(path)).run.request_cap == cap
 
 
+class TestSectionValues:
+    """Values that load silently or crash mid-run unless checked at load."""
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"reward": {"matching": "fuzzy"}}, "reward.matching must be 'exact' or 'normalized'"),
+        ({"reward": {"compression_orientation": "bogus"}},
+         "reward.compression_orientation must be 'as_written' or 'inverted'"),
+        ({"reward": {"l_cache": 0}}, "0 < l_cache < l_max"),
+        ({"reward": {"l_cache": 600, "l_max": 600}}, "0 < l_cache < l_max"),
+        ({"reward": "x"}, "reward must be a JSON object"),
+        ({"reward": [1, 2]}, "reward must be a JSON object"),
+        ({"gate": []}, "gate must be a JSON object"),
+        ({"qa": None}, "qa must be a JSON object"),
+        ({"generator": {"temperature": 10**400}}, "bad config value"),
+    ])
+    def test_section_values(self, tmp_path, doc, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            load_config(str(path))
+
+    @pytest.mark.parametrize("section", ["generator", "qa", "semantic_executor"])
+    @pytest.mark.parametrize("key, value, expected", [
+        ("retries", 2.9, "an integer >= 0"),
+        ("retries", True, "an integer >= 0"),
+        ("retries", -1, "an integer >= 0"),
+        ("max_tokens", 1.5, "an integer >= 1"),
+        ("max_tokens", 0, "an integer >= 1"),
+        ("prompt_max_rows", "x", "an integer >= 0 or null"),
+        ("prompt_max_rows", -1, "an integer >= 0 or null"),
+        ("timeout", True, "a number"),
+        ("timeout", "5", "a number"),
+        ("temperature", False, "a number"),
+        ("endpoint", 5, "a string"),
+        ("model", None, "a string"),
+        ("api_key_env", 5, "a string or null"),
+    ])
+    def test_client_keys_are_typed(self, tmp_path, section, key, value, expected):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=f"{key} must be {expected}, got"):
+            load_config(str(path))
+
+
+def _readme_config_block() -> dict:
+    """The JSON block under the README's Configuration heading."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("### Configuration"):]
+    start = section.index("```json\n") + len("```json\n")
+    return json.loads(section[start:section.index("```", start)])
+
+
+def test_readme_config_loads_as_shown(tmp_path):
+    block = _readme_config_block()
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(block))
+    config = load_config(str(path))
+    for section in ("generator", "qa", "semantic_executor"):
+        assert getattr(config, section) == block[section]
+    for section in ("reward", "gate", "run"):
+        for key, shown in block[section].items():
+            expected = Fraction(str(shown)) if isinstance(shown, float) else shown
+            assert getattr(getattr(config, section), key) == expected, f"{section}.{key}"
+
+
 class TestFactories:
     def test_mock_generator_keyed_by_id(self):
         config = load_config(fx("run_config.json"))

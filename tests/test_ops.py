@@ -1,3 +1,4 @@
+import json
 import random
 from decimal import Decimal
 
@@ -14,7 +15,9 @@ from tableprep.errors import (
     UnknownOperatorError,
 )
 from tableprep.ops import (
+    COMPARATORS,
     AddColumnOp,
+    CleanColumnOp,
     FilterOp,
     GroupByOp,
     Pipeline,
@@ -30,10 +33,17 @@ from tableprep.ops import (
     parse_pipeline,
     pipeline_to_json,
 )
-from tableprep.table import Table
+from tableprep.table import Table, parse_number
 
 from conftest import CELL_TEXTS, make_table, random_table
-from oracles import ref_filter, ref_group_by, ref_select, ref_sort_by
+from oracles import (
+    ref_canonical_key,
+    ref_filter,
+    ref_group_by,
+    ref_operator_to_json,
+    ref_select,
+    ref_sort_by,
+)
 
 
 class TestParseOperator:
@@ -124,6 +134,82 @@ class TestParsePipeline:
         ]
         pipeline = parse_pipeline(doc)
         assert parse_pipeline(pipeline_to_json(pipeline)) == pipeline
+
+
+_CMP_DETAIL = "expected one of ['==', '!=', '>', '<', '>=', '<=']"
+
+
+@pytest.mark.parametrize("item, message", [
+    ("select", "operator '?' has invalid parameter 'operator': expected a JSON object"),
+    ({"columns": ["a"]}, "operator '?' is missing parameter 'operation'"),
+    ({"operation": 1}, "operator '?' has invalid parameter 'operation': expected a string"),
+    ({"operation": "explode"}, "unknown operator: 'explode'"),
+    ({"operation": "group_by"}, "operator 'group_by' is missing parameter 'column'"),
+    ({"operation": "select", "columns": "a"},
+     "operator 'select' has invalid parameter 'columns': expected a non-empty list of names"),
+    ({"operation": "group_by", "column": 1},
+     "operator 'group_by' has invalid parameter 'column': expected a string"),
+    ({"operation": "add_column", "new_column": " ", "description": "d"},
+     "operator 'add_column' has invalid parameter 'new_column': must be non-empty"),
+    ({"operation": "clean_column", "column": "a", "description": 2},
+     "operator 'clean_column' has invalid parameter 'description': expected a string"),
+    ({"operation": "filter", "column": "a", "cmp": "=", "value": 1},
+     f"operator 'filter' has invalid parameter 'cmp': {_CMP_DETAIL}"),
+    ({"operation": "filter", "column": "a", "cmp": "==", "value": None},
+     "operator 'filter' has invalid parameter 'value': expected a string or number"),
+    ({"operation": "sort_by", "column": "a", "order": "up"},
+     "operator 'sort_by' has invalid parameter 'order': expected 'asc' or 'desc'"),
+    ({"operation": "sort_by", "column": "a", "order": "asc", "k": True},
+     "operator 'sort_by' has invalid parameter 'k': expected an integer >= 1"),
+    ({"operation": "group_by", "column": "a", "explanation": None},
+     "operator 'group_by' has invalid parameter 'explanation': expected a string"),
+])
+def test_parse_error_text(item, message):
+    """These messages land in run reports' ``candidate_errors``."""
+    with pytest.raises(PipelineParseError) as exc:
+        parse_pipeline([{"operation": "group_by", "column": "a"}, item])
+    assert str(exc.value) == f"invalid operator at index 1: {message}"
+
+
+_TEXT = st.text(max_size=6)
+_NON_BLANK = _TEXT.filter(str.strip)
+_EXPLANATION = st.none() | _TEXT
+_FILTER_VALUES = st.one_of(
+    st.decimals(allow_nan=False, allow_infinity=False, min_value=-(10**9), max_value=10**9),
+    _TEXT,
+    st.none(),
+)
+_SPECS = st.one_of(
+    st.builds(SelectOp, st.lists(_TEXT, min_size=1, max_size=4).map(tuple), _EXPLANATION),
+    st.builds(FilterOp, _TEXT, st.sampled_from(COMPARATORS), _FILTER_VALUES, _EXPLANATION),
+    st.builds(SortByOp, _TEXT, st.sampled_from(["asc", "desc"]),
+              st.none() | st.integers(min_value=1), _EXPLANATION),
+    st.builds(GroupByOp, _TEXT, _EXPLANATION),
+    st.builds(AddColumnOp, _NON_BLANK, _NON_BLANK, _EXPLANATION),
+    st.builds(CleanColumnOp, _TEXT, _NON_BLANK, _EXPLANATION),
+)
+
+
+def _parsed_form(spec) -> bool:
+    """Whether parsing can produce ``spec``: a filter threshold is never None,
+    and one spelled as a number is parsed to a Decimal."""
+    if isinstance(spec, FilterOp):
+        if isinstance(spec.value, str):
+            return parse_number(spec.value) is None
+        return spec.value is not None
+    return True
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SPECS)
+def test_wire_format_matches_references(spec):
+    doc = operator_to_json(spec)
+    reference = ref_operator_to_json(spec)
+    assert doc == reference
+    assert json.dumps(doc, ensure_ascii=False) == json.dumps(reference, ensure_ascii=False)
+    assert canonical_key(spec) == ref_canonical_key(spec)
+    if _parsed_form(spec):
+        assert parse_operator(doc) == spec
 
 
 class TestCanonicalKey:
