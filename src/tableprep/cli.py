@@ -12,7 +12,7 @@ from dataclasses import replace
 import click
 
 from . import runner as runner_mod
-from .config import build_semantic_executor, load_config
+from .config import AppConfig, build_semantic_executor, load_config
 from .data import load_instances_jsonl, write_instances_jsonl
 from .engine import execute, trace_to_json
 from .errors import ConfigError, TablePrepError
@@ -33,8 +33,6 @@ def _fail(code: int, message: str):
 
 def _load_config(path: str | None):
     if path is None:
-        from .config import AppConfig
-
         return AppConfig()
     try:
         return load_config(path)

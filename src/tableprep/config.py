@@ -18,19 +18,22 @@ Example::
 
 Relative paths resolve against the config file's directory. Every training
 hyperparameter has a default, so an empty JSON object is a valid config for
-mock-free computations.
+mock-free computations. This module alone knows the format: the run, reward
+and gate sections and the client keys are read field by field through
+``_READERS``, and a bad value raises ``ConfigError`` as ``bad config value:
+<section>.<key> must be <expected>, got <value>``.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .gate import GateConfig
+from .gate import GateConfig, as_fraction
 from .llm import GenerationConfig, HttpChatTransport, ScriptedTransport
-from .reward import RewardConfig
+from .reward import EXACT, NORMALIZED, RewardConfig
 from .rollback import CellLookupQaClient, HttpQaClient, ScriptedQaClient
 from .semantic import LlmSemanticExecutor, MockSemanticExecutor
 
@@ -57,6 +60,99 @@ class AppConfig:
         return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
 
 
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)  # a JSON number; bool and str are not
+
+
+def _at_least(low: int):
+    return lambda value: type(value) is int and value >= low
+
+
+def _or_null(ok):
+    return lambda value: value is None or ok(value)
+
+
+_STRING = (_is_str, "a string", None)
+_INTEGER = (lambda value: type(value) is int, "an integer", None)
+_COUNT = (_at_least(1), "an integer >= 1", None)
+_RATIONAL = (_is_number, "a number", as_fraction)
+_FLOAT = (_is_number, "a number", float)
+
+# One entry per key of the run, reward and gate sections and per client key,
+# each named after the dataclass field it fills: (JSON type check, what the
+# value must be, conversion or None). Bounds that the dataclasses enforce in
+# __post_init__ are not repeated here.
+_READERS = {
+    "n": _COUNT,
+    "parallelism": _COUNT,
+    "eval_matching": (lambda value: value in (EXACT, NORMALIZED), f"{EXACT!r} or {NORMALIZED!r}", None),
+    "request_cap": (_or_null(_at_least(1)), "an integer >= 1 or null", None),
+    "lambda_compress": _RATIONAL,
+    "lambda_length": _RATIONAL,
+    "l_max": _INTEGER,
+    "l_cache": _INTEGER,
+    "compression_orientation": _STRING,
+    "matching": _STRING,
+    "variance_threshold": _RATIONAL,
+    "quality_threshold": _RATIONAL,
+    "advantage_epsilon": _RATIONAL,
+    "max_resample_attempts": _INTEGER,
+    "endpoint": _STRING,
+    "model": _STRING,
+    "temperature": _FLOAT,
+    "max_tokens": _COUNT,
+    "timeout": _FLOAT,
+    "retries": (_at_least(0), "an integer >= 0", None),
+    "api_key_env": (_or_null(_is_str), "a string or null", None),
+    "prompt_max_rows": (_or_null(_at_least(0)), "an integer >= 0 or null", None),
+}
+
+
+def _read(section: str, key: str, value):
+    ok, expected, convert = _READERS[key]
+    if ok(value):
+        try:
+            return convert(value) if convert else value
+        except (ValueError, OverflowError):  # Infinity as a Fraction, 10**400 as a float
+            pass
+    raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
+
+
+def _read_section(cls, section: str, doc: dict, **defaults):
+    """A ``cls`` built from the config section ``doc``: each field from the key
+    of its name, else from ``defaults``, else the field's own default.
+    ``__post_init__`` messages start with the field name; this adds the
+    section's."""
+    values = dict(defaults)
+    for f in fields(cls):
+        if f.name in doc:
+            values[f.name] = _read(section, f.name, doc[f.name])
+    try:
+        return cls(**values)
+    except ValueError as err:
+        raise ValueError(f"{section}.{err}") from err
+
+
+# each client's own temperature and max_tokens defaults; the other keys share GenerationConfig's
+_CLIENT_DEFAULTS = {
+    "generator": {"temperature": 0.8, "max_tokens": 1024},
+    "qa": {"temperature": 0.0, "max_tokens": 256},
+    "semantic_executor": {"temperature": 0.0, "max_tokens": 1024},
+}
+
+_SECTIONS = {"run": RunSection, "reward": RewardConfig, "gate": GateConfig}
+
+
+def client_config(config: AppConfig, section: str) -> GenerationConfig:
+    """Chat-client settings from one client section of ``config``:
+    ``"generator"``, ``"qa"`` or ``"semantic_executor"``."""
+    return _read_section(GenerationConfig, section, getattr(config, section), **_CLIENT_DEFAULTS[section])
+
+
 def load_config(path: str) -> AppConfig:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -68,42 +164,19 @@ def load_config(path: str) -> AppConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        for name in ("generator", "qa", "semantic_executor", "reward", "gate", "run"):
+        for name in (*_CLIENT_DEFAULTS, *_SECTIONS):
             if not isinstance(doc.get(name, {}), dict):
                 raise ValueError(f"{name} must be a JSON object, got {doc[name]!r}")
-        run_doc = doc.get("run", {})
-        run = RunSection(
-            n=run_doc.get("n", 5),
-            parallelism=run_doc.get("parallelism", 1),
-            eval_matching=str(run_doc.get("eval_matching", "normalized")),
-            request_cap=run_doc.get("request_cap"),
-        )
-        for key in ("n", "parallelism"):
-            value = getattr(run, key)
-            if type(value) is not int:
-                raise ConfigError(f"run.{key} must be an integer, got {value!r}")
-            if value < 1:
-                raise ConfigError(f"run.{key} must be at least 1, got {value}")
         config = AppConfig(
-            generator=doc.get("generator", {"mode": "mock", "default_texts": ["[]"]}),
-            qa=doc.get("qa", {"mode": "cell_lookup", "expected": {}}),
-            semantic_executor=doc.get("semantic_executor", {"mode": "none"}),
-            reward=RewardConfig.from_json(doc.get("reward", {})),
-            gate=GateConfig.from_json(doc.get("gate", {})),
-            run=run,
+            **{name: doc[name] for name in _CLIENT_DEFAULTS if name in doc},
+            **{name: _read_section(cls, name, doc.get(name, {})) for name, cls in _SECTIONS.items()},
             base_dir=os.path.dirname(os.path.abspath(path)),
         )
-        # check every section's client keys now, not when its client is built
-        generation_config(config)
-        qa_client_config(config)
-        semantic_client_config(config)
-    except (TypeError, ValueError, KeyError, AttributeError, OverflowError) as err:
+        # check every client's keys now, whatever its mode, not when it is built
+        for name in _CLIENT_DEFAULTS:
+            client_config(config, name)
+    except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
-    if run.eval_matching not in ("exact", "normalized"):
-        raise ConfigError(f"run.eval_matching must be 'exact' or 'normalized', got {run.eval_matching!r}")
-    cap = run.request_cap
-    if cap is not None and (type(cap) is not int or cap < 1):
-        raise ConfigError(f"run.request_cap must be a positive integer or null, got {cap!r}")
     return config
 
 
@@ -128,60 +201,6 @@ def _check_map(doc, what: str, value_ok, shape: str) -> dict:
     if not isinstance(doc, dict) or not all(map(value_ok, doc.values())):
         raise ConfigError(f"{what} must be a JSON object mapping each key to {shape}")
     return doc
-
-
-def _setting(section: dict, key: str, default, ok, expected: str):
-    """``section[key]``, or ``default`` when the key is absent, if ``ok``
-    accepts it."""
-    value = section.get(key, default)
-    if not ok(value):
-        raise ValueError(f"{key} must be {expected}, got {value!r}")
-    return value
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a JSON number; bool is not one
-
-
-def _at_least(low: int):
-    return lambda value: type(value) is int and value >= low
-
-
-def _or_null(ok):
-    return lambda value: value is None or ok(value)
-
-
-def client_config(section: dict, temperature: float, max_tokens: int) -> GenerationConfig:
-    """Chat-client settings from one config section (generator, qa or
-    semantic_executor); ``temperature`` and ``max_tokens`` are that client's
-    defaults, the other keys share theirs."""
-    return GenerationConfig(
-        endpoint=_setting(section, "endpoint", GenerationConfig.endpoint, _is_str, "a string"),
-        model=_setting(section, "model", GenerationConfig.model, _is_str, "a string"),
-        temperature=float(_setting(section, "temperature", temperature, _is_number, "a number")),
-        max_tokens=_setting(section, "max_tokens", max_tokens, _at_least(1), "an integer >= 1"),
-        timeout=float(_setting(section, "timeout", GenerationConfig.timeout, _is_number, "a number")),
-        retries=_setting(section, "retries", GenerationConfig.retries, _at_least(0), "an integer >= 0"),
-        api_key_env=_setting(section, "api_key_env", None, _or_null(_is_str), "a string or null"),
-        prompt_max_rows=_setting(section, "prompt_max_rows", None, _or_null(_at_least(0)),
-                                 "an integer >= 0 or null"),
-    )
-
-
-def generation_config(config: AppConfig) -> GenerationConfig:
-    return client_config(config.generator, 0.8, 1024)
-
-
-def qa_client_config(config: AppConfig) -> GenerationConfig:
-    return client_config(config.qa, 0.0, 256)
-
-
-def semantic_client_config(config: AppConfig) -> GenerationConfig:
-    return client_config(config.semantic_executor, 0.0, 1024)
 
 
 class GeneratorFactory:
@@ -218,7 +237,7 @@ def build_qa_client(config: AppConfig):
     qa = config.qa
     mode = qa.get("mode", "cell_lookup")
     if mode == "http":
-        return HttpQaClient(HttpChatTransport(), qa_client_config(config))
+        return HttpQaClient(HttpChatTransport(), client_config(config, "qa"))
     if mode == "cell_lookup":
         expected = qa.get("expected", {})
         if "script" in qa:
@@ -256,5 +275,5 @@ def build_semantic_executor(config: AppConfig):
                    "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)
     if mode == "http":
-        return LlmSemanticExecutor(HttpChatTransport(), semantic_client_config(config))
+        return LlmSemanticExecutor(HttpChatTransport(), client_config(config, "semantic_executor"))
     raise ConfigError(f"unknown semantic executor mode {mode!r}")

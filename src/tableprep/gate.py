@@ -18,7 +18,7 @@ from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import ConfigError, EmptyGroupError, GroupTooSmallError
+from .errors import EmptyGroupError, GroupTooSmallError
 from .ops import Pipeline
 
 LOW_VARIANCE = "low_variance"
@@ -36,14 +36,6 @@ def as_fraction(x) -> Fraction:
     return Fraction(str(x))
 
 
-def config_fraction(section: str, key: str, value) -> Fraction:
-    """A rational hyperparameter read from a config file. JSON ``true`` and
-    ``false`` are not numbers, although Python's ``bool`` is an ``int``."""
-    if isinstance(value, bool):
-        raise ConfigError(f"{section}.{key} must be a number, got {value!r}")
-    return as_fraction(value)
-
-
 @dataclass(frozen=True)
 class GateConfig:
     variance_threshold: Fraction = Fraction(1, 10)
@@ -53,23 +45,11 @@ class GateConfig:
 
     def __post_init__(self):
         if self.variance_threshold < 0:
-            raise ValueError("variance_threshold must be >= 0")
+            raise ValueError(f"variance_threshold must be >= 0, got {self.variance_threshold}")
         if self.advantage_epsilon <= 0:
-            raise ValueError("advantage_epsilon must be > 0")
-        if type(self.max_resample_attempts) is not int:
-            raise ValueError(f"max_resample_attempts must be an integer, got {self.max_resample_attempts!r}")
+            raise ValueError(f"advantage_epsilon must be > 0, got {self.advantage_epsilon}")
         if self.max_resample_attempts < 1:
-            raise ValueError("max_resample_attempts must be >= 1")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "GateConfig":
-        kwargs = {}
-        for key in ("variance_threshold", "quality_threshold", "advantage_epsilon"):
-            if key in doc:
-                kwargs[key] = config_fraction("gate", key, doc[key])
-        if "max_resample_attempts" in doc:
-            kwargs["max_resample_attempts"] = doc["max_resample_attempts"]
-        return cls(**kwargs)
+            raise ValueError(f"max_resample_attempts must be >= 1, got {self.max_resample_attempts}")
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,7 @@ class GenerationConfig:
 
     def __post_init__(self):
         if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
+            raise ValueError(f"timeout must be positive, got {self.timeout}")
 
 
 class ChatTransport(Protocol):

@@ -16,8 +16,7 @@ from itertools import chain
 from typing import Iterable
 
 from .engine import OK, ExecutionTrace
-from .errors import BadBudgetError, ConfigError, DegenerateInitialTableError
-from .gate import config_fraction
+from .errors import BadBudgetError, DegenerateInitialTableError
 from .table import Table, format_number, parse_number, serialize_markdown
 
 log = logging.getLogger(__name__)
@@ -190,30 +189,13 @@ class RewardConfig:
 
     def __post_init__(self):
         if self.compression_orientation not in (AS_WRITTEN, INVERTED):
-            raise ValueError(f"reward.compression_orientation must be {AS_WRITTEN!r} or {INVERTED!r}, "
+            raise ValueError(f"compression_orientation must be {AS_WRITTEN!r} or {INVERTED!r}, "
                              f"got {self.compression_orientation!r}")
         if self.matching not in (EXACT, NORMALIZED):
-            raise ValueError(f"reward.matching must be {EXACT!r} or {NORMALIZED!r}, got {self.matching!r}")
+            raise ValueError(f"matching must be {EXACT!r} or {NORMALIZED!r}, got {self.matching!r}")
         if not 0 < self.l_cache < self.l_max:
-            raise ValueError(f"reward needs 0 < l_cache < l_max, "
+            raise ValueError(f"l_cache must satisfy 0 < l_cache < l_max, "
                              f"got l_cache={self.l_cache}, l_max={self.l_max}")
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "RewardConfig":
-        kwargs = {}
-        for key in ("lambda_compress", "lambda_length"):
-            if key in doc:
-                kwargs[key] = config_fraction("reward", key, doc[key])
-        for key in ("l_max", "l_cache"):
-            if key in doc:
-                if type(doc[key]) is not int:
-                    raise ConfigError(f"reward.{key} must be an integer, got {doc[key]!r}")
-                kwargs[key] = doc[key]
-        if "compression_orientation" in doc:
-            kwargs["compression_orientation"] = doc["compression_orientation"]
-        if "matching" in doc:
-            kwargs["matching"] = doc["matching"]
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from tableprep.gate import GroupStats, as_fraction
+from tableprep.gate import GateConfig, GroupStats, as_fraction
+from tableprep.llm import GenerationConfig
 from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, SelectOp, SortByOp
-from tableprep.reward import AnswerSet, match_answer
+from tableprep.reward import AnswerSet, RewardConfig, match_answer
 from tableprep.table import Table, format_number, parse_number, render_value
 
 
@@ -83,6 +84,74 @@ def ref_group_stats(rewards) -> GroupStats:
     mean = sum(values, Fraction(0)) / n
     variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / n
     return GroupStats(mean=mean, variance=variance, std=math.sqrt(variance), max=max(values), size=n)
+
+
+def _ref_config_fraction(section: str, key: str, value) -> Fraction:
+    if isinstance(value, bool):
+        raise ValueError(f"{section}.{key} must be a number, got {value!r}")
+    return as_fraction(value)
+
+
+def ref_reward_config(doc: dict) -> RewardConfig:
+    """The reward section read key by key, each kind of key in its own loop."""
+    kwargs = {}
+    for key in ("lambda_compress", "lambda_length"):
+        if key in doc:
+            kwargs[key] = _ref_config_fraction("reward", key, doc[key])
+    for key in ("l_max", "l_cache"):
+        if key in doc:
+            if type(doc[key]) is not int:
+                raise ValueError(f"reward.{key} must be an integer, got {doc[key]!r}")
+            kwargs[key] = doc[key]
+    if "compression_orientation" in doc:
+        kwargs["compression_orientation"] = doc["compression_orientation"]
+    if "matching" in doc:
+        kwargs["matching"] = doc["matching"]
+    return RewardConfig(**kwargs)
+
+
+def ref_gate_config(doc: dict) -> GateConfig:
+    """The gate section read key by key."""
+    kwargs = {}
+    for key in ("variance_threshold", "quality_threshold", "advantage_epsilon"):
+        if key in doc:
+            kwargs[key] = _ref_config_fraction("gate", key, doc[key])
+    if "max_resample_attempts" in doc:
+        kwargs["max_resample_attempts"] = doc["max_resample_attempts"]
+    return GateConfig(**kwargs)
+
+
+def _ref_setting(section: dict, key: str, default, ok, expected: str):
+    value = section.get(key, default)
+    if not ok(value):
+        raise ValueError(f"{key} must be {expected}, got {value!r}")
+    return value
+
+
+def ref_client_config(section: dict, temperature: float, max_tokens: int) -> GenerationConfig:
+    """One client section read key by key; ``temperature`` and ``max_tokens``
+    are that client's defaults."""
+    def is_number(value):
+        return type(value) in (int, float)
+
+    def at_least(low):
+        return lambda value: type(value) is int and value >= low
+
+    def is_str(value):
+        return isinstance(value, str)
+
+    return GenerationConfig(
+        endpoint=_ref_setting(section, "endpoint", GenerationConfig.endpoint, is_str, "a string"),
+        model=_ref_setting(section, "model", GenerationConfig.model, is_str, "a string"),
+        temperature=float(_ref_setting(section, "temperature", temperature, is_number, "a number")),
+        max_tokens=_ref_setting(section, "max_tokens", max_tokens, at_least(1), "an integer >= 1"),
+        timeout=float(_ref_setting(section, "timeout", GenerationConfig.timeout, is_number, "a number")),
+        retries=_ref_setting(section, "retries", GenerationConfig.retries, at_least(0), "an integer >= 0"),
+        api_key_env=_ref_setting(section, "api_key_env", None, lambda v: v is None or is_str(v),
+                                 "a string or null"),
+        prompt_max_rows=_ref_setting(section, "prompt_max_rows", None,
+                                     lambda v: v is None or at_least(0)(v), "an integer >= 0 or null"),
+    )
 
 
 def _ref_value_to_json(value):

@@ -56,7 +56,7 @@ class TestRun:
             main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(bad)]
         )
         assert result.exit_code == 2
-        assert "must be at least 1" in result.output
+        assert "must be an integer >= 1" in result.output
 
     @pytest.mark.parametrize("doc", [
         {"qa": {"mode": "http", "timeout": 0}},
@@ -75,8 +75,9 @@ class TestRun:
         ({"reward": {"l_max": 2560.9}}, "reward.l_max must be an integer"),
         ({"reward": {"l_cache": True}}, "reward.l_cache must be an integer"),
         ({"reward": {"lambda_compress": True}}, "reward.lambda_compress must be a number"),
+        ({"reward": {"lambda_compress": "0.5"}}, "reward.lambda_compress must be a number"),
         ({"gate": {"variance_threshold": True}}, "gate.variance_threshold must be a number"),
-    ], ids=["l_max", "l_cache", "lambda_compress", "variance_threshold"])
+    ], ids=["l_max", "l_cache", "lambda_compress", "lambda_compress_text", "variance_threshold"])
     def test_bad_reward_or_gate_keys_exit_2_before_running(self, runner, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))

@@ -1,12 +1,19 @@
+import ast
 import json
 import os
+import re
+import tempfile
 import threading
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tableprep
 from tableprep import config as config_mod
 from tableprep import runner
 from tableprep.config import (
@@ -23,6 +30,8 @@ from tableprep.llm import GenerationConfig
 from tableprep.rollback import CellLookupQaClient, ScriptedQaClient
 from tableprep.runner import compute_aggregates, dump_report, load_run_report, run_dataset
 from tableprep.semantic import MockSemanticExecutor
+
+from oracles import ref_client_config, ref_gate_config, ref_reward_config
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -72,10 +81,10 @@ class TestLoadConfig:
             load_config(str(path))
 
     @pytest.mark.parametrize("doc, message", [
-        ({"run": {"n": 0}}, "run.n must be at least 1"),
-        ({"run": {"n": -1}}, "run.n must be at least 1"),
-        ({"run": {"parallelism": 0}}, "run.parallelism must be at least 1"),
-        ({"run": {"parallelism": -1}}, "run.parallelism must be at least 1"),
+        ({"run": {"n": 0}}, "run.n must be an integer >= 1"),
+        ({"run": {"n": -1}}, "run.n must be an integer >= 1"),
+        ({"run": {"parallelism": 0}}, "run.parallelism must be an integer >= 1"),
+        ({"run": {"parallelism": -1}}, "run.parallelism must be an integer >= 1"),
         ({"generator": {"timeout": 0}}, "timeout must be positive"),
         ({"generator": {"retries": "x"}}, "'x'"),
         ({"generator": ["mock"]}, "bad config value"),
@@ -117,6 +126,8 @@ class TestLoadConfig:
     @pytest.mark.parametrize("value, message", [
         (True, "must be a number, got True"),
         ("x", "bad config value"),
+        ("0.5", "must be a number, got '0.5'"),
+        ("1/3", "must be a number, got '1/3'"),
     ])
     def test_rationals_reject_bools_and_text(self, tmp_path, section, key, value, message):
         path = tmp_path / "c.json"
@@ -178,8 +189,71 @@ class TestSectionValues:
     def test_client_keys_are_typed(self, tmp_path, section, key, value, expected):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({section: {key: value}}))
-        with pytest.raises(ConfigError, match=f"{key} must be {expected}, got"):
+        with pytest.raises(ConfigError, match=f"bad config value: {section}.{key} must be {expected}, got"):
             load_config(str(path))
+
+
+def _section(**keys):
+    """A section object in which every key may be absent."""
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_ANY_NUMBER = st.integers(-10**6, 10**6) | st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.integers(0, 10**6) | st.floats(min_value=0, allow_infinity=False)
+_POSITIVE = st.integers(1, 10**6) | st.floats(min_value=0, exclude_min=True, allow_infinity=False)
+_REWARD_DOCS = _section(
+    lambda_compress=_ANY_NUMBER, lambda_length=_ANY_NUMBER,
+    l_max=st.integers(2, 6000), l_cache=st.integers(1, 3000),
+    compression_orientation=st.sampled_from(["as_written", "inverted"]),
+    matching=st.sampled_from(["exact", "normalized"]),
+).filter(lambda doc: doc.get("l_cache", 512) < doc.get("l_max", 2560))
+_GATE_DOCS = _section(
+    variance_threshold=_NON_NEGATIVE, quality_threshold=_ANY_NUMBER,
+    advantage_epsilon=_POSITIVE, max_resample_attempts=st.integers(1, 100),
+)
+_CLIENT_DOCS = _section(
+    endpoint=st.text(max_size=8), model=st.text(max_size=8), temperature=_ANY_NUMBER,
+    max_tokens=st.integers(1, 10**6), timeout=_POSITIVE, retries=st.integers(0, 10),
+    api_key_env=st.none() | st.text(max_size=8), prompt_max_rows=st.none() | st.integers(0, 10**6),
+)
+# each client's (temperature, max_tokens) defaults, as the references take them
+_REF_CLIENT_DEFAULTS = {"generator": (0.8, 1024), "qa": (0.0, 256), "semantic_executor": (0.0, 1024)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(reward=_REWARD_DOCS, gate=_GATE_DOCS, clients=st.tuples(_CLIENT_DOCS, _CLIENT_DOCS, _CLIENT_DOCS))
+def test_loader_matches_the_key_by_key_readers(reward, gate, clients):
+    doc = {"reward": reward, "gate": gate, **dict(zip(_REF_CLIENT_DEFAULTS, clients))}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        config = load_config(path)
+    assert config.reward == ref_reward_config(reward)
+    assert config.gate == ref_gate_config(gate)
+    for (name, defaults), section in zip(_REF_CLIENT_DEFAULTS.items(), clients):
+        assert client_config(config, name) == ref_client_config(section, *defaults)
+
+
+def test_config_format_stays_inside_the_config_module():
+    """Only config.py reads the config file: no other module raises
+    ConfigError (errors.py defines it, cli.py reports it), and the section
+    dataclasses do not read themselves from JSON."""
+    package = Path(tableprep.__file__).parent
+    users, from_json, sections = set(), set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if "ConfigError" in names:
+                users.add(path.name)
+            if isinstance(node, ast.ClassDef) and node.name in ("RewardConfig", "GateConfig"):
+                sections.add(node.name)
+                from_json.update(node.name for item in node.body
+                                 if isinstance(item, ast.FunctionDef) and item.name == "from_json")
+    assert users <= {"errors.py", "config.py", "cli.py"}
+    assert "config.py" in users  # the scan sees the loader's own references
+    assert sections == {"RewardConfig", "GateConfig"} and not from_json
 
 
 def _readme_config_block() -> dict:
@@ -202,6 +276,26 @@ def test_readme_config_loads_as_shown(tmp_path):
         for key, shown in block[section].items():
             expected = Fraction(str(shown)) if isinstance(shown, float) else shown
             assert getattr(getattr(config, section), key) == expected, f"{section}.{key}"
+
+
+def _readme_key_table() -> set[str]:
+    """The keys in the first column of the README's configuration key table."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("### Configuration"):text.index("### Run reports")]
+    keys = set()
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            keys.update(re.findall(r"`([^`]+)`", line.split(" | ")[0]))
+    return keys
+
+
+def test_readme_key_table_matches_the_readers():
+    table = _readme_key_table()
+    sectioned = {key.split(".", 1)[1] for key in table if key.split(".")[0] in ("reward", "gate", "run")}
+    client_keys = {key for key in table if "." not in key}
+    assert sectioned <= set(config_mod._READERS)
+    assert set(config_mod._READERS) == sectioned | client_keys
 
 
 class TestFactories:
@@ -269,7 +363,7 @@ class TestFactories:
         assert (qa_cfg.retries, qa_cfg.timeout, qa_cfg.prompt_max_rows) == (5, 9.0, 4)
         assert (qa_cfg.temperature, qa_cfg.max_tokens) == (0.0, 256)
         assert (sem_cfg.retries, sem_cfg.model, sem_cfg.max_tokens) == (0, "m", 1024)
-        assert client_config({}, 0.8, 1024) == GenerationConfig()
+        assert client_config(AppConfig(), "generator") == GenerationConfig()
 
     @staticmethod
     def _generator_calls(tmp_path, monkeypatch, doc):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from decimal import Decimal
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tableprep.config import load_config
 from tableprep.errors import EmptyGroupError, GroupTooSmallError
 from tableprep.gate import (
     LOW_QUALITY,
@@ -166,8 +168,10 @@ class TestGateConfig:
         assert cfg.advantage_epsilon == Fraction(1, 10**6)
         assert cfg.max_resample_attempts == 4
 
-    def test_from_json(self):
-        cfg = GateConfig.from_json({"variance_threshold": 0.2, "max_resample_attempts": 2})
+    def test_from_json(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"gate": {"variance_threshold": 0.2, "max_resample_attempts": 2}}))
+        cfg = load_config(str(path)).gate
         assert cfg.variance_threshold == Fraction(1, 5)
         assert cfg.max_resample_attempts == 2
 
