@@ -27,6 +27,7 @@ and gate sections and the client keys are read field by field through
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -65,7 +66,9 @@ def _is_str(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return type(value) in (int, float)  # a JSON number; bool and str are not
+    """A JSON number; bool and str are not, nor the NaN and Infinity that
+    ``json.load`` accepts. An int too large for a float fails its conversion."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _at_least(low: int):

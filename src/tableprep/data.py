@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .errors import DatasetError, TablePrepError
 from .reward import AnswerSet
-from .table import Table, load_json_table, serialize_json
+from .table import CellMemo, Table, load_json_table, serialize_json
 
 
 @dataclass(frozen=True)
@@ -33,14 +33,14 @@ class Instance:
         return doc
 
 
-def instance_from_json(doc: dict, matching: str = "exact") -> Instance:
+def instance_from_json(doc: dict, matching: str = "exact", memo: CellMemo | None = None) -> Instance:
     if not isinstance(doc, dict):
         raise DatasetError("instance must be a JSON object")
     for key in ("id", "question", "table"):
         if key not in doc:
             raise DatasetError(f"instance is missing {key!r}")
     try:
-        table = load_json_table(doc["table"])
+        table = load_json_table(doc["table"], memo)
     except TablePrepError as err:
         raise DatasetError(f"bad table: {err}") from err
     answers = None
@@ -57,8 +57,11 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
 
     Returns ``(instances, line_errors)`` where line_errors records malformed
     lines as ``{"line": n, "error": msg}`` so batch runs can continue.
-    Duplicate ids are a dataset error.
+    Duplicate ids are a dataset error. The tables of one file share one
+    :class:`~tableprep.table.CellMemo`, so equal raw cells across instances
+    share one value.
     """
+    memo = CellMemo()
     instances: list[Instance] = []
     errors: list[dict] = []
     seen_ids: set[str] = set()
@@ -68,7 +71,7 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
                 continue
             try:
                 doc = json.loads(line)
-                instance = instance_from_json(doc, matching)
+                instance = instance_from_json(doc, matching, memo)
                 if instance.id in seen_ids:
                     raise DatasetError(f"duplicate instance id {instance.id!r}")
                 seen_ids.add(instance.id)

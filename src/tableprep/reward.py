@@ -17,7 +17,7 @@ from typing import Iterable
 
 from .engine import OK, ExecutionTrace
 from .errors import BadBudgetError, DegenerateInitialTableError
-from .table import Table, format_number, parse_number, serialize_markdown
+from .table import Table, render_lookup, serialize_markdown
 
 log = logging.getLogger(__name__)
 
@@ -57,46 +57,39 @@ def match_answer(answer: str, cell_text: str, matching: str) -> bool:
     return answer == cell_text
 
 
-def _by_value(texts) -> dict:
-    """The texts spelled as canonical numbers, keyed by their value."""
-    by_value = {}
-    for text in texts:
-        number = parse_number(text)
-        if number is not None and format_number(number) == text:
-            by_value[number] = text
-    return by_value
+# Exact containment intersects this many rows at a time, so a table whose
+# answers sit in its first rows is not hashed to the end.
+_CONTAINS_CHUNK_ROWS = 256
 
 
 def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     """True iff every answer string matches at least one cell rendering.
 
-    Text and missing cells compare as their rendering. Numbers match by value
-    against the answers spelled canonically (``format_number`` of their own
-    parse): ``format_number`` is a canonical function of the value, so this is
-    equivalent to matching the rendering, and no cell is rendered.
+    Cells are matched through :func:`~tableprep.table.render_lookup` of the
+    answers, which gives a cell's rendering when it is an answer without
+    rendering any cell.
 
-    Exact matching maps every cell that can match (answer text, canonical
-    number, and ``None`` when ``""`` is an answer) to its answer and
-    intersects that lookup with all cells at once. Normalized matching scans
-    the cells and stops once every answer has matched.
+    Exact matching intersects that lookup with the cells of a fixed number of
+    rows at a time and stops once every answer has matched; a table of at most
+    that many rows takes one intersection. Normalized matching normalizes text
+    cells, looks numbers and ``None`` up in the lookup of the normalized
+    answers, and stops once every answer has matched.
     """
     if answers.matching != NORMALIZED:
-        lookup = _by_value(answers.answers)
-        lookup.update((text, text) for text in answers.answers)
-        if "" in lookup:
-            lookup[None] = ""
-        found = lookup.keys() & chain.from_iterable(table.rows)
-        return len({lookup[cell] for cell in found}) == len(set(answers.answers))
+        missing = set(answers.answers)
+        lookup = render_lookup(missing)
+        rows = table.rows
+        for start in range(0, len(rows), _CONTAINS_CHUNK_ROWS):
+            chunk = rows[start : start + _CONTAINS_CHUNK_ROWS]
+            missing.difference_update([lookup[cell] for cell in lookup.keys() & chain.from_iterable(chunk)])
+            if not missing:
+                return True
+        return False
     missing = {_normalize(a) for a in answers.answers}
-    by_value = _by_value(missing)
+    lookup = render_lookup(missing)
     for row in table.rows:
         for cell in row:
-            if isinstance(cell, str):
-                text = _normalize(cell)
-            elif cell is None:
-                text = ""
-            else:
-                text = by_value.get(cell)
+            text = _normalize(cell) if isinstance(cell, str) else lookup.get(cell)
             if text in missing:
                 missing.remove(text)
                 if not missing:

@@ -13,7 +13,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from .llm import GenerationConfig, call_with_retries, first_json_array
-from .table import Table, Value, check_rows, ingest_cell, render_value
+from .table import Table, Value, check_rows, ingest_cell, render_lookup, render_value
 
 log = logging.getLogger(__name__)
 
@@ -74,52 +74,53 @@ def exec_clean_column(table: Table, column: str, description: str, executor: Sem
 MockRule = Mapping[str, str] | Callable[[Value], Value | str | None]
 
 
+def _typed(out):
+    """A rule's output, typed as ingestion types a raw cell when it is text."""
+    return ingest_cell(out) if isinstance(out, str) else out
+
+
+def _per_cell(rule: MockRule) -> Callable[[Value], Value | None]:
+    """The rule as one function of a cell.
+
+    A mapping matches each cell whose rendering is one of its keys, looked up
+    by value (:func:`~tableprep.table.render_lookup`), and its outputs are
+    typed once here.
+    """
+    if not callable(rule):
+        return {cell: _typed(rule[text]) for cell, text in render_lookup(rule).items()}.get
+
+    def apply(cell: Value) -> Value | None:
+        try:
+            result = rule(cell)
+        except Exception as err:
+            raise ExecutorFailureError(f"mock rule raised: {err}") from err
+        return _typed(result)
+
+    return apply
+
+
 class MockSemanticExecutor:
     """Deterministic executor dispatching on substring match of the description."""
 
     def __init__(self, rules: Mapping[str, MockRule] | None = None):
-        # mapping outputs are typed once here, as ingestion types a raw cell
-        self._rules: dict[str, MockRule] = {
-            pattern: rule if callable(rule) else {
-                key: ingest_cell(out) if isinstance(out, str) else out
-                for key, out in rule.items()
-            }
-            for pattern, rule in (rules or {}).items()
-        }
+        self._rules = {pattern: _per_cell(rule) for pattern, rule in (rules or {}).items()}
 
     @classmethod
     def from_json(cls, doc: Mapping[str, Mapping[str, str]]) -> "MockSemanticExecutor":
         """Load ``{pattern: {input: output, ...}}`` fixture rules."""
         return cls({pattern: dict(mapping) for pattern, mapping in doc.items()})
 
-    def _find_rule(self, description: str) -> MockRule | None:
-        for pattern, rule in self._rules.items():
+    def _find_rule(self, description: str) -> Callable[[Value], Value | None] | None:
+        for pattern, apply in self._rules.items():
             if pattern in description:
-                return rule
+                return apply
         return None
 
-    @staticmethod
-    def _per_cell(rule: MockRule) -> Callable[[Value], Value | None]:
-        """The rule as one function of a cell, resolved once per call."""
-        if not callable(rule):
-            get = rule.get
-            return lambda cell: get(render_value(cell))
-
-        def apply(cell: Value) -> Value | None:
-            try:
-                result = rule(cell)
-            except Exception as err:
-                raise ExecutorFailureError(f"mock rule raised: {err}") from err
-            return ingest_cell(result) if isinstance(result, str) else result
-
-        return apply
-
     def infer_column(self, table: Table, new_column: str, description: str) -> list[Value]:
-        rule = self._find_rule(description)
-        if rule is None:
+        apply = self._find_rule(description)
+        if apply is None:
             log.warning("no mock rule matches add_column description %r; filling nulls", description)
             return [None] * table.n_rows
-        apply = self._per_cell(rule)
         values: list[Value] = []
         for row in table.rows:
             hit: Value = None
@@ -134,11 +135,10 @@ class MockSemanticExecutor:
     def rewrite_column(self, table: Table, column: str, description: str) -> list[Value]:
         idx = table.columns.index(column)
         cells = [row[idx] for row in table.rows]
-        rule = self._find_rule(description)
-        if rule is None:
+        apply = self._find_rule(description)
+        if apply is None:
             log.warning("no mock rule matches clean_column description %r; column unchanged", description)
             return cells
-        apply = self._per_cell(rule)
         return [cell if (result := apply(cell)) is None else result for cell in cells]
 
 

@@ -9,6 +9,12 @@ A cell value is one of three Python types:
 Tables are immutable after construction and safe to share across threads;
 every operator returns a new table.
 
+Ingestion types each distinct raw cell text once per load: a :class:`CellMemo`
+maps raw text to its typed value, so equal raw cells of one load share one
+immutable value object. The memo lives only for that load (one
+``load_csv``/``load_json_table`` call, or one ``data.load_instances_jsonl``
+file); nothing is cached across loads.
+
 Cells are validated where they enter the program: the public ``Table(...)``
 constructor, CSV/JSON ingestion, and the cells a semantic executor returns
 (:mod:`tableprep.semantic`). The structured operators in :mod:`tableprep.ops`
@@ -77,6 +83,38 @@ def ingest_cell(text: str) -> Value:
         return None
     number = parse_number(text)
     return number if number is not None else text
+
+
+class CellMemo(dict):
+    """Raw cell text -> its :func:`ingest_cell` value, typed on first sight.
+
+    Equal raw texts typed through one memo share one value object (values are
+    immutable). Make one per load and drop it with the load.
+    """
+
+    def __missing__(self, text: str) -> Value:
+        value = self[text] = ingest_cell(text)
+        return value
+
+
+def render_lookup(texts) -> dict:
+    """The cells that render as one of ``texts``, each mapped to that text.
+
+    Text maps to itself, a number by value when the text is its canonical
+    spelling (``format_number`` of its own parse), and ``None`` to ``""``.
+    ``format_number`` is a function of the value, so ``lookup.get(cell)`` is
+    ``render_value(cell)`` when that is one of ``texts`` and None otherwise,
+    without rendering the cell.
+    """
+    lookup = {}
+    for text in texts:
+        lookup[text] = text
+        number = parse_number(text)
+        if number is not None and format_number(number) == text:
+            lookup[number] = text
+    if "" in lookup:
+        lookup[None] = ""
+    return lookup
 
 
 def check_rows(rows, width: int) -> None:
@@ -148,7 +186,8 @@ def load_csv(data: bytes) -> Table:
     """Parse RFC-4180 CSV (UTF-8, header row required) into a typed table.
 
     Cells that fully parse as decimal literals become numbers, empty cells
-    become missing values, everything else stays text.
+    become missing values, everything else stays text. Each distinct cell
+    text is typed once (:class:`CellMemo`).
     """
     text = data.decode("utf-8")
     if text.strip() == "":
@@ -157,14 +196,17 @@ def load_csv(data: bytes) -> Table:
     records = [row for row in reader if row != []]
     if not records:
         raise EmptyInputError("CSV input has no header row")
-    rows = tuple(tuple(ingest_cell(cell) for cell in raw) for raw in records[1:])
+    typed = CellMemo().__getitem__
+    rows = tuple(tuple(map(typed, raw)) for raw in records[1:])
     return Table(tuple(records[0]), rows)
 
 
-def load_json_table(doc: dict) -> Table:
+def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
     """Parse a ``{"header": [...], "rows": [[...], ...]}`` object into a table.
 
-    Same cell-typing rules as :func:`load_csv`.
+    Same cell-typing rules as :func:`load_csv`; a JSON number or bool is typed
+    as its ``str()``. Cells are typed through ``memo``, which a caller loading
+    many tables shares across them (a fresh one by default).
     """
     if not isinstance(doc, dict):
         raise EmptyInputError("table document must be a JSON object")
@@ -178,16 +220,15 @@ def load_json_table(doc: dict) -> Table:
         raise EmptyInputError("'header' must be a list of strings")
     if not isinstance(raw_rows, list):
         raise EmptyInputError("'rows' must be a list of rows")
+    typed = (CellMemo() if memo is None else memo).__getitem__
     rows = []
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise InvalidCellError(f"row {i} is not a list")
-        rows.append(
-            tuple(
-                None if cell is None else ingest_cell(cell if isinstance(cell, str) else str(cell))
-                for cell in raw
-            )
-        )
+        rows.append(tuple([
+            None if cell is None else typed(cell if isinstance(cell, str) else str(cell))
+            for cell in raw
+        ]))
     return Table(tuple(header), tuple(rows))
 
 

@@ -6,6 +6,8 @@ hashing, and full prefix-sum enumeration instead of a trie walk. They are only
 meant for the small random domains the tests draw from.
 """
 
+import csv
+import io
 import json
 import math
 from decimal import Decimal
@@ -15,7 +17,7 @@ from tableprep.gate import GateConfig, GroupStats, as_fraction
 from tableprep.llm import GenerationConfig
 from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, SelectOp, SortByOp
 from tableprep.reward import AnswerSet, RewardConfig, match_answer
-from tableprep.table import Table, format_number, parse_number, render_value
+from tableprep.table import Table, format_number, ingest_cell, parse_number, render_value
 
 
 def ref_render(cell):
@@ -34,6 +36,53 @@ def ref_contains_all_answers(table: Table, answers: AnswerSet) -> bool:
         any(match_answer(answer, cell, answers.matching) for cell in rendered)
         for answer in answers.answers
     )
+
+
+def ref_load_csv(data: bytes) -> Table:
+    """Type every CSV cell on its own, with no memo."""
+    records = [row for row in csv.reader(io.StringIO(data.decode("utf-8"))) if row != []]
+    return Table(tuple(records[0]), tuple(tuple(ingest_cell(cell) for cell in raw) for raw in records[1:]))
+
+
+def ref_load_json_table(doc: dict) -> Table:
+    """Type every JSON cell on its own, with no memo: text as it is, any other
+    non-null cell as its ``str()``."""
+    return Table(tuple(doc["header"]), tuple(
+        tuple(None if cell is None else ingest_cell(cell if isinstance(cell, str) else str(cell))
+              for cell in raw)
+        for raw in doc["rows"]
+    ))
+
+
+def ref_mock_rule(rule: dict):
+    """A mock mapping rule as a function of one cell: render the cell and look
+    the rendering up among the keys; text outputs are typed like raw cells."""
+    def apply(cell):
+        out = rule.get(render_value(cell))
+        return ingest_cell(out) if isinstance(out, str) else out
+
+    return apply
+
+
+def ref_mock_infer_column(rule: dict, table: Table) -> list:
+    """Per row, the first cell the rule has an answer for, else None."""
+    apply = ref_mock_rule(rule)
+    values = []
+    for row in table.rows:
+        hits = [out for out in map(apply, row) if out is not None]
+        values.append(hits[0] if hits else None)
+    return values
+
+
+def ref_mock_rewrite_column(rule: dict, table: Table, column: str) -> list:
+    """Each cell of ``column`` replaced by the rule's answer, when it has one."""
+    apply = ref_mock_rule(rule)
+    idx = list(table.columns).index(column)
+    values = []
+    for row in table.rows:
+        out = apply(row[idx])
+        values.append(row[idx] if out is None else out)
+    return values
 
 
 def ref_first_json_array(text: str):

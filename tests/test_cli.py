@@ -71,6 +71,15 @@ class TestRun:
         assert result.exit_code == 2
         assert "bad config value" in result.output
 
+    def test_non_finite_client_number_exit_2_before_running(self, runner, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"qa": {"mode": "http", "timeout": NaN}}')
+        result = runner.invoke(
+            main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(bad)]
+        )
+        assert result.exit_code == 2
+        assert "bad config value: qa.timeout must be a number, got nan" in result.output
+
     @pytest.mark.parametrize("doc, message", [
         ({"reward": {"l_max": 2560.9}}, "reward.l_max must be an integer"),
         ({"reward": {"l_cache": True}}, "reward.l_cache must be an integer"),

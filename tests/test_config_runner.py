@@ -193,6 +193,21 @@ class TestSectionValues:
             load_config(str(path))
 
 
+    @pytest.mark.parametrize("section", ["generator", "qa", "semantic_executor"])
+    @pytest.mark.parametrize("key", ["temperature", "timeout"])
+    @pytest.mark.parametrize("raw, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+        ("1" + "0" * 400, "1" + "0" * 400),
+    ], ids=["nan", "infinity", "minus_infinity", "float_overflow", "int_overflow"])
+    def test_client_numbers_must_be_finite(self, tmp_path, section, key, raw, shown):
+        # json.load reads NaN, Infinity and 1e400 as floats and 10**400 as an int
+        path = tmp_path / "c.json"
+        path.write_text(f'{{"{section}": {{"mode": "http", "{key}": {raw}}}}}')
+        with pytest.raises(ConfigError) as err:
+            load_config(str(path))
+        assert str(err.value) == f"bad config value: {section}.{key} must be a number, got {shown}"
+
+
 def _section(**keys):
     """A section object in which every key may be absent."""
     return st.fixed_dictionaries({}, optional=keys)

@@ -129,6 +129,42 @@ class TestContainsAllAnswersOracle:
         assert contains_all_answers(table, answer_set) is ref_contains_all_answers(table, answer_set) is expected
 
 
+    @staticmethod
+    def _chunked_table(first=None, last=None):
+        """A table of several containment chunks; ``first`` and ``last`` replace its end rows."""
+        rows = [[f"r{i}", i] for i in range(3 * reward._CONTAINS_CHUNK_ROWS + 1)]
+        rows[0] = first or rows[0]
+        rows[-1] = last or rows[-1]
+        return make_table(["name", "n"], rows)
+
+    @pytest.mark.parametrize("matching", ["exact", "normalized"])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("answers, expected", [
+        (["Target", "-5"], True),
+        (["Target"], True),
+        (["-5"], True),
+        (["Target", "missing"], False),
+    ])
+    def test_answers_in_one_end_row_of_a_chunked_table(self, matching, where, answers, expected):
+        table = self._chunked_table(**{where: ["Target", -5]})
+        answer_set = AnswerSet(tuple(answers), matching)
+        assert contains_all_answers(table, answer_set) is ref_contains_all_answers(table, answer_set) is expected
+
+    @pytest.mark.parametrize("answers, expected", [
+        (["Target", "-5"], True), (["Target", "-5", ""], True), (["-5.0"], False),
+    ])
+    def test_answers_split_between_the_first_and_last_row(self, answers, expected):
+        table = self._chunked_table(first=["Target", 0], last=["", Decimal("-5.0")])
+        answer_set = AnswerSet(tuple(answers))
+        assert contains_all_answers(table, answer_set) is ref_contains_all_answers(table, answer_set) is expected
+
+    def test_exact_matching_stops_at_the_chunk_that_completes_the_answers(self):
+        # rows past the first chunk hold an unhashable cell: reading them would raise
+        first = self._chunked_table(first=["Target", -5]).rows[: reward._CONTAINS_CHUNK_ROWS]
+        table = Table._trusted(("name", "n"), first + ((["unhashable"], Decimal(1)),))
+        assert contains_all_answers(table, AnswerSet.of("Target", "-5"))
+
+
 class TestOpCorrectness:
     def test_kept_answer_scores_one(self, answer_table):
         assert op_correctness(answer_table, AnswerSet.of("target")) == 1

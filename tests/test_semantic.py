@@ -2,11 +2,14 @@ import logging
 from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableprep.engine import FAILED, SKIPPED, execute
 from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from tableprep.llm import GenerationConfig
 from tableprep.ops import parse_pipeline
+from tableprep.table import Table
 from tableprep.semantic import (
     LlmSemanticExecutor,
     MockSemanticExecutor,
@@ -15,6 +18,7 @@ from tableprep.semantic import (
 )
 
 from conftest import FlakyTransport, make_table
+from oracles import ref_mock_infer_column, ref_mock_rewrite_column
 
 
 @pytest.fixture
@@ -145,6 +149,47 @@ class TestMockExecutor:
         first = exec_add_column(names_table, "g", "infer genders", executor)
         second = exec_add_column(names_table, "g", "infer genders", executor)
         assert first == second
+
+
+_RULE_KEYS = st.sampled_from(["", "7", "7.0", "+7", "07", ".5", "0.5", "-0", "0", "1E+1", "10",
+                               "-7", "Paris", "paris ", " "])
+_RULE_OUTPUTS = st.sampled_from(["x", "", "7", "7.00", " y", "0"]) | st.just(Decimal("2.50"))
+_RULE_CELLS = st.one_of(
+    st.none(),
+    _RULE_KEYS,
+    st.sampled_from([Decimal(7), Decimal("7.0"), Decimal("7.00"), Decimal("-0"), Decimal("0.50"),
+                     Decimal("1E+1"), Decimal("-7"), Decimal(".5"), Decimal("0E-3")]),
+    st.builds(lambda digits, exp: Decimal(digits).scaleb(exp), st.integers(-12, 12), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def _rules_and_tables(draw):
+    rule = draw(st.dictionaries(_RULE_KEYS, _RULE_OUTPUTS, max_size=6))
+    n_cols = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[_RULE_CELLS] * n_cols), max_size=6))
+    return rule, Table(tuple(f"c{i}" for i in range(n_cols)), tuple(rows))
+
+
+class TestMockMappingRulesMatchTheRenderingOracle:
+    """A mapping rule looks cells up by value; the oracle renders each cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rules_and_tables())
+    def test_infer_and_rewrite_column(self, rule_and_table):
+        rule, table = rule_and_table
+        executor = MockSemanticExecutor({"derive": rule})
+        got = executor.infer_column(table, "new", "derive")
+        assert repr(got) == repr(ref_mock_infer_column(rule, table))
+        for column in table.columns:
+            got = executor.rewrite_column(table, column, "derive")
+            assert repr(got) == repr(ref_mock_rewrite_column(rule, table, column))
+
+    def test_a_non_canonical_number_key_never_matches_a_number(self):
+        table = make_table(["v"], [[Decimal(7)], [Decimal("7.0")], [Decimal("7.00")], ["7.0"]])
+        executor = MockSemanticExecutor({"derive": {"7.0": "hit"}})
+        assert executor.rewrite_column(table, "v", "derive") == [Decimal(7)] * 3 + ["hit"]
+        assert executor.infer_column(table, "new", "derive") == [None] * 3 + ["hit"]
 
 
 _ADD = {"operation": "add_column", "new_column": "g", "description": "derive"}

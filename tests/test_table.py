@@ -1,4 +1,6 @@
 import ast
+import csv
+import io
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tableprep
+from tableprep.data import load_instances_jsonl
 from tableprep.errors import (
     DuplicateColumnError,
     EmptyInputError,
@@ -28,6 +31,7 @@ from tableprep.table import (
 )
 
 from conftest import make_table
+from oracles import ref_load_csv, ref_load_json_table
 
 
 class TestIngestion:
@@ -209,6 +213,75 @@ def test_json_round_trip_text_tables(header, body):
     ]
     table = Table(tuple(header), tuple(rows))
     assert load_json_table(serialize_json(table)) == table
+
+
+# Raw cell texts drawn from a small pool, so cells repeat within a table and
+# across the tables of one file: signs, leading and trailing dots, exponents,
+# zero padding, a non-ASCII digit, whitespace and the empty cell.
+_RAW_TEXTS = st.sampled_from([
+    "", " ", "7", "7.0", "7.00", "+7", "-7", "07", ".5", "-.5", "5.", "0", "-0", "1.50",
+    "1e5", "1E+1", "NaN", "Infinity", "٣", "1,000", " 5", "Paris", "paris ", "a,b", 'say "x"',
+])
+_RAW_TEXT_CELLS = _RAW_TEXTS | st.text(alphabet="0123456789+-.eE x", max_size=5)
+# JSON cells: text, null, numbers and bools; 1, 1.0 and true are equal as Python
+# keys but type differently, as "1", "1.0" and "True"
+_JSON_CELLS = st.one_of(
+    _RAW_TEXT_CELLS, st.none(), st.sampled_from([1, 1.0, True, False, 0, -0.0, 7, 1.5, 10**30]),
+    st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def _raw_tables(draw, cells):
+    header = draw(st.lists(st.text(alphabet="abcdefg", min_size=1, max_size=3), min_size=1, max_size=4,
+                           unique=True))
+    rows = draw(st.lists(st.lists(cells, min_size=len(header), max_size=len(header)), max_size=6))
+    return {"header": header, "rows": rows}
+
+
+def _same_cells(table, reference):
+    """Equal cell for cell, Decimal exponents included."""
+    assert table.columns == reference.columns
+    assert repr(table.rows) == repr(reference.rows)
+
+
+class TestLoadersMatchTheOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_raw_tables(_RAW_TEXT_CELLS))
+    def test_csv(self, doc):
+        buffer = io.StringIO()
+        csv.writer(buffer).writerows([doc["header"], *doc["rows"]])
+        data = buffer.getvalue().encode("utf-8")
+        _same_cells(load_csv(data), ref_load_csv(data))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_raw_tables(_JSON_CELLS))
+    def test_json_table(self, doc):
+        _same_cells(load_json_table(doc), ref_load_json_table(doc))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(_raw_tables(_JSON_CELLS), min_size=1, max_size=4))
+    def test_every_table_of_a_jsonl_file(self, tmp_path_factory, docs):
+        path = tmp_path_factory.mktemp("jsonl") / "d.jsonl"
+        lines = [json.dumps({"id": str(i), "question": "q", "table": doc}) for i, doc in enumerate(docs)]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        instances, errors = load_instances_jsonl(str(path))
+        assert errors == [] and len(instances) == len(docs)
+        for instance, line in zip(instances, lines):
+            _same_cells(instance.table, ref_load_json_table(json.loads(line)["table"]))
+
+
+def test_equal_cells_of_one_jsonl_load_share_one_object(tmp_path):
+    row = ["Paris", "1.50", 7, "Paris"]
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": i, "question": "q", "table": {"header": list("abcd"), "rows": [row]}}) + "\n"
+        for i in ("a", "b")
+    ), encoding="utf-8")
+    (first, second), _ = load_instances_jsonl(str(path))
+    cells = first.table.rows[0] + second.table.rows[0]
+    assert cells == ("Paris", Decimal("1.50"), Decimal(7), "Paris") * 2
+    assert len({id(cell) for cell in cells}) == 3
 
 
 def test_serialize_json_shape():
