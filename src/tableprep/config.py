@@ -183,7 +183,10 @@ def load_config(path: str) -> AppConfig:
     return config
 
 
-def _load_json_file(config: AppConfig, path: str, what: str):
+def _load_json_file(config: AppConfig, key: str, path, what: str):
+    """The JSON document at ``path``, the value of config key ``key``."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{key} must be a string path, got {path!r}")
     try:
         with open(config.resolve(path), encoding="utf-8") as fh:
             return json.load(fh)
@@ -221,7 +224,7 @@ class GeneratorFactory:
         elif self.mode == "mock":
             self._scripts = {}
             if "script" in gen:
-                scripts = _load_json_file(config, gen["script"], "generator script")
+                scripts = _load_json_file(config, "generator.script", gen["script"], "generator script")
                 self._scripts = _check_map(scripts, "generator script", _is_texts,
                                            "a non-empty list of strings")
             self._default_texts = gen.get("default_texts", ["[]"])
@@ -244,14 +247,14 @@ def build_qa_client(config: AppConfig):
     if mode == "cell_lookup":
         expected = qa.get("expected", {})
         if "script" in qa:
-            expected = _load_json_file(config, qa["script"], "QA script")
+            expected = _load_json_file(config, "qa.script", qa["script"], "QA script")
         _check_map(expected, "qa expected answers", lambda v: isinstance(v, list) and _all_str(v),
                    "a list of answer strings")
         return CellLookupQaClient(expected)
     if mode == "scripted":
         raw = qa.get("responses", {})
         if "script" in qa:
-            raw = _load_json_file(config, qa["script"], "QA script")
+            raw = _load_json_file(config, "qa.script", qa["script"], "QA script")
         _check_map(raw, "qa responses", lambda v: isinstance(v, dict) and _all_str(v.values()),
                    "an object of {table digest: response string}")
         default = qa.get("default", "No data available")
@@ -273,7 +276,7 @@ def build_semantic_executor(config: AppConfig):
     if mode == "mock":
         rules = sem.get("rules", {})
         if isinstance(rules, str):
-            rules = _load_json_file(config, rules, "semantic rules")
+            rules = _load_json_file(config, "semantic_executor.rules", rules, "semantic rules")
         _check_map(rules, "semantic_executor rules", lambda v: isinstance(v, dict),
                    "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)

@@ -78,9 +78,27 @@ def group_stats(rewards: Sequence) -> GroupStats:
         mean=mean,
         variance=variance,
         std=math.sqrt(variance),
-        max=max(values),
+        max=Fraction(max(scaled), d),
         size=n,
     )
+
+
+def _require_pair(rewards: Sequence) -> None:
+    if len(rewards) < 2:
+        raise GroupTooSmallError("advantages need a group of at least 2")
+
+
+def _normalized(rewards: Sequence, stats: GroupStats, advantage_epsilon) -> list[Fraction]:
+    """(R_i - mean) / (std + epsilon) for the group that ``stats`` describes,
+    each formed as one Fraction of integers."""
+    scale = Fraction(stats.std) + as_fraction(advantage_epsilon)
+    m, n = stats.mean.numerator, stats.mean.denominator
+    p, q = scale.numerator, scale.denominator
+    # (a/b - m/n) / (p/q) = (a n - m b) q / (b n p)
+    return [
+        Fraction((v.numerator * n - m * v.denominator) * q, v.denominator * n * p)
+        for v in map(as_fraction, rewards)
+    ]
 
 
 def advantages(rewards: Sequence, advantage_epsilon=Fraction(1, 10**6)) -> list[Fraction]:
@@ -90,12 +108,8 @@ def advantages(rewards: Sequence, advantage_epsilon=Fraction(1, 10**6)) -> list[
     so the shared denominator is float-rounded. What stays exact: the
     advantages sum to zero, and constant groups map to zeros.
     """
-    if len(rewards) < 2:
-        raise GroupTooSmallError("advantages need a group of at least 2")
-    stats = group_stats(rewards)
-    denominator = Fraction(stats.std) + as_fraction(advantage_epsilon)
-    values = [as_fraction(r) for r in rewards]
-    return [(v - stats.mean) / denominator for v in values]
+    _require_pair(rewards)
+    return _normalized(rewards, group_stats(rewards), advantage_epsilon)
 
 
 @dataclass(frozen=True)
@@ -104,18 +118,20 @@ class GateDecision:
     reason: str | None = None  # LOW_VARIANCE or LOW_QUALITY when rejected
 
 
-def vgr_accept(rewards: Sequence, config: GateConfig | None = None) -> GateDecision:
-    """Apply both group constraints; the first failing one names the rejection.
-
-    Variance is checked before quality.
-    """
-    cfg = config or GateConfig()
-    stats = group_stats(rewards)
+def _decide(stats: GroupStats, cfg: GateConfig) -> GateDecision:
     if stats.variance < cfg.variance_threshold:
         return GateDecision(False, LOW_VARIANCE)
     if stats.max < cfg.quality_threshold:
         return GateDecision(False, LOW_QUALITY)
     return GateDecision(True)
+
+
+def vgr_accept(rewards: Sequence, config: GateConfig | None = None) -> GateDecision:
+    """Apply both group constraints; the first failing one names the rejection.
+
+    Variance is checked before quality.
+    """
+    return _decide(group_stats(rewards), config or GateConfig())
 
 
 @dataclass(frozen=True)
@@ -155,18 +171,21 @@ def sample_accepted_group(
 
     Rejected groups are discarded and drawn afresh; after the configured
     number of attempts the outcome is exhausted, carrying every rejection
-    reason seen.
+    reason seen. Each draw's statistics are computed once and give both the
+    decision and, when it passes, the advantages.
     """
     cfg = config or GateConfig()
     if group_size < 2:
         raise GroupTooSmallError("group_size must be at least 2")
     reasons: list[str] = []
     for attempt in range(1, cfg.max_resample_attempts + 1):
-        members = tuple(source(group_size))
-        group = CandidateGroup(members)
-        decision = vgr_accept(group.rewards, cfg)
+        group = CandidateGroup(tuple(source(group_size)))
+        rewards = group.rewards
+        stats = group_stats(rewards)
+        decision = _decide(stats, cfg)
         if decision.accepted:
-            adv = tuple(advantages(group.rewards, cfg.advantage_epsilon))
+            _require_pair(rewards)
+            adv = tuple(_normalized(rewards, stats, cfg.advantage_epsilon))
             return SampleOutcome(group, adv, attempt, tuple(reasons))
         reasons.append(decision.reason or "rejected")
     return SampleOutcome(None, None, cfg.max_resample_attempts, tuple(reasons))

@@ -15,6 +15,7 @@ and a pipeline is a JSON array of such objects.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -140,9 +141,12 @@ def _top_k(op: str, key: str, value) -> int | None:
 def _coerce_scalar(op: str, key: str, value) -> Value:
     """Filter thresholds arrive as JSON scalars; numeric-looking strings and
     JSON numbers both normalize to Decimal so comparison and canonicalization
-    agree with cell ingestion."""
+    agree with cell ingestion. A JSON ``NaN``, ``Infinity`` or overflowing
+    number (``1e400``) parses as a non-finite float and is rejected."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float)):
         raise BadParamTypeError(op, key, "expected a string or number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise BadParamTypeError(op, key, "expected a string or a finite number")
     if isinstance(value, str):
         number = parse_number(value)
         return number if number is not None else value
@@ -334,6 +338,9 @@ def exec_filter(table: Table, column: str, cmp: str, value: Value) -> Table:
     return Table._trusted(table.columns, rows)
 
 
+_NONE_TYPE = type(None)
+
+
 def exec_sort_by(table: Table, column: str, order: str, k: int | None = None) -> Table:
     """Stable sort on one column, missing cells always last; optional top-k.
 
@@ -343,13 +350,19 @@ def exec_sort_by(table: Table, column: str, order: str, k: int | None = None) ->
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
-    non_null = [row for row in table.rows if row[idx] is not None]
-    nulls = [row for row in table.rows if row[idx] is None]
-    if len({type(row[idx]) for row in non_null}) <= 1:
-        key = operator.itemgetter(idx)  # all text or all numbers: order the cells
+    rows = table.rows
+    cell = operator.itemgetter(idx)
+    types = set(map(type, map(cell, rows)))
+    nulls = []
+    if _NONE_TYPE in types:
+        types.discard(_NONE_TYPE)
+        nulls = [row for row in rows if row[idx] is None]
+        rows = [row for row in rows if row[idx] is not None]
+    if len(types) <= 1:
+        key = cell  # all text or all numbers: order the cells
     else:
         key = lambda row: render_value(row[idx])  # mixed: order the renderings
-    ordered = sorted(non_null, key=key, reverse=(order == "desc"))
+    ordered = sorted(rows, key=key, reverse=(order == "desc"))
     ordered += nulls
     if k is not None:
         del ordered[k:]

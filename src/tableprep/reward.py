@@ -17,9 +17,14 @@ from typing import Iterable
 
 from .engine import OK, ExecutionTrace
 from .errors import BadBudgetError, DegenerateInitialTableError
-from .table import Table, render_lookup, serialize_markdown
+from .table import CellWidths, Table, markdown_size, render_lookup
+# Unused here: perfbench/spans.py wraps reward.serialize_markdown
+# by name when it traces a run, so the name stays until that patch is dropped.
+from .table import serialize_markdown  # noqa: F401
 
 log = logging.getLogger(__name__)
+
+_ZERO = Fraction(0)
 
 EXACT = "exact"
 NORMALIZED = "normalized"
@@ -69,15 +74,18 @@ def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     answers, which gives a cell's rendering when it is an answer without
     rendering any cell.
 
-    Exact matching intersects that lookup with the cells of a fixed number of
-    rows at a time and stops once every answer has matched; a table of at most
-    that many rows takes one intersection. Normalized matching normalizes text
+    Exact matching of one answer stops at the first cell that matches it.
+    Exact matching of several intersects that lookup with the cells of a fixed
+    number of rows at a time and stops once every answer has matched; a table
+    of at most that many rows takes one intersection. Normalized matching normalizes text
     cells, looks numbers and ``None`` up in the lookup of the normalized
     answers, and stops once every answer has matched.
     """
     if answers.matching != NORMALIZED:
         missing = set(answers.answers)
         lookup = render_lookup(missing)
+        if len(missing) == 1:  # stop at the first cell that renders as the answer
+            return not lookup.keys().isdisjoint(chain.from_iterable(table.rows))
         rows = table.rows
         for start in range(0, len(rows), _CONTAINS_CHUNK_ROWS):
             chunk = rows[start : start + _CONTAINS_CHUNK_ROWS]
@@ -107,12 +115,41 @@ def is_cell_focused(table: Table, answers: AnswerSet) -> bool:
     return contains_all_answers(table, AnswerSet(answers.answers, EXACT))
 
 
+def _carried_bit(spec, bit: int) -> int | None:
+    """The bit an OK step keeps from its input table's ``bit`` with no scan,
+    or None when its operator does not prove it.
+
+    An order-only ``sort_by`` keeps the same cells. ``select``, ``filter`` and
+    a top-k ``sort_by`` keep a subset of them, so a 0 stays 0; ``add_column``
+    keeps a superset, so a 1 stays 1.
+    """
+    kind = spec.kind
+    if kind == "sort_by" and spec.k is None:
+        return bit
+    if bit == 0 and kind in ("select", "filter", "sort_by"):
+        return 0
+    if bit == 1 and kind == "add_column":
+        return 1
+    return None
+
+
 def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
-    """Correctness bit per step; failed and skipped steps score 0."""
-    return [
-        op_correctness(step.table_after, answers) if step.status == OK else 0
-        for step in trace.steps
-    ]
+    """Correctness bit per step; failed and skipped steps score 0.
+
+    The first OK step's table is scanned. A later OK step carries its input's
+    bit when its operator implies it (:func:`_carried_bit`) and is scanned
+    otherwise.
+    """
+    bits = []
+    bit = None  # the bit of the current step's input table, once computed
+    for step in trace.steps:
+        if step.status != OK:
+            bits.append(0)
+            continue
+        carried = None if bit is None else _carried_bit(step.spec, bit)
+        bit = op_correctness(step.table_after, answers) if carried is None else carried
+        bits.append(bit)
+    return bits
 
 
 def accuracy_reward(trace: ExecutionTrace, answers: AnswerSet, k: int | None = None) -> Fraction:
@@ -124,7 +161,7 @@ def accuracy_reward(trace: ExecutionTrace, answers: AnswerSet, k: int | None = N
     n = len(trace.steps)
     if n == 0:
         log.warning("accuracy reward of an empty pipeline is defined as 0")
-        return Fraction(0)
+        return _ZERO
     if k is None:
         k = n
     bits = per_op_correctness(trace, answers)
@@ -165,7 +202,7 @@ def length_reward(token_len: int, l_max: int = 2560, l_cache: int = 512) -> Frac
         raise BadBudgetError(f"need 0 < l_cache < l_max, got l_cache={l_cache}, l_max={l_max}")
     threshold = l_max - l_cache
     if token_len <= threshold:
-        return Fraction(0)
+        return _ZERO
     if token_len <= l_max:
         return Fraction(threshold - token_len, l_cache)
     return Fraction(-1)
@@ -225,14 +262,26 @@ def total_reward(
     token_len: int,
     config: RewardConfig | None = None,
 ) -> RewardBreakdown:
-    """Weighted sum of accuracy, compression, and length rewards."""
+    """Weighted sum of accuracy, compression, and length rewards.
+
+    The total is formed once, as one Fraction whose numerator and denominator
+    are integer sums and products of the terms' own numerators and
+    denominators.
+    """
     cfg = config or RewardConfig()
     bits = per_op_correctness(trace, answers)
     n = len(trace.steps)
     r_acc = Fraction(sum(bits), n) if n else accuracy_reward(trace, answers)
     r_compress = compression_reward(trace, orientation=cfg.compression_orientation)
     r_length = length_reward(token_len, cfg.l_max, cfg.l_cache)
-    total = r_acc + cfg.lambda_compress * r_compress + cfg.lambda_length * r_length
+    # a/b + (c/d)(e/f) + (g/h)(i/j) over the common denominator b*d*f*h*j
+    a, b = r_acc.numerator, r_acc.denominator
+    c, d = cfg.lambda_compress.numerator, cfg.lambda_compress.denominator
+    e, f = r_compress.numerator, r_compress.denominator
+    g, h = cfg.lambda_length.numerator, cfg.lambda_length.denominator
+    i, j = r_length.numerator, r_length.denominator
+    df, hj = d * f, h * j
+    total = Fraction(a * df * hj + c * e * b * hj + g * i * b * df, b * df * hj)
     return RewardBreakdown(
         per_op_correct=tuple(bits),
         r_acc=r_acc,
@@ -274,10 +323,14 @@ def filter_dataset(instances: Iterable, max_tokens: int = 2800):
 
     Each instance must expose ``id``, ``question``, ``table``, and ``answers``.
     Returns ``(kept, stats)`` where stats tags every drop with its reason;
-    cell-focus is checked before length.
+    cell-focus is checked before length. The length is
+    ``approx_token_count(question + "\n" + serialize_markdown(table))``,
+    computed from the markdown's size (:func:`~tableprep.table.markdown_size`)
+    without building it; the cell widths are measured once per call.
     """
     kept = []
     stats = FilterStats()
+    widths = CellWidths()
     for instance in instances:
         stats.total += 1
         answers = instance.answers
@@ -285,8 +338,8 @@ def filter_dataset(instances: Iterable, max_tokens: int = 2800):
             stats.dropped[NOT_CELL_FOCUSED] += 1
             stats.reasons.append((instance.id, NOT_CELL_FOCUSED))
             continue
-        serialized = instance.question + "\n" + serialize_markdown(instance.table)
-        if approx_token_count(serialized) >= max_tokens:
+        size = len(instance.question.encode("utf-8")) + 1 + markdown_size(instance.table, widths)
+        if math.ceil(size / 4) >= max_tokens:
             stats.dropped[TOO_LONG] += 1
             stats.reasons.append((instance.id, TOO_LONG))
             continue

@@ -15,6 +15,11 @@ immutable value object. The memo lives only for that load (one
 ``load_csv``/``load_json_table`` call, or one ``data.load_instances_jsonl``
 file); nothing is cached across loads.
 
+:func:`markdown_size` gives the byte length of a table's markdown without
+building it. It measures each cell through a :class:`CellWidths` memo that the
+caller makes for one call over many tables (``reward.filter_dataset`` makes
+one per call) and drops with it.
+
 Cells are validated where they enter the program: the public ``Table(...)``
 constructor, CSV/JSON ingestion, and the cells a semantic executor returns
 (:mod:`tableprep.semantic`). The structured operators in :mod:`tableprep.ops`
@@ -32,6 +37,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal, InvalidOperation
+from itertools import chain
 
 from .errors import (
     DuplicateColumnError,
@@ -59,13 +65,15 @@ def parse_number(text: str) -> Decimal | None:
 
 def format_number(value: Decimal) -> str:
     """Canonical rendering, exact at any precision: no trailing fractional
-    zeros, no exponent, no leading plus."""
-    if value == 0:
-        return "0"
+    zeros, no exponent, no leading plus, and every zero as ``0``."""
     text = str(value)  # exact, and cheaper than format(); exponent form only for some values
     if "E" in text:
+        if not value:  # a zero such as 0E-1000 would expand to all its digits
+            return "0"
         text = format(value, "f")
-    return text.rstrip("0").rstrip(".") if "." in text else text
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return "0" if text == "-0" else text
 
 
 def render_value(value: Value) -> str:
@@ -265,6 +273,34 @@ def serialize_markdown(table: Table, max_rows: int | None = None) -> str:
     if omitted:
         lines.append(f"... ({omitted} rows omitted)")
     return "\n".join(lines)
+
+
+class CellWidths(dict):
+    """Cell -> UTF-8 length of its rendering, measured on first sight.
+
+    ``format_number`` is a function of the value, so equal cells share one
+    entry. Make one per call that sizes many tables and drop it with the call.
+    """
+
+    def __missing__(self, cell: Value) -> int:
+        width = self[cell] = len(render_value(cell).encode("utf-8"))
+        return width
+
+
+def markdown_size(table: Table, widths: CellWidths) -> int:
+    """UTF-8 length of ``serialize_markdown(table)``, without building it.
+
+    Column names and cells are measured through ``widths``. A line is
+    ``"| "`` + its fields joined by ``" | "`` + ``" |"``, and the header, the
+    ``---`` separator and every row each take one line.
+    """
+    n_cols = len(table.columns)
+    joints = 3 * (n_cols - 1) if n_cols else 0
+    header = 4 + joints + sum(map(widths.__getitem__, table.columns))
+    separator = 4 + joints + 3 * n_cols
+    cells = sum(map(widths.__getitem__, chain.from_iterable(table.rows)))
+    # each row line adds its frame, its joints and the newline before it
+    return header + 1 + separator + table.n_rows * (5 + joints) + cells
 
 
 def table_digest(table: Table) -> str:

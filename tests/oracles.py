@@ -13,10 +13,28 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from tableprep.gate import GateConfig, GroupStats, as_fraction
+from tableprep.engine import OK
+from tableprep.errors import EmptyGroupError, GroupTooSmallError
+from tableprep.gate import (
+    LOW_QUALITY,
+    LOW_VARIANCE,
+    CandidateGroup,
+    GateConfig,
+    GroupStats,
+    SampleOutcome,
+    as_fraction,
+)
 from tableprep.llm import GenerationConfig
 from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, SelectOp, SortByOp
-from tableprep.reward import AnswerSet, RewardConfig, match_answer
+from tableprep.reward import (
+    AnswerSet,
+    RewardBreakdown,
+    RewardConfig,
+    compression_reward,
+    contains_all_answers,
+    length_reward,
+    match_answer,
+)
 from tableprep.table import Table, format_number, ingest_cell, parse_number, render_value
 
 
@@ -27,6 +45,17 @@ def ref_render(cell):
         # oracle domain uses integer decimals only
         return str(int(cell))
     return cell
+
+
+def ref_format_number(value: Decimal) -> str:
+    """Zero first, then ``str()``, switching to fixed-point ``format()`` for
+    exponent forms, then the trailing fractional zeros stripped."""
+    if value == 0:
+        return "0"
+    text = str(value)
+    if "E" in text:
+        text = format(value, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
 
 
 def ref_contains_all_answers(table: Table, answers: AnswerSet) -> bool:
@@ -133,6 +162,50 @@ def ref_group_stats(rewards) -> GroupStats:
     mean = sum(values, Fraction(0)) / n
     variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / n
     return GroupStats(mean=mean, variance=variance, std=math.sqrt(variance), max=max(values), size=n)
+
+
+def ref_sample_accepted_group(source, group_size: int, config: GateConfig) -> SampleOutcome:
+    """Two statistics passes per accepted draw: Fraction-by-Fraction statistics
+    for the decision, then again for the advantages."""
+    if group_size < 2:
+        raise GroupTooSmallError("group_size must be at least 2")
+    reasons = []
+    for attempt in range(1, config.max_resample_attempts + 1):
+        group = CandidateGroup(tuple(source(group_size)))
+        if not group.rewards:
+            raise EmptyGroupError("cannot compute statistics of an empty group")
+        stats = ref_group_stats(group.rewards)
+        if stats.variance < config.variance_threshold:
+            reasons.append(LOW_VARIANCE)
+        elif stats.max < config.quality_threshold:
+            reasons.append(LOW_QUALITY)
+        else:
+            if len(group.rewards) < 2:
+                raise GroupTooSmallError("advantages need a group of at least 2")
+            stats = ref_group_stats(group.rewards)
+            denominator = Fraction(stats.std) + as_fraction(config.advantage_epsilon)
+            adv = tuple((as_fraction(r) - stats.mean) / denominator for r in group.rewards)
+            return SampleOutcome(group, adv, attempt, tuple(reasons))
+    return SampleOutcome(None, None, config.max_resample_attempts, tuple(reasons))
+
+
+def ref_per_op_correctness(trace, answers: AnswerSet) -> list:
+    """Scan every OK step's table; failed and skipped steps score 0."""
+    return [
+        (1 if contains_all_answers(step.table_after, answers) else 0) if step.status == OK else 0
+        for step in trace.steps
+    ]
+
+
+def ref_total_reward(trace, answers: AnswerSet, token_len: int, config: RewardConfig) -> RewardBreakdown:
+    """Every OK step scanned, and the total summed Fraction by Fraction."""
+    bits = ref_per_op_correctness(trace, answers)
+    n = len(trace.steps)
+    r_acc = Fraction(sum(bits), n) if n else Fraction(0)
+    r_compress = compression_reward(trace, orientation=config.compression_orientation)
+    r_length = length_reward(token_len, config.l_max, config.l_cache)
+    total = r_acc + config.lambda_compress * r_compress + config.lambda_length * r_length
+    return RewardBreakdown(tuple(bits), r_acc, r_compress, r_length, total, n, token_len)
 
 
 def _ref_config_fraction(section: str, key: str, value) -> Fraction:

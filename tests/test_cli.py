@@ -102,7 +102,10 @@ class TestRun:
         ({"qa": {"mode": "scripted", "default": 5}}, "qa.default"),
         ({"qa": {"mode": "cell_lookup", "expected": {"q": "x"}}}, "qa expected answers"),
         ({"generator": {"mode": "mock", "default_texts": "[]"}}, "generator.default_texts"),
-    ], ids=["semantic_rules", "qa_responses", "qa_default", "qa_expected", "default_texts"])
+        ({"generator": {"mode": "mock", "script": 5}}, "generator.script must be a string path, got 5"),
+        ({"qa": {"mode": "cell_lookup", "script": ["a"]}}, "qa.script must be a string path, got ['a']"),
+    ], ids=["semantic_rules", "qa_responses", "qa_default", "qa_expected", "default_texts",
+            "generator_script", "qa_script"])
     def test_malformed_mock_section_exit_2(self, runner, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
@@ -111,6 +114,29 @@ class TestRun:
         )
         assert result.exit_code == 2
         assert message in result.output
+
+    def test_non_finite_threshold_is_a_candidate_error(self, runner, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(open(fx("run_instances.jsonl")).readline())
+        nan_filter = '[{"operation": "filter", "column": "Score", "cmp": ">", "value": NaN}]'
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"i01": [nan_filter, '[{"operation": "select", "columns": ["Country"]}]']}))
+        config = json.load(open(fx("run_config.json")))
+        config["generator"]["script"] = str(script)
+        config["qa"]["script"] = fx("qa_expected.json")
+        config["semantic_executor"]["rules"] = fx("semantic_rules.json")
+        config["run"]["n"] = 2
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["run", "--dataset", str(dataset), "--config", str(config_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        (record,) = load_run_report(str(out), verify=True)["records"]
+        assert record["candidate_errors"] == [
+            "candidate 0: invalid operator at index 0: operator 'filter' has invalid parameter "
+            "'value': expected a string or a finite number"
+        ]
 
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
@@ -213,6 +239,13 @@ class TestMerge:
             {"operation": "filter", "column": "A", "cmp": "==", "value": "x"},
             {"operation": "sort_by", "column": "B", "order": "desc"},
         ]
+
+    def test_infinite_threshold_is_dataset_error(self, runner, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('[[{"operation": "filter", "column": "amount", "cmp": "<", "value": Infinity}]]')
+        result = runner.invoke(main, ["merge", str(path)])
+        assert result.exit_code == 3
+        assert "expected a string or a finite number" in result.output
 
     def test_empty_candidates(self, runner, tmp_path):
         path = tmp_path / "c.json"

@@ -24,7 +24,7 @@ from tableprep.gate import (
     vgr_accept,
 )
 
-from oracles import ref_group_stats
+from oracles import ref_group_stats, ref_sample_accepted_group
 
 # rewards of every type the gate accepts; the Fractions share denominators
 # 3, 7 and 1024, so a group's common denominator grows past each of them
@@ -241,6 +241,34 @@ class TestSampleAcceptedGroup:
         record = gate_record("inst-2", exhausted)
         assert not record["accepted"]
         assert record["rewards"] is None
+
+
+_THRESHOLDS = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 4, 10]))
+
+
+def _replay(draws):
+    remaining = iter(draws)
+    return lambda n: [GroupMember(f"o{i}", as_fraction(r)) for i, r in enumerate(next(remaining))]
+
+
+def _outcome_or_error(sample, draws, group_size, cfg):
+    try:
+        return sample(_replay(draws), group_size, cfg)
+    except (EmptyGroupError, GroupTooSmallError) as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_rewards, max_size=6), min_size=4, max_size=4), st.integers(1, 6),
+       _THRESHOLDS, _THRESHOLDS, st.sampled_from([Fraction(1, 10**6), Fraction(1, 3)]), st.integers(1, 4))
+@example([[1, 0], [], [], []], 2, Fraction(0), Fraction(0), Fraction(1, 10**6), 4)
+@example([[0.5, 0.5], [1]], 2, Fraction(0), Fraction(0), Fraction(1, 10**6), 4)
+@example([[0.5, 0.5], []], 2, Fraction(0), Fraction(1), Fraction(1, 10**6), 4)
+def test_sample_accepted_group_matches_two_pass_oracle(draws, group_size, variance_threshold,
+                                                       quality_threshold, epsilon, attempts):
+    cfg = GateConfig(variance_threshold, quality_threshold, epsilon, attempts)
+    got = _outcome_or_error(sample_accepted_group, draws, group_size, cfg)
+    assert got == _outcome_or_error(ref_sample_accepted_group, draws, group_size, cfg)
 
 
 def test_candidate_group_rewards():

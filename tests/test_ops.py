@@ -171,6 +171,18 @@ def test_parse_error_text(item, message):
     assert str(exc.value) == f"invalid operator at index 1: {message}"
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "-1e400"])
+def test_non_finite_json_threshold_is_a_parse_error(text):
+    """Python's JSON decoder turns these into non-finite floats."""
+    doc = json.loads(f'[{{"operation": "filter", "column": "a", "cmp": ">", "value": {text}}}]')
+    with pytest.raises(PipelineParseError) as exc:
+        parse_pipeline(doc)
+    assert str(exc.value) == (
+        "invalid operator at index 0: operator 'filter' has invalid parameter 'value': "
+        "expected a string or a finite number"
+    )
+
+
 _TEXT = st.text(max_size=6)
 _NON_BLANK = _TEXT.filter(str.strip)
 _EXPLANATION = st.none() | _TEXT

@@ -9,7 +9,16 @@ from hypothesis import strategies as st
 from tableprep import reward
 from tableprep.engine import FAILED, OK, SKIPPED, execute
 from tableprep.errors import BadBudgetError, DegenerateInitialTableError
-from tableprep.ops import parse_pipeline
+from tableprep.ops import (
+    AddColumnOp,
+    CleanColumnOp,
+    FilterOp,
+    GroupByOp,
+    Pipeline,
+    SelectOp,
+    SortByOp,
+    parse_pipeline,
+)
 from tableprep.reward import (
     AnswerSet,
     FilterStats,
@@ -25,10 +34,11 @@ from tableprep.reward import (
     per_op_correctness,
     total_reward,
 )
-from tableprep.table import Table, render_value
+from tableprep.semantic import MockSemanticExecutor
+from tableprep.table import Table, render_value, serialize_markdown
 
 from conftest import make_table
-from oracles import ref_contains_all_answers
+from oracles import ref_contains_all_answers, ref_per_op_correctness, ref_total_reward
 
 
 def pipe(*docs):
@@ -163,6 +173,11 @@ class TestContainsAllAnswersOracle:
         first = self._chunked_table(first=["Target", -5]).rows[: reward._CONTAINS_CHUNK_ROWS]
         table = Table._trusted(("name", "n"), first + ((["unhashable"], Decimal(1)),))
         assert contains_all_answers(table, AnswerSet.of("Target", "-5"))
+
+    def test_exact_matching_of_one_answer_stops_at_its_first_cell(self):
+        # the row after the answer holds an unhashable cell: reading it would raise
+        table = Table._trusted(("name", "n"), (("Target", Decimal(1)), (["unhashable"], Decimal(2))))
+        assert contains_all_answers(table, AnswerSet.of("Target"))
 
 
 class TestOpCorrectness:
@@ -385,11 +400,85 @@ class TestOneScanPerTrace:
         assert [id(t) for t in calls] == [id(step.table_after) for step in trace.steps[:2]]
         assert breakdown.r_acc == accuracy_reward(trace, answers) == Fraction(2, 4)
 
+    def test_subset_operators_after_a_dropped_answer_are_not_scanned(self, wide_table, monkeypatch):
+        calls = []
+        inner = reward.contains_all_answers
+
+        def counting(table, answers):
+            calls.append(table)
+            return inner(table, answers)
+
+        monkeypatch.setattr(reward, "contains_all_answers", counting)
+        pipeline = pipe(
+            {"operation": "select", "columns": ["v1", "v2"]},
+            {"operation": "filter", "column": "v1", "cmp": ">", "value": 1},
+            {"operation": "sort_by", "column": "v2", "order": "asc", "k": 1},
+        )
+        trace = execute(pipeline, wide_table)
+        assert [step.status for step in trace.steps] == [OK, OK, OK]
+        breakdown = total_reward(trace, AnswerSet.of("target"), token_len=10)
+        assert breakdown.per_op_correct == (0, 0, 0)
+        assert [id(t) for t in calls] == [id(trace.steps[0].table_after)]
+
     def test_empty_pipeline_scores_zero(self, wide_table, caplog):
         trace = execute(pipe(), wide_table)
         with caplog.at_level(logging.WARNING):
             assert total_reward(trace, AnswerSet.of("target"), token_len=10).r_acc == 0
         assert any("empty pipeline" in r.message for r in caplog.records)
+
+
+_PIPE_CELLS = st.sampled_from([None, "x", "y", "", "7", Decimal(7), Decimal("7.0"), Decimal(2), "Y "])
+_PIPE_COLUMNS = ("a", "b", "c")
+_PIPE_NAMES = st.sampled_from([*_PIPE_COLUMNS, "ghost", "new"])
+# "swap" turns one answer-like cell into another, so it can add an answer
+# that the table lacked; "blank" rewrites them away
+_PIPE_EXECUTOR = MockSemanticExecutor({
+    "swap": {"x": "y", "7": "x", "y": "2"},
+    "blank": {"x": "", "7": "", "Y ": ""},
+})
+_PIPE_OPS = st.one_of(
+    st.builds(SelectOp, st.lists(_PIPE_NAMES, min_size=1, max_size=3).map(tuple)),
+    st.builds(FilterOp, _PIPE_NAMES, st.sampled_from(["==", "!=", ">", "<"]),
+              st.sampled_from(["x", "y", Decimal(2), Decimal(7)])),
+    st.builds(SortByOp, _PIPE_NAMES, st.sampled_from(["asc", "desc"]), st.sampled_from([None, None, 1, 2])),
+    st.builds(GroupByOp, _PIPE_NAMES),
+    st.builds(AddColumnOp, _PIPE_NAMES, st.sampled_from(["swap it", "blank it", "nothing"])),
+    st.builds(CleanColumnOp, _PIPE_NAMES, st.sampled_from(["swap it", "blank it"])),
+)
+
+
+@st.composite
+def _traces_and_answers(draw):
+    rows = draw(st.lists(st.tuples(*[_PIPE_CELLS] * len(_PIPE_COLUMNS)), min_size=1, max_size=5))
+    table = Table(_PIPE_COLUMNS, tuple(rows))
+    pipeline = Pipeline(tuple(draw(st.lists(_PIPE_OPS, max_size=6))))
+    answers = draw(st.lists(st.sampled_from(["x", "y", "7", "", "2", "1"]), min_size=1, max_size=2))
+    return execute(pipeline, table, _PIPE_EXECUTOR), answers
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 10, 1024]))
+
+
+class TestAgainstTheOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_traces_and_answers(), st.sampled_from(["exact", "normalized"]))
+    def test_carried_bits_equal_scanning_every_step(self, trace_and_answers, matching):
+        trace, answers = trace_and_answers
+        answer_set = AnswerSet(tuple(answers), matching)
+        assert per_op_correctness(trace, answer_set) == ref_per_op_correctness(trace, answer_set)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_traces_and_answers(), st.sampled_from(["exact", "normalized"]), _FRACTIONS, _FRACTIONS,
+           st.integers(1, 64), st.integers(1, 64), st.integers(0, 200),
+           st.sampled_from(["as_written", "inverted"]))
+    def test_total_reward_equals_the_fraction_by_fraction_sum(
+            self, trace_and_answers, matching, lambda_compress, lambda_length, l_cache, headroom,
+            token_len, orientation):
+        trace, answers = trace_and_answers
+        answer_set = AnswerSet(tuple(answers), matching)
+        config = RewardConfig(lambda_compress, lambda_length, l_cache + headroom, l_cache, orientation, matching)
+        assert total_reward(trace, answer_set, token_len, config) == ref_total_reward(
+            trace, answer_set, token_len, config)
 
 
 class TestCellFocused:
@@ -459,6 +548,20 @@ class TestFilterDataset:
         assert kept == []  # strictly-below-budget rule
         kept, _ = filter_dataset([instance], max_tokens=budget + 1)
         assert [i.id for i in kept] == ["a"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.text(alphabet="ab é字", max_size=12), st.integers(1, 40),
+           st.lists(st.tuples(st.sampled_from(["needle", "é", None, Decimal("1.50")])), max_size=4))
+    def test_length_drop_equals_counting_the_rendered_prompt(self, question, max_tokens, rows):
+        instances = [
+            _Inst("a", question, make_table(["c"], [["needle"], *rows]), AnswerSet.of("needle")),
+            _Inst("b", question + "字", make_table(["é"], [["needle"], *rows[::-1]]), AnswerSet.of("needle")),
+        ]
+        kept, _ = filter_dataset(instances, max_tokens=max_tokens)
+        assert [i.id for i in kept] == [
+            i.id for i in instances
+            if approx_token_count(i.question + "\n" + serialize_markdown(i.table)) < max_tokens
+        ]
 
     def test_stats_json(self):
         stats = FilterStats()

@@ -6,7 +6,7 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tableprep
@@ -18,11 +18,13 @@ from tableprep.errors import (
     RaggedRowError,
 )
 from tableprep.table import (
+    CellWidths,
     Table,
     cell_count,
     format_number,
     load_csv,
     load_json_table,
+    markdown_size,
     parse_number,
     render_value,
     serialize_json,
@@ -31,7 +33,7 @@ from tableprep.table import (
 )
 
 from conftest import make_table
-from oracles import ref_load_csv, ref_load_json_table
+from oracles import ref_format_number, ref_load_csv, ref_load_json_table
 
 
 class TestIngestion:
@@ -121,6 +123,24 @@ class TestNumberDetection:
         assert format_number(Decimal("-0")) == "0"
         assert format_number(Decimal("-2.10")) == "-2.1"
 
+    @settings(max_examples=400)
+    @given(st.one_of(
+        st.decimals(allow_nan=False, allow_infinity=False),
+        st.builds(lambda digits, exp: Decimal(digits).scaleb(exp),
+                  st.integers(-10**6, 10**6), st.integers(-30, 30)),
+        st.builds(lambda sign, exp: Decimal((sign, (0,), exp)), st.integers(0, 1), st.integers(-30, 30)),
+    ))
+    @example(Decimal("-0"))
+    @example(Decimal("0E+3"))
+    @example(Decimal("-0E+3"))
+    @example(Decimal("0E-30"))
+    @example(Decimal("-0.000"))
+    @example(Decimal("1E+2"))
+    @example(Decimal("1.500"))
+    @example(Decimal("-1.0E-7"))
+    def test_format_number_matches_the_oracle(self, value):
+        assert format_number(value) == ref_format_number(value)
+
     @pytest.mark.parametrize("text", [
         "123456789012345678901234567890", "-0.00000000000000000000000000000001", "1.00000000000000000000000000001",
     ])
@@ -185,6 +205,11 @@ class TestSerialization:
         for _ in range(25):
             table = random_table(rng)
             assert len(serialize_markdown(table).split("\n")) == table.n_rows + 2
+
+    def test_markdown_size_by_hand(self):
+        table = make_table(["a", "é"], [[None, Decimal("2.50")], ["ü", "x"]])
+        # "| a | é |", "| --- | --- |", "|  | 2.5 |", "| ü | x |"
+        assert markdown_size(table, CellWidths()) == 10 + 1 + 13 + 1 + 10 + 1 + 10
 
     def test_digest_stable_and_distinct(self):
         t1 = make_table(["a"], [[1]])
@@ -282,6 +307,33 @@ def test_equal_cells_of_one_jsonl_load_share_one_object(tmp_path):
     cells = first.table.rows[0] + second.table.rows[0]
     assert cells == ("Paris", Decimal("1.50"), Decimal(7), "Paris") * 2
     assert len({id(cell) for cell in cells}) == 3
+
+
+_SIZE_NAMES = st.text(alphabet="ab é字\U0001f600|-", max_size=3)
+_SIZE_CELLS = st.one_of(
+    st.none(),
+    st.text(alphabet="a7 .é字\U0001f600|", max_size=4),
+    st.sampled_from(["7", "", "-0"]),
+    st.decimals(allow_nan=False, allow_infinity=False, places=2, min_value=-1000, max_value=1000),
+    st.sampled_from([Decimal("7"), Decimal("7.00"), Decimal("-0"), Decimal("0E+3"), Decimal("1E+2")]),
+)
+
+
+@st.composite
+def _sized_tables(draw):
+    names = draw(st.lists(_SIZE_NAMES, max_size=4, unique=True))
+    rows = draw(st.lists(st.tuples(*[_SIZE_CELLS] * len(names)), max_size=5))
+    return Table(tuple(names), tuple(rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_sized_tables(), min_size=1, max_size=4))
+@example([Table(()), Table((), ((), ())), Table(("a",)), Table(("é",), ((None,),))])
+@example([Table(("x",), ((Decimal("7"),), ("7",))), Table(("x",), ((Decimal("7.00"),), ("7.00",)))])
+def test_markdown_size_is_the_byte_length_of_the_markdown(tables):
+    widths = CellWidths()  # one memo shared by every table, as filter_dataset shares it
+    for table in tables:
+        assert markdown_size(table, widths) == len(serialize_markdown(table).encode("utf-8"))
 
 
 def test_serialize_json_shape():
