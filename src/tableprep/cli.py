@@ -13,13 +13,13 @@ import click
 
 from . import runner as runner_mod
 from .config import AppConfig, build_semantic_executor, load_config
-from .data import load_instances_jsonl, write_instances_jsonl
+from .data import load_instances_jsonl, parse_answers, write_instances_jsonl
 from .engine import execute, trace_to_json
 from .errors import ConfigError, TablePrepError
 from .gate import GateConfig, GroupMember, as_fraction, gate_record, sample_accepted_group
 from .merge import merge_pipelines
 from .ops import parse_pipeline, pipeline_to_json
-from .reward import AnswerSet, approx_token_count, filter_dataset, total_reward
+from .reward import approx_token_count, filter_dataset, total_reward
 from .table import load_csv, load_json_table, serialize_json
 
 CONFIG_EXIT = 2
@@ -154,7 +154,7 @@ def reward(bundle_path, config_path, out):
             _fail(DATASET_EXIT, f"reward bundle is missing {key!r}")
     try:
         table = load_json_table(doc["table"])
-        answers = AnswerSet(tuple(str(a) for a in doc["answers"]), config.reward.matching)
+        answers = parse_answers(doc["answers"], config.reward.matching)
         pipeline = parse_pipeline(doc["pipeline"])
         executor = build_semantic_executor(config)
     except ConfigError as err:

@@ -43,13 +43,16 @@ def instance_from_json(doc: dict, matching: str = "exact", memo: CellMemo | None
         table = load_json_table(doc["table"], memo)
     except TablePrepError as err:
         raise DatasetError(f"bad table: {err}") from err
-    answers = None
     raw_answers = doc.get("answers")
-    if raw_answers is not None:
-        if not isinstance(raw_answers, list) or not raw_answers:
-            raise DatasetError("'answers' must be a non-empty list when present")
-        answers = AnswerSet(tuple(str(a) for a in raw_answers), matching)
+    answers = None if raw_answers is None else parse_answers(raw_answers, matching)
     return Instance(str(doc["id"]), str(doc["question"]), table, answers)
+
+
+def parse_answers(raw, matching: str) -> AnswerSet:
+    """An ``answers`` field: a non-empty JSON list, each item read as text."""
+    if not isinstance(raw, list) or not raw:
+        raise DatasetError("'answers' must be a non-empty list when present")
+    return AnswerSet(tuple(str(a) for a in raw), matching)
 
 
 def load_instances_jsonl(path: str, matching: str = "exact"):

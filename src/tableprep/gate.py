@@ -31,6 +31,8 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         # via str() so 0.1 means one tenth, not its binary neighbor
         return Fraction(str(x))
+    if isinstance(x, bool):
+        raise ValueError(f"expected a number, got {x!r}")
     if isinstance(x, (int, Decimal)):
         return Fraction(x)
     return Fraction(str(x))

@@ -2,8 +2,8 @@
 
 The merged pipeline is assembled in three segments:
 
-1. one ``select`` over the union of all candidates' selected columns
-   (omitted when no candidate selects),
+1. one ``select`` over the union of all candidates' selected columns, in
+   first-appearance order (omitted when no candidate selects),
 2. every ``add_column`` from every candidate in candidate order, deduplicated
    only on byte-identical (name, description) pairs, and
 3. the remaining operators of the trie path with the maximum total node
@@ -11,6 +11,12 @@ The merged pipeline is assembled in three segments:
 
 Weight ties prefer the longer path; remaining ties prefer the
 lexicographically smaller canonical-key sequence.
+
+The ``select`` also keeps each column a path operator reads if some candidate
+through that operator's node could see it there: every column before the
+candidate's own first ``select``, after it only the columns each preceding
+``select`` names (so never one outside the union). Names that merged
+``add_column``s create are never added.
 """
 
 from __future__ import annotations
@@ -24,64 +30,43 @@ from .ops import AddColumnOp, OperatorSpec, Pipeline, SelectOp, canonical_key
 @dataclass
 class TrieNode:
     key: str
-    spec: OperatorSpec
+    spec: OperatorSpec | None
     weight: int = 0
     children: dict = field(default_factory=dict)  # key -> TrieNode
 
 
-@dataclass
-class OperationTrie:
-    children: dict = field(default_factory=dict)  # root level, key -> TrieNode
-
-
-def build_trie(sequences: list[list[OperatorSpec]]) -> OperationTrie:
-    """Insert each op sequence as a branch, bumping weights along its path.
-
-    Node identity is the canonical operator key, so explanation text never
-    splits branches. Empty sequences contribute nothing.
-    """
-    trie = OperationTrie()
+def build_trie(sequences: list[list[OperatorSpec]]) -> TrieNode:
+    """Insert each op sequence as a branch under a root (key ``""``), bumping
+    weights along its path. Node identity is the canonical operator key, so
+    explanation text never splits branches; empty sequences add nothing."""
+    root = TrieNode("", None)
     for sequence in sequences:
-        level = trie.children
+        node = root
         for spec in sequence:
             key = canonical_key(spec)
-            node = level.get(key)
-            if node is None:
-                node = TrieNode(key, spec)
-                level[key] = node
-            node.weight += 1
-            level = node.children
-    return trie
+            child = node.children.get(key)
+            if child is None:
+                child = node.children[key] = TrieNode(key, spec)
+            child.weight += 1
+            node = child
+    return root
 
 
-def best_path(trie: OperationTrie) -> list[OperatorSpec]:
-    """Root-to-leaf path maximizing the weight sum, with documented tie rules."""
-    best: tuple[int, int, tuple[str, ...]] | None = None
-    best_specs: list[OperatorSpec] = []
-
-    def visit(node: TrieNode, weight_sum: int, keys: tuple[str, ...], specs: list[OperatorSpec]):
-        nonlocal best, best_specs
-        weight_sum += node.weight
-        keys += (node.key,)
-        specs = specs + [node.spec]
-        if not node.children:
-            # Rank: higher sum, then longer path, then smaller key sequence.
-            candidate = (weight_sum, len(keys), keys)
-            if (
-                best is None
-                or candidate[0] > best[0]
-                or (candidate[0] == best[0] and candidate[1] > best[1])
-                or (candidate[0] == best[0] and candidate[1] == best[1] and candidate[2] < best[2])
-            ):
-                best = candidate
-                best_specs = specs
-            return
+def best_path(root: TrieNode) -> list[OperatorSpec]:
+    """Root-to-leaf path with the largest weight sum, then the most nodes, then
+    the smallest key list: the leaf ranked smallest by (-sum, -length, keys)."""
+    best_rank = None
+    best: list[TrieNode] = []
+    stack = [(root, 0, [])]
+    while stack:
+        node, weight_sum, path = stack.pop()
         for child in node.children.values():
-            visit(child, weight_sum, keys, specs)
-
-    for node in trie.children.values():
-        visit(node, 0, (), [])
-    return best_specs
+            stack.append((child, weight_sum + child.weight, path + [child]))
+        if path and not node.children:
+            rank = (-weight_sum, -len(path), [n.key for n in path])
+            if best_rank is None or rank < best_rank:
+                best_rank, best = rank, path
+    return [node.spec for node in best]
 
 
 def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
@@ -89,34 +74,47 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
     if not candidates:
         raise EmptyCandidatesError("no candidate pipelines to merge")
 
-    select_columns: list[str] = []
-    seen_columns: set[str] = set()
-    any_select = False
-    add_columns: list[AddColumnOp] = []
-    seen_adds: set[tuple[str, str]] = set()
+    union: dict[str, None] = {}
+    adds: dict[tuple[str, str], AddColumnOp] = {}
     stripped: list[list[OperatorSpec]] = []
-
+    firsts: list[int | None] = []  # per candidate: path operators before its first select
     for pipeline in candidates:
         remaining: list[OperatorSpec] = []
+        first = None
         for spec in pipeline.ops:
             if isinstance(spec, SelectOp):
-                any_select = True
-                for column in spec.columns:
-                    if column not in seen_columns:
-                        seen_columns.add(column)
-                        select_columns.append(column)
+                if first is None:
+                    first = len(remaining)
+                union.update(dict.fromkeys(spec.columns))
             elif isinstance(spec, AddColumnOp):
-                dedup = (spec.new_column, spec.description)
-                if dedup not in seen_adds:
-                    seen_adds.add(dedup)
-                    add_columns.append(spec)
+                adds.setdefault((spec.new_column, spec.description), spec)
             else:
                 remaining.append(spec)
         stripped.append(remaining)
+        firsts.append(first)
 
-    merged: list[OperatorSpec] = []
-    if any_select:
-        merged.append(SelectOp(tuple(select_columns)))
-    merged.extend(add_columns)
-    merged.extend(best_path(build_trie(stripped)))
+    path = best_path(build_trie(stripped))
+    merged: list[OperatorSpec] = [*adds.values(), *path]
+    if any(first is not None for first in firsts):
+        created = {new_column for new_column, _ in adds}
+        outside = [(depth, spec.column) for depth, spec in enumerate(path)
+                   if spec.column not in union and spec.column not in created]
+        if outside:
+            reach = _unselected_reach(path, stripped, firsts)
+            union.update((column, None) for depth, column in outside if depth < reach)
+        merged.insert(0, SelectOp(tuple(union)))
     return Pipeline(tuple(merged))
+
+
+def _unselected_reach(path, stripped, firsts) -> int:
+    """The longest path prefix that some candidate runs before its first select."""
+    keys = [canonical_key(spec) for spec in path]
+    reach = 0
+    for ops, first in zip(stripped, firsts):
+        n = 0
+        for spec, key in zip(ops[:first], keys):
+            if canonical_key(spec) != key:
+                break
+            n += 1
+        reach = max(reach, n)
+    return reach

@@ -25,7 +25,7 @@ from tableprep.gate import (
     as_fraction,
 )
 from tableprep.llm import GenerationConfig
-from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, SelectOp, SortByOp
+from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, Pipeline, SelectOp, SortByOp
 from tableprep.reward import (
     AnswerSet,
     RewardBreakdown,
@@ -464,3 +464,43 @@ def ref_best_path(sequences):
         elif candidate[2] < best[2]:
             best = candidate
     return list(best[2]) if best else []
+
+
+def ref_merge_pipelines(candidates):
+    """The consensus merge without the read-column closure: the select union
+    kept in a list beside a seen-set, add_columns deduplicated through a seen
+    (name, description) set, and the path from :func:`ref_best_path`. Each
+    path operator is the spec of the first candidate reaching that prefix."""
+    select_columns = []
+    seen_columns = set()
+    any_select = False
+    add_columns = []
+    seen_adds = set()
+    stripped = []
+    for pipeline in candidates:
+        remaining = []
+        for spec in pipeline.ops:
+            if isinstance(spec, SelectOp):
+                any_select = True
+                for column in spec.columns:
+                    if column not in seen_columns:
+                        seen_columns.add(column)
+                        select_columns.append(column)
+            elif isinstance(spec, AddColumnOp):
+                dedup = (spec.new_column, spec.description)
+                if dedup not in seen_adds:
+                    seen_adds.add(dedup)
+                    add_columns.append(spec)
+            else:
+                remaining.append(spec)
+        stripped.append(remaining)
+
+    key_sequences = [[ref_canonical_key(spec) for spec in ops] for ops in stripped]
+    path = ref_best_path(key_sequences)
+    path_specs = []
+    for j in range(len(path)):
+        first = next(i for i, keys in enumerate(key_sequences) if keys[: j + 1] == path[: j + 1])
+        path_specs.append(stripped[first][j])
+
+    merged = [SelectOp(tuple(select_columns))] if any_select else []
+    return Pipeline(tuple(merged + add_columns + path_specs))

@@ -138,6 +138,28 @@ class TestRun:
             "'value': expected a string or a finite number"
         ]
 
+    def test_long_candidate_runs(self, runner, tmp_path):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(open(fx("run_instances.jsonl")).readline())
+        ops = [{"operation": "filter", "column": "Score", "cmp": "!=", "value": f"v{i}"}
+               for i in range(1500)]
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"i01": [json.dumps(ops)]}))
+        config = json.load(open(fx("run_config.json")))
+        config["generator"]["script"] = str(script)
+        config["qa"]["script"] = fx("qa_expected.json")
+        config["semantic_executor"]["rules"] = fx("semantic_rules.json")
+        config["run"]["n"] = 1
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["run", "--dataset", str(dataset), "--config", str(config_path),
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        (record,) = load_run_report(str(out), verify=True)["records"]
+        assert record["merged_ops"] == ["filter"] * 1500
+        assert record["ops_executed"] == 1500
+
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]
@@ -272,6 +294,16 @@ class TestReward:
         result = runner.invoke(main, ["reward", str(path)])
         assert result.exit_code == 3
 
+    @pytest.mark.parametrize("answers", ["Paris", 5, [], None])
+    def test_answers_must_be_a_non_empty_list(self, runner, tmp_path, answers):
+        bundle = json.load(open(fx("reward_bundle.json")))
+        bundle["answers"] = answers
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(bundle))
+        result = runner.invoke(main, ["reward", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "'answers' must be a non-empty list" in result.output
+
 
 @pytest.mark.parametrize("reward_doc", [
     {"matching": "fuzzy"}, {"compression_orientation": "bogus"}, {"l_cache": 0},
@@ -325,6 +357,8 @@ class TestGate:
         ([1, 2], "group 0: each group needs 'instance_id' and 'rewards'"),
         ([{"instance_id": "a", "rewards": 5}], "instance a: 'rewards' must be a list"),
         ([{"instance_id": "a", "rewards": [0.9, "x"]}], "instance a: bad reward"),
+        ([{"instance_id": "a", "rewards": [True, False, 0.5]}],
+         "instance a: bad reward: expected a number, got True"),
     ])
     def test_malformed_group_is_dataset_error(self, runner, tmp_path, groups, message):
         path = tmp_path / "g.json"

@@ -1,11 +1,16 @@
 import random
+from decimal import Decimal
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tableprep.errors import EmptyCandidatesError
+from tableprep.engine import OK, execute
+from tableprep.errors import ColumnNotFoundError, EmptyCandidatesError
 from tableprep.merge import build_trie, best_path, merge_pipelines
 from tableprep.ops import (
     AddColumnOp,
+    CleanColumnOp,
     FilterOp,
     GroupByOp,
     Pipeline,
@@ -13,8 +18,10 @@ from tableprep.ops import (
     SortByOp,
     canonical_key,
 )
+from tableprep.semantic import MockSemanticExecutor
 
-from oracles import ref_best_path
+from conftest import make_table
+from oracles import ref_best_path, ref_merge_pipelines
 
 F_X = FilterOp("A", "==", "x")
 F_Y = FilterOp("A", "==", "y")
@@ -213,3 +220,110 @@ class TestOracleEquivalence:
                 assert set(selects[0].columns) == expected_union
             else:
                 assert selects == []
+
+
+class TestReadColumnClosure:
+    def test_consensus_filter_keeps_the_column_it_reads(self):
+        table = make_table(["X", "Y"], [[1, 1], [2, 0]])
+        f = FilterOp("Y", "==", "1")
+        merged = merge_pipelines([Pipeline((SelectOp(("X",)),)), Pipeline((f,)), Pipeline((f,))])
+        assert merged.ops == (SelectOp(("X", "Y")), f)
+        trace = execute(merged, table)
+        assert trace.truncated_at is None
+        assert trace.final.rows == ((Decimal(1), Decimal(1)),)
+
+    def test_operator_before_its_own_select_keeps_its_column(self):
+        table = make_table(["B", "C"], [[1, "p"], [2, "q"]])
+        merged = merge_pipelines([Pipeline((SortByOp("B", "desc"), SelectOp(("C",))))])
+        assert merged.ops == (SelectOp(("C", "B")), SortByOp("B", "desc"))
+        trace = execute(merged, table)
+        assert trace.truncated_at is None
+        assert trace.final.rows == ((Decimal(2), "q"), (Decimal(1), "p"))
+
+    def test_column_kept_only_for_a_candidate_that_reads_it_before_selecting(self):
+        f = FilterOp("Y", "==", "1")
+        hidden = [Pipeline((SelectOp(("X",)), f))] * 3 + [Pipeline((FilterOp("Z", "==", "1"), f))]
+        assert merge_pipelines(hidden).ops == (SelectOp(("X",)), f)
+        seen = hidden + [Pipeline((f, SelectOp(("X",))))]
+        assert merge_pipelines(seen).ops == (SelectOp(("X", "Y")), f)
+
+    def test_long_candidate_merges(self):
+        ops = tuple(FilterOp("X", "!=", f"v{i}") for i in range(1500))
+        merged = merge_pipelines([Pipeline(ops), Pipeline(ops[:10]), Pipeline((SelectOp(("Y",)),))])
+        assert merged.ops == (SelectOp(("Y", "X")), *ops)
+        assert keys(best_path(build_trie([list(ops)]))) == keys(ops)
+
+
+# Path operators read table columns, an absent column ("z") and the add_column
+# names; the add_column names never name a table column, because a merged
+# add_column runs before every path operator and so cannot stand in for one
+# that a candidate ran after a group_by.
+TABLE_COLUMNS = ["a", "b", "c", "count"]
+READ_COLUMNS = [*TABLE_COLUMNS, "z", "n0"]
+EXECUTOR = MockSemanticExecutor({"infer": lambda cell: "v", "tidy": lambda cell: None})
+
+read_column = st.sampled_from(READ_COLUMNS)
+why = st.sampled_from([None, "why"])
+operators = st.one_of(
+    st.builds(SelectOp, st.lists(read_column, min_size=1, max_size=3).map(tuple), why),
+    st.builds(FilterOp, read_column, st.sampled_from(["==", ">"]), st.sampled_from(["1", "x"]), why),
+    st.builds(SortByOp, read_column, st.sampled_from(["asc", "desc"]), st.none(), why),
+    st.builds(GroupByOp, read_column, why),
+    st.builds(CleanColumnOp, read_column, st.just("tidy"), why),
+    st.builds(AddColumnOp, st.sampled_from(["n0", "n1"]), st.sampled_from(["infer one", "infer two"]), why),
+)
+candidate_sets = st.lists(
+    st.lists(operators, max_size=5).map(lambda ops: Pipeline(tuple(ops))), min_size=1, max_size=5
+)
+
+
+@st.composite
+def tables(draw):
+    columns = draw(st.lists(st.sampled_from(TABLE_COLUMNS), min_size=1, unique=True))
+    cells = st.sampled_from([0, 1, 2, "x", "y", None])
+    rows = draw(st.lists(st.lists(cells, min_size=len(columns), max_size=len(columns)), max_size=4))
+    return make_table(columns, rows)
+
+
+def _is_path_op(spec):
+    return not isinstance(spec, (SelectOp, AddColumnOp))
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=candidate_sets)
+def test_merge_matches_reference_apart_from_appended_select_columns(candidates):
+    got = merge_pipelines(candidates)
+    ref = ref_merge_pipelines(candidates)
+    if not ref.ops or not isinstance(ref.ops[0], SelectOp):
+        assert got == ref
+        return
+    assert got.ops[1:] == ref.ops[1:]
+    columns, ref_columns = got.ops[0].columns, ref.ops[0].columns
+    assert columns[: len(ref_columns)] == ref_columns
+    appended = columns[len(ref_columns):]
+    read = {spec.column for spec in got.ops if _is_path_op(spec)}
+    created = {spec.new_column for spec in got.ops if isinstance(spec, AddColumnOp)}
+    assert len(set(appended)) == len(appended)
+    assert set(appended) <= read - created - set(ref_columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), candidates=candidate_sets)
+def test_no_merged_step_loses_a_column_a_candidate_could_read(table, candidates):
+    merged = merge_pipelines(candidates)
+    trace = execute(merged, table, EXECUTOR)
+    at = trace.truncated_at
+    if at is None:
+        return
+    step = trace.steps[at]
+    column = getattr(step.spec, "column", None)
+    if column not in table.columns or step.error != str(ColumnNotFoundError(column)):
+        return
+    start = sum(not _is_path_op(spec) for spec in merged.ops)
+    depth = at - start
+    path_keys = keys(merged.ops[start : at + 1])
+    for candidate in candidates:
+        positions = [i for i, spec in enumerate(candidate.ops) if _is_path_op(spec)]
+        if keys(candidate.ops[i] for i in positions[: depth + 1]) == path_keys:
+            own = execute(candidate, table, EXECUTOR)
+            assert own.steps[positions[depth]].status != OK
