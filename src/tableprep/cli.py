@@ -1,6 +1,9 @@
 """Command-line surface: run, exec, merge, reward, gate, filter-dataset.
 
-Exit codes: 0 success, 2 configuration error, 3 dataset error.
+Exit codes: 0 success, 2 configuration error, 3 input or output file error
+(a file that cannot be read, decoded, parsed or written, or whose content
+has the wrong shape). The commands raise; ``_Main.invoke`` alone turns an
+error into an ``error: <message>`` line on stderr and its exit code.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from . import runner as runner_mod
 from .config import AppConfig, build_semantic_executor, load_config
 from .data import load_instances_jsonl, parse_answers, write_instances_jsonl
 from .engine import execute, trace_to_json
-from .errors import ConfigError, TablePrepError
+from .errors import ConfigError, DatasetError, GroupTooSmallError, TablePrepError
 from .gate import GateConfig, GroupMember, as_fraction, gate_record, sample_accepted_group
 from .merge import merge_pipelines
 from .ops import parse_pipeline, pipeline_to_json
@@ -26,26 +29,29 @@ CONFIG_EXIT = 2
 DATASET_EXIT = 3
 
 
-def _fail(code: int, message: str):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class _Main(click.Group):
+    def invoke(self, ctx):
+        """Run the subcommand. An error that bad input, a bad config or a
+        file causes becomes an ``error:`` line and exit 2 (``ConfigError``)
+        or 3; any other exception is a bug and keeps its traceback."""
+        try:
+            return super().invoke(ctx)
+        except (TablePrepError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+            click.echo(f"error: {err}", err=True)
+            sys.exit(CONFIG_EXIT if isinstance(err, ConfigError) else DATASET_EXIT)
 
 
-def _load_config(path: str | None):
-    if path is None:
-        return AppConfig()
-    try:
-        return load_config(path)
-    except ConfigError as err:
-        _fail(CONFIG_EXIT, str(err))
+def _load_config(path: str | None) -> AppConfig:
+    return AppConfig() if path is None else load_config(path)
 
 
-def _read_json(path: str, code: int = DATASET_EXIT):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
-        _fail(code, f"cannot read {path}: {err}")
+def _read_json(path: str, parse=json.loads):
+    """The value ``parse`` reads from the text of the file ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(fh.read())
+        except ValueError as err:  # not UTF-8, not JSON, or an int over 4,300 digits
+            raise DatasetError(f"cannot read {path}: {err}") from err
 
 
 def _write_text(text: str, out: str | None):
@@ -61,7 +67,7 @@ def _write_json(doc, out: str | None):
     _write_text(json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n", out)
 
 
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Question-aware table preparation pipelines."""
 
@@ -73,16 +79,10 @@ def main():
 def run(dataset, config_path, out):
     """Answer every dataset instance end to end and write a run report."""
     config = _load_config(config_path)
-    try:
-        instances, line_errors = load_instances_jsonl(dataset, config.reward.matching)
-    except OSError as err:
-        _fail(DATASET_EXIT, f"cannot read dataset: {err}")
+    instances, line_errors = load_instances_jsonl(dataset, config.reward.matching)
     if not instances and line_errors:
-        _fail(DATASET_EXIT, f"dataset has no readable instances ({len(line_errors)} bad lines)")
-    try:
-        report = runner_mod.run_dataset(instances, config, line_errors)
-    except ConfigError as err:
-        _fail(CONFIG_EXIT, str(err))
+        raise DatasetError(f"dataset has no readable instances ({len(line_errors)} bad lines)")
+    report = runner_mod.run_dataset(instances, config, line_errors)
     _write_text(runner_mod.dump_report(report), out)
 
 
@@ -97,31 +97,14 @@ def exec_cmd(table_path, pipeline_path, config_path, trace_path, out):
     """Execute a pipeline file over a table file and print the final table."""
     config = _load_config(config_path)
     if table_path.endswith(".csv"):
-        try:
-            with open(table_path, "rb") as fh:
-                table = load_csv(fh.read())
-        except (OSError, TablePrepError) as err:
-            _fail(DATASET_EXIT, f"cannot load table: {err}")
+        with open(table_path, "rb") as fh:
+            table = load_csv(fh.read())
     else:
-        doc = _read_json(table_path)
-        try:
-            table = load_json_table(doc)
-        except TablePrepError as err:
-            _fail(DATASET_EXIT, f"cannot load table: {err}")
-    pipeline_doc = _read_json(pipeline_path)
-    try:
-        pipeline = parse_pipeline(pipeline_doc)
-    except TablePrepError as err:
-        _fail(DATASET_EXIT, f"cannot parse pipeline: {err}")
-    try:
-        executor = build_semantic_executor(config)
-    except ConfigError as err:
-        _fail(CONFIG_EXIT, str(err))
-    trace = execute(pipeline, table, executor)
+        table = load_json_table(_read_json(table_path))
+    pipeline = parse_pipeline(_read_json(pipeline_path))
+    trace = execute(pipeline, table, build_semantic_executor(config))
     if trace_path:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            json.dump(trace_to_json(trace), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_text(json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n", trace_path)
     _write_json(serialize_json(trace.final), out)
 
 
@@ -132,12 +115,8 @@ def merge(candidates_path, out):
     """Merge a JSON array of candidate pipelines into one consensus pipeline."""
     doc = _read_json(candidates_path)
     if not isinstance(doc, list):
-        _fail(DATASET_EXIT, "candidates file must be a JSON array of pipelines")
-    try:
-        pipelines = [parse_pipeline(item) for item in doc]
-        merged = merge_pipelines(pipelines)
-    except TablePrepError as err:
-        _fail(DATASET_EXIT, str(err))
+        raise DatasetError("candidates file must be a JSON array of pipelines")
+    merged = merge_pipelines([parse_pipeline(item) for item in doc])
     _write_json(pipeline_to_json(merged), out)
 
 
@@ -149,24 +128,19 @@ def reward(bundle_path, config_path, out):
     """Score one {question, table, answers, pipeline, output_text} bundle."""
     config = _load_config(config_path)
     doc = _read_json(bundle_path)
+    if not isinstance(doc, dict):
+        raise DatasetError("reward bundle must be a JSON object")
     for key in ("table", "answers", "pipeline"):
         if key not in doc:
-            _fail(DATASET_EXIT, f"reward bundle is missing {key!r}")
-    try:
-        table = load_json_table(doc["table"])
-        answers = parse_answers(doc["answers"], config.reward.matching)
-        pipeline = parse_pipeline(doc["pipeline"])
-        executor = build_semantic_executor(config)
-    except ConfigError as err:
-        _fail(CONFIG_EXIT, str(err))
-    except (TablePrepError, ValueError) as err:
-        _fail(DATASET_EXIT, str(err))
-    trace = execute(pipeline, table, executor)
-    token_len = approx_token_count(doc.get("output_text", ""))
-    try:
-        breakdown = total_reward(trace, answers, token_len, config.reward)
-    except TablePrepError as err:
-        _fail(DATASET_EXIT, str(err))
+            raise DatasetError(f"reward bundle is missing {key!r}")
+    output_text = doc.get("output_text", "")
+    if not isinstance(output_text, str):
+        raise DatasetError("reward bundle's 'output_text' must be a string")
+    table = load_json_table(doc["table"])
+    answers = parse_answers(doc["answers"], config.reward.matching)
+    pipeline = parse_pipeline(doc["pipeline"])
+    trace = execute(pipeline, table, build_semantic_executor(config))
+    breakdown = total_reward(trace, answers, approx_token_count(output_text), config.reward)
     _write_json(breakdown.to_json(), out)
 
 
@@ -181,36 +155,20 @@ def gate(rewards_path, config_path, out):
     groups with the same instance_id count as successive resampling attempts.
     """
     config = _load_config(config_path)
-    groups = _read_groups(rewards_path)
-    records = [gate_record(instance_id, outcome)
-               for instance_id, outcome in _gate_all(groups, config.gate)]
+    records = _gate_all(_read_json(rewards_path, _json_or_jsonl), config.gate)
     _write_text("".join(json.dumps(r, sort_keys=True, ensure_ascii=False) + "\n" for r in records), out)
 
 
-def _read_groups(path: str) -> list[dict]:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as err:
-        _fail(DATASET_EXIT, f"cannot read rewards file: {err}")
-    stripped = text.lstrip()
-    try:
-        if stripped.startswith("["):
-            doc = json.loads(text)
-        else:
-            doc = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except json.JSONDecodeError as err:
-        _fail(DATASET_EXIT, f"cannot parse rewards file: {err}")
-    for i, item in enumerate(doc):
-        if not isinstance(item, dict) or "instance_id" not in item or "rewards" not in item:
-            _fail(DATASET_EXIT, f"group {i}: each group needs 'instance_id' and 'rewards'")
-        if not isinstance(item["rewards"], list):
-            _fail(DATASET_EXIT, f"instance {item['instance_id']}: 'rewards' must be a list")
-    return doc
+def _json_or_jsonl(text: str) -> list:
+    """A JSON array, or the JSON value on each non-blank line."""
+    if text.lstrip().startswith("["):
+        return json.loads(text)
+    return [json.loads(line) for line in text.splitlines() if line.strip()]
 
 
-def _gate_all(groups: list[dict], cfg: GateConfig):
-    """Replay pre-sampled groups per instance through the acceptance gate.
+def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
+    """Replay pre-sampled groups per instance through the acceptance gate;
+    one gate record per instance.
 
     Each instance's groups are the gate's source, drawn in file order, so it
     makes at most as many attempts as there are groups. The group size passed
@@ -218,14 +176,19 @@ def _gate_all(groups: list[dict], cfg: GateConfig):
     two rewards is refused.
     """
     by_instance: dict[str, list[list]] = {}
-    for group in groups:
+    for i, group in enumerate(groups):
+        if not isinstance(group, dict) or "instance_id" not in group or "rewards" not in group:
+            raise DatasetError(f"group {i}: each group needs 'instance_id' and 'rewards'")
         instance_id = str(group["instance_id"])
+        if not isinstance(group["rewards"], list):
+            raise DatasetError(f"instance {instance_id}: 'rewards' must be a list")
         try:
             rewards = [as_fraction(r) for r in group["rewards"]]
         except (ValueError, ZeroDivisionError) as err:
-            _fail(DATASET_EXIT, f"instance {instance_id}: bad reward: {err}")
+            raise DatasetError(f"instance {instance_id}: bad reward: {err}") from err
         by_instance.setdefault(instance_id, []).append(rewards)
 
+    records = []
     for instance_id, attempts in by_instance.items():
         attempts = attempts[: cfg.max_resample_attempts]
         replay = iter(attempts)
@@ -234,11 +197,12 @@ def _gate_all(groups: list[dict], cfg: GateConfig):
             return [GroupMember("", r) for r in next(replay)]
 
         capped = replace(cfg, max_resample_attempts=len(attempts))
-        try:
+        try:  # OverflowError: a reward or the spread too large for a float
             outcome = sample_accepted_group(source, min(map(len, attempts)), capped)
-        except TablePrepError as err:
-            _fail(DATASET_EXIT, f"instance {instance_id}: {err}")
-        yield instance_id, outcome
+            records.append(gate_record(instance_id, outcome))
+        except (GroupTooSmallError, OverflowError) as err:
+            raise DatasetError(f"instance {instance_id}: {err}") from err
+    return records
 
 
 @main.command("filter-dataset")
@@ -248,10 +212,7 @@ def _gate_all(groups: list[dict], cfg: GateConfig):
 @click.option("--stats-out", type=click.Path(), default=None)
 def filter_dataset_cmd(input_path, output_path, max_tokens, stats_out):
     """Keep cell-focused instances under the token budget; write kept + stats."""
-    try:
-        instances, line_errors = load_instances_jsonl(input_path)
-    except OSError as err:
-        _fail(DATASET_EXIT, f"cannot read dataset: {err}")
+    instances, line_errors = load_instances_jsonl(input_path)
     kept, stats = filter_dataset(instances, max_tokens=max_tokens)
     write_instances_jsonl(output_path, kept)
     doc = stats.to_json()

@@ -162,7 +162,7 @@ def load_config(path: str) -> AppConfig:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, an int over 4,300 digits
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -190,7 +190,7 @@ def _load_json_file(config: AppConfig, key: str, path, what: str):
     try:
         with open(config.resolve(path), encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:  # ValueError as in load_config, or a NUL in the path
         raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err
 
 

@@ -1,10 +1,14 @@
+import ast
 import json
 import os
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+from tableprep import cli
 from tableprep.cli import main
+from tableprep.errors import ConfigError
 from tableprep.runner import load_run_report
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -393,3 +397,101 @@ class TestFilterDataset:
         )
         assert result.exit_code == 0
         assert out.read_text() == ""  # everything over a 5-token budget
+
+
+# Malformed input, one case per file a subcommand reads or writes. In each
+# argv "BAD.json" or "BAD.csv" names the malformed file, written from the
+# case's bytes (None: the file is missing, or for an output its directory
+# is), and "OUT" a writable output path.
+_MALFORMED_FILES = {"missing": None, "not_utf8": b"\xff{}", "not_json": b"{not json"}
+_HUGE_PAIR = b'{"instance_id": "a", "rewards": [%d, %d]}' % (10**400, 10**400 + 1)
+
+
+def _reads(argv, wrong_shape=None, code=3, kinds=tuple(_MALFORMED_FILES)):
+    cases = [(argv, _MALFORMED_FILES[kind], code, kind) for kind in kinds]
+    return cases if wrong_shape is None else [*cases, (argv, wrong_shape, code, "wrong_shape")]
+
+
+def _config_cases(argv):
+    return _reads([*argv, "--config", "BAD.json"], b"[]", code=2)
+
+
+_MALFORMED = [
+    *_reads(["run", "--dataset", "BAD.json", "--config", fx("run_config.json")], b"5\n"),
+    *_config_cases(["run", "--dataset", fx("run_instances.jsonl")]),
+    (["run", "--dataset", fx("run_instances.jsonl"), "--config", fx("run_config.json"),
+      "--out", "BAD.json"], None, 3, "unwritable"),
+    *_reads(["exec", "--table", "BAD.json", "--pipeline", fx("pipeline.json")], b"5"),
+    *_reads(["exec", "--table", "BAD.csv", "--pipeline", fx("pipeline.json")], b" \n",
+            kinds=("missing", "not_utf8")),
+    *_reads(["exec", "--table", fx("table.csv"), "--pipeline", "BAD.json"], b"5"),
+    *_config_cases(["exec", "--table", fx("table.csv"), "--pipeline", fx("pipeline.json")]),
+    (["exec", "--table", fx("table.csv"), "--pipeline", fx("pipeline.json"), "--trace", "BAD.json"],
+     None, 3, "unwritable"),
+    (["exec", "--table", fx("table.csv"), "--pipeline", fx("pipeline.json"), "--out", "BAD.json"],
+     None, 3, "unwritable"),
+    *_reads(["merge", "BAD.json"], b"{}"),
+    (["merge", fx("merge_candidates.json"), "--out", "BAD.json"], None, 3, "unwritable"),
+    *_reads(["reward", "BAD.json"], b"5"),
+    (["reward", "BAD.json"], b'["table", "answers", "pipeline"]', 3, "list_bundle"),
+    (["reward", "BAD.json"], json.dumps({**json.loads(Path(fx("reward_bundle.json")).read_text()),
+                                         "output_text": 5}).encode(), 3, "output_text"),
+    *_config_cases(["reward", fx("reward_bundle.json")]),
+    (["reward", fx("reward_bundle.json"), "--out", "BAD.json"], None, 3, "unwritable"),
+    *_reads(["gate", "BAD.json"], b"5"),
+    (["gate", "BAD.json"], _HUGE_PAIR, 3, "reward_over_float"),
+    *_config_cases(["gate", fx("gate_groups.jsonl")]),
+    (["gate", fx("gate_groups.jsonl"), "--out", "BAD.json"], None, 3, "unwritable"),
+    # a line that is not an instance is recorded in the stats, not fatal
+    *_reads(["filter-dataset", "--input", "BAD.json", "--output", "OUT"], kinds=("missing", "not_utf8")),
+    (["filter-dataset", "--input", fx("filter_50.jsonl"), "--output", "BAD.json"], None, 3, "unwritable"),
+    (["filter-dataset", "--input", fx("filter_50.jsonl"), "--output", "OUT",
+      "--stats-out", "BAD.json"], None, 3, "unwritable"),
+]
+
+
+def _case_id(case):
+    argv, _, _, kind = case
+    (slot,) = [(argv[i - 1][2:] if argv[i - 1].startswith("--") else "input") + arg[3:].replace(".json", "")
+               for i, arg in enumerate(argv) if arg.startswith("BAD")]
+    return f"{argv[0]}-{slot}-{kind}"
+
+
+@pytest.mark.parametrize("argv, content, code, kind", _MALFORMED, ids=map(_case_id, _MALFORMED))
+def test_malformed_input_exits_without_traceback(runner, tmp_path, argv, content, code, kind):
+    folder = tmp_path if content is not None else tmp_path / "absent"
+    args = [str(folder / a) if a.startswith("BAD") else str(tmp_path / a) if a == "OUT" else a
+            for a in argv]
+    if content is not None:
+        (name,) = [a for a in argv if a.startswith("BAD")]
+        (folder / name).write_bytes(content)
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exc_info
+    assert result.exit_code == code, result.output
+    assert any(line.startswith("error: ") for line in result.stderr.splitlines()), result.stderr
+
+
+def test_cli_has_one_error_boundary():
+    """``_Main.invoke`` is the only code in cli.py that exits or prints to
+    stderr, and no other handler there can catch a ConfigError, so every
+    config error reaches the boundary and exits 2."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    (boundary,) = [node for node in ast.walk(tree) if isinstance(node, ast.ClassDef) and node.name == "_Main"]
+    (invoke,) = [item for item in boundary.body if isinstance(item, ast.FunctionDef) and item.name == "invoke"]
+    inside = {id(node) for node in ast.walk(invoke)}
+    exits, to_stderr, caught = [], [], []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name in ("exit", "SystemExit") or name.endswith(".exit"):
+                exits.append(id(node) in inside)
+            if any(kw.arg == "err" for kw in node.keywords):
+                to_stderr.append(id(node) in inside)
+        if isinstance(node, ast.Raise) and node.exc is not None and "SystemExit" in ast.unparse(node.exc):
+            exits.append(id(node) in inside)
+        if isinstance(node, ast.ExceptHandler) and id(node) not in inside:
+            assert node.type is not None, f"bare except at line {node.lineno}"
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            caught += [eval(ast.unparse(t), vars(cli)) for t in types]
+    assert exits == [True] and to_stderr == [True]
+    assert caught and not [t for t in caught if issubclass(ConfigError, t)]

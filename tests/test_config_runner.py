@@ -5,7 +5,7 @@ import re
 import tempfile
 import threading
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +19,7 @@ from tableprep import runner
 from tableprep.config import (
     AppConfig,
     GeneratorFactory,
+    RunSection,
     build_qa_client,
     build_semantic_executor,
     client_config,
@@ -26,7 +27,9 @@ from tableprep.config import (
 )
 from tableprep.data import instance_from_json, load_instances_jsonl
 from tableprep.errors import ConfigError, DatasetError, TablePrepError
+from tableprep.gate import GateConfig
 from tableprep.llm import GenerationConfig
+from tableprep.reward import RewardConfig
 from tableprep.rollback import CellLookupQaClient, ScriptedQaClient
 from tableprep.runner import compute_aggregates, dump_report, load_run_report, run_dataset
 from tableprep.semantic import MockSemanticExecutor
@@ -248,6 +251,52 @@ def test_loader_matches_the_key_by_key_readers(reward, gate, clients):
     assert config.gate == ref_gate_config(gate)
     for (name, defaults), section in zip(_REF_CLIENT_DEFAULTS.items(), clients):
         assert client_config(config, name) == ref_client_config(section, *defaults)
+
+
+# any JSON value, with the ones json.load also reads: NaN, +-Infinity, 30-digit ints
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(10**29, 10**30) | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+# a value for any key: "side.json", the file the test writes, a client mode, or any JSON
+_ANY_VALUE = st.just("side.json") | st.sampled_from(["mock", "http", "cell_lookup", "scripted", "none"]) | _JSON
+_CLIENT_KEYS = [f.name for f in fields(GenerationConfig)]
+_SECTION_KEYS = {
+    "run": [f.name for f in fields(RunSection)],
+    "reward": [f.name for f in fields(RewardConfig)],
+    "gate": [f.name for f in fields(GateConfig)],
+    "generator": [*_CLIENT_KEYS, "mode", "script", "default_texts"],
+    "qa": [*_CLIENT_KEYS, "mode", "script", "expected", "responses", "default"],
+    "semantic_executor": [*_CLIENT_KEYS, "mode", "rules"],
+}
+_ANY_CONFIG = _section(**{
+    name: st.dictionaries(st.sampled_from(keys), _ANY_VALUE, max_size=len(keys)) | _JSON
+    for name, keys in _SECTION_KEYS.items()
+}) | _JSON
+# the bytes of side.json: not UTF-8, any bytes, or any JSON
+_SIDE = st.just(b"\xff{}") | st.binary(max_size=6) | _JSON.map(lambda v: json.dumps(v).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_ANY_CONFIG, side=_SIDE)
+def test_any_json_config_builds_or_raises_config_error(doc, side):
+    """Whatever JSON a config file and a mock file it names hold, loading the
+    config and building its clients returns or raises ConfigError (exit 2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "side.json"), "wb") as fh:
+            fh.write(side)
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        try:
+            config = load_config(path)
+            GeneratorFactory(config)
+            build_qa_client(config)
+            build_semantic_executor(config)
+        except ConfigError:
+            pass
 
 
 def test_config_format_stays_inside_the_config_module():
