@@ -184,7 +184,7 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
             raise DatasetError(f"instance {instance_id}: 'rewards' must be a list")
         try:
             rewards = [as_fraction(r) for r in group["rewards"]]
-        except (ValueError, ZeroDivisionError) as err:
+        except ValueError as err:
             raise DatasetError(f"instance {instance_id}: bad reward: {err}") from err
         by_instance.setdefault(instance_id, []).append(rewards)
 

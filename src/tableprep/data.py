@@ -59,7 +59,8 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
     """Read instances from a JSONL file.
 
     Returns ``(instances, line_errors)`` where line_errors records malformed
-    lines as ``{"line": n, "error": msg}`` so batch runs can continue.
+    lines, including JSON the parser refuses such as an integer of more than
+    4,300 digits, as ``{"line": n, "error": msg}`` so batch runs can continue.
     Duplicate ids are a dataset error. The tables of one file share one
     :class:`~tableprep.table.CellMemo`, so equal raw cells across instances
     share one value.
@@ -79,7 +80,7 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
                     raise DatasetError(f"duplicate instance id {instance.id!r}")
                 seen_ids.add(instance.id)
                 instances.append(instance)
-            except (json.JSONDecodeError, DatasetError) as err:
+            except (ValueError, DatasetError) as err:  # ValueError: bad JSON or an over-long integer
                 errors.append({"line": line_no, "error": str(err)})
     return instances, errors
 

@@ -26,16 +26,16 @@ LOW_QUALITY = "low_quality"
 
 
 def as_fraction(x) -> Fraction:
+    """``x`` as an exact rational; it must be an int, float, Decimal or
+    Fraction, and neither a bool nor text such as ``"0.5"``."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, float):
         # via str() so 0.1 means one tenth, not its binary neighbor
         return Fraction(str(x))
-    if isinstance(x, bool):
-        raise ValueError(f"expected a number, got {x!r}")
-    if isinstance(x, (int, Decimal)):
+    if isinstance(x, (int, Decimal)) and not isinstance(x, bool):
         return Fraction(x)
-    return Fraction(str(x))
+    raise ValueError(f"expected a number, got {x!r}")
 
 
 @dataclass(frozen=True)

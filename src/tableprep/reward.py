@@ -33,26 +33,36 @@ AS_WRITTEN = "as_written"
 INVERTED = "inverted"
 
 
+def _normalize(text: str) -> str:
+    return text.strip().casefold()
+
+
 @dataclass(frozen=True)
 class AnswerSet:
-    """Gold answers plus the string-matching policy used against cells."""
+    """Gold answers plus the string-matching policy used against cells.
+
+    ``lookup`` is :func:`~tableprep.table.render_lookup` of the answers, or of
+    the normalized answers under ``normalized`` matching. It is built once,
+    when the set is made, and every containment check against the set reads
+    it. It is derived from the other two fields, so equality, hashing and
+    ``repr`` ignore it, and :func:`dataclasses.replace` builds it anew.
+    """
 
     answers: tuple[str, ...]
     matching: str = EXACT
+    lookup: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.answers:
             raise ValueError("answer set must be non-empty")
         if self.matching not in (EXACT, NORMALIZED):
             raise ValueError(f"unknown matching policy {self.matching!r}")
+        texts = map(_normalize, self.answers) if self.matching == NORMALIZED else self.answers
+        object.__setattr__(self, "lookup", render_lookup(texts))
 
     @classmethod
     def of(cls, *answers: str, matching: str = EXACT) -> "AnswerSet":
         return cls(tuple(answers), matching)
-
-
-def _normalize(text: str) -> str:
-    return text.strip().casefold()
 
 
 def match_answer(answer: str, cell_text: str, matching: str) -> bool:
@@ -70,9 +80,8 @@ _CONTAINS_CHUNK_ROWS = 256
 def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     """True iff every answer string matches at least one cell rendering.
 
-    Cells are matched through :func:`~tableprep.table.render_lookup` of the
-    answers, which gives a cell's rendering when it is an answer without
-    rendering any cell.
+    Cells are matched through ``answers.lookup``, which gives a cell's
+    rendering when it is an answer without rendering any cell.
 
     Exact matching of one answer stops at the first cell that matches it.
     Exact matching of several intersects that lookup with the cells of a fixed
@@ -81,9 +90,9 @@ def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     cells, looks numbers and ``None`` up in the lookup of the normalized
     answers, and stops once every answer has matched.
     """
+    lookup = answers.lookup
     if answers.matching != NORMALIZED:
         missing = set(answers.answers)
-        lookup = render_lookup(missing)
         if len(missing) == 1:  # stop at the first cell that renders as the answer
             return not lookup.keys().isdisjoint(chain.from_iterable(table.rows))
         rows = table.rows
@@ -94,7 +103,6 @@ def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
                 return True
         return False
     missing = {_normalize(a) for a in answers.answers}
-    lookup = render_lookup(missing)
     for row in table.rows:
         for cell in row:
             text = _normalize(cell) if isinstance(cell, str) else lookup.get(cell)
@@ -112,7 +120,8 @@ def op_correctness(table_after: Table, answers: AnswerSet) -> int:
 
 def is_cell_focused(table: Table, answers: AnswerSet) -> bool:
     """Instance-level check under exact matching, whatever the reward policy."""
-    return contains_all_answers(table, AnswerSet(answers.answers, EXACT))
+    exact = answers if answers.matching == EXACT else AnswerSet(answers.answers, EXACT)
+    return contains_all_answers(table, exact)
 
 
 def _carried_bit(spec, bit: int) -> int | None:

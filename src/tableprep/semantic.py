@@ -4,11 +4,21 @@ Two implementations ship here: a deterministic rule-based mock for tests and
 offline runs, and a chat-model-backed executor that batches all rows into one
 request. Both satisfy the same contract: one value per input row for
 add_column, a same-shape column rewrite for clean_column.
+
+The operators check only the values an executor returns; the rest of the
+table was validated where it entered the program. One pass collects the
+values' types. When each is exactly ``None``, ``str`` or ``Decimal`` and every
+``Decimal`` is finite, the values pass; otherwise they go through
+:func:`~tableprep.table.check_rows` as one-cell rows, which names the first bad
+row (a ``str`` subclass passes there too). The output rows are built by
+C-level maps over the input rows, with no per-row Python code.
 """
 
 from __future__ import annotations
 
 import logging
+from decimal import Decimal
+from operator import add, itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
@@ -40,14 +50,28 @@ def _repair_length(values: Sequence[Value], n_rows: int, pad, context: str) -> l
     return out
 
 
+# the cell types whose every value is valid, but for non-finite Decimals
+_CELL_TYPES = frozenset({type(None), str, Decimal})
+
+
+def _check_values(values: list) -> None:
+    """Raise unless every value is a cell, with :func:`check_rows`' message."""
+    types = set(map(type, values))
+    if types <= _CELL_TYPES and (
+        Decimal not in types or all(v.is_finite() for v in values if type(v) is Decimal)
+    ):
+        return
+    check_rows([(value,) for value in values], 1)
+
+
 def exec_add_column(table: Table, new_column: str, description: str, executor: SemanticExecutor) -> Table:
     """Append one inferred column; existing columns and row count are untouched."""
     if table.column_index(new_column) is not None:
         raise ColumnExistsError(new_column)
     values = executor.infer_column(table, new_column, description)
     values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
-    check_rows([(value,) for value in values], 1)  # the rest of the table is validated
-    rows = tuple(row + (value,) for row, value in zip(table.rows, values))
+    _check_values(values)
+    rows = tuple(map(add, table.rows, zip(values)))
     return Table._trusted(table.columns + (new_column,), rows)
 
 
@@ -60,10 +84,10 @@ def exec_clean_column(table: Table, column: str, description: str, executor: Sem
     values = _repair_length(
         values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
     )
-    check_rows([(value,) for value in values], 1)  # the rest of the table is validated
-    rows = tuple(
-        row[:idx] + (value,) + row[idx + 1 :] for row, value in zip(table.rows, values)
-    )
+    _check_values(values)
+    heads = map(itemgetter(slice(None, idx)), table.rows)
+    tails = map(itemgetter(slice(idx + 1, None)), table.rows)
+    rows = tuple(map(add, map(add, heads, zip(values)), tails))
     return Table._trusted(table.columns, rows)
 
 

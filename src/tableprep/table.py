@@ -18,7 +18,10 @@ file); nothing is cached across loads.
 :func:`markdown_size` gives the byte length of a table's markdown without
 building it. It measures each cell through a :class:`CellWidths` memo that the
 caller makes for one call over many tables (``reward.filter_dataset`` makes
-one per call) and drops with it.
+one per call) and drops with it. The memo measures a cell without rendering
+it: ASCII text by its length, other text by its UTF-8 encoding, ``None`` as 0
+and a number by the length of its canonical ``format_number`` spelling, which
+is ASCII.
 
 Cells are validated where they enter the program: the public ``Table(...)``
 constructor, CSV/JSON ingestion, and the cells a semantic executor returns
@@ -283,7 +286,13 @@ class CellWidths(dict):
     """
 
     def __missing__(self, cell: Value) -> int:
-        width = self[cell] = len(render_value(cell).encode("utf-8"))
+        if isinstance(cell, Decimal):  # a canonical number is ASCII
+            width = len(format_number(cell))
+        elif cell is None:
+            width = 0
+        else:
+            width = len(cell) if cell.isascii() else len(cell.encode("utf-8"))
+        self[cell] = width
         return width
 
 

@@ -14,7 +14,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 from tableprep.engine import OK
-from tableprep.errors import EmptyGroupError, GroupTooSmallError
+from tableprep.errors import ColumnExistsError, ColumnNotFoundError, EmptyGroupError, GroupTooSmallError
 from tableprep.gate import (
     LOW_QUALITY,
     LOW_VARIANCE,
@@ -35,7 +35,8 @@ from tableprep.reward import (
     length_reward,
     match_answer,
 )
-from tableprep.table import Table, format_number, ingest_cell, parse_number, render_value
+from tableprep.semantic import _repair_length
+from tableprep.table import Table, check_rows, format_number, ingest_cell, parse_number, render_value
 
 
 def ref_render(cell):
@@ -112,6 +113,35 @@ def ref_mock_rewrite_column(rule: dict, table: Table, column: str) -> list:
         out = apply(row[idx])
         values.append(row[idx] if out is None else out)
     return values
+
+
+def ref_exec_add_column(table: Table, new_column: str, description: str, executor) -> Table:
+    """Check each executor value as a one-cell row, then append it to its row
+    one row at a time."""
+    if table.column_index(new_column) is not None:
+        raise ColumnExistsError(new_column)
+    values = executor.infer_column(table, new_column, description)
+    values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
+    check_rows([(value,) for value in values], 1)
+    rows = tuple(row + (value,) for row, value in zip(table.rows, values))
+    return Table._trusted(table.columns + (new_column,), rows)
+
+
+def ref_exec_clean_column(table: Table, column: str, description: str, executor) -> Table:
+    """Check each executor value as a one-cell row, then splice it into its
+    row one row at a time."""
+    idx = table.column_index(column)
+    if idx is None:
+        raise ColumnNotFoundError(column)
+    values = executor.rewrite_column(table, column, description)
+    values = _repair_length(
+        values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
+    )
+    check_rows([(value,) for value in values], 1)
+    rows = tuple(
+        row[:idx] + (value,) + row[idx + 1 :] for row, value in zip(table.rows, values)
+    )
+    return Table._trusted(table.columns, rows)
 
 
 def ref_first_json_array(text: str):

@@ -23,6 +23,10 @@ def runner():
     return CliRunner()
 
 
+# a dataset line with more integer digits than Python's JSON parser converts
+HUGE_INTEGER_LINE = '{"id": "huge", "question": "q", "table": {"header": ["x"], "rows": [[%s]]}}' % ("9" * 5000)
+
+
 class TestRun:
     def test_full_mock_run(self, runner, tmp_path):
         out = tmp_path / "report.json"
@@ -164,10 +168,14 @@ class TestRun:
         assert record["merged_ops"] == ["filter"] * 1500
         assert record["ops_executed"] == 1500
 
-    def test_malformed_line_recorded_run_continues(self, runner, tmp_path):
+    @pytest.mark.parametrize("bad_line, message", [
+        ("{broken json", "Expecting property name"),
+        (HUGE_INTEGER_LINE, "4300 digits"),
+    ], ids=["broken_json", "huge_integer"])
+    def test_malformed_line_recorded_run_continues(self, runner, tmp_path, bad_line, message):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]
-        lines.insert(1, "{broken json")
+        lines.insert(1, bad_line)
         dataset.write_text("\n".join(lines) + "\n")
         out = tmp_path / "report.json"
         result = runner.invoke(
@@ -177,7 +185,8 @@ class TestRun:
         assert result.exit_code == 0
         doc = json.loads(out.read_text())
         assert len(doc["records"]) == 3
-        assert any("line" in e for e in doc["errors"])
+        (error,) = doc["errors"]
+        assert error["line"] == 2 and message in error["error"]
 
     def test_unlabeled_dataset_omits_accuracy(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
@@ -363,6 +372,9 @@ class TestGate:
         ([{"instance_id": "a", "rewards": [0.9, "x"]}], "instance a: bad reward"),
         ([{"instance_id": "a", "rewards": [True, False, 0.5]}],
          "instance a: bad reward: expected a number, got True"),
+        # refused before any conversion: Fraction("1e4000000") would build a 4,000,001-digit integer
+        ([{"instance_id": "a", "rewards": ["1e4000000", "0"]}],
+         "instance a: bad reward: expected a number, got '1e4000000'"),
     ])
     def test_malformed_group_is_dataset_error(self, runner, tmp_path, groups, message):
         path = tmp_path / "g.json"
@@ -388,6 +400,21 @@ class TestFilterDataset:
         assert stats["total"] == 50
         assert len(stats["reasons"]) == 25
         assert all(r["reason"] for r in stats["reasons"])
+
+    def test_line_with_a_huge_integer_is_recorded(self, runner, tmp_path):
+        dataset, out, stats_out = tmp_path / "data.jsonl", tmp_path / "kept.jsonl", tmp_path / "stats.json"
+        lines = open(fx("filter_50.jsonl")).read().splitlines()
+        lines.insert(1, HUGE_INTEGER_LINE)
+        dataset.write_text("\n".join(lines) + "\n")
+        result = runner.invoke(
+            main, ["filter-dataset", "--input", str(dataset), "--output", str(out),
+                   "--stats-out", str(stats_out)],
+        )
+        assert result.exit_code == 0, result.output
+        stats = json.loads(stats_out.read_text())
+        assert stats["total"] == 50 and stats["kept"] == 25
+        (error,) = stats["line_errors"]
+        assert error["line"] == 2 and "4300 digits" in error["error"]
 
     def test_max_tokens_option(self, runner, tmp_path):
         out = tmp_path / "kept.jsonl"

@@ -1,4 +1,5 @@
 import logging
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ from tableprep.reward import (
     total_reward,
 )
 from tableprep.semantic import MockSemanticExecutor
-from tableprep.table import Table, render_value, serialize_markdown
+from tableprep.table import Table, render_lookup, render_value, serialize_markdown
 
 from conftest import make_table
 from oracles import ref_contains_all_answers, ref_per_op_correctness, ref_total_reward
@@ -178,6 +179,23 @@ class TestContainsAllAnswersOracle:
         # the row after the answer holds an unhashable cell: reading it would raise
         table = Table._trusted(("name", "n"), (("Target", Decimal(1)), (["unhashable"], Decimal(2))))
         assert contains_all_answers(table, AnswerSet.of("Target"))
+
+
+class TestAnswerSetLookup:
+    @settings(max_examples=200)
+    @given(st.lists(_ANSWERS | st.text(alphabet="aA 7.é\t", max_size=3), min_size=1, max_size=4),
+           st.sampled_from(["exact", "normalized"]))
+    def test_lookup_is_built_once_from_the_matched_answers(self, answers, matching):
+        answer_set = AnswerSet(tuple(answers), matching)
+        texts = [a.strip().casefold() for a in answers] if matching == "normalized" else answers
+        assert answer_set.lookup == render_lookup(texts)
+        # the lookup is derived: equality, hashing and repr see only the two fields
+        same = AnswerSet(tuple(answers), matching)
+        assert answer_set == same and hash(answer_set) == hash(same) == hash((same.answers, matching))
+        assert repr(answer_set) == f"AnswerSet(answers={tuple(answers)!r}, matching={matching!r})"
+        other = "exact" if matching == "normalized" else "normalized"
+        assert replace(answer_set, matching=other).lookup == AnswerSet(tuple(answers), other).lookup
+        assert replace(answer_set, answers=("x",)).lookup == render_lookup(["x"])
 
 
 class TestOpCorrectness:

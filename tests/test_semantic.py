@@ -18,7 +18,12 @@ from tableprep.semantic import (
 )
 
 from conftest import FlakyTransport, make_table
-from oracles import ref_mock_infer_column, ref_mock_rewrite_column
+from oracles import (
+    ref_exec_add_column,
+    ref_exec_clean_column,
+    ref_mock_infer_column,
+    ref_mock_rewrite_column,
+)
 
 
 @pytest.fixture
@@ -203,9 +208,11 @@ class TestExecutorCellsValidated:
     @pytest.mark.parametrize("bad, message", [
         (Decimal("NaN"), "non-finite number in row 1"),
         (Decimal("Infinity"), "non-finite number in row 1"),
+        (Decimal("sNaN"), "non-finite number in row 1"),
         (3, "unsupported cell type int in row 1"),
         (2.5, "unsupported cell type float in row 1"),
-    ], ids=["nan", "infinity", "int", "float"])
+        (True, "unsupported cell type bool in row 1"),
+    ], ids=["nan", "infinity", "snan", "int", "float", "bool"])
     def test_callable_rule_returning_a_non_cell(self, names_table, op, bad, message):
         # valid for Ada's row, invalid for Bob's: the message names row 1
         def rule(cell):
@@ -225,6 +232,90 @@ class TestExecutorCellsValidated:
         trace = execute(parse_pipeline([op]), names_table, executor)
         assert trace.steps[0].status == FAILED
         assert trace.steps[0].error == "unsupported cell type int in row 0"
+
+
+class _Text(str):
+    """A str subclass: a valid cell that is not exactly ``str``."""
+
+
+# cells of the input tables: missing, ASCII and non-ASCII text, and numbers
+# whose spelling a row builder must keep as it is
+_KERNEL_CELLS = st.one_of(
+    st.none(),
+    st.text(alphabet="aZ7 .é字\U0001f600", max_size=3),
+    st.sampled_from([Decimal("-0"), Decimal("0E-5"), Decimal("1E+3"), Decimal("1.500"), Decimal(7)]),
+)
+# what an executor may return: cells, and values a cell check must refuse
+_EXECUTOR_VALUES = st.one_of(
+    _KERNEL_CELLS,
+    st.sampled_from([Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("sNaN"),
+                     3, 2.5, True, False, _Text("t")]),
+)
+
+
+class _Returns:
+    """An executor that answers every call with one fixed list of values."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def infer_column(self, table, new_column, description):
+        return list(self.values)
+
+    def rewrite_column(self, table, column, description):
+        return list(self.values)
+
+
+def _outcome(kernel, *args):
+    """The table a kernel returns, or the class and message of its error."""
+    try:
+        table = kernel(*args)
+    except Exception as err:  # any error must match the reference's
+        return type(err), str(err)
+    return table.columns, [[(type(cell), repr(cell)) for cell in row] for row in table.rows]
+
+
+@st.composite
+def _kernel_cases(draw):
+    n_cols = draw(st.integers(1, 4))
+    columns = tuple(f"c{i}" for i in range(n_cols))
+    rows = draw(st.lists(st.tuples(*[_KERNEL_CELLS] * n_cols), max_size=5))
+    table = Table(columns, tuple(rows))
+    # short, exact and long outputs; mostly cells, so valid ones are common
+    length = draw(st.sampled_from([0, max(len(rows) - 1, 0), len(rows), len(rows), len(rows) + 2]))
+    values = draw(st.lists(st.one_of(_KERNEL_CELLS, _KERNEL_CELLS, _EXECUTOR_VALUES),
+                           min_size=length, max_size=length))
+    # a name the table lacks or one it has; the first, last or a middle column
+    new_column = draw(st.sampled_from(["new", "new", "new", columns[-1]]))
+    column = draw(st.sampled_from([columns[0], columns[-1], columns[n_cols // 2], "new"]))
+    return table, new_column, column, values
+
+
+class TestKernelsMatchTheReference:
+    """The semantic operators give the reference row builders' table, or the
+    same error, for every table and executor output."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_kernel_cases())
+    def test_add_and_clean_column(self, case):
+        table, new_column, column, values = case
+        executor = _Returns(values)
+        added = (table, new_column, "derive", executor)
+        assert _outcome(exec_add_column, *added) == _outcome(ref_exec_add_column, *added)
+        cleaned = (table, column, "derive", executor)
+        assert _outcome(exec_clean_column, *cleaned) == _outcome(ref_exec_clean_column, *cleaned)
+
+    def test_a_20k_by_12_table(self):
+        columns = tuple(f"c{j}" for j in range(12))
+        cells = [None, "text", "é字", Decimal("-0"), Decimal("1.500"), Decimal("1E+3")]
+        rows = tuple(tuple(cells[(i + j) % len(cells)] for j in range(12)) for i in range(20_000))
+        table = Table(columns, rows)
+        executor = _Returns([cells[i % len(cells)] for i in range(20_000)])
+        added = (table, "new", "derive", executor)
+        assert exec_add_column(*added) == ref_exec_add_column(*added)
+        for column in ("c0", "c5", "c11"):
+            cleaned = (table, column, "derive", executor)
+            assert exec_clean_column(*cleaned) == ref_exec_clean_column(*cleaned)
 
 
 class _FixedTransport:

@@ -336,6 +336,20 @@ def test_markdown_size_is_the_byte_length_of_the_markdown(tables):
         assert markdown_size(table, widths) == len(serialize_markdown(table).encode("utf-8"))
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    _SIZE_CELLS,
+    _SIZE_NAMES,
+    st.builds(lambda digits, exp: Decimal(digits).scaleb(exp), st.integers(-10**30, 10**30), st.integers(-40, 40)),
+), max_size=8))
+@example([None, "", "é", "字", "\U0001f600", Decimal("-0"), Decimal("0E-5"), Decimal("1E+3"),
+          Decimal("1.500"), Decimal("-12345678901234567890123456789.0100")])
+def test_cell_widths_are_the_byte_length_of_the_rendering(cells):
+    widths = CellWidths()  # equal cells share an entry, so one memo serves the list
+    for cell in cells:
+        assert widths[cell] == len(render_value(cell).encode("utf-8"))
+
+
 def test_serialize_json_shape():
     table = make_table(["a", "b"], [[1, None]])
     doc = serialize_json(table)
