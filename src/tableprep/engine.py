@@ -4,10 +4,23 @@ Failure policy: the first operator error truncates the pipeline. The failed
 step is recorded, every later step is marked skipped, and the trace's final
 table is the last successfully produced one, so downstream QA always has a
 usable table.
+
+Sharing rule: each thread keeps a memo of the tables derived from one input
+table. Calls on the same thread that pass the same table object and the same
+executor object (``is``) share it: a step whose operator prefix an earlier
+call already ran successfully reuses that call's table instead of running the
+operator again. So the candidates of one group, scored back to back, run each
+distinct prefix once, and candidates sharing a prefix share its one semantic
+call (with a chat-model executor, one request). Only successful steps are
+stored; a failing step runs again on every call, so a transient semantic
+failure is retried. A call with another table or executor replaces the memo,
+so a thread holds one table's derived tables at a time. Traces are
+value-identical to running every step.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .errors import TablePrepError
@@ -60,6 +73,13 @@ class _NoExecutor:
         raise TablePrepError("no semantic executor configured")
 
 
+_NO_EXECUTOR = _NoExecutor()
+
+# per thread: (input table, executor, trie root); a trie node maps an operator
+# spec to (the table it produced, child node)
+_memo = threading.local()
+
+
 def apply_operator(spec: OperatorSpec, table: Table, executor: SemanticExecutor) -> Table:
     if isinstance(spec, SelectOp):
         return exec_select(table, spec.columns)
@@ -80,8 +100,14 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
     """Run the pipeline, capturing every intermediate table and step status.
 
     Never raises for operator-level failures; those are recorded in the trace.
+    Steps this thread already ran on ``table`` with ``executor`` are reused
+    (see the module docstring).
     """
-    ex = executor if executor is not None else _NoExecutor()
+    ex = executor if executor is not None else _NO_EXECUTOR
+    memo = getattr(_memo, "state", None)
+    if memo is None or memo[0] is not table or memo[1] is not ex:
+        memo = _memo.state = (table, ex, {})
+    node = memo[2]
     current = table
     steps: list[StepRecord] = []
     truncated_at: int | None = None
@@ -89,12 +115,21 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
         if truncated_at is not None:
             steps.append(StepRecord(spec, SKIPPED, current))
             continue
+        hit = node.get(spec)
+        if hit is not None:
+            current, node = hit
+            steps.append(StepRecord(spec, OK, current))
+            continue
         try:
             current = apply_operator(spec, current, ex)
-            steps.append(StepRecord(spec, OK, current))
         except TablePrepError as err:
             truncated_at = i
             steps.append(StepRecord(spec, FAILED, current, error=str(err)))
+            continue
+        child: dict = {}
+        node[spec] = (current, child)
+        node = child
+        steps.append(StepRecord(spec, OK, current))
     return ExecutionTrace(table, tuple(steps), current, truncated_at)
 
 

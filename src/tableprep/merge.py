@@ -4,10 +4,13 @@ The merged pipeline is assembled in three segments:
 
 1. one ``select`` over the union of all candidates' selected columns, in
    first-appearance order (omitted when no candidate selects),
-2. every ``add_column`` from every candidate in candidate order, deduplicated
-   only on byte-identical (name, description) pairs, and
+2. every ``add_column`` that a candidate runs before its first ``group_by``,
+   in candidate order, deduplicated only on byte-identical (name,
+   description) pairs, and
 3. the remaining operators of the trie path with the maximum total node
    weight, where a node's weight counts the candidates passing through it.
+   An ``add_column`` after a candidate's first ``group_by`` is one of them,
+   so it stays behind that ``group_by``, which would drop its column.
 
 Weight ties prefer the longer path; remaining ties prefer the
 lexicographically smaller canonical-key sequence.
@@ -15,8 +18,9 @@ lexicographically smaller canonical-key sequence.
 The ``select`` also keeps each column a path operator reads if some candidate
 through that operator's node could see it there: every column before the
 candidate's own first ``select``, after it only the columns each preceding
-``select`` names (so never one outside the union). Names that merged
-``add_column``s create are never added.
+``select`` names (so never one outside the union). Names that segment 2
+creates are never added, nor a name that a path ``add_column`` has created by
+the time the operator reads it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import EmptyCandidatesError
-from .ops import AddColumnOp, OperatorSpec, Pipeline, SelectOp, canonical_key
+from .ops import AddColumnOp, GroupByOp, OperatorSpec, Pipeline, SelectOp, canonical_key
 
 
 @dataclass
@@ -81,14 +85,16 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
     for pipeline in candidates:
         remaining: list[OperatorSpec] = []
         first = None
+        grouped = False
         for spec in pipeline.ops:
             if isinstance(spec, SelectOp):
                 if first is None:
                     first = len(remaining)
                 union.update(dict.fromkeys(spec.columns))
-            elif isinstance(spec, AddColumnOp):
+            elif isinstance(spec, AddColumnOp) and not grouped:
                 adds.setdefault((spec.new_column, spec.description), spec)
             else:
+                grouped = grouped or isinstance(spec, GroupByOp)
                 remaining.append(spec)
         stripped.append(remaining)
         firsts.append(first)
@@ -97,8 +103,12 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
     merged: list[OperatorSpec] = [*adds.values(), *path]
     if any(first is not None for first in firsts):
         created = {new_column for new_column, _ in adds}
-        outside = [(depth, spec.column) for depth, spec in enumerate(path)
-                   if spec.column not in union and spec.column not in created]
+        outside = []
+        for depth, spec in enumerate(path):
+            if isinstance(spec, AddColumnOp):
+                created.add(spec.new_column)
+            elif spec.column not in union and spec.column not in created:
+                outside.append((depth, spec.column))
         if outside:
             reach = _unselected_reach(path, stripped, firsts)
             union.update((column, None) for depth, column in outside if depth < reach)

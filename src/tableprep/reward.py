@@ -8,6 +8,7 @@ verbatim as a table cell.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass, field
@@ -42,23 +43,26 @@ class AnswerSet:
     """Gold answers plus the string-matching policy used against cells.
 
     ``lookup`` is :func:`~tableprep.table.render_lookup` of the answers, or of
-    the normalized answers under ``normalized`` matching. It is built once,
-    when the set is made, and every containment check against the set reads
-    it. It is derived from the other two fields, so equality, hashing and
-    ``repr`` ignore it, and :func:`dataclasses.replace` builds it anew.
+    the normalized answers under ``normalized`` matching. It is built on first
+    use, so a set that is never checked against a table (as in serving) never
+    builds it, and every later containment check reads the same dict. It is
+    not a field: equality, hashing, ``repr`` and :func:`dataclasses.replace`
+    see only ``answers`` and ``matching``.
     """
 
     answers: tuple[str, ...]
     matching: str = EXACT
-    lookup: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.answers:
             raise ValueError("answer set must be non-empty")
         if self.matching not in (EXACT, NORMALIZED):
             raise ValueError(f"unknown matching policy {self.matching!r}")
+
+    @functools.cached_property
+    def lookup(self) -> dict:
         texts = map(_normalize, self.answers) if self.matching == NORMALIZED else self.answers
-        object.__setattr__(self, "lookup", render_lookup(texts))
+        return render_lookup(texts)
 
     @classmethod
     def of(cls, *answers: str, matching: str = EXACT) -> "AnswerSet":

@@ -13,8 +13,14 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
-from tableprep.engine import OK
-from tableprep.errors import ColumnExistsError, ColumnNotFoundError, EmptyGroupError, GroupTooSmallError
+from tableprep.engine import FAILED, OK, SKIPPED, ExecutionTrace, StepRecord, apply_operator
+from tableprep.errors import (
+    ColumnExistsError,
+    ColumnNotFoundError,
+    EmptyGroupError,
+    GroupTooSmallError,
+    TablePrepError,
+)
 from tableprep.gate import (
     LOW_QUALITY,
     LOW_VARIANCE,
@@ -25,7 +31,17 @@ from tableprep.gate import (
     as_fraction,
 )
 from tableprep.llm import GenerationConfig
-from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, Pipeline, SelectOp, SortByOp
+from tableprep.merge import best_path, build_trie
+from tableprep.ops import (
+    AddColumnOp,
+    CleanColumnOp,
+    FilterOp,
+    GroupByOp,
+    Pipeline,
+    SelectOp,
+    SortByOp,
+    canonical_key,
+)
 from tableprep.reward import (
     AnswerSet,
     RewardBreakdown,
@@ -498,9 +514,11 @@ def ref_best_path(sequences):
 
 def ref_merge_pipelines(candidates):
     """The consensus merge without the read-column closure: the select union
-    kept in a list beside a seen-set, add_columns deduplicated through a seen
-    (name, description) set, and the path from :func:`ref_best_path`. Each
-    path operator is the spec of the first candidate reaching that prefix."""
+    kept in a list beside a seen-set, the add_columns each candidate runs
+    before its first group_by deduplicated through a seen (name, description)
+    set, and the path from :func:`ref_best_path` over every other operator.
+    Each path operator is the spec of the first candidate reaching that
+    prefix."""
     select_columns = []
     seen_columns = set()
     any_select = False
@@ -516,7 +534,7 @@ def ref_merge_pipelines(candidates):
                     if column not in seen_columns:
                         seen_columns.add(column)
                         select_columns.append(column)
-            elif isinstance(spec, AddColumnOp):
+            elif isinstance(spec, AddColumnOp) and not any(isinstance(op, GroupByOp) for op in remaining):
                 dedup = (spec.new_column, spec.description)
                 if dedup not in seen_adds:
                     seen_adds.add(dedup)
@@ -534,3 +552,68 @@ def ref_merge_pipelines(candidates):
 
     merged = [SelectOp(tuple(select_columns))] if any_select else []
     return Pipeline(tuple(merged + add_columns + path_specs))
+
+
+def ref_merge_hoisting_every_add(candidates):
+    """The consensus merge as it was before an add_column could join the trie:
+    every candidate's add_column hoisted ahead of the whole path, and the
+    select's read-column closure excluding only the hoisted names. It equals
+    the library's merge whenever no candidate runs an add_column after a
+    group_by."""
+    union = {}
+    adds = {}
+    stripped = []
+    firsts = []
+    for pipeline in candidates:
+        remaining = []
+        first = None
+        for spec in pipeline.ops:
+            if isinstance(spec, SelectOp):
+                if first is None:
+                    first = len(remaining)
+                union.update(dict.fromkeys(spec.columns))
+            elif isinstance(spec, AddColumnOp):
+                adds.setdefault((spec.new_column, spec.description), spec)
+            else:
+                remaining.append(spec)
+        stripped.append(remaining)
+        firsts.append(first)
+
+    path = best_path(build_trie(stripped))
+    merged = [*adds.values(), *path]
+    if any(first is not None for first in firsts):
+        created = {new_column for new_column, _ in adds}
+        outside = [(depth, spec.column) for depth, spec in enumerate(path)
+                   if spec.column not in union and spec.column not in created]
+        if outside:
+            keys = [canonical_key(spec) for spec in path]
+            reach = 0
+            for ops, first in zip(stripped, firsts):
+                n = 0
+                for spec, key in zip(ops[:first], keys):
+                    if canonical_key(spec) != key:
+                        break
+                    n += 1
+                reach = max(reach, n)
+            union.update((column, None) for depth, column in outside if depth < reach)
+        merged.insert(0, SelectOp(tuple(union)))
+    return Pipeline(tuple(merged))
+
+
+def ref_execute(pipeline, table, executor) -> ExecutionTrace:
+    """Run every step of the pipeline from scratch, sharing nothing with
+    earlier calls."""
+    current = table
+    steps = []
+    truncated_at = None
+    for i, spec in enumerate(pipeline.ops):
+        if truncated_at is not None:
+            steps.append(StepRecord(spec, SKIPPED, current))
+            continue
+        try:
+            current = apply_operator(spec, current, executor)
+            steps.append(StepRecord(spec, OK, current))
+        except TablePrepError as err:
+            truncated_at = i
+            steps.append(StepRecord(spec, FAILED, current, error=str(err)))
+    return ExecutionTrace(table, tuple(steps), current, truncated_at)

@@ -517,6 +517,13 @@ class TestRunner:
         parallel = dump_report(run_dataset(instances, config))
         assert serial == parallel
 
+    def test_serving_builds_no_answer_lookup(self):
+        config = load_config(fx("run_config.json"))
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+        labeled = [i.answers for i in instances if i.answers is not None]
+        run_dataset(instances, config)
+        assert labeled and not any("lookup" in vars(answers) for answers in labeled)
+
     def test_one_instance_pool_and_one_request_pool(self, monkeypatch):
         config = load_config(fx("run_config.json"))
         config.run = replace(config.run, parallelism=2)

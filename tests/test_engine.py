@@ -1,15 +1,28 @@
 import json
 import random
+import threading
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableprep.engine import FAILED, OK, SKIPPED, execute, trace_to_json
-from tableprep.ops import Pipeline, parse_pipeline
+from tableprep.errors import ExecutorFailureError
+from tableprep.ops import (
+    AddColumnOp,
+    CleanColumnOp,
+    FilterOp,
+    GroupByOp,
+    Pipeline,
+    SelectOp,
+    SortByOp,
+    parse_pipeline,
+)
 from tableprep.semantic import MockSemanticExecutor
 
 from conftest import make_table, random_table
+from oracles import ref_execute
 
 
 @pytest.fixture
@@ -126,3 +139,158 @@ def test_trace_json_shape(table):
     assert [s["status"] for s in doc["steps"]] == [OK, FAILED, SKIPPED]
     assert "error" in doc["steps"][1]
     json.dumps(doc)
+
+
+# --- the per-thread prefix memo ----------------------------------------------
+
+
+class RecordingExecutor:
+    """Deterministic semantic executor that records each call and its outcome.
+
+    ``add_column`` copies the table's first column; ``clean_column`` swaps the
+    cell ``"x"`` for ``"z"``. A description of ``"broken"`` raises instead.
+    """
+
+    def __init__(self):
+        self.calls = []  # (kind, table columns, name, description, ok)
+
+    def _call(self, kind, table, name, description):
+        ok = description != "broken"
+        self.calls.append((kind, table.columns, name, description, ok))
+        if not ok:
+            raise ExecutorFailureError(f"{kind} refused")
+
+    def infer_column(self, table, new_column, description):
+        self._call("infer", table, new_column, description)
+        return [row[0] for row in table.rows]
+
+    def rewrite_column(self, table, column, description):
+        self._call("rewrite", table, column, description)
+        idx = table.columns.index(column)
+        return ["z" if row[idx] == "x" else row[idx] for row in table.rows]
+
+
+MEMO_COLUMNS = ["a", "b", "n", "ghost"]
+memo_column = st.sampled_from(MEMO_COLUMNS)
+memo_description = st.sampled_from(["copy", "broken"])
+memo_operators = st.one_of(
+    st.builds(SelectOp, st.lists(memo_column, min_size=1, max_size=2).map(tuple)),
+    st.builds(FilterOp, memo_column, st.sampled_from(["==", ">"]), st.sampled_from(["x", Decimal(1)])),
+    st.builds(SortByOp, memo_column, st.sampled_from(["asc", "desc"]), st.sampled_from([None, 1])),
+    st.builds(GroupByOp, memo_column),
+    st.builds(AddColumnOp, st.sampled_from(["n", "a"]), memo_description),
+    st.builds(CleanColumnOp, memo_column, memo_description),
+)
+memo_groups = st.lists(
+    st.lists(memo_operators, max_size=4).map(lambda ops: Pipeline(tuple(ops))), min_size=1, max_size=8
+)
+
+
+@st.composite
+def memo_tables(draw):
+    columns = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, unique=True))
+    cells = st.sampled_from([0, 1, 2, "x", "y", None])
+    rows = draw(st.lists(st.lists(cells, min_size=len(columns), max_size=len(columns)), max_size=4))
+    return make_table(columns, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=memo_tables(), group=memo_groups, repeat=st.booleans())
+def test_memo_traces_equal_fresh_execution_and_share_each_semantic_prefix(table, group, repeat):
+    if repeat:  # a candidate group often holds the same pipeline more than once
+        group = group + group[:2]
+    reference = [ref_execute(pipeline, table, RecordingExecutor()) for pipeline in group]
+    executor = RecordingExecutor()
+    for pipeline, want in zip(group, reference):
+        got = execute(pipeline, table, executor)
+        assert got.steps == want.steps  # spec, status, error and table, step by step
+        assert got == want
+    semantic = (AddColumnOp, CleanColumnOp)
+    prefixes = {
+        pipeline.ops[: i + 1]
+        for pipeline, trace in zip(group, reference)
+        for i, step in enumerate(trace.steps)
+        if step.status == OK and isinstance(step.spec, semantic)
+    }
+    assert sum(ok for *_, ok in executor.calls) == len(prefixes)
+    # a refused semantic step is never stored, so every candidate reaching it asks again
+    refused = sum(
+        1 for trace in reference
+        if trace.truncated_at is not None and trace.steps[trace.truncated_at].error.endswith("refused")
+    )
+    assert sum(not ok for *_, ok in executor.calls) == refused
+
+
+def test_another_table_or_executor_starts_a_new_memo(table):
+    pipeline = Pipeline((AddColumnOp("n", "copy"), FilterOp("n", "==", "x")))
+    executor = RecordingExecutor()
+    first = execute(pipeline, table, executor)
+    assert execute(pipeline, table, executor) == first
+    assert len(executor.calls) == 1
+    twin = make_table(table.columns, [list(row) for row in table.rows])  # equal, but another object
+    assert twin == table and twin is not table
+    execute(pipeline, twin, executor)
+    assert len(executor.calls) == 2
+    execute(pipeline, table, executor)  # the twin's call replaced the memo
+    assert len(executor.calls) == 3
+    other = RecordingExecutor()
+    assert execute(pipeline, table, other) == first
+    assert len(other.calls) == 1 and len(executor.calls) == 3
+    execute(pipeline, table, executor)
+    assert len(executor.calls) == 4
+
+
+def test_threads_on_different_tables_keep_their_own_memo():
+    both_inside = threading.Barrier(2, timeout=10)
+
+    class MeetingExecutor(RecordingExecutor):
+        def infer_column(self, table, new_column, description):
+            if not self.calls:  # hold each thread's first call until the other thread is in execute too
+                both_inside.wait()
+            return super().infer_column(table, new_column, description)
+
+    pipeline = Pipeline((AddColumnOp("n", "copy"), SortByOp("n", "desc"), FilterOp("b", ">", Decimal(1))))
+    tables = {
+        "left": make_table(["a", "b"], [["x", 1], ["y", 2]]),
+        "right": make_table(["b", "a"], [[3, "q"], [0, "x"], [2, "x"]]),
+    }
+    results = {}
+
+    def work(name):
+        try:
+            executor = MeetingExecutor()
+            traces = [execute(pipeline, tables[name], executor) for _ in range(3)]
+            results[name] = (traces, len(executor.calls))
+        except BaseException as err:  # reported by the assertion below
+            results[name] = err
+
+    threads = [threading.Thread(target=work, args=(name,)) for name in tables]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for name, table in tables.items():
+        traces, calls = results[name]
+        want = ref_execute(pipeline, table, RecordingExecutor())
+        assert traces == [want] * 3
+        assert calls == 1
+
+
+def test_a_semantic_step_that_raised_runs_again_for_the_next_candidate(table):
+    class FlakyExecutor(RecordingExecutor):
+        def infer_column(self, table, new_column, description):
+            if not self.calls:
+                self.calls.append(("infer", table.columns, new_column, description, False))
+                raise ExecutorFailureError("transient")
+            return super().infer_column(table, new_column, description)
+
+    executor = FlakyExecutor()
+    add = AddColumnOp("n", "copy")
+    first = execute(Pipeline((add, FilterOp("n", "==", "x"))), table, executor)
+    assert [s.status for s in first.steps] == [FAILED, SKIPPED]
+    second = execute(Pipeline((add, SortByOp("n", "asc"))), table, executor)
+    assert [s.status for s in second.steps] == [OK, OK]
+    third = execute(Pipeline((add, GroupByOp("n"))), table, executor)
+    assert [s.status for s in third.steps] == [OK, OK]
+    assert len(executor.calls) == 2
+    assert third.steps[0].table_after is second.steps[0].table_after

@@ -21,7 +21,7 @@ from tableprep.ops import (
 from tableprep.semantic import MockSemanticExecutor
 
 from conftest import make_table
-from oracles import ref_best_path, ref_merge_pipelines
+from oracles import ref_best_path, ref_merge_hoisting_every_add, ref_merge_pipelines
 
 F_X = FilterOp("A", "==", "x")
 F_Y = FilterOp("A", "==", "y")
@@ -184,13 +184,16 @@ class TestOracleEquivalence:
         vocabulary = _vocabulary()
         for trial in range(100):
             candidates = []
-            expected_adds = set()
+            expected_adds, voted = set(), set()
             for i in range(rng.randint(1, 5)):
                 ops = [rng.choice(vocabulary) for _ in range(rng.randint(0, 3))]
                 if rng.random() < 0.5:
                     add = AddColumnOp(f"col{rng.randint(0, 2)}", f"desc{rng.randint(0, 2)}")
-                    ops.insert(rng.randint(0, len(ops)), add)
-                    expected_adds.add((add.new_column, add.description))
+                    at = rng.randint(0, len(ops))
+                    ops.insert(at, add)
+                    # one after a group_by joins the vote instead
+                    grouped = any(isinstance(op, GroupByOp) for op in ops[:at])
+                    (voted if grouped else expected_adds).add((add.new_column, add.description))
                 candidates.append(Pipeline(tuple(ops)))
             merged = merge_pipelines(candidates)
             got_adds = {
@@ -198,7 +201,7 @@ class TestOracleEquivalence:
                 for op in merged.ops
                 if isinstance(op, AddColumnOp)
             }
-            assert got_adds == expected_adds
+            assert expected_adds <= got_adds <= expected_adds | voted
 
     def test_select_union_property(self, rng):
         for trial in range(100):
@@ -254,27 +257,62 @@ class TestReadColumnClosure:
         assert keys(best_path(build_trie([list(ops)]))) == keys(ops)
 
 
-# Path operators read table columns, an absent column ("z") and the add_column
-# names; the add_column names never name a table column, because a merged
-# add_column runs before every path operator and so cannot stand in for one
-# that a candidate ran after a group_by.
+class TestAddColumnAfterGroupBy:
+    def test_an_add_column_after_a_group_by_stays_after_it(self):
+        table = make_table(["A", "B"], [["x", 1], ["y", 2], ["x", 3]])
+        candidate = Pipeline((GroupByOp("A"), AddColumnOp("N", "infer"), FilterOp("N", "==", "v")))
+        merged = merge_pipelines([candidate, candidate])
+        assert merged == candidate
+        trace = execute(merged, table, EXECUTOR)
+        assert trace.truncated_at is None and trace.final.n_rows == 2
+
+    def test_only_add_columns_before_the_first_group_by_are_hoisted(self):
+        early, late = AddColumnOp("E", "infer"), AddColumnOp("L", "infer")
+        merged = merge_pipelines([Pipeline((F_X, early, G_C, late, S_B))])
+        assert merged.ops == (early, F_X, G_C, late, S_B)
+
+    def test_a_column_read_before_a_path_add_column_creates_its_name_is_kept(self):
+        table = make_table(["a", "N"], [["x", 1], ["y", 0]])
+        reads_n = Pipeline((FilterOp("N", "==", "1"), GroupByOp("a"), AddColumnOp("N", "infer")))
+        merged = merge_pipelines([reads_n, Pipeline((SelectOp(("a",)),))])
+        assert merged.ops == (SelectOp(("a", "N")), *reads_n.ops)
+        assert execute(merged, table, EXECUTOR).truncated_at is None
+        after = Pipeline((GroupByOp("a"), AddColumnOp("N", "infer"), FilterOp("N", "==", "1")))
+        assert merge_pipelines([after, Pipeline((SelectOp(("a",)),))]).ops == (SelectOp(("a",)), *after.ops)
+
+
+# Path operators read table columns and an absent column ("z"), and the
+# add_column names are table columns too. A candidate may run a group_by right
+# before an add_column, which the merge must then keep after that group_by.
 TABLE_COLUMNS = ["a", "b", "c", "count"]
-READ_COLUMNS = [*TABLE_COLUMNS, "z", "n0"]
+READ_COLUMNS = [*TABLE_COLUMNS, "z"]
 EXECUTOR = MockSemanticExecutor({"infer": lambda cell: "v", "tidy": lambda cell: None})
 
 read_column = st.sampled_from(READ_COLUMNS)
 why = st.sampled_from([None, "why"])
+add_columns = st.builds(AddColumnOp, st.sampled_from(["a", "b", "z"]), st.sampled_from(["infer one", "infer two"]),
+                        why)
 operators = st.one_of(
     st.builds(SelectOp, st.lists(read_column, min_size=1, max_size=3).map(tuple), why),
-    st.builds(FilterOp, read_column, st.sampled_from(["==", ">"]), st.sampled_from(["1", "x"]), why),
+    st.builds(FilterOp, read_column, st.sampled_from(["==", ">"]), st.sampled_from(["1", "x", "v"]), why),
     st.builds(SortByOp, read_column, st.sampled_from(["asc", "desc"]), st.none(), why),
     st.builds(GroupByOp, read_column, why),
     st.builds(CleanColumnOp, read_column, st.just("tidy"), why),
-    st.builds(AddColumnOp, st.sampled_from(["n0", "n1"]), st.sampled_from(["infer one", "infer two"]), why),
+    add_columns,
 )
-candidate_sets = st.lists(
-    st.lists(operators, max_size=5).map(lambda ops: Pipeline(tuple(ops))), min_size=1, max_size=5
+
+
+def _group_then_add(group_by, add, read):
+    """A group_by, an add_column after it, and maybe a filter on the new column."""
+    return (group_by, add, FilterOp(add.new_column, "==", "v")) if read else (group_by, add)
+
+
+chunks = st.one_of(
+    operators.map(lambda op: (op,)),
+    st.builds(_group_then_add, st.builds(GroupByOp, read_column, why), add_columns, st.booleans()),
 )
+pipelines = st.lists(chunks, max_size=4).map(lambda parts: Pipeline(tuple(op for part in parts for op in part)))
+candidate_sets = st.lists(pipelines, min_size=1, max_size=5)
 
 
 @st.composite
@@ -285,8 +323,17 @@ def tables(draw):
     return make_table(columns, rows)
 
 
-def _is_path_op(spec):
-    return not isinstance(spec, (SelectOp, AddColumnOp))
+def _path_positions(ops):
+    """Indices of the operators that vote in the trie: all but the selects and
+    the add_columns run before the first group_by. On a merged pipeline these
+    are its path."""
+    positions, grouped = [], False
+    for i, spec in enumerate(ops):
+        if isinstance(spec, SelectOp) or (isinstance(spec, AddColumnOp) and not grouped):
+            continue
+        grouped = grouped or isinstance(spec, GroupByOp)
+        positions.append(i)
+    return positions
 
 
 @settings(max_examples=300, deadline=None)
@@ -301,10 +348,27 @@ def test_merge_matches_reference_apart_from_appended_select_columns(candidates):
     columns, ref_columns = got.ops[0].columns, ref.ops[0].columns
     assert columns[: len(ref_columns)] == ref_columns
     appended = columns[len(ref_columns):]
-    read = {spec.column for spec in got.ops if _is_path_op(spec)}
-    created = {spec.new_column for spec in got.ops if isinstance(spec, AddColumnOp)}
+    path = _path_positions(got.ops)
+    created = {spec.new_column for spec in got.ops[: path[0] if path else None] if isinstance(spec, AddColumnOp)}
+    read = set()
+    for spec in (got.ops[i] for i in path):
+        if isinstance(spec, AddColumnOp):
+            created.add(spec.new_column)
+        elif spec.column not in created:
+            read.add(spec.column)
     assert len(set(appended)) == len(appended)
-    assert set(appended) <= read - created - set(ref_columns)
+    assert set(appended) <= read - set(ref_columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=candidate_sets)
+def test_merge_is_unchanged_when_no_add_column_follows_a_group_by(candidates):
+    def add_after_group_by(pipeline):
+        kinds = [spec.kind for spec in pipeline.ops]
+        return "group_by" in kinds and "add_column" in kinds[kinds.index("group_by"):]
+
+    if not any(add_after_group_by(pipeline) for pipeline in candidates):
+        assert merge_pipelines(candidates) == ref_merge_hoisting_every_add(candidates)
 
 
 @settings(max_examples=300, deadline=None)
@@ -317,13 +381,23 @@ def test_no_merged_step_loses_a_column_a_candidate_could_read(table, candidates)
         return
     step = trace.steps[at]
     column = getattr(step.spec, "column", None)
-    if column not in table.columns or step.error != str(ColumnNotFoundError(column)):
+    path = _path_positions(merged.ops)
+    if column is None or step.error != str(ColumnNotFoundError(column)) or at not in path:
         return
-    start = sum(not _is_path_op(spec) for spec in merged.ops)
-    depth = at - start
-    path_keys = keys(merged.ops[start : at + 1])
+    depth = path.index(at)
+    path_keys = keys(merged.ops[i] for i in path[: depth + 1])
     for candidate in candidates:
-        positions = [i for i, spec in enumerate(candidate.ops) if _is_path_op(spec)]
+        positions = _path_positions(candidate.ops)
         if keys(candidate.ops[i] for i in positions[: depth + 1]) == path_keys:
             own = execute(candidate, table, EXECUTOR)
             assert own.steps[positions[depth]].status != OK
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=tables(), before=pipelines, after=pipelines, copies=st.integers(min_value=1, max_value=3),
+       grouped=st.builds(_group_then_add, st.builds(GroupByOp, read_column, why), add_columns, st.just(True)))
+def test_copies_of_a_pipeline_that_runs_merge_to_no_missing_column(table, before, grouped, after, copies):
+    pipeline = Pipeline(before.ops + grouped + after.ops)
+    if execute(pipeline, table, EXECUTOR).truncated_at is None:
+        trace = execute(merge_pipelines([pipeline] * copies), table, EXECUTOR)
+        assert not any(step.error and step.error.startswith("column not found") for step in trace.steps)

@@ -197,6 +197,14 @@ class TestAnswerSetLookup:
         assert replace(answer_set, matching=other).lookup == AnswerSet(tuple(answers), other).lookup
         assert replace(answer_set, answers=("x",)).lookup == render_lookup(["x"])
 
+    def test_building_the_lookup_leaves_equality_hash_repr_and_replace_alone(self):
+        built, fresh = AnswerSet.of("5", "x"), AnswerSet.of("5", "x")
+        assert built.lookup is built.lookup  # built on first use, then kept
+        assert "lookup" in vars(built) and "lookup" not in vars(fresh)
+        assert built == fresh and hash(built) == hash(fresh) and repr(built) == repr(fresh)
+        copy = replace(built)
+        assert copy == built and "lookup" not in vars(copy)
+
 
 class TestOpCorrectness:
     def test_kept_answer_scores_one(self, answer_table):
