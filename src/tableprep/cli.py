@@ -23,7 +23,7 @@ from .gate import GateConfig, GroupMember, as_fraction, gate_record, sample_acce
 from .merge import merge_pipelines
 from .ops import parse_pipeline, pipeline_to_json
 from .reward import approx_token_count, filter_dataset, total_reward
-from .table import load_csv, load_json_table, serialize_json
+from .table import CELL_DECODER, load_csv, load_json_table, serialize_json
 
 CONFIG_EXIT = 2
 DATASET_EXIT = 3
@@ -50,7 +50,7 @@ def _read_json(path: str, parse=json.loads):
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(fh.read())
-        except ValueError as err:  # not UTF-8, not JSON, or an int over 4,300 digits
+        except ValueError as err:  # not UTF-8, not JSON, or a number over 4,300 digits
             raise DatasetError(f"cannot read {path}: {err}") from err
 
 
@@ -100,7 +100,7 @@ def exec_cmd(table_path, pipeline_path, config_path, trace_path, out):
         with open(table_path, "rb") as fh:
             table = load_csv(fh.read())
     else:
-        table = load_json_table(_read_json(table_path))
+        table = load_json_table(_read_json(table_path, CELL_DECODER.decode))
     pipeline = parse_pipeline(_read_json(pipeline_path))
     trace = execute(pipeline, table, build_semantic_executor(config))
     if trace_path:
@@ -127,7 +127,7 @@ def merge(candidates_path, out):
 def reward(bundle_path, config_path, out):
     """Score one {question, table, answers, pipeline, output_text} bundle."""
     config = _load_config(config_path)
-    doc = _read_json(bundle_path)
+    doc = _read_json(bundle_path, CELL_DECODER.decode)
     if not isinstance(doc, dict):
         raise DatasetError("reward bundle must be a JSON object")
     for key in ("table", "answers", "pipeline"):

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .errors import DatasetError, TablePrepError
 from .reward import AnswerSet
-from .table import CellMemo, Table, load_json_table, serialize_json
+from .table import CELL_DECODER, CellMemo, Table, format_number, load_json_table, serialize_json
 
 
 @dataclass(frozen=True)
@@ -49,18 +50,24 @@ def instance_from_json(doc: dict, matching: str = "exact", memo: CellMemo | None
 
 
 def parse_answers(raw, matching: str) -> AnswerSet:
-    """An ``answers`` field: a non-empty JSON list, each item read as text."""
+    """An ``answers`` field: a non-empty JSON list, each item read as text.
+
+    A number read as a ``Decimal`` reads as its canonical rendering, the text
+    a number cell of that value renders as; any other item as its ``str()``.
+    """
     if not isinstance(raw, list) or not raw:
         raise DatasetError("'answers' must be a non-empty list when present")
-    return AnswerSet(tuple(str(a) for a in raw), matching)
+    return AnswerSet(tuple(format_number(a) if isinstance(a, Decimal) else str(a) for a in raw), matching)
 
 
 def load_instances_jsonl(path: str, matching: str = "exact"):
     """Read instances from a JSONL file.
 
-    Returns ``(instances, line_errors)`` where line_errors records malformed
-    lines, including JSON the parser refuses such as an integer of more than
-    4,300 digits, as ``{"line": n, "error": msg}`` so batch runs can continue.
+    Lines are read through :data:`~tableprep.table.CELL_DECODER`, so a JSON
+    number with a fraction or an exponent is its exact ``Decimal``. Returns
+    ``(instances, line_errors)`` where line_errors records malformed lines,
+    including JSON the parser refuses such as an integer of more than 4,300
+    digits, as ``{"line": n, "error": msg}`` so batch runs can continue.
     Duplicate ids are a dataset error. The tables of one file share one
     :class:`~tableprep.table.CellMemo`, so equal raw cells across instances
     share one value.
@@ -74,13 +81,13 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
             if line.strip() == "":
                 continue
             try:
-                doc = json.loads(line)
+                doc = CELL_DECODER.decode(line)
                 instance = instance_from_json(doc, matching, memo)
                 if instance.id in seen_ids:
                     raise DatasetError(f"duplicate instance id {instance.id!r}")
                 seen_ids.add(instance.id)
                 instances.append(instance)
-            except (ValueError, DatasetError) as err:  # ValueError: bad JSON or an over-long integer
+            except (ValueError, DatasetError) as err:  # ValueError: bad JSON or an over-long number
                 errors.append({"line": line_no, "error": str(err)})
     return instances, errors
 

@@ -5,17 +5,10 @@ step is recorded, every later step is marked skipped, and the trace's final
 table is the last successfully produced one, so downstream QA always has a
 usable table.
 
-Sharing rule: each thread keeps a memo of the tables derived from one input
-table. Calls on the same thread that pass the same table object and the same
-executor object (``is``) share it: a step whose operator prefix an earlier
-call already ran successfully reuses that call's table instead of running the
-operator again. So the candidates of one group, scored back to back, run each
-distinct prefix once, and candidates sharing a prefix share its one semantic
-call (with a chat-model executor, one request). Only successful steps are
-stored; a failing step runs again on every call, so a transient semantic
-failure is retried. A call with another table or executor replaces the memo,
-so a thread holds one table's derived tables at a time. Traces are
-value-identical to running every step.
+Execution shares work between calls on one thread: each distinct successful
+operator prefix on one input table runs once, and a pipeline that ran with no
+failed step gets its trace object back. The sharing rule of the whole
+per-candidate path is stated in :mod:`tableprep.reward`.
 """
 
 from __future__ import annotations
@@ -75,8 +68,9 @@ class _NoExecutor:
 
 _NO_EXECUTOR = _NoExecutor()
 
-# per thread: (input table, executor, trie root); a trie node maps an operator
-# spec to (the table it produced, child node)
+# per thread: (input table, executor, trie root, traces); a trie node maps an
+# operator spec to (the table it produced, child node), and traces maps the ops
+# of each pipeline that ran with no failed step to its trace
 _memo = threading.local()
 
 
@@ -100,13 +94,17 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
     """Run the pipeline, capturing every intermediate table and step status.
 
     Never raises for operator-level failures; those are recorded in the trace.
-    Steps this thread already ran on ``table`` with ``executor`` are reused
-    (see the module docstring).
+    Steps and whole traces this thread already ran on ``table`` with
+    ``executor`` are reused (see the module docstring).
     """
     ex = executor if executor is not None else _NO_EXECUTOR
     memo = getattr(_memo, "state", None)
     if memo is None or memo[0] is not table or memo[1] is not ex:
-        memo = _memo.state = (table, ex, {})
+        memo = _memo.state = (table, ex, {}, {})
+    traces = memo[3]
+    trace = traces.get(pipeline.ops)
+    if trace is not None:
+        return trace
     node = memo[2]
     current = table
     steps: list[StepRecord] = []
@@ -130,7 +128,10 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
         node[spec] = (current, child)
         node = child
         steps.append(StepRecord(spec, OK, current))
-    return ExecutionTrace(table, tuple(steps), current, truncated_at)
+    trace = ExecutionTrace(table, tuple(steps), current, truncated_at)
+    if truncated_at is None:
+        traces[pipeline.ops] = trace
+    return trace
 
 
 def trace_to_json(trace: ExecutionTrace) -> dict:

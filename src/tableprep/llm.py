@@ -4,6 +4,11 @@ The wire protocol is the OpenAI-style chat completion JSON (messages array,
 temperature, max_tokens). Transports are pluggable: the HTTP transport is the
 production path, the scripted transport replays canned texts so the whole
 stack runs offline and deterministically in tests.
+
+:func:`extract_pipeline_json` returns the pipeline it last parsed on this
+thread when it gets an equal text again, so a run of identical candidate
+outputs parses once; the sharing rule of the whole per-candidate path is
+stated in :mod:`tableprep.reward`.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ import json
 import logging
 import os
 import re
+import threading
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -34,6 +40,9 @@ _DECODER = json.JSONDecoder()
 # \s and \d also admit non-ASCII whitespace and digits, which then fail to decode.
 # Only the bracket is consumed, so a bracket inside the lookahead is still tried.
 _ARRAY_START = re.compile(r'\[(?=\s*(?:[\]\[{"\-\d]|true|false|null|NaN|Infinity))')
+
+# per thread: (the last text that parsed, its pipeline)
+_last_parsed = threading.local()
 
 T = TypeVar("T")
 
@@ -213,9 +222,16 @@ def extract_pipeline_json(raw: str) -> Pipeline:
     """Parse the first JSON array in a model response as a pipeline.
 
     Pipeline-level parse errors propagate so callers can record the reason;
-    only the absence of any JSON array is reported as NoJsonFound.
+    only the absence of any JSON array is reported as NoJsonFound. A text
+    equal to the last one this thread parsed returns that text's pipeline
+    object; a text that raised is not kept, so it raises again.
     """
+    last = getattr(_last_parsed, "entry", None)
+    if last is not None and last[0] == raw:
+        return last[1]
     doc = first_json_array(raw)
     if doc is None:
         raise NoJsonFoundError("no JSON array found in model output")
-    return parse_pipeline(doc)
+    pipeline = parse_pipeline(doc)
+    _last_parsed.entry = (raw, pipeline)
+    return pipeline

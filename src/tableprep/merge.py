@@ -3,10 +3,10 @@
 The merged pipeline is assembled in three segments:
 
 1. one ``select`` over the union of all candidates' selected columns, in
-   first-appearance order (omitted when no candidate selects),
+   first-appearance order, leaving out every name that segment 2 creates
+   (omitted when no name is left),
 2. every ``add_column`` that a candidate runs before its first ``group_by``,
-   in candidate order, deduplicated only on byte-identical (name,
-   description) pairs, and
+   in candidate order, keeping only the first per column name, and
 3. the remaining operators of the trie path with the maximum total node
    weight, where a node's weight counts the candidates passing through it.
    An ``add_column`` after a candidate's first ``group_by`` is one of them,
@@ -79,7 +79,7 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
         raise EmptyCandidatesError("no candidate pipelines to merge")
 
     union: dict[str, None] = {}
-    adds: dict[tuple[str, str], AddColumnOp] = {}
+    adds: dict[str, AddColumnOp] = {}
     stripped: list[list[OperatorSpec]] = []
     firsts: list[int | None] = []  # per candidate: path operators before its first select
     for pipeline in candidates:
@@ -92,7 +92,7 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
                     first = len(remaining)
                 union.update(dict.fromkeys(spec.columns))
             elif isinstance(spec, AddColumnOp) and not grouped:
-                adds.setdefault((spec.new_column, spec.description), spec)
+                adds.setdefault(spec.new_column, spec)
             else:
                 grouped = grouped or isinstance(spec, GroupByOp)
                 remaining.append(spec)
@@ -101,8 +101,10 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
 
     path = best_path(build_trie(stripped))
     merged: list[OperatorSpec] = [*adds.values(), *path]
-    if any(first is not None for first in firsts):
-        created = {new_column for new_column, _ in adds}
+    for new_column in adds:  # the select would run before the add_column creates it
+        union.pop(new_column, None)
+    if union:
+        created = set(adds)
         outside = []
         for depth, spec in enumerate(path):
             if isinstance(spec, AddColumnOp):

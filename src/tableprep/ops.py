@@ -15,7 +15,6 @@ and a pipeline is a JSON array of such objects.
 from __future__ import annotations
 
 import json
-import math
 import operator
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields
@@ -141,16 +140,19 @@ def _top_k(op: str, key: str, value) -> int | None:
 def _coerce_scalar(op: str, key: str, value) -> Value:
     """Filter thresholds arrive as JSON scalars; numeric-looking strings and
     JSON numbers both normalize to Decimal so comparison and canonicalization
-    agree with cell ingestion. A JSON ``NaN``, ``Infinity`` or overflowing
-    number (``1e400``) parses as a non-finite float and is rejected."""
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+    agree with cell ingestion. A number already read as a ``Decimal`` (as
+    :data:`~tableprep.table.CELL_DECODER` reads one) is kept. A JSON ``NaN``,
+    ``Infinity`` or overflowing float (``1e400``) is non-finite and is
+    rejected."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float, Decimal)):
         raise BadParamTypeError(op, key, "expected a string or number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise BadParamTypeError(op, key, "expected a string or a finite number")
     if isinstance(value, str):
         number = parse_number(value)
         return number if number is not None else value
-    return Decimal(value if isinstance(value, int) else str(value))
+    number = value if isinstance(value, Decimal) else Decimal(value if isinstance(value, int) else str(value))
+    if not number.is_finite():
+        raise BadParamTypeError(op, key, "expected a string or a finite number")
+    return number
 
 
 _READERS = {

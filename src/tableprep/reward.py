@@ -4,6 +4,31 @@ All reward values are exact rationals (:class:`fractions.Fraction`), so the
 weighted total reproduces hand computation without float drift. Correctness is
 verifiable only on cell-focused instances, where every gold answer appears
 verbatim as a table cell.
+
+Sharing rule. Training scores a group of sampled candidates per question, one
+after another on one thread, and the candidates often repeat. Each step of the
+per-candidate path, :func:`~tableprep.llm.extract_pipeline_json`, then
+:func:`~tableprep.engine.execute`, then :func:`total_reward`, keeps a memo per
+thread, so callers share this work by calling what they already call:
+
+* parsing keeps the last text and the pipeline it gave, and an equal text gets
+  that pipeline object back; a text that raised is not kept;
+* execution keeps the tables derived from one input table and executor
+  (compared by ``is``), so each distinct successful operator prefix runs once,
+  and a pipeline that ran with no failed step gets its trace object back; a
+  failed step runs again on every call, so a transient semantic failure is
+  retried;
+* scoring keeps, for one initial table and one :class:`AnswerSet` (compared by
+  ``is``), the correctness bit of each table it scanned, keyed by the table
+  object, and each :class:`RewardBreakdown`, keyed by the trace object,
+  ``token_len`` and the config object (``config=None`` is one module-level
+  default).
+
+A call with another table, executor or answer set replaces that step's memo,
+so a thread holds one instance's work at a time. Memos key objects by identity
+and hold references to them, so no key's ``id`` is reused while it is a key.
+Results are equal to computing everything afresh; only the work skipped
+changes.
 """
 
 from __future__ import annotations
@@ -11,6 +36,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
@@ -146,21 +172,43 @@ def _carried_bit(spec, bit: int) -> int | None:
     return None
 
 
+# per thread: (initial table, answer set, scanned, breakdowns); scanned maps
+# id(table) to (table, its bit) and breakdowns maps (id(trace), token_len,
+# id(config)) to (trace, config, breakdown)
+_memo = threading.local()
+
+
+def _scope(initial: Table, answers: AnswerSet) -> tuple:
+    """This thread's scoring memo for ``initial`` and ``answers``, replacing
+    the memo of any other pair (see the module docstring)."""
+    memo = getattr(_memo, "state", None)
+    if memo is None or memo[0] is not initial or memo[1] is not answers:
+        memo = _memo.state = (initial, answers, {}, {})
+    return memo
+
+
 def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
     """Correctness bit per step; failed and skipped steps score 0.
 
     The first OK step's table is scanned. A later OK step carries its input's
     bit when its operator implies it (:func:`_carried_bit`) and is scanned
-    otherwise.
+    otherwise. A table this thread already scanned for ``answers`` in the
+    current scope is not scanned again.
     """
+    scanned = _scope(trace.initial, answers)[2]
     bits = []
     bit = None  # the bit of the current step's input table, once computed
     for step in trace.steps:
         if step.status != OK:
             bits.append(0)
             continue
-        carried = None if bit is None else _carried_bit(step.spec, bit)
-        bit = op_correctness(step.table_after, answers) if carried is None else carried
+        bit = None if bit is None else _carried_bit(step.spec, bit)
+        if bit is None:
+            table = step.table_after
+            hit = scanned.get(id(table))
+            if hit is None:
+                hit = scanned[id(table)] = (table, op_correctness(table, answers))
+            bit = hit[1]
         bits.append(bit)
     return bits
 
@@ -241,6 +289,9 @@ class RewardConfig:
                              f"got l_cache={self.l_cache}, l_max={self.l_max}")
 
 
+_DEFAULT_CONFIG = RewardConfig()
+
+
 @dataclass(frozen=True)
 class RewardBreakdown:
     per_op_correct: tuple[int, ...]
@@ -279,9 +330,16 @@ def total_reward(
 
     The total is formed once, as one Fraction whose numerator and denominator
     are integer sums and products of the terms' own numerators and
-    denominators.
+    denominators. A trace this thread already scored with the same
+    ``answers``, ``token_len`` and config object returns that breakdown (see
+    the module docstring).
     """
-    cfg = config or RewardConfig()
+    cfg = _DEFAULT_CONFIG if config is None else config
+    scored = _scope(trace.initial, answers)[3]
+    key = (id(trace), token_len, id(cfg))
+    hit = scored.get(key)
+    if hit is not None:
+        return hit[2]
     bits = per_op_correctness(trace, answers)
     n = len(trace.steps)
     r_acc = Fraction(sum(bits), n) if n else accuracy_reward(trace, answers)
@@ -295,7 +353,7 @@ def total_reward(
     i, j = r_length.numerator, r_length.denominator
     df, hj = d * f, h * j
     total = Fraction(a * df * hj + c * e * b * hj + g * i * b * df, b * df * hj)
-    return RewardBreakdown(
+    breakdown = RewardBreakdown(
         per_op_correct=tuple(bits),
         r_acc=r_acc,
         r_compress=r_compress,
@@ -304,6 +362,8 @@ def total_reward(
         n=n,
         token_len=token_len,
     )
+    scored[key] = (trace, cfg, breakdown)
+    return breakdown
 
 
 def approx_token_count(text: str) -> int:

@@ -10,10 +10,10 @@ Tables are immutable after construction and safe to share across threads;
 every operator returns a new table.
 
 Ingestion types each distinct raw cell text once per load: a :class:`CellMemo`
-maps raw text to its typed value, so equal raw cells of one load share one
-immutable value object. The memo lives only for that load (one
-``load_csv``/``load_json_table`` call, or one ``data.load_instances_jsonl``
-file); nothing is cached across loads.
+maps raw text (or a JSON number's exact value) to its typed value, so equal
+raw cells of one load share one immutable value object. The memo lives only
+for that load (one ``load_csv``/``load_json_table`` call, or one
+``data.load_instances_jsonl`` file); nothing is cached across loads.
 
 :func:`markdown_size` gives the byte length of a table's markdown without
 building it. It measures each cell through a :class:`CellWidths` memo that the
@@ -99,13 +99,31 @@ def ingest_cell(text: str) -> Value:
 class CellMemo(dict):
     """Raw cell text -> its :func:`ingest_cell` value, typed on first sight.
 
-    Equal raw texts typed through one memo share one value object (values are
+    A JSON number read as a ``Decimal`` is its own value. Equal raw texts, and
+    equal numbers, typed through one memo share one value object (values are
     immutable). Make one per load and drop it with the load.
     """
 
-    def __missing__(self, text: str) -> Value:
-        value = self[text] = ingest_cell(text)
+    def __missing__(self, raw: str | Decimal) -> Value:
+        value = self[raw] = ingest_cell(raw) if isinstance(raw, str) else raw
         return value
+
+
+# A JSON number literal whose plain rendering would need more digits than this
+# on either side of the point is refused, as Python refuses longer integers.
+_MAX_NUMBER_DIGITS = 4300
+
+
+def _exact_number(literal: str) -> Decimal:
+    value = Decimal(literal)
+    if value.adjusted() >= _MAX_NUMBER_DIGITS or value.as_tuple().exponent < -_MAX_NUMBER_DIGITS:
+        raise ValueError(f"number literal {literal[:32]!r} needs more than {_MAX_NUMBER_DIGITS} digits")
+    return value
+
+
+# Reads every JSON text that can hold table cells: a number with a fraction or
+# an exponent becomes the exact Decimal of its literal, not a float.
+CELL_DECODER = json.JSONDecoder(parse_float=_exact_number)
 
 
 def render_lookup(texts) -> dict:
@@ -215,9 +233,11 @@ def load_csv(data: bytes) -> Table:
 def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
     """Parse a ``{"header": [...], "rows": [[...], ...]}`` object into a table.
 
-    Same cell-typing rules as :func:`load_csv`; a JSON number or bool is typed
-    as its ``str()``. Cells are typed through ``memo``, which a caller loading
-    many tables shares across them (a fresh one by default).
+    Same cell-typing rules as :func:`load_csv` for text. A ``Decimal`` (a JSON
+    number read through :data:`CELL_DECODER`) is typed as its exact value and
+    must be finite; any other cell, such as a JSON integer, bool or ``NaN``,
+    is typed as its ``str()``. Cells are typed through ``memo``, which a
+    caller loading many tables shares across them (a fresh one by default).
     """
     if not isinstance(doc, dict):
         raise EmptyInputError("table document must be a JSON object")
@@ -237,10 +257,19 @@ def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
         if not isinstance(raw, list):
             raise InvalidCellError(f"row {i} is not a list")
         rows.append(tuple([
-            None if cell is None else typed(cell if isinstance(cell, str) else str(cell))
+            None if cell is None
+            else typed(cell) if isinstance(cell, str)
+            else typed(_finite(cell, i)) if isinstance(cell, Decimal)
+            else typed(str(cell))
             for cell in raw
         ]))
     return Table(tuple(header), tuple(rows))
+
+
+def _finite(number: Decimal, row: int) -> Decimal:
+    if not number.is_finite():
+        raise InvalidCellError(f"non-finite number in row {row}")
+    return number
 
 
 def serialize_json(table: Table) -> dict:

@@ -19,6 +19,7 @@ from tableprep.errors import (
     ColumnNotFoundError,
     EmptyGroupError,
     GroupTooSmallError,
+    NoJsonFoundError,
     TablePrepError,
 )
 from tableprep.gate import (
@@ -30,7 +31,7 @@ from tableprep.gate import (
     SampleOutcome,
     as_fraction,
 )
-from tableprep.llm import GenerationConfig
+from tableprep.llm import GenerationConfig, first_json_array
 from tableprep.merge import best_path, build_trie
 from tableprep.ops import (
     AddColumnOp,
@@ -41,6 +42,7 @@ from tableprep.ops import (
     SelectOp,
     SortByOp,
     canonical_key,
+    parse_pipeline,
 )
 from tableprep.reward import (
     AnswerSet,
@@ -91,13 +93,14 @@ def ref_load_csv(data: bytes) -> Table:
 
 
 def ref_load_json_table(doc: dict) -> Table:
-    """Type every JSON cell on its own, with no memo: text as it is, any other
-    non-null cell as its ``str()``."""
-    return Table(tuple(doc["header"]), tuple(
-        tuple(None if cell is None else ingest_cell(cell if isinstance(cell, str) else str(cell))
-              for cell in raw)
-        for raw in doc["rows"]
-    ))
+    """Type every JSON cell on its own, with no memo: text as it is, a
+    ``Decimal`` as itself, any other non-null cell as its ``str()``."""
+    def typed(cell):
+        if cell is None or isinstance(cell, Decimal):
+            return cell
+        return ingest_cell(cell if isinstance(cell, str) else str(cell))
+
+    return Table(tuple(doc["header"]), tuple(tuple(typed(cell) for cell in raw) for raw in doc["rows"]))
 
 
 def ref_mock_rule(rule: dict):
@@ -233,25 +236,6 @@ def ref_sample_accepted_group(source, group_size: int, config: GateConfig) -> Sa
             adv = tuple((as_fraction(r) - stats.mean) / denominator for r in group.rewards)
             return SampleOutcome(group, adv, attempt, tuple(reasons))
     return SampleOutcome(None, None, config.max_resample_attempts, tuple(reasons))
-
-
-def ref_per_op_correctness(trace, answers: AnswerSet) -> list:
-    """Scan every OK step's table; failed and skipped steps score 0."""
-    return [
-        (1 if contains_all_answers(step.table_after, answers) else 0) if step.status == OK else 0
-        for step in trace.steps
-    ]
-
-
-def ref_total_reward(trace, answers: AnswerSet, token_len: int, config: RewardConfig) -> RewardBreakdown:
-    """Every OK step scanned, and the total summed Fraction by Fraction."""
-    bits = ref_per_op_correctness(trace, answers)
-    n = len(trace.steps)
-    r_acc = Fraction(sum(bits), n) if n else Fraction(0)
-    r_compress = compression_reward(trace, orientation=config.compression_orientation)
-    r_length = length_reward(token_len, config.l_max, config.l_cache)
-    total = r_acc + config.lambda_compress * r_compress + config.lambda_length * r_length
-    return RewardBreakdown(tuple(bits), r_acc, r_compress, r_length, total, n, token_len)
 
 
 def _ref_config_fraction(section: str, key: str, value) -> Fraction:
@@ -514,14 +498,13 @@ def ref_best_path(sequences):
 
 def ref_merge_pipelines(candidates):
     """The consensus merge without the read-column closure: the select union
-    kept in a list beside a seen-set, the add_columns each candidate runs
-    before its first group_by deduplicated through a seen (name, description)
-    set, and the path from :func:`ref_best_path` over every other operator.
-    Each path operator is the spec of the first candidate reaching that
-    prefix."""
+    kept in a list beside a seen-set, then filtered of the hoisted names; the
+    add_columns each candidate runs before its first group_by deduplicated
+    through a seen-name set; and the path from :func:`ref_best_path` over
+    every other operator. Each path operator is the spec of the first
+    candidate reaching that prefix."""
     select_columns = []
     seen_columns = set()
-    any_select = False
     add_columns = []
     seen_adds = set()
     stripped = []
@@ -529,19 +512,18 @@ def ref_merge_pipelines(candidates):
         remaining = []
         for spec in pipeline.ops:
             if isinstance(spec, SelectOp):
-                any_select = True
                 for column in spec.columns:
                     if column not in seen_columns:
                         seen_columns.add(column)
                         select_columns.append(column)
             elif isinstance(spec, AddColumnOp) and not any(isinstance(op, GroupByOp) for op in remaining):
-                dedup = (spec.new_column, spec.description)
-                if dedup not in seen_adds:
-                    seen_adds.add(dedup)
+                if spec.new_column not in seen_adds:
+                    seen_adds.add(spec.new_column)
                     add_columns.append(spec)
             else:
                 remaining.append(spec)
         stripped.append(remaining)
+    select_columns = [column for column in select_columns if column not in seen_adds]
 
     key_sequences = [[ref_canonical_key(spec) for spec in ops] for ops in stripped]
     path = ref_best_path(key_sequences)
@@ -550,7 +532,7 @@ def ref_merge_pipelines(candidates):
         first = next(i for i, keys in enumerate(key_sequences) if keys[: j + 1] == path[: j + 1])
         path_specs.append(stripped[first][j])
 
-    merged = [SelectOp(tuple(select_columns))] if any_select else []
+    merged = [SelectOp(tuple(select_columns))] if select_columns else []
     return Pipeline(tuple(merged + add_columns + path_specs))
 
 
@@ -573,7 +555,7 @@ def ref_merge_hoisting_every_add(candidates):
                     first = len(remaining)
                 union.update(dict.fromkeys(spec.columns))
             elif isinstance(spec, AddColumnOp):
-                adds.setdefault((spec.new_column, spec.description), spec)
+                adds.setdefault(spec.new_column, spec)
             else:
                 remaining.append(spec)
         stripped.append(remaining)
@@ -581,8 +563,9 @@ def ref_merge_hoisting_every_add(candidates):
 
     path = best_path(build_trie(stripped))
     merged = [*adds.values(), *path]
-    if any(first is not None for first in firsts):
-        created = {new_column for new_column, _ in adds}
+    union = {column: None for column in union if column not in adds}
+    if union:
+        created = set(adds)
         outside = [(depth, spec.column) for depth, spec in enumerate(path)
                    if spec.column not in union and spec.column not in created]
         if outside:
@@ -598,6 +581,17 @@ def ref_merge_hoisting_every_add(candidates):
             union.update((column, None) for depth, column in outside if depth < reach)
         merged.insert(0, SelectOp(tuple(union)))
     return Pipeline(tuple(merged))
+
+
+# Memo-free references of the per-candidate path: parse, execute, score.
+
+
+def ref_extract_pipeline_json(text: str):
+    """Parse the text afresh, sharing nothing with earlier calls."""
+    doc = first_json_array(text)
+    if doc is None:
+        raise NoJsonFoundError("no JSON array found in model output")
+    return parse_pipeline(doc)
 
 
 def ref_execute(pipeline, table, executor) -> ExecutionTrace:
@@ -617,3 +611,22 @@ def ref_execute(pipeline, table, executor) -> ExecutionTrace:
             truncated_at = i
             steps.append(StepRecord(spec, FAILED, current, error=str(err)))
     return ExecutionTrace(table, tuple(steps), current, truncated_at)
+
+
+def ref_per_op_correctness(trace, answers: AnswerSet) -> list:
+    """Scan every OK step's table; failed and skipped steps score 0."""
+    return [
+        (1 if contains_all_answers(step.table_after, answers) else 0) if step.status == OK else 0
+        for step in trace.steps
+    ]
+
+
+def ref_total_reward(trace, answers: AnswerSet, token_len: int, config: RewardConfig) -> RewardBreakdown:
+    """Every OK step scanned, and the total summed Fraction by Fraction."""
+    bits = ref_per_op_correctness(trace, answers)
+    n = len(trace.steps)
+    r_acc = Fraction(sum(bits), n) if n else Fraction(0)
+    r_compress = compression_reward(trace, orientation=config.compression_orientation)
+    r_length = length_reward(token_len, config.l_max, config.l_cache)
+    total = r_acc + config.lambda_compress * r_compress + config.lambda_length * r_length
+    return RewardBreakdown(tuple(bits), r_acc, r_compress, r_length, total, n, token_len)

@@ -264,6 +264,15 @@ class TestExec:
         assert result.exit_code == 0
         assert json.loads(result.output)["rows"] == [["1"]]
 
+    def test_json_table_numbers_are_exact(self, runner, tmp_path):
+        table = tmp_path / "t.json"
+        table.write_text('{"header": ["a", "b", "c"], "rows": [[1e16, 0.00001, 12345678901234567890.5]]}')
+        pipeline = tmp_path / "p.json"
+        pipeline.write_text("[]")
+        result = runner.invoke(main, ["exec", "--table", str(table), "--pipeline", str(pipeline)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["rows"] == [["10000000000000000", "0.00001", "12345678901234567890.5"]]
+
 
 class TestMerge:
     def test_fixture_consensus(self, runner):
@@ -300,6 +309,18 @@ class TestReward:
         assert doc["total"] == 1.15
         assert doc["exact"]["total"] == "23/20"
         assert doc["per_op_correct"] == [1, 1]
+
+    def test_bundle_numbers_are_exact(self, runner, tmp_path):
+        path = tmp_path / "b.json"
+        path.write_text('{"table": {"header": ["a", "b"], "rows": [[1e16, 0.10000000000000000002], [7, 0.1]]}, '
+                        '"answers": [1e16], "output_text": "", '
+                        '"pipeline": [{"operation": "filter", "column": "b", "cmp": ">", '
+                        '"value": 0.10000000000000000001}]}')
+        result = runner.invoke(main, ["reward", str(path)])
+        assert result.exit_code == 0, result.output
+        doc = json.loads(result.output)
+        assert doc["per_op_correct"] == [1]
+        assert doc["exact"]["r_compress"] == "3/4"  # the filter kept the first row only
 
     def test_missing_field(self, runner, tmp_path):
         path = tmp_path / "b.json"
@@ -449,6 +470,8 @@ _MALFORMED = [
     (["run", "--dataset", fx("run_instances.jsonl"), "--config", fx("run_config.json"),
       "--out", "BAD.json"], None, 3, "unwritable"),
     *_reads(["exec", "--table", "BAD.json", "--pipeline", fx("pipeline.json")], b"5"),
+    (["exec", "--table", "BAD.json", "--pipeline", fx("pipeline.json")],
+     b'{"header": ["a"], "rows": [[1e999999999]]}', 3, "number_over_4300_digits"),
     *_reads(["exec", "--table", "BAD.csv", "--pipeline", fx("pipeline.json")], b" \n",
             kinds=("missing", "not_utf8")),
     *_reads(["exec", "--table", fx("table.csv"), "--pipeline", "BAD.json"], b"5"),
@@ -460,6 +483,9 @@ _MALFORMED = [
     *_reads(["merge", "BAD.json"], b"{}"),
     (["merge", fx("merge_candidates.json"), "--out", "BAD.json"], None, 3, "unwritable"),
     *_reads(["reward", "BAD.json"], b"5"),
+    (["reward", "BAD.json"], json.dumps({**json.loads(Path(fx("reward_bundle.json")).read_text()),
+                                         "answers": ["x"]}).replace('["x"]', "[1e-99999]").encode(),
+     3, "number_over_4300_digits"),
     (["reward", "BAD.json"], b'["table", "answers", "pipeline"]', 3, "list_bundle"),
     (["reward", "BAD.json"], json.dumps({**json.loads(Path(fx("reward_bundle.json")).read_text()),
                                          "output_text": 5}).encode(), 3, "output_text"),

@@ -126,15 +126,13 @@ class TestMergePipelines:
         adds = [op for op in merged.ops if isinstance(op, AddColumnOp)]
         assert adds == [a2, a1]
 
-    def test_add_columns_deduplicated_on_name_description(self):
+    def test_add_columns_deduplicated_on_name(self):
         a1 = AddColumnOp("g", "infer", explanation="first")
         a2 = AddColumnOp("g", "infer", explanation="second")
         a3 = AddColumnOp("g", "infer differently")
-        merged = merge_pipelines([Pipeline((a1,)), Pipeline((a2, a3))])
-        adds = [op for op in merged.ops if isinstance(op, AddColumnOp)]
-        assert len(adds) == 2
-        assert adds[0].description == "infer"
-        assert adds[1].description == "infer differently"
+        a4 = AddColumnOp("h", "infer")
+        merged = merge_pipelines([Pipeline((a1,)), Pipeline((a2, a3, a4))])
+        assert [op for op in merged.ops if isinstance(op, AddColumnOp)] == [a1, a4]
 
     def test_segment_order(self):
         merged = merge_pipelines(
@@ -180,11 +178,11 @@ class TestOracleEquivalence:
             expected = ref_best_path([tuple(keys(s)) for s in sequences])
             assert got == list(expected)
 
-    def test_merged_pipeline_contains_every_add_column(self, rng):
+    def test_merged_pipeline_hoists_the_first_add_column_of_each_name(self, rng):
         vocabulary = _vocabulary()
         for trial in range(100):
             candidates = []
-            expected_adds, voted = set(), set()
+            hoisted, voted = {}, set()
             for i in range(rng.randint(1, 5)):
                 ops = [rng.choice(vocabulary) for _ in range(rng.randint(0, 3))]
                 if rng.random() < 0.5:
@@ -192,16 +190,15 @@ class TestOracleEquivalence:
                     at = rng.randint(0, len(ops))
                     ops.insert(at, add)
                     # one after a group_by joins the vote instead
-                    grouped = any(isinstance(op, GroupByOp) for op in ops[:at])
-                    (voted if grouped else expected_adds).add((add.new_column, add.description))
+                    if any(isinstance(op, GroupByOp) for op in ops[:at]):
+                        voted.add(add)
+                    else:
+                        hoisted.setdefault(add.new_column, add)
                 candidates.append(Pipeline(tuple(ops)))
             merged = merge_pipelines(candidates)
-            got_adds = {
-                (op.new_column, op.description)
-                for op in merged.ops
-                if isinstance(op, AddColumnOp)
-            }
-            assert expected_adds <= got_adds <= expected_adds | voted
+            adds = [op for op in merged.ops if isinstance(op, AddColumnOp)]
+            assert adds[: len(hoisted)] == list(hoisted.values())
+            assert set(adds[len(hoisted):]) <= voted
 
     def test_select_union_property(self, rng):
         for trial in range(100):
@@ -257,6 +254,30 @@ class TestReadColumnClosure:
         assert keys(best_path(build_trie([list(ops)]))) == keys(ops)
 
 
+class TestHoistedAddColumns:
+    TABLE = make_table(["a", "b"], [["x", 1], ["y", 2]])
+
+    def test_a_select_of_only_added_names_is_omitted(self):
+        candidate = Pipeline((AddColumnOp("n", "infer one"), SelectOp(("n",))))
+        assert execute(candidate, self.TABLE, EXECUTOR).truncated_at is None
+        merged = merge_pipelines([candidate, candidate])
+        assert merged.ops == (AddColumnOp("n", "infer one"),)
+        assert execute(merged, self.TABLE, EXECUTOR).truncated_at is None
+
+    def test_added_names_leave_the_union_select(self):
+        add = AddColumnOp("n", "infer one")
+        merged = merge_pipelines([Pipeline((add, SelectOp(("n", "a")))), Pipeline((SelectOp(("b", "n")),))])
+        assert merged.ops == (SelectOp(("a", "b")), add)
+
+    def test_one_add_column_per_name_is_hoisted(self):
+        first, second = AddColumnOp("n", "infer one"), AddColumnOp("n", "infer two")
+        candidates = [Pipeline((first, FilterOp("n", "==", "v")))] * 2 + [Pipeline((second, FilterOp("n", "==", "w")))]
+        assert all(execute(c, self.TABLE, EXECUTOR).truncated_at is None for c in candidates)
+        merged = merge_pipelines(candidates)
+        assert merged.ops == (first, FilterOp("n", "==", "v"))
+        assert execute(merged, self.TABLE, EXECUTOR).truncated_at is None
+
+
 class TestAddColumnAfterGroupBy:
     def test_an_add_column_after_a_group_by_stays_after_it(self):
         table = make_table(["A", "B"], [["x", 1], ["y", 2], ["x", 3]])
@@ -290,10 +311,11 @@ EXECUTOR = MockSemanticExecutor({"infer": lambda cell: "v", "tidy": lambda cell:
 
 read_column = st.sampled_from(READ_COLUMNS)
 why = st.sampled_from([None, "why"])
-add_columns = st.builds(AddColumnOp, st.sampled_from(["a", "b", "z"]), st.sampled_from(["infer one", "infer two"]),
+ADDED_NAMES = ["a", "b", "z", "n"]  # "n" is never a table column
+add_columns = st.builds(AddColumnOp, st.sampled_from(ADDED_NAMES), st.sampled_from(["infer one", "infer two"]),
                         why)
 operators = st.one_of(
-    st.builds(SelectOp, st.lists(read_column, min_size=1, max_size=3).map(tuple), why),
+    st.builds(SelectOp, st.lists(st.sampled_from([*READ_COLUMNS, "n"]), min_size=1, max_size=3).map(tuple), why),
     st.builds(FilterOp, read_column, st.sampled_from(["==", ">"]), st.sampled_from(["1", "x", "v"]), why),
     st.builds(SortByOp, read_column, st.sampled_from(["asc", "desc"]), st.none(), why),
     st.builds(GroupByOp, read_column, why),
@@ -401,3 +423,47 @@ def test_copies_of_a_pipeline_that_runs_merge_to_no_missing_column(table, before
     if execute(pipeline, table, EXECUTOR).truncated_at is None:
         trace = execute(merge_pipelines([pipeline] * copies), table, EXECUTOR)
         assert not any(step.error and step.error.startswith("column not found") for step in trace.steps)
+
+
+@st.composite
+def tables_and_candidates_that_run(draw):
+    """A table and candidates that each run on it with no failed step. They
+    add only names the table lacks, select and read only the table's columns
+    and added names, and run no group_by."""
+    table = draw(tables())
+    added = ["n", "m"]
+    column = st.sampled_from([*table.columns, *added])
+    operator = st.one_of(
+        st.builds(AddColumnOp, st.sampled_from(added), st.sampled_from(["infer one", "infer two"])),
+        st.builds(SelectOp, st.lists(column, min_size=1, max_size=3).map(tuple)),
+        st.builds(FilterOp, column, st.sampled_from(["==", "!="]), st.sampled_from(["v", "x", "1"])),
+        st.builds(SortByOp, column, st.sampled_from(["asc", "desc"])),
+    )
+    drawn = draw(st.lists(st.lists(operator, max_size=5).map(lambda ops: Pipeline(tuple(ops))),
+                          min_size=1, max_size=4))
+    return table, [c for c in drawn if execute(c, table, EXECUTOR).truncated_at is None]
+
+
+def _selects_an_absent_column(pipeline, table):
+    """Whether one of the pipeline's selects names a column absent from its input."""
+    before = table
+    for step in execute(pipeline, table, EXECUTOR).steps:
+        if isinstance(step.spec, SelectOp) and not set(step.spec.columns) <= set(before.columns):
+            return True
+        before = step.table_after
+    return False
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_and_candidates_that_run())
+def test_candidates_that_select_added_names_and_run_merge_to_a_pipeline_that_runs(table_and_candidates):
+    table, candidates = table_and_candidates
+    if not candidates:
+        return
+    merged = merge_pipelines(candidates)
+    trace = execute(merged, table, EXECUTOR)
+    if trace.truncated_at is not None:
+        # The merge cannot see the table: [add_column n, select [n, m]] runs on a table
+        # without m, but the union select, which runs first, is left with m alone.
+        assert trace.truncated_at == 0 and isinstance(merged.ops[0], SelectOp), trace.steps[trace.truncated_at]
+        assert any(_selects_an_absent_column(candidate, table) for candidate in candidates)

@@ -33,7 +33,7 @@ from tableprep.ops import (
     parse_pipeline,
     pipeline_to_json,
 )
-from tableprep.table import Table, parse_number
+from tableprep.table import CELL_DECODER, Table, parse_number
 
 from conftest import CELL_TEXTS, make_table, random_table
 from oracles import (
@@ -181,6 +181,14 @@ def test_non_finite_json_threshold_is_a_parse_error(text):
         "invalid operator at index 0: operator 'filter' has invalid parameter 'value': "
         "expected a string or a finite number"
     )
+
+
+def test_a_decimal_threshold_is_kept_exact_and_must_be_finite():
+    doc = CELL_DECODER.decode('[{"operation": "filter", "column": "a", "cmp": ">", "value": 0.10000000000000000001}]')
+    assert parse_pipeline(doc).ops[0].value == Decimal("0.10000000000000000001")
+    for value in (Decimal("NaN"), Decimal("-Infinity"), Decimal("sNaN")):
+        with pytest.raises(PipelineParseError, match="expected a string or a finite number"):
+            parse_pipeline([{"operation": "filter", "column": "a", "cmp": ">", "value": value}])
 
 
 _TEXT = st.text(max_size=6)

@@ -1,4 +1,6 @@
+import json
 import logging
+import threading
 from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 
 from tableprep import reward
 from tableprep.engine import FAILED, OK, SKIPPED, execute
-from tableprep.errors import BadBudgetError, DegenerateInitialTableError
+from tableprep.errors import BadBudgetError, DegenerateInitialTableError, ExecutorFailureError, TablePrepError
+from tableprep.llm import extract_pipeline_json
 from tableprep.ops import (
     AddColumnOp,
     CleanColumnOp,
@@ -19,6 +22,7 @@ from tableprep.ops import (
     SelectOp,
     SortByOp,
     parse_pipeline,
+    pipeline_to_json,
 )
 from tableprep.reward import (
     AnswerSet,
@@ -39,7 +43,13 @@ from tableprep.semantic import MockSemanticExecutor
 from tableprep.table import Table, render_lookup, render_value, serialize_markdown
 
 from conftest import make_table
-from oracles import ref_contains_all_answers, ref_per_op_correctness, ref_total_reward
+from oracles import (
+    ref_contains_all_answers,
+    ref_execute,
+    ref_extract_pipeline_json,
+    ref_per_op_correctness,
+    ref_total_reward,
+)
 
 
 def pipe(*docs):
@@ -599,3 +609,181 @@ def test_approx_token_count():
     assert approx_token_count("") == 0
     assert approx_token_count("abcd") == 1
     assert approx_token_count("abcde") == 2
+
+
+# --- sharing along the per-candidate path --------------------------------------
+
+
+class RefusingExecutor:
+    """``_PIPE_EXECUTOR``, except that a description containing "refuse"
+    raises; counts every semantic call."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def _call(self, description):
+        self.calls += 1
+        if "refuse" in description:
+            raise ExecutorFailureError("refused")
+
+    def infer_column(self, table, new_column, description):
+        self._call(description)
+        return _PIPE_EXECUTOR.infer_column(table, new_column, description)
+
+    def rewrite_column(self, table, column, description):
+        self._call(description)
+        return _PIPE_EXECUTOR.rewrite_column(table, column, description)
+
+
+_GROUP_OPS = _PIPE_OPS | st.builds(AddColumnOp, _PIPE_NAMES, st.just("refuse it")) | st.builds(
+    CleanColumnOp, _PIPE_NAMES, st.just("refuse it"))
+_CANDIDATE_TEXT = st.one_of(
+    st.lists(_GROUP_OPS, max_size=4).map(lambda ops: "plan: " + json.dumps(pipeline_to_json(Pipeline(tuple(ops))))),
+    st.sampled_from(["no plan", '[{"operation": "explode"}]', "[]"]),
+)
+_ANSWER_SETS = st.builds(AnswerSet, st.lists(st.sampled_from(["x", "y", "7", "", "2"]), min_size=1, max_size=2)
+                         .map(tuple), st.sampled_from(["exact", "normalized"]))
+_CONFIGS = st.sampled_from([None, RewardConfig(), RewardConfig(Fraction(1, 3), Fraction(2), 64, 16, "inverted")])
+
+
+@st.composite
+def _scored_groups(draw):
+    """One table, a few candidate texts, two answer sets and two configs, and
+    a random sequence of draws over them: (text, answers, config, token_len).
+    Texts, answer sets and configs repeat, adjacent or not."""
+    rows = draw(st.lists(st.tuples(*[_PIPE_CELLS] * len(_PIPE_COLUMNS)), min_size=1, max_size=4))
+    table = Table(_PIPE_COLUMNS, tuple(rows))
+    texts = draw(st.lists(_CANDIDATE_TEXT, min_size=1, max_size=4))
+    answers = draw(st.lists(_ANSWER_SETS, min_size=2, max_size=2))
+    configs = draw(st.lists(_CONFIGS, min_size=2, max_size=2))
+    draws = draw(st.lists(st.tuples(st.sampled_from(texts), st.sampled_from(answers), st.sampled_from(configs),
+                                    st.sampled_from([3, 60])), min_size=1, max_size=16))
+    runs = draw(st.lists(st.integers(1, 3), min_size=len(draws), max_size=len(draws)))
+    return table, [d for d, n in zip(draws, runs) for _ in range(n)]  # runs of adjacent copies
+
+
+class TestSharingAlongThePerCandidatePath:
+    @settings(max_examples=300, deadline=None)
+    @given(_scored_groups())
+    def test_every_trace_and_breakdown_equals_computing_it_afresh(self, group):
+        table, draws = group
+        executor = RefusingExecutor()
+        for text, answers, config, token_len in draws:
+            try:
+                want_pipeline = ref_extract_pipeline_json(text)
+            except TablePrepError:
+                with pytest.raises(TablePrepError):
+                    extract_pipeline_json(text)
+                pipeline = want_pipeline = Pipeline()
+            else:
+                pipeline = extract_pipeline_json(text)
+                assert pipeline == want_pipeline
+            trace = execute(pipeline, table, executor)
+            assert trace == ref_execute(want_pipeline, table, RefusingExecutor())
+            want = ref_total_reward(trace, answers, token_len, config or RewardConfig())
+            assert total_reward(trace, answers, token_len, config) == want
+
+    def test_equal_texts_in_a_row_parse_once(self):
+        text = '[{"operation": "select", "columns": ["a"]}]'
+        first = extract_pipeline_json(text)
+        assert extract_pipeline_json("".join(list(text))) is first  # an equal text, not the same object
+        assert extract_pipeline_json("[]") == Pipeline()
+        again = extract_pipeline_json(text)
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("bad", ["no plan", '[{"operation": "explode"}]'])
+    def test_a_text_that_raised_raises_on_every_call(self, bad):
+        good = extract_pipeline_json("[]")
+        for _ in range(3):
+            with pytest.raises(TablePrepError):
+                extract_pipeline_json(bad)
+        assert extract_pipeline_json("[]") is good  # a failure leaves the last parse in place
+
+    def test_a_pipeline_that_ran_gets_its_trace_back_and_a_truncated_one_runs_again(self):
+        table = make_table(["a", "b"], [["x", 7], ["y", 2]])
+        executor = RefusingExecutor()
+        ran = Pipeline((AddColumnOp("n", "swap it"), FilterOp("n", "==", "y")))
+        first = execute(ran, table, executor)
+        assert first.truncated_at is None and executor.calls == 1
+        assert execute(Pipeline(tuple(ran.ops)), table, executor) is first
+        truncated = Pipeline((AddColumnOp("n", "swap it"), CleanColumnOp("a", "refuse it"), SortByOp("a", "asc")))
+        traces = [execute(truncated, table, executor) for _ in range(3)]
+        assert [t.truncated_at for t in traces] == [1, 1, 1]
+        assert executor.calls == 1 + 3  # the stored add_column, then the failing step on every call
+        assert traces[0] == traces[1] and traces[0] is not traces[1]
+
+    def test_each_distinct_table_is_scanned_once_per_answer_set(self, monkeypatch):
+        scanned = []
+        inner = reward.contains_all_answers
+
+        def counting(table, answers):
+            scanned.append((id(table), answers))
+            return inner(table, answers)
+
+        monkeypatch.setattr(reward, "contains_all_answers", counting)
+        table = make_table(["a", "b"], [["x", 7], ["y", 2], ["x", 3]])
+        pipelines = [
+            pipe({"operation": "filter", "column": "a", "cmp": "==", "value": "x"}),
+            pipe({"operation": "filter", "column": "a", "cmp": "==", "value": "x"},
+                 {"operation": "group_by", "column": "a"}),
+            pipe({"operation": "group_by", "column": "b"}),
+            pipe({"operation": "filter", "column": "a", "cmp": "==", "value": "x"}),
+            pipe({"operation": "filter", "column": "ghost", "cmp": "==", "value": "x"}),
+        ]
+        x, y = AnswerSet.of("x"), AnswerSet.of("y")
+        for answers in (x, y):
+            for pipeline in pipelines * 2:
+                trace = execute(pipeline, table)
+                for token_len in (5, 5, 3000):
+                    total_reward(trace, answers, token_len)
+        # filter a==x, then its group_by, and group_by b: three tables per answer set
+        assert len(scanned) == len(set(scanned)) == 6
+        total_reward(execute(pipelines[0], table), x, 5)  # x's memo was replaced by y's
+        assert len(scanned) == 7
+
+    def test_threads_scoring_different_instances_keep_their_own_memo(self, monkeypatch):
+        both_inside = threading.Barrier(2, timeout=10)
+        scans = {"left": 0, "right": 0}
+        inner = reward.contains_all_answers
+
+        def meeting(table, answers):
+            name = threading.current_thread().name
+            if not scans[name]:  # hold each thread's first scan until the other thread is scanning too
+                both_inside.wait()
+            scans[name] += 1
+            return inner(table, answers)
+
+        monkeypatch.setattr(reward, "contains_all_answers", meeting)
+        instances = {
+            "left": (make_table(["a", "b"], [["x", 1], ["y", 2]]), AnswerSet.of("x")),
+            "right": (make_table(["b", "a"], [[3, "q"], [0, "x"], [2, "x"]]), AnswerSet.of("q", "x")),
+        }
+        texts = ['[{"operation": "sort_by", "column": "a", "order": "desc", "k": 1}]'] * 3 + [
+            '[{"operation": "filter", "column": "a", "cmp": "!=", "value": "z"}]', "oops"]
+        results = {}
+
+        def work(name):
+            table, answers = instances[name]
+            try:
+                out = []
+                for text in texts * 2:
+                    try:
+                        pipeline = extract_pipeline_json(text)
+                    except TablePrepError:
+                        pipeline = Pipeline()
+                    out.append((pipeline, total_reward(execute(pipeline, table), answers, 10)))
+                results[name] = out
+            except BaseException as err:  # reported by the assertion below
+                results[name] = err
+
+        threads = [threading.Thread(target=work, args=(name,), name=name) for name in instances]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        for name, (table, answers) in instances.items():
+            assert not isinstance(results[name], BaseException), results[name]
+            for pipeline, got in results[name]:
+                assert got == ref_total_reward(ref_execute(pipeline, table, None), answers, 10, RewardConfig())
+            assert scans[name] == 2  # the sorted table and the filtered one

@@ -18,6 +18,7 @@ from tableprep.errors import (
     RaggedRowError,
 )
 from tableprep.table import (
+    CELL_DECODER,
     CellWidths,
     Table,
     cell_count,
@@ -293,7 +294,14 @@ class TestLoadersMatchTheOracle:
         instances, errors = load_instances_jsonl(str(path))
         assert errors == [] and len(instances) == len(docs)
         for instance, line in zip(instances, lines):
-            _same_cells(instance.table, ref_load_json_table(json.loads(line)["table"]))
+            doc = json.loads(line, parse_float=Decimal)["table"]  # numbers as written, such as 1e+16
+            reference = ref_load_json_table(doc)
+            assert instance.table == reference
+            for raw_row, row, ref_row in zip(doc["rows"], instance.table.rows, reference.rows):
+                for raw, cell, ref in zip(raw_row, row, ref_row):
+                    assert type(cell) is type(ref)
+                    if not isinstance(raw, Decimal):  # equal numbers, such as 0.0 and -0.0, share one object
+                        assert repr(cell) == repr(ref)
 
 
 def test_equal_cells_of_one_jsonl_load_share_one_object(tmp_path):
@@ -307,6 +315,64 @@ def test_equal_cells_of_one_jsonl_load_share_one_object(tmp_path):
     cells = first.table.rows[0] + second.table.rows[0]
     assert cells == ("Paris", Decimal("1.50"), Decimal(7), "Paris") * 2
     assert len({id(cell) for cell in cells}) == 3
+
+
+# JSON number literals: a sign, up to 36 whole digits, a fraction of up to 35
+# digits and an exponent of up to 400, either way, so most need more digits
+# than a float holds
+_WHOLE = st.one_of(st.just("0"), st.builds(str.__add__, st.sampled_from("123456789"), st.text("0123456789", max_size=35)))
+_FRACTION = st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=35).map(".".__add__))
+_EXPONENT = st.one_of(st.just(""), st.builds(lambda e, sign, n: f"{e}{sign}{n}", st.sampled_from("eE"),
+                                             st.sampled_from(["", "+", "-"]), st.integers(0, 400)))
+_NUMBER_LITERALS = st.builds(lambda *parts: "".join(parts), st.sampled_from(["", "-"]), _WHOLE, _FRACTION, _EXPONENT)
+
+
+class TestExactJsonNumbers:
+    def test_the_dataset_loader_reads_numbers_exactly(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "i", "question": "q", "table": {"header": ["a", "b", "c"], '
+                        '"rows": [[1e16, 0.00001, 12345678901234567890.5]]}, "answers": [1e16, 2.50]}\n',
+                        encoding="utf-8")
+        (instance,), errors = load_instances_jsonl(str(path))
+        assert errors == []
+        assert instance.table.rows == ((Decimal("1e16"), Decimal("0.00001"), Decimal("12345678901234567890.5")),)
+        assert serialize_json(instance.table)["rows"] == [["10000000000000000", "0.00001", "12345678901234567890.5"]]
+        assert instance.answers.answers == ("10000000000000000", "2.5")  # as a number cell of that value renders
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(_NUMBER_LITERALS | st.sampled_from(["-0.0", "0e-400", "1e16", "-0", "123456789012345678901234567890.5"]),
+                    min_size=1, max_size=6))
+    @example(["-0.0", "0.0", "0E+3"])
+    def test_a_number_cell_is_the_exact_value_of_its_literal_and_its_rendering_round_trips(self, literals):
+        text = '{"header": ["a"], "rows": [%s]}' % ", ".join(f"[{literal}]" for literal in literals)
+        table = load_json_table(CELL_DECODER.decode(text))
+        for literal, (cell,) in zip(literals, table.rows):
+            assert isinstance(cell, Decimal) and cell == Decimal(literal)
+            rendered = render_value(cell)
+            assert load_json_table({"header": ["a"], "rows": [[rendered]]}).rows == ((cell,),)
+            assert CELL_DECODER.decode(rendered) == cell
+        # equal values read as Decimals share one object; a JSON integer is typed from its text
+        cells = [cell for literal, (cell,) in zip(literals, table.rows) if set(literal) & set(".eE")]
+        assert len({id(cell) for cell in cells}) == len(set(cells))
+
+    @pytest.mark.parametrize("literal, ok", [
+        ("1e4299", True), ("1e4300", False), ("1e-4300", True), ("1e-4301", False),
+        ("9" * 4300 + ".5", True), ("9" * 4301 + ".5", False), ("1e999999999", False),
+    ])
+    def test_a_number_that_renders_to_more_than_4300_digits_is_refused(self, tmp_path, literal, ok):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "i", "question": "q", "table": {"header": ["a"], "rows": [[%s]]}}\n' % literal,
+                        encoding="utf-8")
+        instances, errors = load_instances_jsonl(str(path))
+        assert (len(instances), len(errors)) == ((1, 0) if ok else (0, 1))
+        if not ok:
+            assert "needs more than 4300 digits" in errors[0]["error"]
+
+    def test_ints_bools_and_non_finite_values_keep_their_typing(self):
+        doc = CELL_DECODER.decode('{"header": ["a", "b", "c", "d"], "rows": [[7, true, NaN, -Infinity]]}')
+        assert load_json_table(doc).rows == ((Decimal(7), "True", "nan", "-inf"),)
+        with pytest.raises(InvalidCellError):
+            load_json_table({"header": ["a"], "rows": [[Decimal("NaN")]]})
 
 
 _SIZE_NAMES = st.text(alphabet="ab é字\U0001f600|-", max_size=3)
