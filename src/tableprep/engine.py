@@ -5,10 +5,11 @@ step is recorded, every later step is marked skipped, and the trace's final
 table is the last successfully produced one, so downstream QA always has a
 usable table.
 
-Execution shares work between calls on one thread: each distinct successful
-operator prefix on one input table runs once, and a pipeline that ran with no
-failed step gets its trace object back. The sharing rule of the whole
-per-candidate path is stated in :mod:`tableprep.reward`.
+Execution shares work between calls on one thread (:class:`ThreadScope`),
+scoped to one input table and one executor. It keeps the table each successful
+operator prefix produced, so each distinct prefix runs once, and the trace of
+each pipeline that ran with no failed step, which that pipeline gets back. A
+failed step is never kept, so a transient semantic failure is retried.
 """
 
 from __future__ import annotations
@@ -68,10 +69,35 @@ class _NoExecutor:
 
 _NO_EXECUTOR = _NoExecutor()
 
-# per thread: (input table, executor, trie root, traces); a trie node maps an
+
+class ThreadScope(threading.local):
+    """Per-thread work shared between calls on the same pair of objects.
+
+    ``memo(a, b)`` returns this thread's ``make()`` value for ``a`` and ``b``,
+    compared by ``is``, so an equal but distinct object starts a fresh value.
+    A call with another pair replaces the value, so a thread holds one pair's
+    work at a time, and threads never see each other's. The held pair stays
+    alive while it is held; an entry of the value keyed by an object's ``id``
+    stores that object beside it, so no key's ``id`` is reused while it is a
+    key. Results taken from the value equal computing them afresh; only the
+    work skipped changes.
+    """
+
+    def __init__(self, make):
+        self._make = make
+        self._held = None
+
+    def memo(self, a, b):
+        held = self._held
+        if held is None or held[0] is not a or held[1] is not b:
+            held = self._held = (a, b, self._make())
+        return held[2]
+
+
+# per (input table, executor): (trie root, traces); a trie node maps an
 # operator spec to (the table it produced, child node), and traces maps the ops
 # of each pipeline that ran with no failed step to its trace
-_memo = threading.local()
+_SCOPE = ThreadScope(lambda: ({}, {}))
 
 
 def apply_operator(spec: OperatorSpec, table: Table, executor: SemanticExecutor) -> Table:
@@ -98,14 +124,10 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
     ``executor`` are reused (see the module docstring).
     """
     ex = executor if executor is not None else _NO_EXECUTOR
-    memo = getattr(_memo, "state", None)
-    if memo is None or memo[0] is not table or memo[1] is not ex:
-        memo = _memo.state = (table, ex, {}, {})
-    traces = memo[3]
+    node, traces = _SCOPE.memo(table, ex)
     trace = traces.get(pipeline.ops)
     if trace is not None:
         return trace
-    node = memo[2]
     current = table
     steps: list[StepRecord] = []
     truncated_at: int | None = None

@@ -5,19 +5,17 @@ temperature, max_tokens). Transports are pluggable: the HTTP transport is the
 production path, the scripted transport replays canned texts so the whole
 stack runs offline and deterministically in tests.
 
-:func:`extract_pipeline_json` returns the pipeline it last parsed on this
-thread when it gets an equal text again, so a run of identical candidate
-outputs parses once; the sharing rule of the whole per-candidate path is
-stated in :mod:`tableprep.reward`.
+:func:`extract_pipeline_json` keeps the last text it parsed and its pipeline,
+so a run of identical candidate outputs parses once.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
 import re
-import threading
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
@@ -28,6 +26,7 @@ from .errors import (
     AuthMissingError,
     EmptyQuestionError,
     NoJsonFoundError,
+    TablePrepError,
 )
 from .ops import Pipeline, parse_pipeline
 from .table import Table, serialize_markdown
@@ -40,9 +39,6 @@ _DECODER = json.JSONDecoder()
 # \s and \d also admit non-ASCII whitespace and digits, which then fail to decode.
 # Only the bracket is consumed, so a bracket inside the lookahead is still tried.
 _ARRAY_START = re.compile(r'\[(?=\s*(?:[\]\[{"\-\d]|true|false|null|NaN|Infinity))')
-
-# per thread: (the last text that parsed, its pipeline)
-_last_parsed = threading.local()
 
 T = TypeVar("T")
 
@@ -116,8 +112,10 @@ class HttpChatTransport:
             config.endpoint, json=payload, headers=headers, timeout=config.timeout
         )
         response.raise_for_status()
-        body = response.json()
-        return body["choices"][0]["message"]["content"]
+        content = response.json()["choices"][0]["message"]["content"]
+        if not isinstance(content, str):
+            raise TablePrepError(f"chat completion content is {type(content).__name__}, not text")
+        return content
 
 
 class ScriptedTransport:
@@ -218,20 +216,17 @@ def first_json_array(text: str):
     return None
 
 
+@functools.lru_cache(maxsize=1)
 def extract_pipeline_json(raw: str) -> Pipeline:
     """Parse the first JSON array in a model response as a pipeline.
 
     Pipeline-level parse errors propagate so callers can record the reason;
     only the absence of any JSON array is reported as NoJsonFound. A text
-    equal to the last one this thread parsed returns that text's pipeline
-    object; a text that raised is not kept, so it raises again.
+    equal to the last one parsed, on any thread, returns that text's
+    immutable pipeline object; a text that raised is not kept, so it raises
+    again.
     """
-    last = getattr(_last_parsed, "entry", None)
-    if last is not None and last[0] == raw:
-        return last[1]
     doc = first_json_array(raw)
     if doc is None:
         raise NoJsonFoundError("no JSON array found in model output")
-    pipeline = parse_pipeline(doc)
-    _last_parsed.entry = (raw, pipeline)
-    return pipeline
+    return parse_pipeline(doc)

@@ -5,51 +5,29 @@ weighted total reproduces hand computation without float drift. Correctness is
 verifiable only on cell-focused instances, where every gold answer appears
 verbatim as a table cell.
 
-Sharing rule. Training scores a group of sampled candidates per question, one
-after another on one thread, and the candidates often repeat. Each step of the
-per-candidate path, :func:`~tableprep.llm.extract_pipeline_json`, then
-:func:`~tableprep.engine.execute`, then :func:`total_reward`, keeps a memo per
-thread, so callers share this work by calling what they already call:
-
-* parsing keeps the last text and the pipeline it gave, and an equal text gets
-  that pipeline object back; a text that raised is not kept;
-* execution keeps the tables derived from one input table and executor
-  (compared by ``is``), so each distinct successful operator prefix runs once,
-  and a pipeline that ran with no failed step gets its trace object back; a
-  failed step runs again on every call, so a transient semantic failure is
-  retried;
-* scoring keeps, for one initial table and one :class:`AnswerSet` (compared by
-  ``is``), the correctness bit of each table it scanned, keyed by the table
-  object, and each :class:`RewardBreakdown`, keyed by the trace object,
-  ``token_len`` and the config object (``config=None`` is one module-level
-  default).
-
-A call with another table, executor or answer set replaces that step's memo,
-so a thread holds one instance's work at a time. Memos key objects by identity
-and hold references to them, so no key's ``id`` is reused while it is a key.
-Results are equal to computing everything afresh; only the work skipped
-changes.
+Scoring shares work between calls on one thread
+(:class:`~tableprep.engine.ThreadScope`), scoped to one initial table and one
+:class:`AnswerSet`. It keeps the correctness bit of each table it scanned,
+keyed by the table object, and each :class:`RewardBreakdown`, keyed by the
+trace object, ``token_len`` and the config object (``config=None`` is one
+module-level default).
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Iterable
 
-from .engine import OK, ExecutionTrace
+from .engine import OK, ExecutionTrace, ThreadScope
 from .errors import BadBudgetError, DegenerateInitialTableError
 from .table import CellWidths, Table, markdown_size, render_lookup
 # Unused here: perfbench/spans.py wraps reward.serialize_markdown
 # by name when it traces a run, so the name stays until that patch is dropped.
 from .table import serialize_markdown  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 _ZERO = Fraction(0)
 
@@ -172,19 +150,10 @@ def _carried_bit(spec, bit: int) -> int | None:
     return None
 
 
-# per thread: (initial table, answer set, scanned, breakdowns); scanned maps
+# per (initial table, answer set): (scanned, breakdowns); scanned maps
 # id(table) to (table, its bit) and breakdowns maps (id(trace), token_len,
 # id(config)) to (trace, config, breakdown)
-_memo = threading.local()
-
-
-def _scope(initial: Table, answers: AnswerSet) -> tuple:
-    """This thread's scoring memo for ``initial`` and ``answers``, replacing
-    the memo of any other pair (see the module docstring)."""
-    memo = getattr(_memo, "state", None)
-    if memo is None or memo[0] is not initial or memo[1] is not answers:
-        memo = _memo.state = (initial, answers, {}, {})
-    return memo
+_SCOPE = ThreadScope(lambda: ({}, {}))
 
 
 def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
@@ -195,7 +164,7 @@ def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
     otherwise. A table this thread already scanned for ``answers`` in the
     current scope is not scanned again.
     """
-    scanned = _scope(trace.initial, answers)[2]
+    scanned = _SCOPE.memo(trace.initial, answers)[0]
     bits = []
     bit = None  # the bit of the current step's input table, once computed
     for step in trace.steps:
@@ -221,7 +190,6 @@ def accuracy_reward(trace: ExecutionTrace, answers: AnswerSet, k: int | None = N
     """
     n = len(trace.steps)
     if n == 0:
-        log.warning("accuracy reward of an empty pipeline is defined as 0")
         return _ZERO
     if k is None:
         k = n
@@ -335,14 +303,14 @@ def total_reward(
     the module docstring).
     """
     cfg = _DEFAULT_CONFIG if config is None else config
-    scored = _scope(trace.initial, answers)[3]
+    scored = _SCOPE.memo(trace.initial, answers)[1]
     key = (id(trace), token_len, id(cfg))
     hit = scored.get(key)
     if hit is not None:
         return hit[2]
     bits = per_op_correctness(trace, answers)
     n = len(trace.steps)
-    r_acc = Fraction(sum(bits), n) if n else accuracy_reward(trace, answers)
+    r_acc = Fraction(sum(bits), n) if n else _ZERO
     r_compress = compression_reward(trace, orientation=cfg.compression_orientation)
     r_length = length_reward(token_len, cfg.l_max, cfg.l_cache)
     # a/b + (c/d)(e/f) + (g/h)(i/j) over the common denominator b*d*f*h*j

@@ -1,13 +1,18 @@
+import ast
+import gc
 import json
 import random
 import threading
+import weakref
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableprep.engine import FAILED, OK, SKIPPED, execute, trace_to_json
+from tableprep import engine
+from tableprep.engine import FAILED, OK, SKIPPED, ThreadScope, execute, trace_to_json
 from tableprep.errors import ExecutorFailureError
 from tableprep.ops import (
     AddColumnOp,
@@ -294,3 +299,90 @@ def test_a_semantic_step_that_raised_runs_again_for_the_next_candidate(table):
     assert [s.status for s in third.steps] == [OK, OK]
     assert len(executor.calls) == 2
     assert third.steps[0].table_after is second.steps[0].table_after
+
+
+class _Key:
+    """An object that compares equal to every other ``_Key`` and can be weakly referenced."""
+
+    def __eq__(self, other):
+        return isinstance(other, _Key)
+
+
+class TestThreadScope:
+    def test_the_same_pair_gets_the_same_value(self):
+        made = []
+        scope = ThreadScope(lambda: made.append(1) or {})
+        a, b = _Key(), _Key()
+        value = scope.memo(a, b)
+        assert scope.memo(a, b) is value and made == [1]
+
+    def test_an_equal_but_distinct_object_starts_a_fresh_value(self):
+        scope = ThreadScope(dict)
+        a, b = _Key(), _Key()
+        value = scope.memo(a, b)
+        twin = _Key()
+        assert twin == a and twin is not a
+        assert scope.memo(twin, b) is not value
+        assert scope.memo(a, twin) is not value
+
+    def test_another_pair_replaces_the_value(self):
+        scope = ThreadScope(dict)
+        a, b, c = _Key(), _Key(), _Key()
+        first = scope.memo(a, b)
+        first["kept"] = 1
+        second = scope.memo(a, c)
+        assert second == {} and second is not first
+        back = scope.memo(a, b)  # (a, c) replaced the first value
+        assert back == {} and back is not first
+
+    def test_the_held_pair_stays_alive(self):
+        scope = ThreadScope(dict)
+        a, b = _Key(), _Key()
+        refs = weakref.ref(a), weakref.ref(b)
+        scope.memo(a, b)
+        del a, b
+        gc.collect()
+        assert all(ref() is not None for ref in refs)  # so no id of a kept key is reused
+        scope.memo(_Key(), _Key())
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_threads_keep_their_own_values(self):
+        scope = ThreadScope(list)
+        both_hold = threading.Barrier(2, timeout=10)
+        pairs = {"left": (_Key(), _Key()), "right": (_Key(), _Key())}
+        results = {}
+
+        def work(name):
+            try:
+                value = scope.memo(*pairs[name])
+                value.append(name)
+                both_hold.wait()  # each thread holds its value while the other sets its own
+                again = scope.memo(*pairs[name])
+                results[name] = (again is value, list(again))
+            except BaseException as err:  # reported by the assertion below
+                results[name] = err
+
+        threads = [threading.Thread(target=work, args=(name,)) for name in pairs]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert results == {"left": (True, ["left"]), "right": (True, ["right"])}
+
+
+def test_thread_scope_is_the_only_thread_local():
+    """``threading.local`` appears in the package only as the base of
+    ``engine.ThreadScope``, so per-thread sharing keeps one mechanism."""
+    uses = []
+    for path in sorted(Path(engine.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bases = {id(base): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for base in node.bases}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("threading", "_thread"):
+                uses += [(path.name, f"import {alias.name}") for alias in node.names if alias.name in ("local", "_local")]
+            if isinstance(node, ast.Attribute) and node.attr in ("local", "_local"):
+                if ast.unparse(node.value) in ("threading", "_thread"):
+                    uses.append((path.name, bases.get(id(node))))
+    assert uses == [("engine.py", "ThreadScope")]

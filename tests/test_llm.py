@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableprep import llm
+from tableprep.engine import FAILED, SKIPPED, execute
 from tableprep.errors import (
     AllRequestsFailedError,
     AuthMissingError,
     EmptyQuestionError,
     NoJsonFoundError,
     PipelineParseError,
+    QaTransportError,
+    TablePrepError,
 )
 from tableprep.llm import (
     GENERATOR_SYSTEM_PROMPT,
@@ -26,10 +29,12 @@ from tableprep.llm import (
     first_json_array,
     generate_candidates,
 )
-from tableprep.ops import Pipeline, SelectOp, pipeline_to_json
+from tableprep.ops import AddColumnOp, FilterOp, Pipeline, SelectOp, pipeline_to_json
+from tableprep.rollback import HttpQaClient
+from tableprep.semantic import LlmSemanticExecutor
 
 from conftest import FlakyTransport, make_table
-from oracles import ref_first_json_array
+from oracles import ref_extract_pipeline_json, ref_first_json_array
 
 
 # the characters that open a JSON value, JSON and non-ASCII whitespace, a
@@ -111,6 +116,52 @@ class TestExtractPipelineJson:
         pipeline = extract_pipeline_json(raw)
         again = extract_pipeline_json(json.dumps(pipeline_to_json(pipeline)))
         assert again == pipeline
+
+    def test_threads_parsing_their_own_texts_interleaved_get_their_own_pipelines(self):
+        select = '[{"operation": "select", "columns": ["%s"]}]'
+        group_by = '[{"operation": "group_by", "column": "%s"}]'
+        texts = {
+            name: [select % name] * 2 + [group_by % name, bad, select % name, select % name, "[]", group_by % name]
+            for name, bad in [("a", "no plan"), ("b", "[1]"), ("c", "[]"), ("d", '[{"operation": "explode"}]')]
+        }
+        step = threading.Barrier(len(texts), timeout=10)
+        results = {}
+
+        def parse(text):
+            try:
+                return extract_pipeline_json(text)
+            except TablePrepError as err:
+                return type(err)
+
+        def work(name):
+            try:
+                out = []
+                for text in texts[name]:
+                    step.wait()  # one text per thread at a time, so each can evict the others' entries
+                    out.append(parse(text))
+                results[name] = out
+            except BaseException as err:  # reported by the assertion below
+                results[name] = err
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in texts]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for name, own in texts.items():
+            want = []
+            for text in own:
+                try:
+                    want.append(ref_extract_pipeline_json(text))
+                except TablePrepError as err:
+                    want.append(type(err))
+            assert results[name] == want
 
     def test_first_json_array_helper(self):
         assert first_json_array("no arrays here") is None
@@ -222,6 +273,54 @@ class TestHttpTransportShape:
         assert captured["headers"]["Authorization"] == "Bearer secret"
 
 
+class _ContentSession:
+    """Fake ``requests`` session answering post ``i`` with ``contents[i]``
+    (the last one once they run out) as the message content."""
+
+    def __init__(self, *contents):
+        self.contents = contents
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        content = self.contents[min(self.posts, len(self.contents) - 1)]
+        self.posts += 1
+        return _OkResponse(content)
+
+
+# what OpenAI-compatible servers may send instead of a string: no content, or content parts
+_NOT_TEXT = [None, [{"type": "text", "text": "[]"}]]
+
+
+class TestContentThatIsNotText:
+    @pytest.mark.parametrize("content", _NOT_TEXT)
+    def test_transport_raises_naming_the_type(self, content):
+        transport = HttpChatTransport(session=_ContentSession(content))
+        with pytest.raises(TablePrepError, match=f"content is {type(content).__name__}, not text"):
+            transport.complete([], GenerationConfig())
+
+    @pytest.mark.parametrize("content", _NOT_TEXT)
+    def test_generation_retries_then_records_a_failed_candidate(self, table, content, backoffs):
+        session = _ContentSession(content, content, "[]")
+        outcomes = generate_candidates("q", table, GenerationConfig(retries=1), HttpChatTransport(session=session), 2)
+        assert outcomes[0].text is None and f"content is {type(content).__name__}" in outcomes[0].error
+        assert outcomes[1].text == "[]"
+        assert session.posts == 3 and backoffs == [0.1]
+
+    @pytest.mark.parametrize("content", _NOT_TEXT)
+    def test_qa_client_raises_qa_transport_error(self, table, content, backoffs):
+        qa = HttpQaClient(HttpChatTransport(session=_ContentSession(content)), GenerationConfig(retries=1))
+        with pytest.raises(QaTransportError, match=f"content is {type(content).__name__}"):
+            qa.ask("q", table)
+
+    @pytest.mark.parametrize("content", _NOT_TEXT)
+    def test_semantic_step_fails_and_the_trace_is_truncated(self, table, content, backoffs):
+        executor = LlmSemanticExecutor(HttpChatTransport(session=_ContentSession(content)), GenerationConfig(retries=0))
+        trace = execute(Pipeline((AddColumnOp("n", "copy a"), FilterOp("n", "==", "x"))), table, executor)
+        assert [step.status for step in trace.steps] == [FAILED, SKIPPED]
+        assert trace.truncated_at == 0 and f"content is {type(content).__name__}" in trace.steps[0].error
+        assert trace.final is table
+
+
 class TestCallWithRetries:
     def test_recovers_with_backoff_schedule(self, backoffs):
         transport = FlakyTransport(fail_first=3)
@@ -255,11 +354,14 @@ class TestCallWithRetries:
 
 
 class _OkResponse:
+    def __init__(self, content="[]"):
+        self.content = content
+
     def raise_for_status(self):
         pass
 
     def json(self):
-        return {"choices": [{"message": {"content": "[]"}}]}
+        return {"choices": [{"message": {"content": self.content}}]}
 
 
 class _CountingSession:
