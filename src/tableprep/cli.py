@@ -50,7 +50,7 @@ def _read_json(path: str, parse=json.loads):
     with open(path, encoding="utf-8") as fh:
         try:
             return parse(fh.read())
-        except ValueError as err:  # not UTF-8, not JSON, or a number over 4,300 digits
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, a number over 4,300 digits, too deep
             raise DatasetError(f"cannot read {path}: {err}") from err
 
 

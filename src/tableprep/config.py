@@ -35,7 +35,7 @@ from .errors import ConfigError
 from .gate import GateConfig, as_fraction
 from .llm import GenerationConfig, HttpChatTransport, ScriptedTransport
 from .reward import EXACT, NORMALIZED, RewardConfig
-from .rollback import CellLookupQaClient, HttpQaClient, ScriptedQaClient
+from .rollback import NO_DATA, CellLookupQaClient, HttpQaClient, ScriptedQaClient
 from .semantic import LlmSemanticExecutor, MockSemanticExecutor
 
 
@@ -162,7 +162,7 @@ def load_config(path: str) -> AppConfig:
             doc = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
-    except ValueError as err:  # JSONDecodeError, UnicodeDecodeError, an int over 4,300 digits
+    except (ValueError, RecursionError) as err:  # not JSON or UTF-8, an int over 4,300 digits, too deep
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
@@ -190,7 +190,7 @@ def _load_json_file(config: AppConfig, key: str, path, what: str):
     try:
         with open(config.resolve(path), encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as err:  # ValueError as in load_config, or a NUL in the path
+    except (OSError, ValueError, RecursionError) as err:  # as in load_config, or a NUL in the path
         raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err
 
 
@@ -257,7 +257,7 @@ def build_qa_client(config: AppConfig):
             raw = _load_json_file(config, "qa.script", qa["script"], "QA script")
         _check_map(raw, "qa responses", lambda v: isinstance(v, dict) and _all_str(v.values()),
                    "an object of {table digest: response string}")
-        default = qa.get("default", "No data available")
+        default = qa.get("default", NO_DATA)
         if not isinstance(default, str):
             raise ConfigError(f"qa.default must be a string, got {default!r}")
         responses = {}

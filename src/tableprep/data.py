@@ -87,7 +87,7 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
                     raise DatasetError(f"duplicate instance id {instance.id!r}")
                 seen_ids.add(instance.id)
                 instances.append(instance)
-            except (ValueError, DatasetError) as err:  # ValueError: bad JSON or an over-long number
+            except (ValueError, RecursionError, DatasetError) as err:  # bad JSON, an over-long number, too deep
                 errors.append({"line": line_no, "error": str(err)})
     return instances, errors
 

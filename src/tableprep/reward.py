@@ -80,44 +80,28 @@ def match_answer(answer: str, cell_text: str, matching: str) -> bool:
     return answer == cell_text
 
 
-# Exact containment intersects this many rows at a time, so a table whose
-# answers sit in its first rows is not hashed to the end.
-_CONTAINS_CHUNK_ROWS = 256
-
-
 def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     """True iff every answer string matches at least one cell rendering.
 
     Cells are matched through ``answers.lookup``, which gives a cell's
-    rendering when it is an answer without rendering any cell.
+    rendering when it is an answer without rendering any cell; under
+    ``normalized`` matching a text cell is normalized instead.
 
     Exact matching of one answer stops at the first cell that matches it.
-    Exact matching of several intersects that lookup with the cells of a fixed
-    number of rows at a time and stops once every answer has matched; a table
-    of at most that many rows takes one intersection. Normalized matching normalizes text
-    cells, looks numbers and ``None`` up in the lookup of the normalized
-    answers, and stops once every answer has matched.
+    Otherwise each cell is mapped to the answer text it matches, and the scan
+    stops at the cell that completes the answers.
     """
     lookup = answers.lookup
-    if answers.matching != NORMALIZED:
-        missing = set(answers.answers)
-        if len(missing) == 1:  # stop at the first cell that renders as the answer
-            return not lookup.keys().isdisjoint(chain.from_iterable(table.rows))
-        rows = table.rows
-        for start in range(0, len(rows), _CONTAINS_CHUNK_ROWS):
-            chunk = rows[start : start + _CONTAINS_CHUNK_ROWS]
-            missing.difference_update([lookup[cell] for cell in lookup.keys() & chain.from_iterable(chunk)])
+    if answers.matching == EXACT and len(answers.answers) == 1:  # stop at the first cell that renders as the answer
+        return not lookup.keys().isdisjoint(chain.from_iterable(table.rows))
+    normalized = answers.matching == NORMALIZED
+    missing = set(lookup.values())  # the answer texts: each maps to itself
+    for cell in chain.from_iterable(table.rows):
+        text = _normalize(cell) if normalized and isinstance(cell, str) else lookup.get(cell)
+        if text in missing:
+            missing.remove(text)
             if not missing:
                 return True
-        return False
-    missing = {_normalize(a) for a in answers.answers}
-    for row in table.rows:
-        for cell in row:
-            text = _normalize(cell) if isinstance(cell, str) else lookup.get(cell)
-            if text in missing:
-                missing.remove(text)
-                if not missing:
-                    return True
     return False
 
 
@@ -132,24 +116,6 @@ def is_cell_focused(table: Table, answers: AnswerSet) -> bool:
     return contains_all_answers(table, exact)
 
 
-def _carried_bit(spec, bit: int) -> int | None:
-    """The bit an OK step keeps from its input table's ``bit`` with no scan,
-    or None when its operator does not prove it.
-
-    An order-only ``sort_by`` keeps the same cells. ``select``, ``filter`` and
-    a top-k ``sort_by`` keep a subset of them, so a 0 stays 0; ``add_column``
-    keeps a superset, so a 1 stays 1.
-    """
-    kind = spec.kind
-    if kind == "sort_by" and spec.k is None:
-        return bit
-    if bit == 0 and kind in ("select", "filter", "sort_by"):
-        return 0
-    if bit == 1 and kind == "add_column":
-        return 1
-    return None
-
-
 # per (initial table, answer set): (scanned, breakdowns); scanned maps
 # id(table) to (table, its bit) and breakdowns maps (id(trace), token_len,
 # id(config)) to (trace, config, breakdown)
@@ -157,28 +123,24 @@ _SCOPE = ThreadScope(lambda: ({}, {}))
 
 
 def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
-    """Correctness bit per step; failed and skipped steps score 0.
+    """Correctness bit per step: 1 iff an OK step's table keeps every answer.
 
-    The first OK step's table is scanned. A later OK step carries its input's
-    bit when its operator implies it (:func:`_carried_bit`) and is scanned
-    otherwise. A table this thread already scanned for ``answers`` in the
-    current scope is not scanned again.
+    Failed and skipped steps score 0. Each OK step's table is scanned the
+    first time this thread sees it in the current scope (one initial table and
+    one ``answers``); a later step or trace with the same table object reads
+    the stored bit.
     """
     scanned = _SCOPE.memo(trace.initial, answers)[0]
     bits = []
-    bit = None  # the bit of the current step's input table, once computed
     for step in trace.steps:
         if step.status != OK:
             bits.append(0)
             continue
-        bit = None if bit is None else _carried_bit(step.spec, bit)
-        if bit is None:
-            table = step.table_after
-            hit = scanned.get(id(table))
-            if hit is None:
-                hit = scanned[id(table)] = (table, op_correctness(table, answers))
-            bit = hit[1]
-        bits.append(bit)
+        table = step.table_after
+        hit = scanned.get(id(table))
+        if hit is None:
+            hit = scanned[id(table)] = (table, op_correctness(table, answers))
+        bits.append(hit[1])
     return bits
 
 

@@ -19,12 +19,13 @@ from .reward import AnswerSet, contains_all_answers
 from .semantic import SemanticExecutor
 from .table import Table, serialize_markdown, table_digest
 
-NO_DATA_PHRASE = "no data available"
+NO_DATA = "No data available"  # the refusal the QA model is asked for
+NO_DATA_PHRASE = NO_DATA.casefold()
 
 QA_SYSTEM_PROMPT = (
     "You answer questions about the given table. Reply with the answer value "
     "only, no explanation. If the table does not contain the information "
-    'needed to answer, reply exactly: "No data available".'
+    f'needed to answer, reply exactly: "{NO_DATA}".'
 )
 
 
@@ -101,7 +102,7 @@ class ScriptedQaClient:
     """
 
     def __init__(self, responses: dict[tuple[str, str], str] | None = None,
-                 default: str = "No data available"):
+                 default: str = NO_DATA):
         self.responses = dict(responses or {})
         self.default = default
 
@@ -124,7 +125,7 @@ class CellLookupQaClient:
         for answer in self.expected.get(question, []):
             if contains_all_answers(table, AnswerSet.of(answer)):
                 return answer
-        return "No data available"
+        return NO_DATA
 
 
 class HttpQaClient:

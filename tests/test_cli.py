@@ -25,6 +25,8 @@ def runner():
 
 # a dataset line with more integer digits than Python's JSON parser converts
 HUGE_INTEGER_LINE = '{"id": "huge", "question": "q", "table": {"header": ["x"], "rows": [[%s]]}}' % ("9" * 5000)
+# nested deeper than Python's JSON decoder recurses, so decoding raises RecursionError
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
 
 class TestRun:
@@ -171,7 +173,8 @@ class TestRun:
     @pytest.mark.parametrize("bad_line, message", [
         ("{broken json", "Expecting property name"),
         (HUGE_INTEGER_LINE, "4300 digits"),
-    ], ids=["broken_json", "huge_integer"])
+        (DEEP_JSON, "maximum recursion depth"),
+    ], ids=["broken_json", "huge_integer", "too_deep"])
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path, bad_line, message):
         dataset = tmp_path / "data.jsonl"
         lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]
@@ -451,7 +454,9 @@ class TestFilterDataset:
 # argv "BAD.json" or "BAD.csv" names the malformed file, written from the
 # case's bytes (None: the file is missing, or for an output its directory
 # is), and "OUT" a writable output path.
-_MALFORMED_FILES = {"missing": None, "not_utf8": b"\xff{}", "not_json": b"{not json"}
+_MALFORMED_FILES = {
+    "missing": None, "not_utf8": b"\xff{}", "not_json": b"{not json", "too_deep": DEEP_JSON.encode(),
+}
 _HUGE_PAIR = b'{"instance_id": "a", "rewards": [%d, %d]}' % (10**400, 10**400 + 1)
 
 
@@ -521,7 +526,17 @@ def test_malformed_input_exits_without_traceback(runner, tmp_path, argv, content
     result = runner.invoke(main, args)
     assert isinstance(result.exception, SystemExit), result.exc_info
     assert result.exit_code == code, result.output
-    assert any(line.startswith("error: ") for line in result.stderr.splitlines()), result.stderr
+    (line,) = result.stderr.splitlines()
+    assert line.startswith("error: "), result.stderr
+
+
+def test_deeply_nested_qa_script_exits_2(runner, tmp_path):
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"qa": {"mode": "scripted", "script": "deep.json"}}))
+    result = runner.invoke(main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(config)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: cannot load QA script from 'deep.json': maximum recursion depth")
 
 
 def test_cli_has_one_error_boundary():
