@@ -40,23 +40,29 @@ def instance_from_json(doc: dict, matching: str = "exact", memo: CellMemo | None
     for key in ("id", "question", "table"):
         if key not in doc:
             raise DatasetError(f"instance is missing {key!r}")
+    if isinstance(doc["id"], bool) or not isinstance(doc["id"], (str, int)):
+        raise DatasetError("'id' must be a string or an integer")
+    if not isinstance(doc["question"], str):
+        raise DatasetError("'question' must be a string")
     try:
         table = load_json_table(doc["table"], memo)
     except TablePrepError as err:
         raise DatasetError(f"bad table: {err}") from err
     raw_answers = doc.get("answers")
     answers = None if raw_answers is None else parse_answers(raw_answers, matching)
-    return Instance(str(doc["id"]), str(doc["question"]), table, answers)
+    return Instance(str(doc["id"]), doc["question"], table, answers)
 
 
 def parse_answers(raw, matching: str) -> AnswerSet:
-    """An ``answers`` field: a non-empty JSON list, each item read as text.
+    """An ``answers`` field: a non-empty JSON list of strings and numbers.
 
     A number read as a ``Decimal`` reads as its canonical rendering, the text
-    a number cell of that value renders as; any other item as its ``str()``.
+    a number cell of that value renders as; an integer as its digits.
     """
     if not isinstance(raw, list) or not raw:
         raise DatasetError("'answers' must be a non-empty list when present")
+    if any(isinstance(a, bool) or not isinstance(a, (str, int, Decimal)) for a in raw):
+        raise DatasetError("each answer must be a string or a number")
     return AnswerSet(tuple(format_number(a) if isinstance(a, Decimal) else str(a) for a in raw), matching)
 
 

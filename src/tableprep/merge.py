@@ -2,11 +2,11 @@
 
 The merged pipeline is assembled in three segments:
 
-1. one ``select`` over the union of all candidates' selected columns, in
-   first-appearance order, leaving out every name that segment 2 creates
-   (omitted when no name is left),
-2. every ``add_column`` that a candidate runs before its first ``group_by``,
-   in candidate order, keeping only the first per column name, and
+1. every ``add_column`` that a candidate runs before its first ``group_by``,
+   in candidate order, keeping only the first per column name,
+2. one ``select`` over the union of all candidates' selected columns, in
+   first-appearance order, followed by every name that segment 1 creates
+   (omitted when no candidate selects), and
 3. the remaining operators of the trie path with the maximum total node
    weight, where a node's weight counts the candidates passing through it.
    An ``add_column`` after a candidate's first ``group_by`` is one of them,
@@ -18,9 +18,8 @@ lexicographically smaller canonical-key sequence.
 The ``select`` also keeps each column a path operator reads if some candidate
 through that operator's node could see it there: every column before the
 candidate's own first ``select``, after it only the columns each preceding
-``select`` names (so never one outside the union). Names that segment 2
-creates are never added, nor a name that a path ``add_column`` has created by
-the time the operator reads it.
+``select`` names (so never one outside the union). A name that a path
+``add_column`` has created by the time the operator reads it is never added.
 """
 
 from __future__ import annotations
@@ -100,22 +99,16 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
         firsts.append(first)
 
     path = best_path(build_trie(stripped))
-    merged: list[OperatorSpec] = [*adds.values(), *path]
-    for new_column in adds:  # the select would run before the add_column creates it
-        union.pop(new_column, None)
     if union:
-        created = set(adds)
-        outside = []
-        for depth, spec in enumerate(path):
+        union.update(dict.fromkeys(adds))
+        created = set()
+        for spec in path[:_unselected_reach(path, stripped, firsts)]:
             if isinstance(spec, AddColumnOp):
                 created.add(spec.new_column)
-            elif spec.column not in union and spec.column not in created:
-                outside.append((depth, spec.column))
-        if outside:
-            reach = _unselected_reach(path, stripped, firsts)
-            union.update((column, None) for depth, column in outside if depth < reach)
-        merged.insert(0, SelectOp(tuple(union)))
-    return Pipeline(tuple(merged))
+            elif spec.column not in created:
+                union.setdefault(spec.column)
+    select = (SelectOp(tuple(union)),) if union else ()
+    return Pipeline((*adds.values(), *select, *path))
 
 
 def _unselected_reach(path, stripped, firsts) -> int:

@@ -74,14 +74,7 @@ def compute_aggregates(records: list[dict]) -> dict:
         accuracy = float(Fraction(sum(1 for r in labeled if r["correct"]), len(labeled)))
     compression = 0.0
     if n:
-        total = sum(
-            (
-                1 - Fraction(r["cells_after"], r["cells_before"])
-                if r["cells_before"]
-                else Fraction(0)
-            )
-            for r in records
-        )
+        total = sum(1 - Fraction(r["cells_after"], r["cells_before"]) if r["cells_before"] else 0 for r in records)
         compression = float(total / n)
     # a rollback happened iff the QA model was re-asked on a less-prepared table
     rollback_rate = float(Fraction(sum(1 for r in records if r["qa_calls"] > 1), n)) if n else 0.0
@@ -186,11 +179,15 @@ def dump_report(report: RunReport) -> str:
 
 
 def load_run_report(path: str, verify: bool = True) -> dict:
-    """Load a report, optionally re-deriving aggregates from records."""
+    """Load a report. With ``verify``, re-derive its aggregates from its records;
+    a mismatch or a malformed report raises :class:`TablePrepError`."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if verify:
-        recomputed = compute_aggregates(doc.get("records", []))
+        try:
+            recomputed = compute_aggregates(doc.get("records", []))
+        except (AttributeError, KeyError, TypeError) as err:
+            raise TablePrepError(f"report is malformed: {err!r}") from err
         if recomputed != doc.get("aggregates"):
             raise TablePrepError("report aggregates do not match records")
     return doc

@@ -497,12 +497,12 @@ def ref_best_path(sequences):
 
 
 def ref_merge_pipelines(candidates):
-    """The consensus merge without the read-column closure: the select union
-    kept in a list beside a seen-set, then filtered of the hoisted names; the
-    add_columns each candidate runs before its first group_by deduplicated
-    through a seen-name set; and the path from :func:`ref_best_path` over
-    every other operator. Each path operator is the spec of the first
-    candidate reaching that prefix."""
+    """The consensus merge without the read-column closure: the add_columns
+    each candidate runs before its first group_by deduplicated through a
+    seen-name set; the select union kept in a list beside a seen-set, then
+    extended by the hoisted names it lacks; and the path from
+    :func:`ref_best_path` over every other operator. Each path operator is
+    the spec of the first candidate reaching that prefix."""
     select_columns = []
     seen_columns = set()
     add_columns = []
@@ -523,7 +523,8 @@ def ref_merge_pipelines(candidates):
             else:
                 remaining.append(spec)
         stripped.append(remaining)
-    select_columns = [column for column in select_columns if column not in seen_adds]
+    if select_columns:
+        select_columns += [spec.new_column for spec in add_columns if spec.new_column not in seen_columns]
 
     key_sequences = [[ref_canonical_key(spec) for spec in ops] for ops in stripped]
     path = ref_best_path(key_sequences)
@@ -532,14 +533,14 @@ def ref_merge_pipelines(candidates):
         first = next(i for i, keys in enumerate(key_sequences) if keys[: j + 1] == path[: j + 1])
         path_specs.append(stripped[first][j])
 
-    merged = [SelectOp(tuple(select_columns))] if select_columns else []
-    return Pipeline(tuple(merged + add_columns + path_specs))
+    select = [SelectOp(tuple(select_columns))] if select_columns else []
+    return Pipeline(tuple(add_columns + select + path_specs))
 
 
 def ref_merge_hoisting_every_add(candidates):
     """The consensus merge as it was before an add_column could join the trie:
-    every candidate's add_column hoisted ahead of the whole path, and the
-    select's read-column closure excluding only the hoisted names. It equals
+    every candidate's add_column hoisted ahead of the select and the whole
+    path, so the select's read-column closure sees no path add_column. It equals
     the library's merge whenever no candidate runs an add_column after a
     group_by."""
     union = {}
@@ -563,11 +564,9 @@ def ref_merge_hoisting_every_add(candidates):
 
     path = best_path(build_trie(stripped))
     merged = [*adds.values(), *path]
-    union = {column: None for column in union if column not in adds}
     if union:
-        created = set(adds)
-        outside = [(depth, spec.column) for depth, spec in enumerate(path)
-                   if spec.column not in union and spec.column not in created]
+        union.update(dict.fromkeys(adds))
+        outside = [(depth, spec.column) for depth, spec in enumerate(path) if spec.column not in union]
         if outside:
             keys = [canonical_key(spec) for spec in path]
             reach = 0
@@ -579,7 +578,7 @@ def ref_merge_hoisting_every_add(candidates):
                     n += 1
                 reach = max(reach, n)
             union.update((column, None) for depth, column in outside if depth < reach)
-        merged.insert(0, SelectOp(tuple(union)))
+        merged.insert(len(adds), SelectOp(tuple(union)))
     return Pipeline(tuple(merged))
 
 

@@ -341,6 +341,16 @@ class TestReward:
         assert result.exit_code == 3, result.output
         assert "'answers' must be a non-empty list" in result.output
 
+    @pytest.mark.parametrize("answers", [[["1"]], [None], [True], [{"v": "1"}]])
+    def test_each_answer_must_be_a_string_or_a_number(self, runner, tmp_path, answers):
+        bundle = json.load(open(fx("reward_bundle.json")))
+        bundle["answers"] = answers
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(bundle))
+        result = runner.invoke(main, ["reward", str(path)])
+        assert result.exit_code == 3, result.output
+        assert "each answer must be a string or a number" in result.output
+
 
 @pytest.mark.parametrize("reward_doc", [
     {"matching": "fuzzy"}, {"compression_orientation": "bogus"}, {"l_cache": 0},

@@ -506,6 +506,33 @@ class TestDataModule:
                 {"id": "a", "question": "q", "table": {"header": ["c"], "rows": []}, "answers": []}
             )
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("question", None, "'question' must be a string"),
+        ("question", 7, "'question' must be a string"),
+        ("question", ["q"], "'question' must be a string"),
+        ("id", None, "'id' must be a string or an integer"),
+        ("id", True, "'id' must be a string or an integer"),
+        ("id", 1.5, "'id' must be a string or an integer"),
+        ("id", ["a"], "'id' must be a string or an integer"),
+        ("answers", [["1"]], "each answer must be a string or a number"),
+        ("answers", ["a", None], "each answer must be a string or a number"),
+        ("answers", [True], "each answer must be a string or a number"),
+        ("answers", [{"v": 1}], "each answer must be a string or a number"),
+        ("answers", [float("nan")], "each answer must be a string or a number"),
+    ])
+    def test_a_field_of_the_wrong_json_type_is_a_line_error(self, tmp_path, field, value, message):
+        doc = {"id": "a", "question": "q", "table": {"header": ["c"], "rows": [["1"]]}, "answers": ["1"], field: value}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(doc) + "\n")
+        assert load_instances_jsonl(str(path)) == ([], [{"line": 1, "error": message}])
+
+    def test_integer_ids_and_number_answers_read_as_text(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": 7, "question": "q", "table": {"header": ["c"], "rows": []}, "answers": [3, 2.50, "x"]}\n')
+        (instance,), errors = load_instances_jsonl(str(path))
+        assert errors == [] and instance.id == "7"
+        assert instance.answers.answers == ("3", "2.5", "x")
+
 
 class TestRunner:
     def test_parallelism_order_independent(self):
@@ -573,6 +600,16 @@ class TestRunner:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(TablePrepError):
+            load_run_report(str(path), verify=True)
+
+    @pytest.mark.parametrize("text", [
+        "[]", '"report"', "null", '{"records": [{"id": "a"}]}', '{"records": 5}', '{"records": ["a"]}',
+        '{"records": [{"cells_before": 1, "cells_after": 1, "qa_calls": 1, "merged_ops": 3}]}',
+    ])
+    def test_a_malformed_report_fails_verification(self, tmp_path, text):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        with pytest.raises(TablePrepError, match="report is malformed"):
             load_run_report(str(path), verify=True)
 
     def test_compute_aggregates_empty(self):

@@ -1,4 +1,5 @@
-import random
+import os
+import re
 from decimal import Decimal
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableprep.engine import OK, execute
-from tableprep.errors import ColumnNotFoundError, EmptyCandidatesError
+from tableprep.errors import ColumnExistsError, ColumnNotFoundError, EmptyCandidatesError
 from tableprep.merge import build_trie, best_path, merge_pipelines
 from tableprep.ops import (
     AddColumnOp,
@@ -138,8 +139,7 @@ class TestMergePipelines:
         merged = merge_pipelines(
             [Pipeline((F_X, SelectOp(("a",)), AddColumnOp("g", "x")))]
         )
-        kinds = [op.kind for op in merged.ops]
-        assert kinds == ["select", "add_column", "filter"]
+        assert merged.ops == (AddColumnOp("g", "x"), SelectOp(("a", "g", "A")), F_X)
 
     def test_explanations_do_not_split_votes(self):
         f1 = FilterOp("A", "==", "x", explanation="because")
@@ -222,6 +222,50 @@ class TestOracleEquivalence:
                 assert selects == []
 
 
+def _readme_operator(text):
+    """One operator of the README's merge notation, such as ``filter Y==1``."""
+    kind, _, rest = text.strip().partition(" ")
+    if kind == "select":
+        return SelectOp(tuple(column.strip() for column in rest.strip("[]").split(",")))
+    if kind == "filter":
+        return FilterOp(*re.fullmatch(r"(\w+)(==|!=|>|<)(\S+)", rest).groups())
+    if kind == "add_column":
+        name, description = re.fullmatch(r'(\w+)(?: "(.*)")?', rest).groups()
+        return AddColumnOp(name, description or "infer")
+    if kind == "sort_by":
+        return SortByOp(rest, "asc")
+    assert kind == "group_by", text
+    return GroupByOp(rest)
+
+
+def _readme_pipeline(text):
+    return Pipeline(tuple(_readme_operator(op) for op in re.findall(r"\s*select \[[^\]]*\]|[^,]+", text.strip()[1:-1])))
+
+
+def _readme_merge_examples():
+    """The README's consensus-merge examples as (line, candidates, merged) triples."""
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    section = text[text.index("## Consensus merge"):text.index("## Reward semantics")]
+    block = section[section.index("```text\n") + len("```text\n"):]
+    examples = []
+    for line in block[:block.index("```")].splitlines():
+        sources, merged = line.split("  ->  ")
+        candidates = []
+        for source in sources.split(" + "):
+            pipeline, copies = re.fullmatch(r"(\[.*\])(?: ×(\d))?", source).groups()
+            candidates += [_readme_pipeline(pipeline)] * int(copies or 1)
+        examples.append((line, candidates, _readme_pipeline(merged)))
+    return examples
+
+
+def test_readme_merge_examples_match_the_merge():
+    examples = _readme_merge_examples()
+    assert len(examples) >= 5
+    for line, candidates, merged in examples:
+        assert merge_pipelines(candidates) == merged, line
+
+
 class TestReadColumnClosure:
     def test_consensus_filter_keeps_the_column_it_reads(self):
         table = make_table(["X", "Y"], [[1, 1], [2, 0]])
@@ -257,17 +301,44 @@ class TestReadColumnClosure:
 class TestHoistedAddColumns:
     TABLE = make_table(["a", "b"], [["x", 1], ["y", 2]])
 
-    def test_a_select_of_only_added_names_is_omitted(self):
+    def test_a_select_of_only_added_names_is_kept(self):
         candidate = Pipeline((AddColumnOp("n", "infer one"), SelectOp(("n",))))
-        assert execute(candidate, self.TABLE, EXECUTOR).truncated_at is None
+        assert execute(candidate, self.TABLE, EXECUTOR).final.columns == ("n",)
         merged = merge_pipelines([candidate, candidate])
-        assert merged.ops == (AddColumnOp("n", "infer one"),)
-        assert execute(merged, self.TABLE, EXECUTOR).truncated_at is None
+        assert merged == candidate
+        trace = execute(merged, self.TABLE, EXECUTOR)
+        assert trace.truncated_at is None and trace.final.columns == ("n",)
 
-    def test_added_names_leave_the_union_select(self):
+    def test_added_names_stay_in_the_union_select(self):
         add = AddColumnOp("n", "infer one")
         merged = merge_pipelines([Pipeline((add, SelectOp(("n", "a")))), Pipeline((SelectOp(("b", "n")),))])
-        assert merged.ops == (SelectOp(("a", "b")), add)
+        assert merged.ops == (add, SelectOp(("n", "a", "b")))
+
+    def test_a_name_added_after_the_select_is_kept(self):
+        add = AddColumnOp("n", "infer one")
+        merged = merge_pipelines([Pipeline((SelectOp(("a",)), add))])
+        assert merged.ops == (add, SelectOp(("a", "n")))
+        assert execute(merged, self.TABLE, EXECUTOR).final.columns == ("a", "n")
+
+    def test_a_select_of_an_absent_name_beside_an_added_one_runs(self):
+        candidate = Pipeline((AddColumnOp("n", "infer one"), SelectOp(("n", "m"))))
+        assert execute(candidate, self.TABLE, EXECUTOR).truncated_at is None
+        merged = merge_pipelines([candidate, candidate])
+        assert merged == candidate
+        trace = execute(merged, self.TABLE, EXECUTOR)
+        assert trace.truncated_at is None and trace.final.columns == ("n",)
+
+    def test_adding_a_name_the_candidate_selected_away_fails_after_the_merge(self):
+        # The one table-dependent case left: the candidate's select drops b
+        # before its add_column creates b, but the merge hoists that
+        # add_column ahead of the select, onto a table that still has b.
+        candidate = Pipeline((SelectOp(("a",)), AddColumnOp("b", "infer one")))
+        assert execute(candidate, self.TABLE, EXECUTOR).truncated_at is None
+        merged = merge_pipelines([candidate, candidate])
+        assert merged.ops == (AddColumnOp("b", "infer one"), SelectOp(("a", "b")))
+        trace = execute(merged, self.TABLE, EXECUTOR)
+        assert trace.truncated_at == 0
+        assert trace.steps[0].error == str(ColumnExistsError("b"))
 
     def test_one_add_column_per_name_is_hoisted(self):
         first, second = AddColumnOp("n", "infer one"), AddColumnOp("n", "infer two")
@@ -363,17 +434,16 @@ def _path_positions(ops):
 def test_merge_matches_reference_apart_from_appended_select_columns(candidates):
     got = merge_pipelines(candidates)
     ref = ref_merge_pipelines(candidates)
-    if not ref.ops or not isinstance(ref.ops[0], SelectOp):
+    at = next((i for i, spec in enumerate(ref.ops) if isinstance(spec, SelectOp)), None)
+    if at is None:
         assert got == ref
         return
-    assert got.ops[1:] == ref.ops[1:]
-    columns, ref_columns = got.ops[0].columns, ref.ops[0].columns
+    assert got.ops[:at] == ref.ops[:at] and got.ops[at + 1:] == ref.ops[at + 1:]
+    columns, ref_columns = got.ops[at].columns, ref.ops[at].columns
     assert columns[: len(ref_columns)] == ref_columns
     appended = columns[len(ref_columns):]
-    path = _path_positions(got.ops)
-    created = {spec.new_column for spec in got.ops[: path[0] if path else None] if isinstance(spec, AddColumnOp)}
-    read = set()
-    for spec in (got.ops[i] for i in path):
+    created, read = set(), set()
+    for spec in (got.ops[i] for i in _path_positions(got.ops)):
         if isinstance(spec, AddColumnOp):
             created.add(spec.new_column)
         elif spec.column not in created:
@@ -444,16 +514,6 @@ def tables_and_candidates_that_run(draw):
     return table, [c for c in drawn if execute(c, table, EXECUTOR).truncated_at is None]
 
 
-def _selects_an_absent_column(pipeline, table):
-    """Whether one of the pipeline's selects names a column absent from its input."""
-    before = table
-    for step in execute(pipeline, table, EXECUTOR).steps:
-        if isinstance(step.spec, SelectOp) and not set(step.spec.columns) <= set(before.columns):
-            return True
-        before = step.table_after
-    return False
-
-
 @settings(max_examples=300, deadline=None)
 @given(tables_and_candidates_that_run())
 def test_candidates_that_select_added_names_and_run_merge_to_a_pipeline_that_runs(table_and_candidates):
@@ -462,8 +522,4 @@ def test_candidates_that_select_added_names_and_run_merge_to_a_pipeline_that_run
         return
     merged = merge_pipelines(candidates)
     trace = execute(merged, table, EXECUTOR)
-    if trace.truncated_at is not None:
-        # The merge cannot see the table: [add_column n, select [n, m]] runs on a table
-        # without m, but the union select, which runs first, is left with m alone.
-        assert trace.truncated_at == 0 and isinstance(merged.ops[0], SelectOp), trace.steps[trace.truncated_at]
-        assert any(_selects_an_absent_column(candidate, table) for candidate in candidates)
+    assert trace.truncated_at is None, trace.steps[trace.truncated_at]
