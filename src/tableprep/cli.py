@@ -208,7 +208,7 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
 @main.command("filter-dataset")
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--output", "output_path", required=True, type=click.Path())
-@click.option("--max-tokens", default=2800, show_default=True)
+@click.option("--max-tokens", default=2800, show_default=True, type=click.IntRange(min=1))
 @click.option("--stats-out", type=click.Path(), default=None)
 def filter_dataset_cmd(input_path, output_path, max_tokens, stats_out):
     """Keep cell-focused instances under the token budget; write kept + stats."""

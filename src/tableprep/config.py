@@ -35,7 +35,7 @@ from .errors import ConfigError
 from .gate import GateConfig, as_fraction
 from .llm import GenerationConfig, HttpChatTransport, ScriptedTransport
 from .reward import EXACT, NORMALIZED, RewardConfig
-from .rollback import NO_DATA, CellLookupQaClient, HttpQaClient, ScriptedQaClient
+from .rollback import CellLookupQaClient, HttpQaClient
 from .semantic import LlmSemanticExecutor, MockSemanticExecutor
 
 
@@ -212,15 +212,16 @@ def _check_map(doc, what: str, value_ok, shape: str) -> dict:
 class GeneratorFactory:
     """Yields the chat transport to use for each instance.
 
-    HTTP mode shares one transport; mock mode builds a per-instance scripted
-    transport from a script file keyed by instance id.
+    HTTP mode shares one transport, built here, so a missing API key stops
+    the run before its first instance; mock mode builds a per-instance
+    scripted transport from a script file keyed by instance id.
     """
 
     def __init__(self, config: AppConfig):
         gen = config.generator
         self.mode = gen.get("mode", "mock")
         if self.mode == "http":
-            self._shared = HttpChatTransport()
+            self._shared = HttpChatTransport(api_key_env=client_config(config, "generator").api_key_env)
         elif self.mode == "mock":
             self._scripts = {}
             if "script" in gen:
@@ -243,7 +244,8 @@ def build_qa_client(config: AppConfig):
     qa = config.qa
     mode = qa.get("mode", "cell_lookup")
     if mode == "http":
-        return HttpQaClient(HttpChatTransport(), client_config(config, "qa"))
+        qa_config = client_config(config, "qa")
+        return HttpQaClient(HttpChatTransport(api_key_env=qa_config.api_key_env), qa_config)
     if mode == "cell_lookup":
         expected = qa.get("expected", {})
         if "script" in qa:
@@ -251,20 +253,6 @@ def build_qa_client(config: AppConfig):
         _check_map(expected, "qa expected answers", lambda v: isinstance(v, list) and _all_str(v),
                    "a list of answer strings")
         return CellLookupQaClient(expected)
-    if mode == "scripted":
-        raw = qa.get("responses", {})
-        if "script" in qa:
-            raw = _load_json_file(config, "qa.script", qa["script"], "QA script")
-        _check_map(raw, "qa responses", lambda v: isinstance(v, dict) and _all_str(v.values()),
-                   "an object of {table digest: response string}")
-        default = qa.get("default", NO_DATA)
-        if not isinstance(default, str):
-            raise ConfigError(f"qa.default must be a string, got {default!r}")
-        responses = {}
-        for question, by_digest in raw.items():
-            for digest, response in by_digest.items():
-                responses[(question, digest)] = response
-        return ScriptedQaClient(responses, default)
     raise ConfigError(f"unknown qa mode {mode!r}")
 
 
@@ -281,5 +269,6 @@ def build_semantic_executor(config: AppConfig):
                    "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)
     if mode == "http":
-        return LlmSemanticExecutor(HttpChatTransport(), client_config(config, "semantic_executor"))
+        sem_config = client_config(config, "semantic_executor")
+        return LlmSemanticExecutor(HttpChatTransport(api_key_env=sem_config.api_key_env), sem_config)
     raise ConfigError(f"unknown semantic executor mode {mode!r}")

@@ -130,12 +130,6 @@ class EmptyQuestionError(TablePrepError):
     pass
 
 
-class AuthMissingError(TablePrepError):
-    def __init__(self, env_var: str):
-        self.env_var = env_var
-        super().__init__(f"API key environment variable {env_var!r} is not set")
-
-
 class AllRequestsFailedError(TablePrepError):
     pass
 
@@ -158,6 +152,15 @@ class QaTransportError(TablePrepError):
 
 class ConfigError(TablePrepError):
     pass
+
+
+class AuthMissingError(ConfigError):
+    """A client's ``api_key_env`` names an unset variable; raised when its
+    transport is built, before any request."""
+
+    def __init__(self, env_var: str):
+        self.env_var = env_var
+        super().__init__(f"API key environment variable {env_var!r} is not set")
 
 
 class DatasetError(TablePrepError):

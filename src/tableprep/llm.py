@@ -88,20 +88,25 @@ class ChatTransport(Protocol):
 
 
 class HttpChatTransport:
-    """POSTs OpenAI-compatible chat completion requests with ``requests``."""
+    """POSTs OpenAI-compatible chat completion requests with ``requests``.
 
-    def __init__(self, session=None):
+    The API key is read once, here, from the environment variable
+    ``api_key_env``; an unset or empty one raises :class:`AuthMissingError`
+    before any request is made.
+    """
+
+    def __init__(self, api_key_env: str | None = None, session=None):
         import requests
 
+        self._headers = {"Content-Type": "application/json"}
+        if api_key_env:
+            key = os.environ.get(api_key_env)
+            if not key:
+                raise AuthMissingError(api_key_env)
+            self._headers["Authorization"] = f"Bearer {key}"
         self._session = session or requests.Session()
 
     def complete(self, messages: list[dict], config: GenerationConfig, index: int = 0) -> str:
-        headers = {"Content-Type": "application/json"}
-        if config.api_key_env:
-            key = os.environ.get(config.api_key_env)
-            if not key:
-                raise AuthMissingError(config.api_key_env)
-            headers["Authorization"] = f"Bearer {key}"
         payload = {
             "model": config.model,
             "messages": messages,
@@ -109,7 +114,7 @@ class HttpChatTransport:
             "max_tokens": config.max_tokens,
         }
         response = self._session.post(
-            config.endpoint, json=payload, headers=headers, timeout=config.timeout
+            config.endpoint, json=payload, headers=self._headers, timeout=config.timeout
         )
         response.raise_for_status()
         content = response.json()["choices"][0]["message"]["content"]
@@ -145,14 +150,11 @@ def call_with_retries(call: Callable[[], T], retries: int) -> T:
     """Return ``call()``, retrying up to ``retries`` times after a failure.
 
     Attempt ``k`` that fails is followed by a ``min(2**k * 0.1, 2.0)`` s
-    backoff. A missing API key is raised at once, since retrying cannot fix
-    it; once every attempt has failed, the last error propagates.
+    backoff. Once every attempt has failed, the last error propagates.
     """
     for attempt in range(retries):
         try:
             return call()
-        except AuthMissingError:
-            raise
         except Exception:
             time.sleep(min(2**attempt * 0.1, 2.0))
     return call()
@@ -178,15 +180,13 @@ def generate_candidates(
     The ``n`` requests run as tasks of ``pool``; with no pool they run one after
     another on the calling thread. Individual failures are retried up to
     ``config.retries`` times and then recorded per index rather than dropped.
-    Raises only when every candidate failed or authentication is missing.
+    Raises only when every candidate failed.
     """
     messages = build_generation_prompt(question, table, config.prompt_max_rows)
 
     def one(index: int) -> GenerationOutcome:
         try:
             text = call_with_retries(lambda: transport.complete(messages, config, index), config.retries)
-        except AuthMissingError:
-            raise
         except Exception as err:
             log.warning("candidate %d failed after %d attempts: %s", index, config.retries + 1, err)
             return GenerationOutcome(index, None, error=str(err))

@@ -17,7 +17,7 @@ from .llm import GenerationConfig, call_with_retries
 from .ops import Pipeline
 from .reward import AnswerSet, contains_all_answers
 from .semantic import SemanticExecutor
-from .table import Table, serialize_markdown, table_digest
+from .table import Table, serialize_markdown
 
 NO_DATA = "No data available"  # the refusal the QA model is asked for
 NO_DATA_PHRASE = NO_DATA.casefold()
@@ -94,22 +94,6 @@ def _ask(qa: QaClient, question: str, table: Table, state: int) -> str:
         raise
 
 
-class ScriptedQaClient:
-    """Deterministic mock keyed by (question, table digest).
-
-    ``responses`` maps ``(question, digest)`` to the reply; ``default`` is
-    returned for unknown keys, so "never answers" behavior is one line.
-    """
-
-    def __init__(self, responses: dict[tuple[str, str], str] | None = None,
-                 default: str = NO_DATA):
-        self.responses = dict(responses or {})
-        self.default = default
-
-    def ask(self, question: str, table: Table) -> str:
-        return self.responses.get((question, table_digest(table)), self.default)
-
-
 class CellLookupQaClient:
     """Mock that answers with the first expected value present as a cell.
 
@@ -155,7 +139,5 @@ class HttpQaClient:
             return call_with_retries(
                 lambda: self._transport.complete(messages, self._config), self._config.retries
             )
-        except QaTransportError:
-            raise
         except Exception as err:
             raise QaTransportError(f"QA transport failed: {err}") from err

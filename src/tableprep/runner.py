@@ -182,7 +182,10 @@ def load_run_report(path: str, verify: bool = True) -> dict:
     """Load a report. With ``verify``, re-derive its aggregates from its records;
     a mismatch or a malformed report raises :class:`TablePrepError`."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except (ValueError, RecursionError) as err:  # not UTF-8 or not JSON, or nested too deep
+            raise TablePrepError(f"report is malformed: {err}") from err
     if verify:
         try:
             recomputed = compute_aggregates(doc.get("records", []))

@@ -34,7 +34,6 @@ without checking them again.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import re
@@ -212,13 +211,14 @@ def cell_count(table: Table) -> int:
 
 
 def load_csv(data: bytes) -> Table:
-    """Parse RFC-4180 CSV (UTF-8, header row required) into a typed table.
+    """Parse RFC-4180 CSV (UTF-8 with an optional byte-order mark, header row
+    required) into a typed table.
 
     Cells that fully parse as decimal literals become numbers, empty cells
     become missing values, everything else stays text. Each distinct cell
     text is typed once (:class:`CellMemo`).
     """
-    text = data.decode("utf-8")
+    text = data.decode("utf-8-sig")
     if text.strip() == "":
         raise EmptyInputError("CSV input is empty")
     reader = csv.reader(io.StringIO(text))
@@ -339,9 +339,3 @@ def markdown_size(table: Table, widths: CellWidths) -> int:
     cells = sum(map(widths.__getitem__, chain.from_iterable(table.rows)))
     # each row line adds its frame, its joints and the newline before it
     return header + 1 + separator + table.n_rows * (5 + joints) + cells
-
-
-def table_digest(table: Table) -> str:
-    """Stable content hash; keys scripted QA mocks."""
-    payload = json.dumps(serialize_json(table), sort_keys=True, ensure_ascii=False)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()

@@ -88,7 +88,7 @@ def ref_contains_all_answers(table: Table, answers: AnswerSet) -> bool:
 
 def ref_load_csv(data: bytes) -> Table:
     """Type every CSV cell on its own, with no memo."""
-    records = [row for row in csv.reader(io.StringIO(data.decode("utf-8"))) if row != []]
+    records = [row for row in csv.reader(io.StringIO(data.decode("utf-8-sig"))) if row != []]
     return Table(tuple(records[0]), tuple(tuple(ingest_cell(cell) for cell in raw) for raw in records[1:]))
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import json
 import os
 from pathlib import Path
@@ -7,8 +8,10 @@ import pytest
 from click.testing import CliRunner
 
 from tableprep import cli
+from tableprep import config as config_mod
 from tableprep.cli import main
 from tableprep.errors import ConfigError
+from tableprep.llm import HttpChatTransport
 from tableprep.runner import load_run_report
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -108,13 +111,12 @@ class TestRun:
 
     @pytest.mark.parametrize("doc, message", [
         ({"semantic_executor": {"mode": "mock", "rules": {"p": "x"}}}, "semantic_executor rules"),
-        ({"qa": {"mode": "scripted", "responses": {"q": "x"}}}, "qa responses"),
-        ({"qa": {"mode": "scripted", "default": 5}}, "qa.default"),
+        ({"qa": {"mode": "scripted", "responses": {}}}, "unknown qa mode 'scripted'"),
         ({"qa": {"mode": "cell_lookup", "expected": {"q": "x"}}}, "qa expected answers"),
         ({"generator": {"mode": "mock", "default_texts": "[]"}}, "generator.default_texts"),
         ({"generator": {"mode": "mock", "script": 5}}, "generator.script must be a string path, got 5"),
         ({"qa": {"mode": "cell_lookup", "script": ["a"]}}, "qa.script must be a string path, got ['a']"),
-    ], ids=["semantic_rules", "qa_responses", "qa_default", "qa_expected", "default_texts",
+    ], ids=["semantic_rules", "qa_scripted", "qa_expected", "default_texts",
             "generator_script", "qa_script"])
     def test_malformed_mock_section_exit_2(self, runner, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
@@ -459,6 +461,53 @@ class TestFilterDataset:
         assert result.exit_code == 0
         assert out.read_text() == ""  # everything over a 5-token budget
 
+    @pytest.mark.parametrize("max_tokens", ["0", "-3"])
+    def test_max_tokens_below_one_exits_2(self, runner, tmp_path, max_tokens):
+        out = tmp_path / "kept.jsonl"
+        result = runner.invoke(
+            main, ["filter-dataset", "--input", fx("filter_50.jsonl"), "--output", str(out),
+                   "--max-tokens", max_tokens],
+        )
+        assert result.exit_code == 2
+        assert "--max-tokens" in result.output and not out.exists()
+
+
+class _CountingSession:
+    """Fake ``requests`` session counting posts; it has no server to reach."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        raise ConnectionError("no server")
+
+
+class TestMissingApiKey:
+    """A client set to ``http`` whose ``api_key_env`` is unset stops the
+    command with exit 2, naming the variable, before any request is sent."""
+
+    @pytest.fixture
+    def session(self, monkeypatch):
+        monkeypatch.delenv("TP_UNSET_KEY", raising=False)
+        session = _CountingSession()
+        monkeypatch.setattr(config_mod, "HttpChatTransport", functools.partial(HttpChatTransport, session=session))
+        return session
+
+    @pytest.mark.parametrize("argv, section", [
+        (["run", "--dataset", fx("run_instances.jsonl")], "generator"),
+        (["run", "--dataset", fx("run_instances.jsonl")], "qa"),
+        (["run", "--dataset", fx("run_instances.jsonl")], "semantic_executor"),
+        (["exec", "--table", fx("table.csv"), "--pipeline", fx("pipeline.json")], "semantic_executor"),
+    ], ids=["run-generator", "run-qa", "run-semantic_executor", "exec-semantic_executor"])
+    def test_exits_2_naming_the_variable(self, runner, tmp_path, session, argv, section):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({section: {"mode": "http", "api_key_env": "TP_UNSET_KEY", "retries": 0}}))
+        result = runner.invoke(main, [*argv, "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == "error: API key environment variable 'TP_UNSET_KEY' is not set\n"
+        assert session.posts == 0
+
 
 # Malformed input, one case per file a subcommand reads or writes. In each
 # argv "BAD.json" or "BAD.csv" names the malformed file, written from the
@@ -543,7 +592,7 @@ def test_malformed_input_exits_without_traceback(runner, tmp_path, argv, content
 def test_deeply_nested_qa_script_exits_2(runner, tmp_path):
     (tmp_path / "deep.json").write_text(DEEP_JSON)
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"qa": {"mode": "scripted", "script": "deep.json"}}))
+    config.write_text(json.dumps({"qa": {"mode": "cell_lookup", "script": "deep.json"}}))
     result = runner.invoke(main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(config)])
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error: cannot load QA script from 'deep.json': maximum recursion depth")

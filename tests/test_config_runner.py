@@ -30,7 +30,7 @@ from tableprep.errors import ConfigError, DatasetError, TablePrepError
 from tableprep.gate import GateConfig
 from tableprep.llm import GenerationConfig
 from tableprep.reward import RewardConfig
-from tableprep.rollback import CellLookupQaClient, ScriptedQaClient
+from tableprep.rollback import CellLookupQaClient
 from tableprep.runner import compute_aggregates, dump_report, load_run_report, run_dataset
 from tableprep.semantic import MockSemanticExecutor
 
@@ -268,7 +268,7 @@ _SECTION_KEYS = {
     "reward": [f.name for f in fields(RewardConfig)],
     "gate": [f.name for f in fields(GateConfig)],
     "generator": [*_CLIENT_KEYS, "mode", "script", "default_texts"],
-    "qa": [*_CLIENT_KEYS, "mode", "script", "expected", "responses", "default"],
+    "qa": [*_CLIENT_KEYS, "mode", "script", "expected"],
     "semantic_executor": [*_CLIENT_KEYS, "mode", "rules"],
 }
 _ANY_CONFIG = _section(**{
@@ -387,15 +387,11 @@ class TestFactories:
         assert isinstance(qa, CellLookupQaClient)
         assert "Which researcher is based in Europe?" in qa.expected
 
-    def test_qa_scripted_mode(self, tmp_path):
+    def test_qa_scripted_mode_is_unknown(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "qa": {"mode": "scripted", "responses": {"q": {"digest1": "a1"}}, "default": "nope"}
-        }))
-        qa = build_qa_client(load_config(str(path)))
-        assert isinstance(qa, ScriptedQaClient)
-        assert qa.responses == {("q", "digest1"): "a1"}
-        assert qa.default == "nope"
+        path.write_text(json.dumps({"qa": {"mode": "scripted", "responses": {}}}))
+        with pytest.raises(ConfigError, match="unknown qa mode 'scripted'"):
+            build_qa_client(load_config(str(path)))
 
     def test_semantic_modes(self, tmp_path):
         path = tmp_path / "c.json"
@@ -412,7 +408,7 @@ class TestFactories:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"generator": {"mode": "http"}, "run": {"request_cap": 3}}))
         factory = GeneratorFactory(load_config(str(path)))
-        assert made == [{}]
+        assert made == [{"api_key_env": None}]
         assert factory.transport_for("a", "q") is factory.transport_for("b", "q")
 
     def test_client_sections_share_one_builder(self, tmp_path):
@@ -605,10 +601,11 @@ class TestRunner:
     @pytest.mark.parametrize("text", [
         "[]", '"report"', "null", '{"records": [{"id": "a"}]}', '{"records": 5}', '{"records": ["a"]}',
         '{"records": [{"cells_before": 1, "cells_after": 1, "qa_calls": 1, "merged_ops": 3}]}',
+        "not json", pytest.param("[" * 100_000, id="too_deep"), pytest.param(b'{"records": "\xff"}', id="not_utf8"),
     ])
     def test_a_malformed_report_fails_verification(self, tmp_path, text):
         path = tmp_path / "r.json"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
         with pytest.raises(TablePrepError, match="report is malformed"):
             load_run_report(str(path), verify=True)
 

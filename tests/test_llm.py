@@ -1,17 +1,22 @@
+import ast
+import functools
 import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tableprep import config as config_mod
 from tableprep import llm
 from tableprep.engine import FAILED, SKIPPED, execute
 from tableprep.errors import (
     AllRequestsFailedError,
     AuthMissingError,
+    ConfigError,
     EmptyQuestionError,
     NoJsonFoundError,
     PipelineParseError,
@@ -231,14 +236,6 @@ class TestGenerateCandidates:
         with pytest.raises(AllRequestsFailedError):
             generate_candidates("q", table, cfg, FlakyTransport(dead_indices={0, 1}), 2)
 
-    def test_auth_missing_before_any_request(self, table, monkeypatch):
-        monkeypatch.delenv("TP_TEST_KEY", raising=False)
-        session = _CountingSession()
-        cfg = GenerationConfig(api_key_env="TP_TEST_KEY")
-        with pytest.raises(AuthMissingError):
-            generate_candidates("q", table, cfg, HttpChatTransport(session=session), 2)
-        assert session.posts == 0
-
     def test_index_stable_under_concurrency(self, table):
         cfg = GenerationConfig()
         with ThreadPoolExecutor(5) as pool:
@@ -252,7 +249,7 @@ class TestGenerateCandidates:
 
 
 class TestHttpTransportShape:
-    def test_payload_and_auth_header(self, table, monkeypatch):
+    def test_payload_and_the_auth_header_read_when_built(self, table, monkeypatch):
         captured = {}
 
         class FakeSession:
@@ -261,9 +258,10 @@ class TestHttpTransportShape:
                 return _OkResponse()
 
         monkeypatch.setenv("TP_KEY", "secret")
-        transport = HttpChatTransport(session=FakeSession())
+        transport = HttpChatTransport(api_key_env="TP_KEY", session=FakeSession())
+        monkeypatch.delenv("TP_KEY")  # the key was read when the transport was built
         cfg = GenerationConfig(endpoint="http://x/v1/chat/completions", model="m",
-                               api_key_env="TP_KEY", temperature=0.8, max_tokens=64)
+                               api_key_env="TP_OTHER_KEY", temperature=0.8, max_tokens=64)
         messages = build_generation_prompt("q", table)
         assert transport.complete(messages, cfg) == "[]"
         assert captured["url"] == "http://x/v1/chat/completions"
@@ -271,6 +269,64 @@ class TestHttpTransportShape:
         assert captured["payload"]["messages"] == messages
         assert captured["payload"]["temperature"] == 0.8
         assert captured["headers"]["Authorization"] == "Bearer secret"
+
+
+class TestMissingApiKey:
+    """A missing key is a config error raised when the transport is built,
+    so no request is ever sent and nothing retries it."""
+
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_transport_build_raises_before_any_request(self, monkeypatch, value):
+        if value is None:
+            monkeypatch.delenv("TP_TEST_KEY", raising=False)
+        else:
+            monkeypatch.setenv("TP_TEST_KEY", value)
+        session = _CountingSession()
+        with pytest.raises(AuthMissingError, match="'TP_TEST_KEY' is not set") as exc:
+            HttpChatTransport(api_key_env="TP_TEST_KEY", session=session)
+        assert isinstance(exc.value, ConfigError) and exc.value.env_var == "TP_TEST_KEY"
+        assert session.posts == 0
+
+    @pytest.mark.parametrize("section, build", [
+        ("generator", config_mod.GeneratorFactory),
+        ("qa", config_mod.build_qa_client),
+        ("semantic_executor", config_mod.build_semantic_executor),
+    ], ids=["generator", "qa", "semantic_executor"])
+    def test_each_client_builder_raises_before_any_request(self, monkeypatch, backoffs, section, build):
+        monkeypatch.delenv("TP_TEST_KEY", raising=False)
+        session = _CountingSession()
+        monkeypatch.setattr(config_mod, "HttpChatTransport", functools.partial(HttpChatTransport, session=session))
+        config = config_mod.AppConfig(**{section: {"mode": "http", "api_key_env": "TP_TEST_KEY", "retries": 3}})
+        with pytest.raises(AuthMissingError, match="TP_TEST_KEY"):
+            build(config)
+        assert session.posts == 0 and backoffs == []
+
+
+def _scoped(node, scope=""):
+    """Each node under ``node`` with the qualified name of the innermost
+    class or function that holds it ("" at module level)."""
+    for child in ast.iter_child_nodes(node):
+        yield child, scope
+        inner = f"{scope}.{child.name}".lstrip(".") if isinstance(child, (ast.ClassDef, ast.FunctionDef)) else scope
+        yield from _scoped(child, inner)
+
+
+def test_a_missing_api_key_has_one_raise_site():
+    """``HttpChatTransport.__init__`` alone raises AuthMissingError and no
+    handler in the package catches it; only config.py builds an
+    HttpChatTransport, so a missing key always surfaces as a config error."""
+    raises, caught, builds = [], [], []
+    for path in sorted(Path(llm.__file__).parent.glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None and "AuthMissingError" in ast.unparse(node.exc):
+                raises.append((path.name, scope))
+            if isinstance(node, ast.ExceptHandler) and node.type is not None and "AuthMissingError" in ast.unparse(node.type):
+                caught.append((path.name, node.lineno))
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("HttpChatTransport"):
+                builds.append(path.name)
+    assert raises == [("llm.py", "HttpChatTransport.__init__")]
+    assert caught == []
+    assert builds and set(builds) == {"config.py"}
 
 
 class _ContentSession:
@@ -340,17 +396,6 @@ class TestCallWithRetries:
         with pytest.raises(RuntimeError, match="transient"):
             call_with_retries(lambda: transport.complete([], None), retries=0)
         assert transport.attempts[0] == 1 and backoffs == []
-
-    def test_auth_missing_not_retried(self, backoffs):
-        calls = []
-
-        def call():
-            calls.append(1)
-            raise AuthMissingError("TP_KEY")
-
-        with pytest.raises(AuthMissingError):
-            call_with_retries(call, retries=3)
-        assert len(calls) == 1 and backoffs == []
 
 
 class _OkResponse:

@@ -6,11 +6,9 @@ from tableprep.ops import parse_pipeline
 from tableprep.rollback import (
     CellLookupQaClient,
     HttpQaClient,
-    ScriptedQaClient,
     answer_with_rollback,
     detect_no_data,
 )
-from tableprep.table import table_digest
 
 from conftest import CountingExecutor, FlakyTransport, SequenceQaClient, make_table
 
@@ -146,25 +144,6 @@ class TestTransportErrors:
         with pytest.raises(QaTransportError) as exc:
             answer_with_rollback("q", table, pipeline, Flaky())
         assert exc.value.state == 2
-
-
-class TestScriptedQaClient:
-    def test_keyed_by_question_and_digest(self, table):
-        digest = table_digest(table)
-        qa = ScriptedQaClient({("q", digest): "9"})
-        assert qa.ask("q", table) == "9"
-        assert qa.ask("other question", table) == NO_DATA
-
-    def test_drives_rollback_per_state(self, table):
-        # answer only for the original table: forces the full descent
-        pipeline = pipe(
-            {"operation": "select", "columns": ["name"]},
-            {"operation": "filter", "column": "name", "cmp": "==", "value": "other"},
-        )
-        qa = ScriptedQaClient({("q", table_digest(table)): "target"})
-        result = answer_with_rollback("q", table, pipeline, qa)
-        assert result.state_used == 3
-        assert result.answer == "target"
 
 
 class TestCellLookupQaClient:
