@@ -45,7 +45,7 @@ def _load_config(path: str | None) -> AppConfig:
     return AppConfig() if path is None else load_config(path)
 
 
-def _read_json(path: str, parse=json.loads):
+def _read_json(path: str, parse=CELL_DECODER.decode):
     """The value ``parse`` reads from the text of the file ``path``."""
     with open(path, encoding="utf-8") as fh:
         try:
@@ -100,7 +100,7 @@ def exec_cmd(table_path, pipeline_path, config_path, trace_path, out):
         with open(table_path, "rb") as fh:
             table = load_csv(fh.read())
     else:
-        table = load_json_table(_read_json(table_path, CELL_DECODER.decode))
+        table = load_json_table(_read_json(table_path))
     pipeline = parse_pipeline(_read_json(pipeline_path))
     trace = execute(pipeline, table, build_semantic_executor(config))
     if trace_path:
@@ -127,7 +127,7 @@ def merge(candidates_path, out):
 def reward(bundle_path, config_path, out):
     """Score one {question, table, answers, pipeline, output_text} bundle."""
     config = _load_config(config_path)
-    doc = _read_json(bundle_path, CELL_DECODER.decode)
+    doc = _read_json(bundle_path)
     if not isinstance(doc, dict):
         raise DatasetError("reward bundle must be a JSON object")
     for key in ("table", "answers", "pipeline"):
@@ -151,8 +151,9 @@ def reward(bundle_path, config_path, out):
 def gate(rewards_path, config_path, out):
     """Gate reward groups; emits one JSONL record per instance.
 
-    Input: JSON array or JSONL of {"instance_id", "rewards"}. Consecutive
-    groups with the same instance_id count as successive resampling attempts.
+    Input: JSON array or JSONL of {"instance_id", "rewards"}. Every group
+    with the same instance_id, in file order wherever it appears, counts as
+    one more resampling attempt for that instance.
     """
     config = _load_config(config_path)
     records = _gate_all(_read_json(rewards_path, _json_or_jsonl), config.gate)
@@ -162,8 +163,8 @@ def gate(rewards_path, config_path, out):
 def _json_or_jsonl(text: str) -> list:
     """A JSON array, or the JSON value on each non-blank line."""
     if text.lstrip().startswith("["):
-        return json.loads(text)
-    return [json.loads(line) for line in text.splitlines() if line.strip()]
+        return CELL_DECODER.decode(text)
+    return [CELL_DECODER.decode(line) for line in text.splitlines() if line.strip()]
 
 
 def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:

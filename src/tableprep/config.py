@@ -26,10 +26,10 @@ and gate sections and the client keys are read field by field through
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from decimal import Decimal
 
 from .errors import ConfigError
 from .gate import GateConfig, as_fraction
@@ -37,6 +37,7 @@ from .llm import GenerationConfig, HttpChatTransport, ScriptedTransport
 from .reward import EXACT, NORMALIZED, RewardConfig
 from .rollback import CellLookupQaClient, HttpQaClient
 from .semantic import LlmSemanticExecutor, MockSemanticExecutor
+from .table import CELL_DECODER
 
 
 @dataclass(frozen=True)
@@ -66,9 +67,9 @@ def _is_str(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number; bool and str are not, nor the NaN and Infinity that
-    ``json.load`` accepts. An int too large for a float fails its conversion."""
-    return type(value) is int or (type(value) is float and math.isfinite(value))
+    """A finite JSON number: an int, or a Decimal in a float's range (not
+    ``1e400``); bool, str and the decoder's NaN and Infinity floats are not."""
+    return type(value) is int or (type(value) is Decimal and math.isfinite(value))
 
 
 def _at_least(low: int):
@@ -110,7 +111,8 @@ _READERS = {
     "max_tokens": _COUNT,
     "timeout": _FLOAT,
     "retries": (_at_least(0), "an integer >= 0", None),
-    "api_key_env": (_or_null(_is_str), "a string or null", None),
+    "api_key_env": (_or_null(lambda value: _is_str(value) and value != ""),
+                    "a non-empty string or null", None),
     "prompt_max_rows": (_or_null(_at_least(0)), "an integer >= 0 or null", None),
 }
 
@@ -120,7 +122,7 @@ def _read(section: str, key: str, value):
     if ok(value):
         try:
             return convert(value) if convert else value
-        except (ValueError, OverflowError):  # Infinity as a Fraction, 10**400 as a float
+        except OverflowError:  # 10**400 as a float
             pass
     raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
 
@@ -159,7 +161,7 @@ def client_config(config: AppConfig, section: str) -> GenerationConfig:
 def load_config(path: str) -> AppConfig:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = CELL_DECODER.decode(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     except (ValueError, RecursionError) as err:  # not JSON or UTF-8, an int over 4,300 digits, too deep
@@ -189,7 +191,7 @@ def _load_json_file(config: AppConfig, key: str, path, what: str):
         raise ConfigError(f"{key} must be a string path, got {path!r}")
     try:
         with open(config.resolve(path), encoding="utf-8") as fh:
-            return json.load(fh)
+            return CELL_DECODER.decode(fh.read())
     except (OSError, ValueError, RecursionError) as err:  # as in load_config, or a NUL in the path
         raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err
 

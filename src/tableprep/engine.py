@@ -9,7 +9,10 @@ Execution shares work between calls on one thread (:class:`ThreadScope`),
 scoped to one input table and one executor. It keeps the table each successful
 operator prefix produced, so each distinct prefix runs once, and the trace of
 each pipeline that ran with no failed step, which that pipeline gets back. A
-failed step is never kept, so a transient semantic failure is retried.
+failed step is never kept, so a transient semantic failure is retried. Specs
+compare without their explanations, so an operator that differs from one
+already run only in its explanation runs no second time, and a trace taken
+from the memo may carry an earlier variant's explanation text.
 """
 
 from __future__ import annotations

@@ -12,7 +12,6 @@ so a run of identical candidate outputs parses once.
 from __future__ import annotations
 
 import functools
-import json
 import logging
 import os
 import re
@@ -29,11 +28,10 @@ from .errors import (
     TablePrepError,
 )
 from .ops import Pipeline, parse_pipeline
-from .table import Table, serialize_markdown
+from .table import CELL_DECODER, Table, serialize_markdown
 
 log = logging.getLogger(__name__)
 
-_DECODER = json.JSONDecoder()
 # A bracket where a JSON array can begin: optional whitespace, then "]" or the
 # first character of a value. Every array the decoder accepts starts this way;
 # \s and \d also admit non-ASCII whitespace and digits, which then fail to decode.
@@ -206,12 +204,13 @@ def first_json_array(text: str):
     other brackets (such as ``[note 1]``) cannot begin an array and are
     skipped without a decode. A valid array ends at its string-aware balanced
     closing bracket, so brackets inside JSON string literals do not cut it
-    short. Nesting too deep for the decoder counts as invalid.
+    short. Nesting too deep for :data:`~tableprep.table.CELL_DECODER`, or a
+    number over 4,300 digits, counts as invalid.
     """
     for match in _ARRAY_START.finditer(text):
         try:
-            return _DECODER.raw_decode(text, match.start())[0]
-        except (json.JSONDecodeError, RecursionError):
+            return CELL_DECODER.raw_decode(text, match.start())[0]
+        except (ValueError, RecursionError):  # not JSON, a number over 4,300 digits, too deep
             pass
     return None
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, field, fields
 from decimal import Decimal
 from typing import ClassVar, Union, get_args
 
@@ -34,12 +34,15 @@ from .table import Table, Value, format_number, parse_number, render_value
 
 COMPARATORS = ("==", "!=", ">", "<", ">=", "<=")
 
+# A spec's identity is its kind and parameters: ``explanation`` is text for
+# readers and takes no part in equality or hashing, as in canonical_key.
+
 
 @dataclass(frozen=True)
 class SelectOp:
     kind: ClassVar[str] = "select"
     columns: tuple[str, ...]
-    explanation: str | None = None
+    explanation: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class FilterOp:
     column: str
     cmp: str
     value: Value
-    explanation: str | None = None
+    explanation: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -57,14 +60,14 @@ class SortByOp:
     column: str
     order: str
     k: int | None = None
-    explanation: str | None = None
+    explanation: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
 class GroupByOp:
     kind: ClassVar[str] = "group_by"
     column: str
-    explanation: str | None = None
+    explanation: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class AddColumnOp:
     kind: ClassVar[str] = "add_column"
     new_column: str
     description: str
-    explanation: str | None = None
+    explanation: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -80,7 +83,7 @@ class CleanColumnOp:
     kind: ClassVar[str] = "clean_column"
     column: str
     description: str
-    explanation: str | None = None
+    explanation: str | None = field(default=None, compare=False)
 
 
 OperatorSpec = Union[SelectOp, FilterOp, SortByOp, GroupByOp, AddColumnOp, CleanColumnOp]
@@ -140,10 +143,11 @@ def _top_k(op: str, key: str, value) -> int | None:
 def _coerce_scalar(op: str, key: str, value) -> Value:
     """Filter thresholds arrive as JSON scalars; numeric-looking strings and
     JSON numbers both normalize to Decimal so comparison and canonicalization
-    agree with cell ingestion. A number already read as a ``Decimal`` (as
-    :data:`~tableprep.table.CELL_DECODER` reads one) is kept. A JSON ``NaN``,
-    ``Infinity`` or overflowing float (``1e400``) is non-finite and is
-    rejected."""
+    agree with cell ingestion. Every JSON input is read through
+    :data:`~tableprep.table.CELL_DECODER`, so a number arrives as an int or
+    its exact ``Decimal``, which is kept; a float comes only from a Python
+    caller and is read through its ``str()``. A ``NaN`` or ``Infinity`` is
+    non-finite and is rejected."""
     if isinstance(value, bool) or not isinstance(value, (str, int, float, Decimal)):
         raise BadParamTypeError(op, key, "expected a string or number")
     if isinstance(value, str):

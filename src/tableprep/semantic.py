@@ -217,7 +217,7 @@ class LlmSemanticExecutor:
         doc = first_json_array(raw)
         if doc is None:
             raise ExecutorFailureError("semantic executor returned no JSON array")
-        return [None if item is None else ingest_cell(str(item)) for item in doc]
+        return [item if item is None or type(item) is Decimal else ingest_cell(str(item)) for item in doc]
 
     def infer_column(self, table: Table, new_column: str, description: str) -> list[Value]:
         columns = self._relevant_columns(table, description)

@@ -120,8 +120,8 @@ def _exact_number(literal: str) -> Decimal:
     return value
 
 
-# Reads every JSON text that can hold table cells: a number with a fraction or
-# an exponent becomes the exact Decimal of its literal, not a float.
+# Reads every JSON input but a run report: a number with a fraction or an
+# exponent becomes the exact Decimal of its literal, not a float.
 CELL_DECODER = json.JSONDecoder(parse_float=_exact_number)
 
 

@@ -165,14 +165,15 @@ def ref_exec_clean_column(table: Table, column: str, description: str, executor)
 
 def ref_first_json_array(text: str):
     """At each opening bracket, find the string-aware balanced closing bracket
-    and decode that span; the first span that decodes wins."""
+    and decode that span, a number with a fraction or an exponent as its
+    exact Decimal; the first span that decodes wins."""
     start = text.find("[")
     while start != -1:
         end = _ref_balanced_end(text, start)
         if end is not None:
             try:
-                return json.loads(text[start : end + 1])
-            except json.JSONDecodeError:
+                return json.loads(text[start : end + 1], parse_float=Decimal)
+            except ValueError:  # not JSON, or an int over 4,300 digits
                 pass
         start = text.find("[", start + 1)
     return None
@@ -299,8 +300,8 @@ def ref_client_config(section: dict, temperature: float, max_tokens: int) -> Gen
         max_tokens=_ref_setting(section, "max_tokens", max_tokens, at_least(1), "an integer >= 1"),
         timeout=float(_ref_setting(section, "timeout", GenerationConfig.timeout, is_number, "a number")),
         retries=_ref_setting(section, "retries", GenerationConfig.retries, at_least(0), "an integer >= 0"),
-        api_key_env=_ref_setting(section, "api_key_env", None, lambda v: v is None or is_str(v),
-                                 "a string or null"),
+        api_key_env=_ref_setting(section, "api_key_env", None, lambda v: v is None or (is_str(v) and v != ""),
+                                 "a non-empty string or null"),
         prompt_max_rows=_ref_setting(section, "prompt_max_rows", None,
                                      lambda v: v is None or at_least(0)(v), "an integer >= 0 or null"),
     )

@@ -10,9 +10,11 @@ from click.testing import CliRunner
 from tableprep import cli
 from tableprep import config as config_mod
 from tableprep.cli import main
+from tableprep.engine import execute
 from tableprep.errors import ConfigError
-from tableprep.llm import HttpChatTransport
+from tableprep.llm import HttpChatTransport, extract_pipeline_json
 from tableprep.runner import load_run_report
+from tableprep.table import CELL_DECODER, load_json_table
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -129,11 +131,11 @@ class TestRun:
 
     def test_non_finite_threshold_is_a_candidate_error(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
-        dataset.write_text(open(fx("run_instances.jsonl")).readline())
+        dataset.write_text(Path(fx("run_instances.jsonl")).read_text().splitlines()[0])
         nan_filter = '[{"operation": "filter", "column": "Score", "cmp": ">", "value": NaN}]'
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"i01": [nan_filter, '[{"operation": "select", "columns": ["Country"]}]']}))
-        config = json.load(open(fx("run_config.json")))
+        config = json.loads(Path(fx("run_config.json")).read_text())
         config["generator"]["script"] = str(script)
         config["qa"]["script"] = fx("qa_expected.json")
         config["semantic_executor"]["rules"] = fx("semantic_rules.json")
@@ -152,12 +154,12 @@ class TestRun:
 
     def test_long_candidate_runs(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
-        dataset.write_text(open(fx("run_instances.jsonl")).readline())
+        dataset.write_text(Path(fx("run_instances.jsonl")).read_text().splitlines()[0])
         ops = [{"operation": "filter", "column": "Score", "cmp": "!=", "value": f"v{i}"}
                for i in range(1500)]
         script = tmp_path / "script.json"
         script.write_text(json.dumps({"i01": [json.dumps(ops)]}))
-        config = json.load(open(fx("run_config.json")))
+        config = json.loads(Path(fx("run_config.json")).read_text())
         config["generator"]["script"] = str(script)
         config["qa"]["script"] = fx("qa_expected.json")
         config["semantic_executor"]["rules"] = fx("semantic_rules.json")
@@ -179,7 +181,7 @@ class TestRun:
     ], ids=["broken_json", "huge_integer", "too_deep"])
     def test_malformed_line_recorded_run_continues(self, runner, tmp_path, bad_line, message):
         dataset = tmp_path / "data.jsonl"
-        lines = open(fx("run_instances.jsonl")).read().splitlines()[:3]
+        lines = Path(fx("run_instances.jsonl")).read_text().splitlines()[:3]
         lines.insert(1, bad_line)
         dataset.write_text("\n".join(lines) + "\n")
         out = tmp_path / "report.json"
@@ -195,7 +197,7 @@ class TestRun:
 
     def test_unlabeled_dataset_omits_accuracy(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
-        docs = [json.loads(l) for l in open(fx("run_instances.jsonl")).read().splitlines()[:2]]
+        docs = [json.loads(l) for l in Path(fx("run_instances.jsonl")).read_text().splitlines()[:2]]
         for d in docs:
             del d["answers"]
         dataset.write_text("\n".join(json.dumps(d) for d in docs) + "\n")
@@ -335,7 +337,7 @@ class TestReward:
 
     @pytest.mark.parametrize("answers", ["Paris", 5, [], None])
     def test_answers_must_be_a_non_empty_list(self, runner, tmp_path, answers):
-        bundle = json.load(open(fx("reward_bundle.json")))
+        bundle = json.loads(Path(fx("reward_bundle.json")).read_text())
         bundle["answers"] = answers
         path = tmp_path / "b.json"
         path.write_text(json.dumps(bundle))
@@ -345,7 +347,7 @@ class TestReward:
 
     @pytest.mark.parametrize("answers", [[["1"]], [None], [True], [{"v": "1"}]])
     def test_each_answer_must_be_a_string_or_a_number(self, runner, tmp_path, answers):
-        bundle = json.load(open(fx("reward_bundle.json")))
+        bundle = json.loads(Path(fx("reward_bundle.json")).read_text())
         bundle["answers"] = answers
         path = tmp_path / "b.json"
         path.write_text(json.dumps(bundle))
@@ -402,6 +404,34 @@ class TestGate:
         assert result.exit_code == 3
         assert "instance a: group_size must be at least 2" in result.output
 
+    def test_interleaved_groups_of_an_instance_are_its_attempts(self, runner, tmp_path):
+        path = tmp_path / "g.jsonl"
+        path.write_text("".join(json.dumps(g) + "\n" for g in [
+            {"instance_id": "a", "rewards": [0.5, 0.5, 0.5]},
+            {"instance_id": "b", "rewards": [0.9, 0.1, 0.2]},
+            {"instance_id": "a", "rewards": [0.9, 0.1, 0.2]},
+        ]))
+        result = runner.invoke(main, ["gate", str(path)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in result.output.splitlines()]
+        assert [(r["instance_id"], r["accepted"], r["attempts"], r["rejected_reasons"]) for r in records] == [
+            ("a", True, 2, ["low_variance"]), ("b", True, 1, []),
+        ]
+
+    def test_rewards_and_thresholds_are_read_exactly(self, runner, tmp_path):
+        groups = tmp_path / "g.jsonl"
+        groups.write_text('{"instance_id": "spread", "rewards": [0.1, 0.10000000000000000001]}\n'
+                          '{"instance_id": "short", "rewards": [0, 0.1]}\n')
+        config = tmp_path / "c.json"
+        config.write_text('{"gate": {"variance_threshold": 1e-42, "quality_threshold": 0.10000000000000000001}}')
+        result = runner.invoke(main, ["gate", str(groups), "--config", str(config)])
+        assert result.exit_code == 0, result.output
+        records = [json.loads(line) for line in result.output.splitlines()]
+        # a variance of 2.5e-41 clears 1e-42, and 0.1 is short of the threshold
+        assert [(r["instance_id"], r["accepted"], r["rejected_reasons"]) for r in records] == [
+            ("spread", True, []), ("short", False, ["low_quality"]),
+        ]
+
     @pytest.mark.parametrize("groups, message", [
         ([1, 2], "group 0: each group needs 'instance_id' and 'rewards'"),
         ([{"instance_id": "a", "rewards": 5}], "instance a: 'rewards' must be a list"),
@@ -439,7 +469,7 @@ class TestFilterDataset:
 
     def test_line_with_a_huge_integer_is_recorded(self, runner, tmp_path):
         dataset, out, stats_out = tmp_path / "data.jsonl", tmp_path / "kept.jsonl", tmp_path / "stats.json"
-        lines = open(fx("filter_50.jsonl")).read().splitlines()
+        lines = Path(fx("filter_50.jsonl")).read_text().splitlines()
         lines.insert(1, HUGE_INTEGER_LINE)
         dataset.write_text("\n".join(lines) + "\n")
         result = runner.invoke(
@@ -481,6 +511,31 @@ class _CountingSession:
     def post(self, url, json=None, headers=None, timeout=None):
         self.posts += 1
         raise ConnectionError("no server")
+
+
+_CLOSE_PAIR = '{"header": ["name", "x"], "rows": [["a", 0.1], ["b", 0.10000000000000000001]]}'
+_EXACT_FILTER = '[{"operation": "filter", "column": "x", "cmp": "==", "value": 0.10000000000000000001}]'
+
+
+def test_a_filter_value_is_the_same_number_on_every_path(runner, tmp_path):
+    """A model output, an ``exec --pipeline`` file and a reward bundle read the
+    threshold as the same exact number, so each keeps the one row "b"."""
+    table = load_json_table(CELL_DECODER.decode(_CLOSE_PAIR))
+    assert [row[0] for row in execute(extract_pipeline_json(_EXACT_FILTER), table).final.rows] == ["b"]
+
+    table_path, pipeline_path = tmp_path / "t.json", tmp_path / "p.json"
+    table_path.write_text(_CLOSE_PAIR)
+    pipeline_path.write_text(_EXACT_FILTER)
+    result = runner.invoke(main, ["exec", "--table", str(table_path), "--pipeline", str(pipeline_path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["rows"] == [["b", "0.10000000000000000001"]]
+
+    for answer, r_acc in [("b", "1"), ("a", "0")]:
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text('{"table": %s, "answers": ["%s"], "pipeline": %s}' % (_CLOSE_PAIR, answer, _EXACT_FILTER))
+        result = runner.invoke(main, ["reward", str(bundle)])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["exact"]["r_acc"] == r_acc
 
 
 class TestMissingApiKey:

@@ -187,7 +187,8 @@ class TestSectionValues:
         ("temperature", False, "a number"),
         ("endpoint", 5, "a string"),
         ("model", None, "a string"),
-        ("api_key_env", 5, "a string or null"),
+        ("api_key_env", 5, "a non-empty string or null"),
+        ("api_key_env", "", "a non-empty string or null"),
     ])
     def test_client_keys_are_typed(self, tmp_path, section, key, value, expected):
         path = tmp_path / "c.json"
@@ -199,11 +200,11 @@ class TestSectionValues:
     @pytest.mark.parametrize("section", ["generator", "qa", "semantic_executor"])
     @pytest.mark.parametrize("key", ["temperature", "timeout"])
     @pytest.mark.parametrize("raw, shown", [
-        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "Decimal('1E+400')"),
         ("1" + "0" * 400, "1" + "0" * 400),
     ], ids=["nan", "infinity", "minus_infinity", "float_overflow", "int_overflow"])
     def test_client_numbers_must_be_finite(self, tmp_path, section, key, raw, shown):
-        # json.load reads NaN, Infinity and 1e400 as floats and 10**400 as an int
+        # the decoder reads NaN and Infinity as floats, 1e400 as a Decimal and 10**400 as an int
         path = tmp_path / "c.json"
         path.write_text(f'{{"{section}": {{"mode": "http", "{key}": {raw}}}}}')
         with pytest.raises(ConfigError) as err:
@@ -232,7 +233,7 @@ _GATE_DOCS = _section(
 _CLIENT_DOCS = _section(
     endpoint=st.text(max_size=8), model=st.text(max_size=8), temperature=_ANY_NUMBER,
     max_tokens=st.integers(1, 10**6), timeout=_POSITIVE, retries=st.integers(0, 10),
-    api_key_env=st.none() | st.text(max_size=8), prompt_max_rows=st.none() | st.integers(0, 10**6),
+    api_key_env=st.none() | st.text(min_size=1, max_size=8), prompt_max_rows=st.none() | st.integers(0, 10**6),
 )
 # each client's (temperature, max_tokens) defaults, as the references take them
 _REF_CLIENT_DEFAULTS = {"generator": (0.8, 1024), "qa": (0.0, 256), "semantic_executor": (0.0, 1024)}

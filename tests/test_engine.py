@@ -4,6 +4,7 @@ import json
 import random
 import threading
 import weakref
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from tableprep.ops import (
 )
 from tableprep.semantic import MockSemanticExecutor
 
-from conftest import make_table, random_table
+from conftest import CountingExecutor, make_table, random_table
 from oracles import ref_execute
 
 
@@ -279,6 +280,26 @@ def test_threads_on_different_tables_keep_their_own_memo():
         want = ref_execute(pipeline, table, RecordingExecutor())
         assert traces == [want] * 3
         assert calls == 1
+
+
+def test_a_wording_variant_applies_no_operator_again(table, monkeypatch):
+    applied = []
+    apply_operator = engine.apply_operator
+
+    def counted(spec, *args):
+        applied.append(spec)
+        return apply_operator(spec, *args)
+
+    monkeypatch.setattr(engine, "apply_operator", counted)
+    executor = CountingExecutor()
+    ops = (AddColumnOp("n", "infer n", explanation="one"), CleanColumnOp("a", "tidy a", explanation="one"),
+           FilterOp("b", ">", Decimal(1), explanation="one"))
+    first = execute(Pipeline(ops), table, executor)
+    reworded = tuple(replace(op, explanation="other words") for op in ops)
+    assert execute(Pipeline(reworded), table, executor) == first
+    assert execute(Pipeline((*reworded[:2], SortByOp("n", "asc"))), table, executor).steps[-1].status == OK
+    assert [spec.kind for spec in applied] == ["add_column", "clean_column", "filter", "sort_by"]
+    assert (executor.infer_calls, executor.rewrite_calls) == (1, 1)
 
 
 def test_a_semantic_step_that_raised_runs_again_for_the_next_candidate(table):

@@ -4,6 +4,7 @@ import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,7 @@ from tableprep.llm import (
 from tableprep.ops import AddColumnOp, FilterOp, Pipeline, SelectOp, pipeline_to_json
 from tableprep.rollback import HttpQaClient
 from tableprep.semantic import LlmSemanticExecutor
+from tableprep.table import CELL_DECODER
 
 from conftest import FlakyTransport, make_table
 from oracles import ref_extract_pipeline_json, ref_first_json_array
@@ -192,16 +194,20 @@ class TestExtractPipelineJson:
     def test_first_json_array_pinned_cases(self, text):
         assert repr(first_json_array(text)) == repr(ref_first_json_array(text))
 
+    @pytest.mark.parametrize("literal", ["9" * 4301, "0." + "1" * 4301], ids=["integer", "fraction"])
+    def test_a_number_over_4300_digits_skips_its_array(self, literal):
+        assert first_json_array(f"[{literal}] then [1.5]") == [Decimal("1.5")]
+
     def test_brackets_that_cannot_open_an_array_are_not_decoded(self, monkeypatch):
         class CountingDecoder:
             attempts = 0
 
             def raw_decode(self, text, start):
                 self.attempts += 1
-                return json.JSONDecoder().raw_decode(text, start)
+                return CELL_DECODER.raw_decode(text, start)
 
         decoder = CountingDecoder()
-        monkeypatch.setattr(llm, "_DECODER", decoder)
+        monkeypatch.setattr(llm, "CELL_DECODER", decoder)
         notes = " ".join(f"[note {i}] the column is not needed." for i in range(190))
         assert first_json_array(notes + "\n" + '[{"operation": "select", "columns": ["a"]}]') == [
             {"operation": "select", "columns": ["a"]}

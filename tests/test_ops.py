@@ -103,6 +103,7 @@ class TestParseOperator:
             {"operation": "group_by", "column": "a", "explanation": "count", "z": 1}
         )
         assert spec == GroupByOp("a", explanation="count")
+        assert spec.explanation == "count"
 
 
 class TestParsePipeline:

@@ -383,6 +383,12 @@ class TestLlmExecutor:
             exec_add_column(names_table, "g", "x", executor)
         assert transport.attempts[0] == 3
 
+    def test_number_answers_are_their_exact_values(self, names_table):
+        transport = _FixedTransport('[1e3, 0.10000000000000000001]')
+        executor = LlmSemanticExecutor(transport, GenerationConfig())
+        out = exec_add_column(names_table, "g", "x", executor)
+        assert [row[2] for row in out.rows] == [Decimal(1000), Decimal("0.10000000000000000001")]
+
     def test_clean_column_empty_answers_keep_original(self):
         table = make_table(["d"], [["keep"], ["change"]])
         transport = _FixedTransport('["", "changed"]')

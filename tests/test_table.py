@@ -436,3 +436,18 @@ def test_trusted_constructor_stays_inside_the_operator_kernels():
                 users.add(path.name)
     assert users <= {"ops.py", "semantic.py"}
     assert users  # the scan sees the kernels' own references
+
+
+def test_input_json_is_decoded_by_one_decoder():
+    """Every JSON input is read through CELL_DECODER, so a number is an int or
+    its exact Decimal on every path; the run report, whose aggregates are
+    floats by format, is the one other reader."""
+    readers = []
+    for path in sorted(Path(tableprep.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                    "load", "loads", "JSONDecoder",
+                ):
+                    readers.append((path.name, getattr(top, "name", "")))
+    assert readers == [("runner.py", "load_run_report"), ("table.py", "")]
