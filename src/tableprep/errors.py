@@ -16,16 +16,12 @@ class TablePrepError(Exception):
 
 class DuplicateColumnError(TablePrepError):
     def __init__(self, column: str):
-        self.column = column
         super().__init__(f"duplicate column name: {column!r}")
 
 
 class RaggedRowError(TablePrepError):
     def __init__(self, row_index: int, expected: int, got: int):
-        self.row_index = row_index
-        super().__init__(
-            f"row {row_index} has {got} cells, expected {expected}"
-        )
+        super().__init__(f"row {row_index} has {got} cells, expected {expected}")
 
 
 class EmptyInputError(TablePrepError):
@@ -44,20 +40,17 @@ class OperatorParseError(TablePrepError):
 
 class UnknownOperatorError(OperatorParseError):
     def __init__(self, name: str):
-        self.name = name
         super().__init__(f"unknown operator: {name!r}")
 
 
 class MissingParamError(OperatorParseError):
     def __init__(self, op: str, param: str):
-        self.op = op
         self.param = param
         super().__init__(f"operator {op!r} is missing parameter {param!r}")
 
 
 class BadParamTypeError(OperatorParseError):
     def __init__(self, op: str, param: str, detail: str = ""):
-        self.op = op
         self.param = param
         msg = f"operator {op!r} has invalid parameter {param!r}"
         super().__init__(msg + (f": {detail}" if detail else ""))
@@ -66,31 +59,28 @@ class BadParamTypeError(OperatorParseError):
 class PipelineParseError(TablePrepError):
     def __init__(self, index: int, cause: Exception):
         self.index = index
-        self.cause = cause
         super().__init__(f"invalid operator at index {index}: {cause}")
 
 
 # --- operator execution ---
 
 class OperatorError(TablePrepError):
-    """An operator failed on its input table; absorbed by trace truncation."""
+    """An operator failed on its input table. Trace truncation absorbs any
+    :class:`TablePrepError`; an executor's bad cell is an InvalidCellError."""
 
 
 class ColumnNotFoundError(OperatorError):
     def __init__(self, column: str):
-        self.column = column
         super().__init__(f"column not found: {column!r}")
 
 
 class NoValidColumnsError(OperatorError):
     def __init__(self, requested: tuple[str, ...]):
-        self.requested = requested
         super().__init__(f"none of the requested columns exist: {list(requested)}")
 
 
 class ColumnExistsError(OperatorError):
     def __init__(self, column: str):
-        self.column = column
         super().__init__(f"column already exists: {column!r}")
 
 

@@ -76,10 +76,14 @@ def group_stats(rewards: Sequence) -> GroupStats:
     s = sum(scaled)
     mean = Fraction(s, n * d)
     variance = Fraction(n * sum(a * a for a in scaled) - s * s, (n * d) ** 2)
+    try:
+        std = math.sqrt(variance)
+    except OverflowError:
+        raise OverflowError("the rewards' variance is too large for the gate's float standard deviation") from None
     return GroupStats(
         mean=mean,
         variance=variance,
-        std=math.sqrt(variance),
+        std=std,
         max=Fraction(max(scaled), d),
         size=n,
     )

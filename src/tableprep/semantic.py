@@ -3,7 +3,9 @@
 Two implementations ship here: a deterministic rule-based mock for tests and
 offline runs, and a chat-model-backed executor that batches all rows into one
 request. Both satisfy the same contract: one value per input row for
-add_column, a same-shape column rewrite for clean_column.
+add_column, a same-shape column rewrite for clean_column. A JSON value in a
+model's reply or a mock rule's mapping becomes a cell by the one rule of
+:meth:`~tableprep.table.CellMemo.cell`, as in a dataset table.
 
 The operators check only the values an executor returns; the rest of the
 table was validated where it entered the program. One pass collects the
@@ -23,7 +25,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from .llm import GenerationConfig, call_with_retries, first_json_array
-from .table import Table, Value, check_rows, ingest_cell, render_lookup, render_value
+from .table import CellMemo, Table, Value, check_rows, ingest_cell, render_lookup, render_value
 
 log = logging.getLogger(__name__)
 
@@ -91,15 +93,15 @@ def exec_clean_column(table: Table, column: str, description: str, executor: Sem
     return Table._trusted(table.columns, rows)
 
 
-# A mock rule is either a mapping from rendered input value to output string,
-# or a callable taking one cell value and returning a replacement (None = no
-# opinion). Patterns match by substring against the operator description;
+# A mock rule is either a mapping from rendered input value to output JSON
+# value, or a callable taking one cell value and returning a replacement (None
+# = no opinion). Patterns match by substring against the operator description;
 # first registered pattern wins.
-MockRule = Mapping[str, str] | Callable[[Value], Value | str | None]
+MockRule = Mapping[str, object] | Callable[[Value], Value | str | None]
 
 
 def _typed(out):
-    """A rule's output, typed as ingestion types a raw cell when it is text."""
+    """A callable rule's output, typed as a raw cell when it is text."""
     return ingest_cell(out) if isinstance(out, str) else out
 
 
@@ -108,10 +110,11 @@ def _per_cell(rule: MockRule) -> Callable[[Value], Value | None]:
 
     A mapping matches each cell whose rendering is one of its keys, looked up
     by value (:func:`~tableprep.table.render_lookup`), and its outputs are
-    typed once here.
+    typed once here, as JSON values.
     """
     if not callable(rule):
-        return {cell: _typed(rule[text]) for cell, text in render_lookup(rule).items()}.get
+        cell_of = CellMemo().cell
+        return {cell: cell_of(rule[text]) for cell, text in render_lookup(rule).items()}.get
 
     def apply(cell: Value) -> Value | None:
         try:
@@ -130,7 +133,7 @@ class MockSemanticExecutor:
         self._rules = {pattern: _per_cell(rule) for pattern, rule in (rules or {}).items()}
 
     @classmethod
-    def from_json(cls, doc: Mapping[str, Mapping[str, str]]) -> "MockSemanticExecutor":
+    def from_json(cls, doc: Mapping[str, Mapping[str, object]]) -> "MockSemanticExecutor":
         """Load ``{pattern: {input: output, ...}}`` fixture rules."""
         return cls({pattern: dict(mapping) for pattern, mapping in doc.items()})
 
@@ -217,7 +220,7 @@ class LlmSemanticExecutor:
         doc = first_json_array(raw)
         if doc is None:
             raise ExecutorFailureError("semantic executor returned no JSON array")
-        return [item if item is None or type(item) is Decimal else ingest_cell(str(item)) for item in doc]
+        return list(map(CellMemo().cell, doc))
 
     def infer_column(self, table: Table, new_column: str, description: str) -> list[Value]:
         columns = self._relevant_columns(table, description)

@@ -100,12 +100,23 @@ class CellMemo(dict):
 
     A JSON number read as a ``Decimal`` is its own value. Equal raw texts, and
     equal numbers, typed through one memo share one value object (values are
-    immutable). Make one per load and drop it with the load.
+    immutable). Make one per load and drop it with the load. :meth:`cell` is
+    the one rule for what any decoded JSON value becomes as a cell.
     """
 
     def __missing__(self, raw: str | Decimal) -> Value:
         value = self[raw] = ingest_cell(raw) if isinstance(raw, str) else raw
         return value
+
+    def cell(self, value) -> Value:
+        """A JSON value as a cell, in a dataset table, an executor's reply or a
+        mock rule's output: ``null`` is missing, text is typed by
+        :func:`ingest_cell`, a ``Decimal`` is itself, and any other value (an
+        integer, ``true``, a list) is typed as its ``str()``. A non-finite
+        ``Decimal`` is returned as is: each route's cell check names its row."""
+        if isinstance(value, Decimal):
+            return self[value] if value.is_finite() else value
+        return None if value is None else self[value if isinstance(value, str) else str(value)]
 
 
 # A JSON number literal whose plain rendering would need more digits than this
@@ -233,11 +244,9 @@ def load_csv(data: bytes) -> Table:
 def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
     """Parse a ``{"header": [...], "rows": [[...], ...]}`` object into a table.
 
-    Same cell-typing rules as :func:`load_csv` for text. A ``Decimal`` (a JSON
-    number read through :data:`CELL_DECODER`) is typed as its exact value and
-    must be finite; any other cell, such as a JSON integer, bool or ``NaN``,
-    is typed as its ``str()``. Cells are typed through ``memo``, which a
-    caller loading many tables shares across them (a fresh one by default).
+    Each cell is typed by :meth:`CellMemo.cell`, and a number must be finite.
+    Cells are typed through ``memo``, which a caller loading many tables
+    shares across them (a fresh one by default).
     """
     if not isinstance(doc, dict):
         raise EmptyInputError("table document must be a JSON object")
@@ -251,25 +260,13 @@ def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
         raise EmptyInputError("'header' must be a list of strings")
     if not isinstance(raw_rows, list):
         raise EmptyInputError("'rows' must be a list of rows")
-    typed = (CellMemo() if memo is None else memo).__getitem__
+    typed = CellMemo() if memo is None else memo  # most cells are text: no call to cell
     rows = []
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise InvalidCellError(f"row {i} is not a list")
-        rows.append(tuple([
-            None if cell is None
-            else typed(cell) if isinstance(cell, str)
-            else typed(_finite(cell, i)) if isinstance(cell, Decimal)
-            else typed(str(cell))
-            for cell in raw
-        ]))
+        rows.append(tuple([typed[cell] if isinstance(cell, str) else typed.cell(cell) for cell in raw]))
     return Table(tuple(header), tuple(rows))
-
-
-def _finite(number: Decimal, row: int) -> Decimal:
-    if not number.is_finite():
-        raise InvalidCellError(f"non-finite number in row {row}")
-    return number
 
 
 def serialize_json(table: Table) -> dict:

@@ -92,23 +92,24 @@ def ref_load_csv(data: bytes) -> Table:
     return Table(tuple(records[0]), tuple(tuple(ingest_cell(cell) for cell in raw) for raw in records[1:]))
 
 
-def ref_load_json_table(doc: dict) -> Table:
-    """Type every JSON cell on its own, with no memo: text as it is, a
-    ``Decimal`` as itself, any other non-null cell as its ``str()``."""
-    def typed(cell):
-        if cell is None or isinstance(cell, Decimal):
-            return cell
-        return ingest_cell(cell if isinstance(cell, str) else str(cell))
+def ref_json_cell(value):
+    """One JSON value as a cell, with no memo: null as None, text as a raw
+    cell, a ``Decimal`` as itself, any other value as its ``str()``."""
+    if value is None or isinstance(value, Decimal):
+        return value
+    return ingest_cell(value if isinstance(value, str) else str(value))
 
-    return Table(tuple(doc["header"]), tuple(tuple(typed(cell) for cell in raw) for raw in doc["rows"]))
+
+def ref_load_json_table(doc: dict) -> Table:
+    """Type every JSON cell on its own by :func:`ref_json_cell`."""
+    return Table(tuple(doc["header"]), tuple(tuple(map(ref_json_cell, raw)) for raw in doc["rows"]))
 
 
 def ref_mock_rule(rule: dict):
     """A mock mapping rule as a function of one cell: render the cell and look
-    the rendering up among the keys; text outputs are typed like raw cells."""
+    the rendering up among the keys; outputs are typed as JSON cells are."""
     def apply(cell):
-        out = rule.get(render_value(cell))
-        return ingest_cell(out) if isinstance(out, str) else out
+        return ref_json_cell(rule.get(render_value(cell)))
 
     return apply
 

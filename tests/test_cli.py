@@ -449,6 +449,17 @@ class TestGate:
         assert result.exit_code == 3, result.output
         assert message in result.output
 
+    @pytest.mark.parametrize("rewards", ["[1e400, 0]", "[1e200, 0, 3]"])
+    def test_a_variance_too_large_for_a_float_names_its_cause(self, runner, tmp_path, rewards):
+        # exact rewards, but the std is a float: 1e200 fits one, its group's variance does not
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"instance_id": "a", "rewards": %s}\n' % rewards)
+        result = runner.invoke(main, ["gate", str(path)])
+        assert result.exit_code == 3, result.output
+        assert result.output == (
+            "error: instance a: the rewards' variance is too large for the gate's float standard deviation\n"
+        )
+
 
 class TestFilterDataset:
     def test_fixture_keeps_25(self, runner, tmp_path):

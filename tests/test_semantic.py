@@ -1,3 +1,4 @@
+import json
 import logging
 from decimal import Decimal
 
@@ -5,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tableprep.engine import FAILED, SKIPPED, execute
+from tableprep.engine import FAILED, OK, SKIPPED, execute
 from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
-from tableprep.llm import GenerationConfig
+from tableprep.llm import GenerationConfig, ScriptedTransport
 from tableprep.ops import parse_pipeline
-from tableprep.table import Table
+from tableprep.table import CELL_DECODER, Table, load_json_table
 from tableprep.semantic import (
     LlmSemanticExecutor,
     MockSemanticExecutor,
@@ -21,6 +22,7 @@ from conftest import FlakyTransport, make_table
 from oracles import (
     ref_exec_add_column,
     ref_exec_clean_column,
+    ref_load_json_table,
     ref_mock_infer_column,
     ref_mock_rewrite_column,
 )
@@ -226,12 +228,16 @@ class TestExecutorCellsValidated:
         assert trace.steps[0].error == message
         assert trace.final == names_table
 
-    @pytest.mark.parametrize("op", [_ADD, _CLEAN], ids=["add_column", "clean_column"])
-    def test_json_mapping_rule_with_a_number_output(self, names_table, op):
+    @pytest.mark.parametrize("op, rows", [
+        (_ADD, (("Ada", Decimal(10), Decimal(3)), ("Bob", Decimal(7), None))),
+        (_CLEAN, (("Ada", Decimal(3)), ("Bob", Decimal(7)))),
+    ], ids=["add_column", "clean_column"])
+    def test_json_mapping_rule_with_a_number_output(self, names_table, op, rows):
+        # a mapping output is a JSON value, typed as a dataset table types it
         executor = MockSemanticExecutor.from_json({"derive": {"Ada": 3, "10": 3}})
         trace = execute(parse_pipeline([op]), names_table, executor)
-        assert trace.steps[0].status == FAILED
-        assert trace.steps[0].error == "unsupported cell type int in row 0"
+        assert trace.steps[0].status == OK
+        assert trace.final.rows == rows
 
 
 class _Text(str):
@@ -395,3 +401,45 @@ class TestLlmExecutor:
         executor = LlmSemanticExecutor(transport, GenerationConfig())
         out = exec_clean_column(table, "d", "normalize d", executor)
         assert [row[0] for row in out.rows] == ["keep", "changed"]
+
+
+# JSON literals of one value: null, text (much of it numeric-looking), integers,
+# numbers with a fraction or an exponent (read as Decimals), booleans
+_JSON_SCALARS = st.one_of(
+    st.just("null"),
+    st.sampled_from(["", "7", "07", "-0", "2.50", "1e5", " 5", "True", "[1]", "x"]).map(json.dumps),
+    st.text(alphabet="a7 .-é", max_size=4).map(json.dumps),
+    st.integers(-10**20, 10**20).map(str),
+    st.builds(lambda whole, fraction, exponent: whole + fraction + exponent,
+              st.sampled_from(["0", "-0", "7", "-12", "123456789012345678901"]),
+              st.sampled_from(["", ".0", ".50", ".125"]),
+              st.sampled_from(["", "e3", "E-2", "e+20"])).filter(lambda text: set(text) & set(".eE")),
+    st.sampled_from(["true", "false"]),
+)
+_JSON_VALUES = _JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3).map(lambda items: f"[{', '.join(items)}]")
+
+
+def _same_cell(cell):
+    """Equal numbers of one memo share one object, such as ``1.0`` and
+    ``1.00``; any other cell must keep its exact spelling."""
+    return type(cell), cell if isinstance(cell, Decimal) else repr(cell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_JSON_VALUES, min_size=1, max_size=5))
+def test_a_json_value_is_the_same_cell_on_every_route(literals):
+    """A dataset row, an LLM executor's reply and a mock mapping's outputs
+    type each JSON value as the loader oracle does."""
+    reply = f"[{', '.join(literals)}]"
+    doc = {"header": [f"c{i}" for i in range(len(literals))], "rows": [CELL_DECODER.decode(reply)]}
+    expected = list(map(_same_cell, ref_load_json_table(doc).rows[0]))
+
+    dataset = load_json_table(doc).rows[0]
+    keys = Table(("key",), tuple((f"k{i}",) for i in range(len(literals))))
+    llm = LlmSemanticExecutor(ScriptedTransport([reply]), GenerationConfig())
+    mapping = "{%s}" % ", ".join(f'"k{i}": {literal}' for i, literal in enumerate(literals))
+    mock = MockSemanticExecutor.from_json({"derive": CELL_DECODER.decode(mapping)})
+    for route in (dataset,
+                  [row[1] for row in exec_add_column(keys, "v", "derive", llm).rows],
+                  [row[1] for row in exec_add_column(keys, "v", "derive", mock).rows]):
+        assert list(map(_same_cell, route)) == expected

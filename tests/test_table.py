@@ -451,3 +451,46 @@ def test_input_json_is_decoded_by_one_decoder():
                 ):
                     readers.append((path.name, getattr(top, "name", "")))
     assert readers == [("runner.py", "load_run_report"), ("table.py", "")]
+
+
+def _nodes_by_function(path):
+    """Each AST node of a module, paired with its innermost enclosing function."""
+    pairs = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            pairs.append((name, child))
+            visit(child, name)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    return pairs
+
+
+def test_only_table_py_turns_a_json_value_into_a_cell():
+    """``CellMemo.cell`` is the one rule for what a JSON value becomes as a
+    cell: the table loader, the LLM executor's reply and the mock mapping
+    outputs call it, and no other code types a non-text value by its
+    ``str()`` or tests a number's finiteness on the way in. ``semantic.py``
+    tests finiteness only in ``_check_values``, the check of every executor's
+    values, which a callable rule's Python values also pass."""
+    package = Path(tableprep.__file__).parent
+    modules = {name: _nodes_by_function(package / name) for name in ("table.py", "semantic.py")}
+
+    def owners(module, match):
+        return sorted({owner for owner, node in modules[module] if match(node)})
+
+    def is_call_of(name):
+        return lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == name
+
+    def is_attribute(name):
+        return lambda node: isinstance(node, ast.Attribute) and node.attr == name
+
+    assert owners("table.py", is_attribute("cell")) == ["load_json_table"]
+    assert owners("semantic.py", is_attribute("cell")) == ["_ask", "_per_cell"]
+    assert owners("table.py", is_call_of("str")) == ["cell", "format_number"]
+    assert owners("semantic.py", is_call_of("str")) == []
+    assert owners("table.py", is_attribute("is_finite")) == ["cell", "check_rows"]
+    assert owners("semantic.py", is_attribute("is_finite")) == ["_check_values"]
+    assert owners("semantic.py", lambda node: isinstance(node, ast.Name) and node.id == "ingest_cell") == ["_typed"]
+    assert "_finite" not in {node.name for _, node in modules["table.py"] if isinstance(node, ast.FunctionDef)}
