@@ -125,7 +125,7 @@ def merge(candidates_path, out):
 @click.option("--config", "config_path", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def reward(bundle_path, config_path, out):
-    """Score one {question, table, answers, pipeline, output_text} bundle."""
+    """Score one {table, answers, pipeline, output_text} bundle."""
     config = _load_config(config_path)
     doc = _read_json(bundle_path)
     if not isinstance(doc, dict):

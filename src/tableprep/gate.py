@@ -208,6 +208,15 @@ def gate_record(instance_id: str, outcome: SampleOutcome) -> dict:
         "advantages": None,
     }
     if outcome.group is not None:
-        record["rewards"] = [float(r) for r in outcome.group.rewards]
+        record["rewards"] = [_record_float(i, r) for i, r in enumerate(outcome.group.rewards)]
         record["advantages"] = [float(a) for a in outcome.advantages or ()]
     return record
+
+
+def _record_float(index: int, reward: Fraction) -> float:
+    try:
+        return float(reward)
+    except OverflowError:
+        raise OverflowError(
+            f"reward {index} of the accepted group is too large for the gate record's float"
+        ) from None

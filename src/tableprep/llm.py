@@ -3,7 +3,9 @@
 The wire protocol is the OpenAI-style chat completion JSON (messages array,
 temperature, max_tokens). Transports are pluggable: the HTTP transport is the
 production path, the scripted transport replays canned texts so the whole
-stack runs offline and deterministically in tests.
+stack runs offline and deterministically in tests. :func:`chat` sends every
+model request, the generator's, the QA client's and the semantic executor's,
+with one retry policy.
 
 :func:`extract_pipeline_json` keeps the last text it parsed and its pipeline,
 so a run of identical candidate outputs parses once.
@@ -18,7 +20,7 @@ import re
 import time
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import Callable, Protocol, Sequence, TypeVar
+from typing import Protocol, Sequence
 
 from .errors import (
     AllRequestsFailedError,
@@ -37,8 +39,6 @@ log = logging.getLogger(__name__)
 # \s and \d also admit non-ASCII whitespace and digits, which then fail to decode.
 # Only the bracket is consumed, so a bracket inside the lookahead is still tried.
 _ARRAY_START = re.compile(r'\[(?=\s*(?:[\]\[{"\-\d]|true|false|null|NaN|Infinity))')
-
-T = TypeVar("T")
 
 GENERATOR_SYSTEM_PROMPT = """You are a data preparation planner for table question answering.
 Given a question and a table, output a pipeline of table operators that \
@@ -133,29 +133,27 @@ class ScriptedTransport:
         return self.texts[index % len(self.texts)]
 
 
-def build_generation_prompt(question: str, table: Table, max_rows: int | None = None) -> list[dict]:
-    """System + user messages sent to the pipeline generator."""
-    if question.strip() == "":
-        raise EmptyQuestionError("question must be non-empty")
-    user = f"Question: {question}\n\nTable:\n{serialize_markdown(table, max_rows)}"
-    return [
-        {"role": "system", "content": GENERATOR_SYSTEM_PROMPT},
-        {"role": "user", "content": user},
-    ]
+def question_prompt(question: str, table: Table, max_rows: int | None = None) -> str:
+    """The user text the generator and the QA client share: the question and
+    the table as markdown, cut to ``max_rows`` rows."""
+    return f"Question: {question}\n\nTable:\n{serialize_markdown(table, max_rows)}"
 
 
-def call_with_retries(call: Callable[[], T], retries: int) -> T:
-    """Return ``call()``, retrying up to ``retries`` times after a failure.
+def chat(transport: ChatTransport, config: GenerationConfig, system: str, user: str, index: int = 0) -> str:
+    """Send one system + user request and return its completion text.
 
-    Attempt ``k`` that fails is followed by a ``min(2**k * 0.1, 2.0)`` s
-    backoff. Once every attempt has failed, the last error propagates.
+    Every model request in the package goes through here. A failed attempt
+    ``k`` is followed by a ``min(2**k * 0.1, 2.0)`` s backoff and retried, at
+    most ``config.retries`` times; once every attempt has failed, the last
+    error propagates.
     """
-    for attempt in range(retries):
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
+    for attempt in range(config.retries):
         try:
-            return call()
+            return transport.complete(messages, config, index)
         except Exception:
             time.sleep(min(2**attempt * 0.1, 2.0))
-    return call()
+    return transport.complete(messages, config, index)
 
 
 @dataclass(frozen=True)
@@ -180,11 +178,13 @@ def generate_candidates(
     ``config.retries`` times and then recorded per index rather than dropped.
     Raises only when every candidate failed.
     """
-    messages = build_generation_prompt(question, table, config.prompt_max_rows)
+    if question.strip() == "":
+        raise EmptyQuestionError("question must be non-empty")
+    user = question_prompt(question, table, config.prompt_max_rows)
 
     def one(index: int) -> GenerationOutcome:
         try:
-            text = call_with_retries(lambda: transport.complete(messages, config, index), config.retries)
+            text = chat(transport, config, GENERATOR_SYSTEM_PROMPT, user, index)
         except Exception as err:
             log.warning("candidate %d failed after %d attempts: %s", index, config.retries + 1, err)
             return GenerationOutcome(index, None, error=str(err))

@@ -248,9 +248,10 @@ def pipeline_to_json(pipeline: Pipeline) -> list[dict]:
 def canonical_key(spec: OperatorSpec) -> str:
     """Deterministic identity string: kind plus parameters, explanation excluded.
 
-    Numeric parameters render canonically, so a threshold given as the string
-    "5" and as the number 5 produce the same key. Select columns are treated
-    as a set because execution preserves the table's own column order.
+    A numeric threshold, of any number type, keys as the canonical text of its
+    ``Decimal``, so a threshold given as the string "5", the int 5 and
+    ``Decimal("5.0")`` produce the same key. Select columns are treated as a
+    set because execution preserves the table's own column order.
     """
     params = _params(spec)
     params.pop("explanation", None)
@@ -262,7 +263,7 @@ def canonical_key(spec: OperatorSpec) -> str:
             number = parse_number(value)
             params["value"] = format_number(number) if number is not None else value
         else:
-            params["value"] = render_value(value)
+            params["value"] = render_value(value if value is None else Decimal(value))
     return json.dumps([spec.kind, params], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 

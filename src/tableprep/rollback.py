@@ -13,11 +13,11 @@ from typing import Protocol
 
 from .engine import ExecutionTrace, execute
 from .errors import QaTransportError
-from .llm import GenerationConfig, call_with_retries
+from .llm import GenerationConfig, chat, question_prompt
 from .ops import Pipeline
 from .reward import AnswerSet, contains_all_answers
 from .semantic import SemanticExecutor
-from .table import Table, serialize_markdown
+from .table import Table
 
 NO_DATA = "No data available"  # the refusal the QA model is asked for
 NO_DATA_PHRASE = NO_DATA.casefold()
@@ -90,8 +90,7 @@ def _ask(qa: QaClient, question: str, table: Table, state: int) -> str:
     try:
         return qa.ask(question, table)
     except QaTransportError as err:
-        err.state = state
-        raise
+        raise QaTransportError(f"rollback state {state}: {err}", state=state) from err
 
 
 class CellLookupQaClient:
@@ -123,21 +122,9 @@ class HttpQaClient:
         self._transport = transport
         self._config = config
 
-    def build_messages(self, question: str, table: Table) -> list[dict]:
-        user = (
-            f"Question: {question}\n\nTable:\n"
-            f"{serialize_markdown(table, self._config.prompt_max_rows)}"
-        )
-        return [
-            {"role": "system", "content": QA_SYSTEM_PROMPT},
-            {"role": "user", "content": user},
-        ]
-
     def ask(self, question: str, table: Table) -> str:
-        messages = self.build_messages(question, table)
+        user = question_prompt(question, table, self._config.prompt_max_rows)
         try:
-            return call_with_retries(
-                lambda: self._transport.complete(messages, self._config), self._config.retries
-            )
+            return chat(self._transport, self._config, QA_SYSTEM_PROMPT, user)
         except Exception as err:
             raise QaTransportError(f"QA transport failed: {err}") from err

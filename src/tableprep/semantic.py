@@ -24,7 +24,7 @@ from operator import add, itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
-from .llm import GenerationConfig, call_with_retries, first_json_array
+from .llm import GenerationConfig, chat, first_json_array
 from .table import CellMemo, Table, Value, check_rows, ingest_cell, render_lookup, render_value
 
 log = logging.getLogger(__name__)
@@ -207,14 +207,8 @@ class LlmSemanticExecutor:
             f"Rows ({table.n_rows} total):\n{self._row_listing(table, columns)}\n"
             f"Answer with a JSON array of exactly {table.n_rows} strings."
         )
-        messages = [
-            {"role": "system", "content": self.SYSTEM_PROMPT},
-            {"role": "user", "content": user},
-        ]
         try:
-            raw = call_with_retries(
-                lambda: self._transport.complete(messages, self._config), self._config.retries
-            )
+            raw = chat(self._transport, self._config, self.SYSTEM_PROMPT, user)
         except Exception as err:
             raise ExecutorFailureError(f"semantic executor transport failed: {err}") from err
         doc = first_json_array(raw)

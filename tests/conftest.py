@@ -50,15 +50,18 @@ class SequenceQaClient:
 
 
 class FlakyTransport:
-    """Chat transport that fails the first ``fail_first`` calls per index, then succeeds."""
+    """Chat transport that records the messages of each request in ``sent``
+    and fails the first ``fail_first`` calls per index, then succeeds."""
 
     def __init__(self, text="[]", fail_first=0, dead_indices=()):
         self.text = text
         self.fail_first = fail_first
         self.dead_indices = set(dead_indices)
         self.attempts = {}
+        self.sent = []
 
     def complete(self, messages, config, index=0):
+        self.sent.append(messages)
         self.attempts[index] = self.attempts.get(index, 0) + 1
         if index in self.dead_indices:
             raise RuntimeError("permanently down")

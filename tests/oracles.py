@@ -354,8 +354,10 @@ def ref_canonical_key(spec) -> str:
         if isinstance(value, str):
             number = parse_number(value)
             canonical = format_number(number) if number is not None else value
-        else:
-            canonical = render_value(value)
+        elif value is None:
+            canonical = ""
+        else:  # a number of any type, by the Decimal it equals
+            canonical = format_number(Decimal(value))
         params = {"column": spec.column, "cmp": spec.cmp, "value": canonical}
     elif isinstance(spec, SortByOp):
         params = {"column": spec.column, "order": spec.order}

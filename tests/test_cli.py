@@ -460,6 +460,16 @@ class TestGate:
             "error: instance a: the rewards' variance is too large for the gate's float standard deviation\n"
         )
 
+    def test_an_accepted_reward_too_large_for_the_record_names_the_reward(self, runner, tmp_path):
+        # 10^400 and 10^400 + 1: the variance (1/4) passes the gate, but no float holds either reward
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"instance_id": "a", "rewards": [%d, %d]}\n' % (10**400, 10**400 + 1))
+        result = runner.invoke(main, ["gate", str(path)])
+        assert result.exit_code == 3, result.output
+        assert result.output == (
+            "error: instance a: reward 0 of the accepted group is too large for the gate record's float\n"
+        )
+
 
 class TestFilterDataset:
     def test_fixture_keeps_25(self, runner, tmp_path):

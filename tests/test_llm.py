@@ -29,14 +29,14 @@ from tableprep.llm import (
     GenerationConfig,
     ScriptedTransport,
     HttpChatTransport,
-    build_generation_prompt,
-    call_with_retries,
+    chat,
     extract_pipeline_json,
     first_json_array,
     generate_candidates,
+    question_prompt,
 )
 from tableprep.ops import AddColumnOp, FilterOp, Pipeline, SelectOp, pipeline_to_json
-from tableprep.rollback import HttpQaClient
+from tableprep.rollback import QA_SYSTEM_PROMPT, HttpQaClient
 from tableprep.semantic import LlmSemanticExecutor
 from tableprep.table import CELL_DECODER
 
@@ -64,25 +64,43 @@ def table():
     return make_table(["a", "b"], [[1, "x"], [2, "y"]])
 
 
-class TestBuildPrompt:
+class TestGenerationPrompt:
     def test_two_messages_constant_schema(self, table):
-        messages = build_generation_prompt("which a?", table)
-        assert len(messages) == 2
-        assert messages[0] == {"role": "system", "content": GENERATOR_SYSTEM_PROMPT}
-        assert "which a?" in messages[1]["content"]
-        assert "| a | b |" in messages[1]["content"]
+        transport = FlakyTransport()
+        generate_candidates("which a?", table, GenerationConfig(), transport, 1)
+        assert transport.sent == [[
+            {"role": "system", "content": GENERATOR_SYSTEM_PROMPT},
+            {"role": "user",
+             "content": "Question: which a?\n\nTable:\n| a | b |\n| --- | --- |\n| 1 | x |\n| 2 | y |"},
+        ]]
 
-    def test_deterministic(self, table):
-        assert build_generation_prompt("q", table) == build_generation_prompt("q", table)
+    def test_every_candidate_and_attempt_sends_the_same_messages(self, table, backoffs):
+        transport = FlakyTransport(fail_first=1)
+        generate_candidates("q", table, GenerationConfig(retries=1), transport, 3)
+        assert len(transport.sent) == 6 and transport.sent.count(transport.sent[0]) == 6
 
     def test_row_cap_marker(self):
         big = make_table(["a"], [[i] for i in range(30)])
-        messages = build_generation_prompt("q", big, max_rows=5)
-        assert "(25 rows omitted)" in messages[1]["content"]
+        transport = FlakyTransport()
+        generate_candidates("q", big, GenerationConfig(prompt_max_rows=5), transport, 1)
+        assert "(25 rows omitted)" in transport.sent[0][1]["content"]
+        assert transport.sent[0][1]["content"] == question_prompt("q", big, 5)
 
-    def test_empty_question(self, table):
+    def test_empty_question_sends_nothing(self, table):
+        transport = FlakyTransport()
         with pytest.raises(EmptyQuestionError):
-            build_generation_prompt("   ", table)
+            generate_candidates("   ", table, GenerationConfig(), transport, 2)
+        assert transport.sent == []
+
+    def test_generator_and_qa_send_the_same_user_message(self):
+        big = make_table(["a", "b"], [[i, f"r{i}"] for i in range(30)])
+        config = GenerationConfig(prompt_max_rows=5)
+        generator, qa = FlakyTransport(), FlakyTransport(text="1")
+        generate_candidates("which a?", big, config, generator, 1)
+        HttpQaClient(qa, config).ask("which a?", big)
+        assert generator.sent[0][1] == qa.sent[0][1]
+        assert "(25 rows omitted)" in qa.sent[0][1]["content"]
+        assert qa.sent[0][0] == {"role": "system", "content": QA_SYSTEM_PROMPT}
 
 
 class TestExtractPipelineJson:
@@ -268,11 +286,13 @@ class TestHttpTransportShape:
         monkeypatch.delenv("TP_KEY")  # the key was read when the transport was built
         cfg = GenerationConfig(endpoint="http://x/v1/chat/completions", model="m",
                                api_key_env="TP_OTHER_KEY", temperature=0.8, max_tokens=64)
-        messages = build_generation_prompt("q", table)
-        assert transport.complete(messages, cfg) == "[]"
+        assert chat(transport, cfg, "sys", question_prompt("q", table)) == "[]"
         assert captured["url"] == "http://x/v1/chat/completions"
         assert captured["payload"]["model"] == "m"
-        assert captured["payload"]["messages"] == messages
+        assert captured["payload"]["messages"] == [
+            {"role": "system", "content": "sys"},
+            {"role": "user", "content": question_prompt("q", table)},
+        ]
         assert captured["payload"]["temperature"] == 0.8
         assert captured["headers"]["Authorization"] == "Bearer secret"
 
@@ -383,25 +403,45 @@ class TestContentThatIsNotText:
         assert trace.final is table
 
 
-class TestCallWithRetries:
+class TestChat:
+    def test_sends_a_system_and_a_user_message_at_the_index(self):
+        transport = FlakyTransport(text="ok")
+        assert chat(transport, GenerationConfig(), "sys", "usr", index=3) == "ok"
+        assert transport.sent == [[{"role": "system", "content": "sys"}, {"role": "user", "content": "usr"}]]
+        assert transport.attempts == {3: 1}
+
     def test_recovers_with_backoff_schedule(self, backoffs):
         transport = FlakyTransport(fail_first=3)
-        assert call_with_retries(lambda: transport.complete([], None), retries=5) == "[]"
+        assert chat(transport, GenerationConfig(retries=5), "s", "u") == "[]"
         assert transport.attempts[0] == 4
         assert backoffs == [0.1, 0.2, 0.4]
 
     def test_exhausted_raises_last_error_with_capped_backoff(self, backoffs):
         transport = FlakyTransport(dead_indices={0})
         with pytest.raises(RuntimeError, match="permanently down"):
-            call_with_retries(lambda: transport.complete([], None), retries=6)
+            chat(transport, GenerationConfig(retries=6), "s", "u")
         assert transport.attempts[0] == 7
         assert backoffs == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
 
     def test_zero_retries_is_one_attempt(self, backoffs):
         transport = FlakyTransport(fail_first=1)
         with pytest.raises(RuntimeError, match="transient"):
-            call_with_retries(lambda: transport.complete([], None), retries=0)
+            chat(transport, GenerationConfig(retries=0), "s", "u")
         assert transport.attempts[0] == 1 and backoffs == []
+
+
+def test_only_chat_sends_a_request_or_sleeps():
+    """Every model request, and so every retry backoff, goes through
+    ``llm.chat``: no other code in the package calls a transport's
+    ``complete`` or ``time.sleep``."""
+    sites = set()
+    for path in sorted(Path(llm.__file__).parent.glob("*.py")):
+        for node, scope in _scoped(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+                node.func.attr == "complete" or ast.unparse(node.func) == "time.sleep"
+            ):
+                sites.add((path.name, scope))
+    assert sites == {("llm.py", "chat")}
 
 
 class _OkResponse:

@@ -149,6 +149,14 @@ class TestMergePipelines:
         merged = merge_pipelines([Pipeline((f1,)), Pipeline((f2,)), Pipeline((F_Y,))])
         assert keys(merged.ops) == keys([F_X])
 
+    def test_an_int_and_a_decimal_threshold_share_a_vote(self):
+        clean = Pipeline((CleanColumnOp("a", "tidy"),))
+        decimals = merge_pipelines([Pipeline((FilterOp("x", "==", Decimal(5)),))] * 2 + [clean])
+        mixed = merge_pipelines(
+            [Pipeline((FilterOp("x", "==", 5),)), Pipeline((FilterOp("x", "==", Decimal(5)),)), clean]
+        )
+        assert keys(mixed.ops) == keys(decimals.ops) == keys([FilterOp("x", "==", "5")])
+
 
 def _vocabulary():
     return [

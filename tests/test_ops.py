@@ -197,6 +197,7 @@ _NON_BLANK = _TEXT.filter(str.strip)
 _EXPLANATION = st.none() | _TEXT
 _FILTER_VALUES = st.one_of(
     st.decimals(allow_nan=False, allow_infinity=False, min_value=-(10**9), max_value=10**9),
+    st.integers(min_value=-(10**9), max_value=10**9),
     _TEXT,
     st.none(),
 )
@@ -251,6 +252,11 @@ class TestCanonicalKey:
         assert canonical_key(FilterOp("x", ">", Decimal("5.0"))) == canonical_key(
             FilterOp("x", ">", "5")
         )
+
+    def test_an_int_threshold_keys_as_its_equal_decimal(self):
+        assert FilterOp("x", "==", 5) == FilterOp("x", "==", Decimal(5))
+        assert canonical_key(FilterOp("x", "==", 5)) == canonical_key(FilterOp("x", "==", Decimal("5.0")))
+        assert canonical_key(FilterOp("x", "==", -7)) == canonical_key(FilterOp("x", "==", "-7"))
 
     def test_distinct_ops_distinct_keys(self):
         specs = [

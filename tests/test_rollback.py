@@ -144,6 +144,7 @@ class TestTransportErrors:
         with pytest.raises(QaTransportError) as exc:
             answer_with_rollback("q", table, pipeline, Flaky())
         assert exc.value.state == 2
+        assert str(exc.value) == "rollback state 2: boom"
 
 
 class TestCellLookupQaClient:
@@ -188,5 +189,6 @@ class TestHttpQaClient:
 
     def test_prompt_rows_capped_by_config(self):
         big = make_table(["a"], [[i] for i in range(30)])
-        qa = HttpQaClient(FlakyTransport(), GenerationConfig(prompt_max_rows=5))
-        assert "(25 rows omitted)" in qa.build_messages("q", big)[1]["content"]
+        transport = FlakyTransport(text="0")
+        HttpQaClient(transport, GenerationConfig(prompt_max_rows=5)).ask("q", big)
+        assert "(25 rows omitted)" in transport.sent[0][1]["content"]
