@@ -174,7 +174,8 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
     Each instance's groups are the gate's source, drawn in file order, so it
     makes at most as many attempts as there are groups. The group size passed
     to the gate is the smallest replayed group's, so any group of fewer than
-    two rewards is refused.
+    two rewards is refused. So is any reward that no float holds, as it is
+    read, since a record may carry it as one.
     """
     by_instance: dict[str, list[list]] = {}
     for i, group in enumerate(groups):
@@ -187,6 +188,9 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
             rewards = [as_fraction(r) for r in group["rewards"]]
         except ValueError as err:
             raise DatasetError(f"instance {instance_id}: bad reward: {err}") from err
+        for j, reward in enumerate(rewards):
+            if abs(reward) > sys.float_info.max:
+                raise DatasetError(f"instance {instance_id}: reward {j} is too large for a float")
         by_instance.setdefault(instance_id, []).append(rewards)
 
     records = []
@@ -198,11 +202,11 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
             return [GroupMember("", r) for r in next(replay)]
 
         capped = replace(cfg, max_resample_attempts=len(attempts))
-        try:  # OverflowError: a reward or the spread too large for a float
+        try:
             outcome = sample_accepted_group(source, min(map(len, attempts)), capped)
-            records.append(gate_record(instance_id, outcome))
-        except (GroupTooSmallError, OverflowError) as err:
+        except GroupTooSmallError as err:
             raise DatasetError(f"instance {instance_id}: {err}") from err
+        records.append(gate_record(instance_id, outcome))
     return records
 
 

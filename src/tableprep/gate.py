@@ -1,9 +1,12 @@
 """Group reward statistics, advantage normalization, and the variance gate.
 
 Statistics are population statistics (divide by group size) and are computed
-on exact rationals, so threshold comparisons in the gate are reproducible.
-Advantages divide each reward's deviation by (std + epsilon); the epsilon
-keeps constant groups at exactly zero instead of dividing by zero.
+on exact rationals, so threshold comparisons in the gate are reproducible. The
+std is the square root of the exact variance p/q (in lowest terms) rounded
+down to a multiple of 1/(q 2^64): a relative error below 2^-64, and exactly 0
+for a constant group. Advantages divide each reward's deviation by
+(std + epsilon); the epsilon keeps constant groups at exactly zero instead of
+dividing by zero.
 
 The gate rejects groups whose reward variance is below the variance threshold
 (noise would be amplified into large advantages) or whose best reward is below
@@ -58,7 +61,7 @@ class GateConfig:
 class GroupStats:
     mean: Fraction
     variance: Fraction
-    std: float
+    std: Fraction
     max: Fraction
     size: int
 
@@ -76,14 +79,11 @@ def group_stats(rewards: Sequence) -> GroupStats:
     s = sum(scaled)
     mean = Fraction(s, n * d)
     variance = Fraction(n * sum(a * a for a in scaled) - s * s, (n * d) ** 2)
-    try:
-        std = math.sqrt(variance)
-    except OverflowError:
-        raise OverflowError("the rewards' variance is too large for the gate's float standard deviation") from None
+    p, q = variance.numerator, variance.denominator
     return GroupStats(
         mean=mean,
         variance=variance,
-        std=std,
+        std=Fraction(math.isqrt(p * q << 128), q << 64),
         max=Fraction(max(scaled), d),
         size=n,
     )
@@ -97,7 +97,7 @@ def _require_pair(rewards: Sequence) -> None:
 def _normalized(rewards: Sequence, stats: GroupStats, advantage_epsilon) -> list[Fraction]:
     """(R_i - mean) / (std + epsilon) for the group that ``stats`` describes,
     each formed as one Fraction of integers."""
-    scale = Fraction(stats.std) + as_fraction(advantage_epsilon)
+    scale = stats.std + as_fraction(advantage_epsilon)
     m, n = stats.mean.numerator, stats.mean.denominator
     p, q = scale.numerator, scale.denominator
     # (a/b - m/n) / (p/q) = (a n - m b) q / (b n p)
@@ -110,8 +110,9 @@ def _normalized(rewards: Sequence, stats: GroupStats, advantage_epsilon) -> list
 def advantages(rewards: Sequence, advantage_epsilon=Fraction(1, 10**6)) -> list[Fraction]:
     """Normalized deviations (R_i - mean) / (std + epsilon), as Fractions.
 
-    The mean and deviations are exact, but the std is a float ``math.sqrt``,
-    so the shared denominator is float-rounded. What stays exact: the
+    The mean and deviations are exact; the std is the square root of the
+    variance p/q rounded down to a multiple of 1/(q 2^64), so the shared
+    denominator is off by a relative error below 2^-64. What stays exact: the
     advantages sum to zero, and constant groups map to zeros.
     """
     _require_pair(rewards)
@@ -208,15 +209,7 @@ def gate_record(instance_id: str, outcome: SampleOutcome) -> dict:
         "advantages": None,
     }
     if outcome.group is not None:
-        record["rewards"] = [_record_float(i, r) for i, r in enumerate(outcome.group.rewards)]
+        record["rewards"] = [float(r) for r in outcome.group.rewards]
         record["advantages"] = [float(a) for a in outcome.advantages or ()]
     return record
 
-
-def _record_float(index: int, reward: Fraction) -> float:
-    try:
-        return float(reward)
-    except OverflowError:
-        raise OverflowError(
-            f"reward {index} of the accepted group is too large for the gate record's float"
-        ) from None

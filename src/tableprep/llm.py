@@ -115,7 +115,10 @@ class HttpChatTransport:
             config.endpoint, json=payload, headers=self._headers, timeout=config.timeout
         )
         response.raise_for_status()
-        content = response.json()["choices"][0]["message"]["content"]
+        try:
+            content = response.json()["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as err:
+            raise TablePrepError("chat completion body has no choices[0].message.content") from err
         if not isinstance(content, str):
             raise TablePrepError(f"chat completion content is {type(content).__name__}, not text")
         return content

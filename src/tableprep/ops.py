@@ -250,8 +250,10 @@ def canonical_key(spec: OperatorSpec) -> str:
 
     A numeric threshold, of any number type, keys as the canonical text of its
     ``Decimal``, so a threshold given as the string "5", the int 5 and
-    ``Decimal("5.0")`` produce the same key. Select columns are treated as a
-    set because execution preserves the table's own column order.
+    ``Decimal("5.0")`` produce the same key. A ``None`` threshold keys as JSON
+    null, apart from the text "", since the two keep different rows. Select
+    columns are treated as a set because execution preserves the table's own
+    column order.
     """
     params = _params(spec)
     params.pop("explanation", None)
@@ -262,8 +264,8 @@ def canonical_key(spec: OperatorSpec) -> str:
         if isinstance(value, str):
             number = parse_number(value)
             params["value"] = format_number(number) if number is not None else value
-        else:
-            params["value"] = render_value(value if value is None else Decimal(value))
+        elif value is not None:
+            params["value"] = format_number(Decimal(value))
     return json.dumps([spec.kind, params], sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 

@@ -9,8 +9,7 @@ meant for the small random domains the tests draw from.
 import csv
 import io
 import json
-import math
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from tableprep.engine import FAILED, OK, SKIPPED, ExecutionTrace, StepRecord, apply_operator
@@ -207,12 +206,20 @@ def _ref_balanced_end(text: str, start: int):
 
 def ref_group_stats(rewards) -> GroupStats:
     """Fraction-by-Fraction population statistics: the mean, then the mean of
-    squared deviations from it."""
+    squared deviations from it, and the std as the floor of the decimal
+    square root of p q 4^64 over q 2^64, for the variance p/q."""
     values = [as_fraction(r) for r in rewards]
     n = len(values)
     mean = sum(values, Fraction(0)) / n
     variance = sum(((v - mean) ** 2 for v in values), Fraction(0)) / n
-    return GroupStats(mean=mean, variance=variance, std=math.sqrt(variance), max=max(values), size=n)
+    p, q = variance.numerator, variance.denominator
+    radicand = p * q * 4**64
+    with localcontext() as ctx:
+        # more significant digits than the radicand has, so the correctly
+        # rounded root lies on the same side of every integer as the true one
+        ctx.prec = len(str(radicand)) + 2
+        root = int(Decimal(radicand).sqrt())
+    return GroupStats(mean=mean, variance=variance, std=Fraction(root, q * 2**64), max=max(values), size=n)
 
 
 def ref_sample_accepted_group(source, group_size: int, config: GateConfig) -> SampleOutcome:
@@ -234,7 +241,7 @@ def ref_sample_accepted_group(source, group_size: int, config: GateConfig) -> Sa
             if len(group.rewards) < 2:
                 raise GroupTooSmallError("advantages need a group of at least 2")
             stats = ref_group_stats(group.rewards)
-            denominator = Fraction(stats.std) + as_fraction(config.advantage_epsilon)
+            denominator = stats.std + as_fraction(config.advantage_epsilon)
             adv = tuple((as_fraction(r) - stats.mean) / denominator for r in group.rewards)
             return SampleOutcome(group, adv, attempt, tuple(reasons))
     return SampleOutcome(None, None, config.max_resample_attempts, tuple(reasons))
@@ -355,7 +362,7 @@ def ref_canonical_key(spec) -> str:
             number = parse_number(value)
             canonical = format_number(number) if number is not None else value
         elif value is None:
-            canonical = ""
+            canonical = None
         else:  # a number of any type, by the Decimal it equals
             canonical = format_number(Decimal(value))
         params = {"column": spec.column, "cmp": spec.cmp, "value": canonical}

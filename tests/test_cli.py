@@ -449,26 +449,29 @@ class TestGate:
         assert result.exit_code == 3, result.output
         assert message in result.output
 
-    @pytest.mark.parametrize("rewards", ["[1e400, 0]", "[1e200, 0, 3]"])
-    def test_a_variance_too_large_for_a_float_names_its_cause(self, runner, tmp_path, rewards):
-        # exact rewards, but the std is a float: 1e200 fits one, its group's variance does not
+    def test_a_variance_too_large_for_a_float_gates(self, runner, tmp_path):
+        # 1e200 fits a float but its group's variance does not; the std is exact, so the group gates
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"instance_id": "a", "rewards": [1e200, 0, 3]}\n')
+        result = runner.invoke(main, ["gate", str(path)])
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        assert record["accepted"] and record["rewards"] == [1e200, 0.0, 3.0]
+        assert sum(record["advantages"]) == pytest.approx(0, abs=1e-12)
+
+    @pytest.mark.parametrize("rewards", [
+        "[1e400, 0]",
+        # 10^400 and 10^400 + 1: the variance (1/4) passes the gate
+        "[%d, %d]" % (10**400, 10**400 + 1),
+        # a constant group, rejected for low variance, is refused all the same
+        "[%d, %d]" % (10**400, 10**400),
+    ])
+    def test_a_reward_too_large_for_a_float_is_refused_naming_the_reward(self, runner, tmp_path, rewards):
         path = tmp_path / "g.jsonl"
         path.write_text('{"instance_id": "a", "rewards": %s}\n' % rewards)
         result = runner.invoke(main, ["gate", str(path)])
         assert result.exit_code == 3, result.output
-        assert result.output == (
-            "error: instance a: the rewards' variance is too large for the gate's float standard deviation\n"
-        )
-
-    def test_an_accepted_reward_too_large_for_the_record_names_the_reward(self, runner, tmp_path):
-        # 10^400 and 10^400 + 1: the variance (1/4) passes the gate, but no float holds either reward
-        path = tmp_path / "g.jsonl"
-        path.write_text('{"instance_id": "a", "rewards": [%d, %d]}\n' % (10**400, 10**400 + 1))
-        result = runner.invoke(main, ["gate", str(path)])
-        assert result.exit_code == 3, result.output
-        assert result.output == (
-            "error: instance a: reward 0 of the accepted group is too large for the gate record's float\n"
-        )
+        assert result.output == "error: instance a: reward 0 is too large for a float\n"
 
 
 class TestFilterDataset:

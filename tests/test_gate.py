@@ -1,13 +1,16 @@
+import ast
 import json
 import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tableprep import cli, gate
 from tableprep.config import load_config
 from tableprep.errors import EmptyGroupError, GroupTooSmallError
 from tableprep.gate import (
@@ -68,6 +71,41 @@ class TestGroupStats:
     @example([Fraction(1, 3), Fraction(2, 7), Fraction(5, 1024), 1, 0.1, Decimal("0.125")])
     def test_agrees_with_fraction_by_fraction_oracle(self, rewards):
         assert group_stats(rewards) == ref_group_stats(rewards)
+
+
+# rewards spread up to 10^300 apart, so a group's variance may be far past
+# the largest float
+_wide_rewards = st.one_of(
+    st.floats(-1e300, 1e300, allow_nan=False),
+    st.integers(-(10**300), 10**300),
+    st.builds(Fraction, st.integers(-(10**300), 10**300), st.integers(1, 10**30)),
+    st.decimals(-(10**300), 10**300, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_wide_rewards, min_size=2, max_size=8))
+@example([1e200, 0, 3])
+@example([1e300, -1e300])
+@example([0.5, 0.5])
+def test_std_is_the_variance_root_rounded_down_and_advantages_stay_exact(rewards):
+    stats = group_stats(rewards)
+    q = stats.variance.denominator
+    assert stats.std**2 <= stats.variance < (stats.std + Fraction(1, q * 2**64)) ** 2
+    # both thresholds at the floor, so every group is accepted and recorded
+    cfg = GateConfig(variance_threshold=Fraction(0), quality_threshold=stats.max)
+    outcome = sample_accepted_group(lambda n: [GroupMember("", as_fraction(r)) for r in rewards], len(rewards), cfg)
+    assert sum(outcome.advantages, Fraction(0)) == 0
+    assert all(math.isfinite(a) for a in gate_record("i", outcome)["advantages"])
+
+
+def test_no_gate_path_names_an_overflow_error():
+    """The std is exact and a reward no float holds is refused at read, so
+    neither the gate nor the ``gate`` command handles an OverflowError."""
+    for module in (gate, cli):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        names = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "OverflowError")
+        assert names == [], f"{module.__name__} names OverflowError at lines {names}"
 
 
 class TestAdvantages:

@@ -403,6 +403,41 @@ class TestContentThatIsNotText:
         assert trace.final is table
 
 
+class _BodySession:
+    """Fake ``requests`` session answering post ``i`` with a 200 whose JSON
+    body is ``bodies[i]`` (the last one once they run out)."""
+
+    def __init__(self, *bodies):
+        self.bodies = bodies
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        response = _OkResponse()
+        body = self.bodies[min(self.posts, len(self.bodies) - 1)]
+        self.posts += 1
+        response.json = lambda: body
+        return response
+
+
+# 200 bodies without a completion: no choices, no first choice, not an object
+_MALFORMED = pytest.mark.parametrize("body", [{}, {"choices": []}, []], ids=["no_choices", "no_first", "a_list"])
+
+
+class TestMalformedBody:
+    @_MALFORMED
+    def test_transport_raises_naming_the_missing_field(self, body):
+        transport = HttpChatTransport(session=_BodySession(body))
+        with pytest.raises(TablePrepError, match=r"^chat completion body has no choices\[0\]\.message\.content$"):
+            transport.complete([], GenerationConfig())
+
+    @_MALFORMED
+    def test_a_failed_candidate_records_the_missing_field(self, table, body):
+        session = _BodySession(body, _OkResponse().json())
+        outcomes = generate_candidates("q", table, GenerationConfig(retries=0), HttpChatTransport(session=session), 2)
+        assert outcomes[0].text is None and outcomes[0].error == "chat completion body has no choices[0].message.content"
+        assert outcomes[1].text == "[]"
+
+
 class TestChat:
     def test_sends_a_system_and_a_user_message_at_the_index(self):
         transport = FlakyTransport(text="ok")

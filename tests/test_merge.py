@@ -157,6 +157,16 @@ class TestMergePipelines:
         )
         assert keys(mixed.ops) == keys(decimals.ops) == keys([FilterOp("x", "==", "5")])
 
+    def test_a_none_and_an_empty_text_threshold_vote_apart(self):
+        none, empty = FilterOp("x", "!=", None), FilterOp("x", "!=", "")
+        table = make_table(["x"], [[None], [""], ["a"]])
+        # they keep different rows, so their votes must not pool
+        assert execute(Pipeline((none,)), table).final.rows == (("a",),)
+        assert execute(Pipeline((empty,)), table).final.rows == ((None,), ("a",))
+        merged = merge_pipelines([Pipeline((none,)), Pipeline((empty,)), Pipeline((empty,))])
+        assert merged.ops == (empty,)
+        assert canonical_key(none) != canonical_key(empty)
+
 
 def _vocabulary():
     return [
