@@ -141,6 +141,8 @@ def reward(bundle_path, config_path, out):
     pipeline = parse_pipeline(doc["pipeline"])
     trace = execute(pipeline, table, build_semantic_executor(config))
     breakdown = total_reward(trace, answers, approx_token_count(output_text), config.reward)
+    if abs(breakdown.total) > sys.float_info.max:
+        raise DatasetError("reward total is too large for a float")
     _write_json(breakdown.to_json(), out)
 
 

@@ -67,9 +67,9 @@ def _is_str(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A finite JSON number: an int, or a Decimal in a float's range (not
-    ``1e400``); bool, str and the decoder's NaN and Infinity floats are not."""
-    return type(value) is int or (type(value) is Decimal and math.isfinite(value))
+    """A JSON number that a float holds: an int or a Decimal, not ``1e400`` or
+    ``10**400``; bool, str and the decoder's NaN and Infinity floats are not."""
+    return type(value) in (int, Decimal) and math.isfinite(Decimal(value))
 
 
 def _at_least(low: int):
@@ -120,10 +120,7 @@ _READERS = {
 def _read(section: str, key: str, value):
     ok, expected, convert = _READERS[key]
     if ok(value):
-        try:
-            return convert(value) if convert else value
-        except OverflowError:  # 10**400 as a float
-            pass
+        return convert(value) if convert else value
     raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
 
 

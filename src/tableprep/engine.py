@@ -116,7 +116,7 @@ def apply_operator(spec: OperatorSpec, table: Table, executor: SemanticExecutor)
         return exec_add_column(table, spec.new_column, spec.description, executor)
     if isinstance(spec, CleanColumnOp):
         return exec_clean_column(table, spec.column, spec.description, executor)
-    raise TablePrepError(f"unsupported operator spec {type(spec).__name__}")
+    raise TypeError(f"unsupported operator spec {type(spec).__name__}")
 
 
 def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None = None) -> ExecutionTrace:

@@ -3,6 +3,9 @@
 Every error raised by tableprep derives from :class:`TablePrepError`, so the
 pipeline engine can catch exactly the failures it is allowed to absorb
 (truncation policy) while programming errors still propagate.
+A chat transport fails by raising ``OSError``, as every ``requests`` error
+does, or a :class:`TablePrepError`; ``llm.chat`` retries those, then raises
+:class:`RequestFailedError`. Any other exception from a transport is a bug.
 """
 
 from __future__ import annotations
@@ -120,6 +123,10 @@ class EmptyQuestionError(TablePrepError):
     pass
 
 
+class RequestFailedError(TablePrepError):
+    """Every attempt of a model request failed; the last one's error is the cause."""
+
+
 class AllRequestsFailedError(TablePrepError):
     pass
 
@@ -131,9 +138,9 @@ class NoJsonFoundError(TablePrepError):
 # --- QA client ---
 
 class QaTransportError(TablePrepError):
-    """Transport-level QA failure. ``state`` is set by the rollback machine."""
+    """A QA client failed in rollback state ``state``."""
 
-    def __init__(self, message: str, state: int | None = None):
+    def __init__(self, message: str, state: int):
         self.state = state
         super().__init__(message)
 

@@ -27,6 +27,7 @@ from .errors import (
     AuthMissingError,
     EmptyQuestionError,
     NoJsonFoundError,
+    RequestFailedError,
     TablePrepError,
 )
 from .ops import Pipeline, parse_pipeline
@@ -145,18 +146,23 @@ def question_prompt(question: str, table: Table, max_rows: int | None = None) ->
 def chat(transport: ChatTransport, config: GenerationConfig, system: str, user: str, index: int = 0) -> str:
     """Send one system + user request and return its completion text.
 
-    Every model request in the package goes through here. A failed attempt
-    ``k`` is followed by a ``min(2**k * 0.1, 2.0)`` s backoff and retried, at
-    most ``config.retries`` times; once every attempt has failed, the last
-    error propagates.
+    Every model request in the package goes through here. A transport failure,
+    an ``OSError`` (any ``requests`` error, a 4xx status too) or a
+    :class:`TablePrepError`, is retried ``config.retries`` times, after a
+    ``min(2**k * 0.1, 2.0)`` s backoff for failed attempt ``k``; then
+    :class:`RequestFailedError` is raised from the last one, with its text.
+    Any other exception is a bug and propagates at once, with no backoff.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
-    for attempt in range(config.retries):
+    attempt = 0
+    while True:
         try:
             return transport.complete(messages, config, index)
-        except Exception:
+        except (OSError, TablePrepError) as err:
+            if attempt >= config.retries:
+                raise RequestFailedError(str(err)) from err
             time.sleep(min(2**attempt * 0.1, 2.0))
-    return transport.complete(messages, config, index)
+        attempt += 1
 
 
 @dataclass(frozen=True)
@@ -177,9 +183,9 @@ def generate_candidates(
     """Sample ``n`` candidate completions with index-stable ordering.
 
     The ``n`` requests run as tasks of ``pool``; with no pool they run one after
-    another on the calling thread. Individual failures are retried up to
-    ``config.retries`` times and then recorded per index rather than dropped.
-    Raises only when every candidate failed.
+    another on the calling thread. A request that fails (see :func:`chat`) is
+    recorded per index rather than dropped. Raises
+    :class:`AllRequestsFailedError` only when every candidate failed.
     """
     if question.strip() == "":
         raise EmptyQuestionError("question must be non-empty")
@@ -188,7 +194,7 @@ def generate_candidates(
     def one(index: int) -> GenerationOutcome:
         try:
             text = chat(transport, config, GENERATOR_SYSTEM_PROMPT, user, index)
-        except Exception as err:
+        except RequestFailedError as err:
             log.warning("candidate %d failed after %d attempts: %s", index, config.retries + 1, err)
             return GenerationOutcome(index, None, error=str(err))
         return GenerationOutcome(index, text)

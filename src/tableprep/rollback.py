@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Protocol
 
 from .engine import ExecutionTrace, execute
-from .errors import QaTransportError
+from .errors import QaTransportError, TablePrepError
 from .llm import GenerationConfig, chat, question_prompt
 from .ops import Pipeline
 from .reward import AnswerSet, contains_all_answers
@@ -89,7 +89,7 @@ def answer_with_rollback(
 def _ask(qa: QaClient, question: str, table: Table, state: int) -> str:
     try:
         return qa.ask(question, table)
-    except QaTransportError as err:
+    except TablePrepError as err:
         raise QaTransportError(f"rollback state {state}: {err}", state=state) from err
 
 
@@ -114,8 +114,8 @@ class CellLookupQaClient:
 class HttpQaClient:
     """Chat-completion QA client; prompts with the question plus the markdown table.
 
-    The table is cut to ``config.prompt_max_rows`` rows; failed requests are
-    retried ``config.retries`` times before a QaTransportError is raised.
+    The table is cut to ``config.prompt_max_rows`` rows. A request that
+    fails raises :func:`~tableprep.llm.chat`'s ``RequestFailedError``.
     """
 
     def __init__(self, transport, config: GenerationConfig):
@@ -124,7 +124,4 @@ class HttpQaClient:
 
     def ask(self, question: str, table: Table) -> str:
         user = question_prompt(question, table, self._config.prompt_max_rows)
-        try:
-            return chat(self._transport, self._config, QA_SYSTEM_PROMPT, user)
-        except Exception as err:
-            raise QaTransportError(f"QA transport failed: {err}") from err
+        return chat(self._transport, self._config, QA_SYSTEM_PROMPT, user)

@@ -110,20 +110,13 @@ def _per_cell(rule: MockRule) -> Callable[[Value], Value | None]:
 
     A mapping matches each cell whose rendering is one of its keys, looked up
     by value (:func:`~tableprep.table.render_lookup`), and its outputs are
-    typed once here, as JSON values.
+    typed once here, as JSON values. A callable rule refuses a cell by raising
+    :class:`ExecutorFailureError`; anything else it raises is a bug and propagates.
     """
     if not callable(rule):
         cell_of = CellMemo().cell
         return {cell: cell_of(rule[text]) for cell, text in render_lookup(rule).items()}.get
-
-    def apply(cell: Value) -> Value | None:
-        try:
-            result = rule(cell)
-        except Exception as err:
-            raise ExecutorFailureError(f"mock rule raised: {err}") from err
-        return _typed(result)
-
-    return apply
+    return lambda cell: _typed(rule(cell))
 
 
 class MockSemanticExecutor:
@@ -175,8 +168,9 @@ class LlmSemanticExecutor:
     The prompt lists one line per row: the row index plus the cells of the
     columns named in the description when any match, otherwise the whole row.
     The model must answer with a JSON array of exactly one string per row;
-    length mismatches are repaired upstream by padding or truncation. Failed
-    requests are retried ``config.retries`` times.
+    length mismatches are repaired upstream by padding or truncation. A failed
+    request raises ``RequestFailedError``, which ``execute`` records as a
+    failed step, as it does an :class:`ExecutorFailureError`.
     """
 
     SYSTEM_PROMPT = (
@@ -207,11 +201,7 @@ class LlmSemanticExecutor:
             f"Rows ({table.n_rows} total):\n{self._row_listing(table, columns)}\n"
             f"Answer with a JSON array of exactly {table.n_rows} strings."
         )
-        try:
-            raw = chat(self._transport, self._config, self.SYSTEM_PROMPT, user)
-        except Exception as err:
-            raise ExecutorFailureError(f"semantic executor transport failed: {err}") from err
-        doc = first_json_array(raw)
+        doc = first_json_array(chat(self._transport, self._config, self.SYSTEM_PROMPT, user))
         if doc is None:
             raise ExecutorFailureError("semantic executor returned no JSON array")
         return list(map(CellMemo().cell, doc))

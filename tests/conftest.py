@@ -51,7 +51,8 @@ class SequenceQaClient:
 
 class FlakyTransport:
     """Chat transport that records the messages of each request in ``sent``
-    and fails the first ``fail_first`` calls per index, then succeeds."""
+    and fails the first ``fail_first`` calls per index, then succeeds; a
+    failure is a ``ConnectionError``, as a transport may raise."""
 
     def __init__(self, text="[]", fail_first=0, dead_indices=()):
         self.text = text
@@ -64,9 +65,9 @@ class FlakyTransport:
         self.sent.append(messages)
         self.attempts[index] = self.attempts.get(index, 0) + 1
         if index in self.dead_indices:
-            raise RuntimeError("permanently down")
+            raise ConnectionError("permanently down")
         if self.attempts[index] <= self.fail_first:
-            raise RuntimeError("transient")
+            raise ConnectionError("transient")
         return self.text
 
 

@@ -335,6 +335,23 @@ class TestReward:
         result = runner.invoke(main, ["reward", str(path)])
         assert result.exit_code == 3
 
+    def test_a_weight_no_float_holds_exits_2(self, runner, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text('{"reward": {"lambda_compress": %d}}' % 10**400)
+        result = runner.invoke(main, ["reward", fx("reward_bundle.json"), "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: bad config value: reward.lambda_compress must be a number, got 1000")
+
+    def test_a_total_no_float_holds_exits_3(self, runner, tmp_path):
+        # group_by turns the 2x1 table into a 2x2 one, so r_compress is 3/2 and the total 1 + 1.5 * 1.5e308
+        bundle, config = tmp_path / "b.json", tmp_path / "c.json"
+        bundle.write_text('{"table": {"header": ["a"], "rows": [["x"], ["y"]]}, "answers": ["x"], '
+                          '"pipeline": [{"operation": "group_by", "column": "a"}]}')
+        config.write_text('{"reward": {"lambda_compress": 1.5e308}}')
+        result = runner.invoke(main, ["reward", str(bundle), "--config", str(config)])
+        assert result.exit_code == 3, result.output
+        assert result.stderr == "error: reward total is too large for a float\n"
+
     @pytest.mark.parametrize("answers", ["Paris", 5, [], None])
     def test_answers_must_be_a_non_empty_list(self, runner, tmp_path, answers):
         bundle = json.loads(Path(fx("reward_bundle.json")).read_text())
@@ -586,6 +603,31 @@ class TestMissingApiKey:
         assert result.exit_code == 2, result.output
         assert result.stderr == "error: API key environment variable 'TP_UNSET_KEY' is not set\n"
         assert session.posts == 0
+
+
+class _BuggySession:
+    """Fake ``requests`` session with a bug: every post raises TypeError."""
+
+    def __init__(self):
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        raise TypeError("bug in the session")
+
+
+def test_a_bug_in_the_generator_transport_ends_the_run(runner, tmp_path, monkeypatch):
+    """A transport bug is not a failed request: ``run`` ends in the exception,
+    with no report and no retry, so no slot posts twice."""
+    session = _BuggySession()
+    monkeypatch.setattr(config_mod, "HttpChatTransport", functools.partial(HttpChatTransport, session=session))
+    config, out = tmp_path / "config.json", tmp_path / "report.json"
+    config.write_text(json.dumps({"generator": {"mode": "http", "retries": 2}, "run": {"n": 3}}))
+    result = runner.invoke(main, ["run", "--dataset", fx("run_instances.jsonl"), "--config", str(config), "--out", str(out)])
+    assert isinstance(result.exception, TypeError) and str(result.exception) == "bug in the session"
+    assert result.exit_code == 1 and not out.exists()
+    instances = len(Path(fx("run_instances.jsonl")).read_text().splitlines())
+    assert 1 <= session.posts <= 3 * instances
 
 
 # Malformed input, one case per file a subcommand reads or writes. In each

@@ -166,6 +166,8 @@ class TestSectionValues:
         ({"gate": []}, "gate must be a JSON object"),
         ({"qa": None}, "qa must be a JSON object"),
         ({"generator": {"temperature": 10**400}}, "bad config value"),
+        ({"reward": {"lambda_compress": 10**400}}, "reward.lambda_compress must be a number"),
+        ({"gate": {"quality_threshold": -10**400}}, "gate.quality_threshold must be a number"),
     ])
     def test_section_values(self, tmp_path, doc, message):
         path = tmp_path / "c.json"

@@ -85,6 +85,11 @@ class TestExecute:
         assert trace.steps[0].status == FAILED
         assert trace.final == table
 
+    def test_an_object_that_is_not_a_spec_is_a_bug(self, table):
+        for call in (lambda: engine.apply_operator("select a", table, None), lambda: execute(Pipeline(("select a",)), table)):
+            with pytest.raises(TypeError, match="^unsupported operator spec str$"):
+                call()
+
     def test_trace_length_always_matches(self, rng):
         for _ in range(30):
             t = random_table(rng)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tableprep import cli, gate
+from tableprep import cli, config, gate
 from tableprep.config import load_config
 from tableprep.errors import EmptyGroupError, GroupTooSmallError
 from tableprep.gate import (
@@ -101,8 +101,9 @@ def test_std_is_the_variance_root_rounded_down_and_advantages_stay_exact(rewards
 
 def test_no_gate_path_names_an_overflow_error():
     """The std is exact and a reward no float holds is refused at read, so
-    neither the gate nor the ``gate`` command handles an OverflowError."""
-    for module in (gate, cli):
+    neither the gate nor the ``gate`` command handles an OverflowError; nor
+    does the config reader, which refuses a number no float holds."""
+    for module in (gate, cli, config):
         tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
         names = sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == "OverflowError")
         assert names == [], f"{module.__name__} names OverflowError at lines {names}"

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import functools
 import json
 import sys
@@ -8,11 +9,12 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableprep import config as config_mod
-from tableprep import llm
+from tableprep import errors, llm, rollback, semantic
 from tableprep.engine import FAILED, SKIPPED, execute
 from tableprep.errors import (
     AllRequestsFailedError,
@@ -22,6 +24,7 @@ from tableprep.errors import (
     NoJsonFoundError,
     PipelineParseError,
     QaTransportError,
+    RequestFailedError,
     TablePrepError,
 )
 from tableprep.llm import (
@@ -36,7 +39,7 @@ from tableprep.llm import (
     question_prompt,
 )
 from tableprep.ops import AddColumnOp, FilterOp, Pipeline, SelectOp, pipeline_to_json
-from tableprep.rollback import QA_SYSTEM_PROMPT, HttpQaClient
+from tableprep.rollback import QA_SYSTEM_PROMPT, HttpQaClient, answer_with_rollback
 from tableprep.semantic import LlmSemanticExecutor
 from tableprep.table import CELL_DECODER
 
@@ -389,10 +392,11 @@ class TestContentThatIsNotText:
         assert session.posts == 3 and backoffs == [0.1]
 
     @pytest.mark.parametrize("content", _NOT_TEXT)
-    def test_qa_client_raises_qa_transport_error(self, table, content, backoffs):
+    def test_qa_raises_a_qa_transport_error_naming_the_state(self, table, content, backoffs):
         qa = HttpQaClient(HttpChatTransport(session=_ContentSession(content)), GenerationConfig(retries=1))
-        with pytest.raises(QaTransportError, match=f"content is {type(content).__name__}"):
-            qa.ask("q", table)
+        with pytest.raises(QaTransportError, match=f"^rollback state 3: chat completion content is {type(content).__name__}") as exc:
+            answer_with_rollback("q", table, Pipeline(), qa)
+        assert exc.value.state == 3
 
     @pytest.mark.parametrize("content", _NOT_TEXT)
     def test_semantic_step_fails_and_the_trace_is_truncated(self, table, content, backoffs):
@@ -451,18 +455,144 @@ class TestChat:
         assert transport.attempts[0] == 4
         assert backoffs == [0.1, 0.2, 0.4]
 
-    def test_exhausted_raises_last_error_with_capped_backoff(self, backoffs):
+    def test_exhausted_raises_request_failed_from_the_last_error_with_capped_backoff(self, backoffs):
         transport = FlakyTransport(dead_indices={0})
-        with pytest.raises(RuntimeError, match="permanently down"):
+        with pytest.raises(RequestFailedError, match="^permanently down$") as exc:
             chat(transport, GenerationConfig(retries=6), "s", "u")
+        assert type(exc.value.__cause__) is ConnectionError and str(exc.value.__cause__) == "permanently down"
         assert transport.attempts[0] == 7
         assert backoffs == [0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
 
     def test_zero_retries_is_one_attempt(self, backoffs):
         transport = FlakyTransport(fail_first=1)
-        with pytest.raises(RuntimeError, match="transient"):
+        with pytest.raises(RequestFailedError, match="^transient$"):
             chat(transport, GenerationConfig(retries=0), "s", "u")
         assert transport.attempts[0] == 1 and backoffs == []
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 429, 500, 503])
+    def test_any_http_error_status_is_retried(self, status, backoffs):
+        session = _StatusSession(status)
+        assert chat(HttpChatTransport(session=session), GenerationConfig(retries=2), "s", "u") == "[]"
+        assert session.posts == 2 and backoffs == [0.1]
+
+
+class _StatusSession:
+    """Fake ``requests`` session whose first post answers with the HTTP error
+    ``status`` and every later post with a completion."""
+
+    def __init__(self, status):
+        self.status = status
+        self.posts = 0
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        self.posts += 1
+        response = _OkResponse()
+        if self.posts == 1:
+            def raise_for_status():
+                raise requests.HTTPError(f"{self.status} Error for url: {url}")
+            response.raise_for_status = raise_for_status
+        return response
+
+
+class _RaisingTransport:
+    """Chat transport whose ``complete`` raises ``error`` for each index in
+    ``dead`` (every index when ``dead`` is None), counting its calls."""
+
+    def __init__(self, error, dead=None):
+        self.error = error
+        self.dead = dead
+        self.calls = 0
+
+    def complete(self, messages, config, index=0):
+        self.calls += 1
+        if self.dead is None or index in self.dead:
+            raise self.error
+        return "[]"
+
+
+# each client's call on the table, through the transport, with the config
+_CLIENT_CALLS = {
+    "generator": lambda transport, config, table: generate_candidates("q", table, config, transport, 2),
+    "qa": lambda transport, config, table: answer_with_rollback("q", table, Pipeline(), HttpQaClient(transport, config)),
+    "semantic_executor": lambda transport, config, table: execute(
+        Pipeline((AddColumnOp("n", "copy a"),)), table, LlmSemanticExecutor(transport, config)
+    ),
+}
+
+
+@pytest.mark.parametrize("client", list(_CLIENT_CALLS))
+def test_a_bug_in_the_transport_reaches_each_client_caller(table, backoffs, client):
+    transport = _RaisingTransport(TypeError("bug in the transport"))
+    with pytest.raises(TypeError, match="^bug in the transport$"):
+        _CLIENT_CALLS[client](transport, GenerationConfig(retries=2), table)
+    assert transport.calls == 1 and backoffs == []
+
+
+@pytest.mark.parametrize("error", [ConnectionError("down"), TablePrepError("down")], ids=["OSError", "TablePrepError"])
+def test_a_transport_failure_keeps_each_client_outcome(table, backoffs, error):
+    """Each failed request is sent 1 + ``retries`` times with the same
+    backoffs; then the generator records the slot (and raises when every slot
+    failed), the QA client fails naming its rollback state, and the semantic
+    step fails and truncates the trace."""
+    config = GenerationConfig(retries=2)
+    transport = _RaisingTransport(error, dead={1})
+    assert [o.error for o in generate_candidates("q", table, config, transport, 2)] == [None, "down"]
+    assert transport.calls == 4 and backoffs == [0.1, 0.2]
+    with pytest.raises(AllRequestsFailedError):
+        generate_candidates("q", table, config, _RaisingTransport(error), 2)
+    backoffs.clear()
+
+    transport = _RaisingTransport(error)
+    with pytest.raises(QaTransportError, match="^rollback state 3: down$") as exc:
+        _CLIENT_CALLS["qa"](transport, config, table)
+    assert exc.value.state == 3 and transport.calls == 3 and backoffs == [0.1, 0.2]
+    backoffs.clear()
+
+    transport = _RaisingTransport(error)
+    trace = _CLIENT_CALLS["semantic_executor"](transport, config, table)
+    assert trace.truncated_at == 0 and trace.steps[0].status == FAILED and trace.steps[0].error == "down"
+    assert transport.calls == 3 and backoffs == [0.1, 0.2]
+
+
+def _caught(handler: ast.ExceptHandler) -> set[str]:
+    """The names of the classes a handler catches; a bare ``except:`` catches ``BaseException``."""
+    if handler.type is None:
+        return {"BaseException"}
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return {ast.unparse(node) for node in types}
+
+
+def test_no_handler_in_the_package_catches_every_exception():
+    """A bug propagates: no handler in the package is a bare ``except:`` or
+    catches ``Exception`` or ``BaseException``."""
+    broad = []
+    for path in sorted(Path(llm.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and _caught(node) & {"Exception", "BaseException"}:
+                broad.append((path.name, node.lineno))
+    assert broad == []
+
+
+def test_only_chat_catches_a_transport_failure():
+    """In the modules that send model requests, ``llm.chat`` alone catches
+    what a transport raises when it fails, an ``OSError`` or a
+    ``TablePrepError``, and a client that calls ``chat`` catches only the
+    ``RequestFailedError`` that ``chat`` raises after its last attempt."""
+    sites = set()
+    for module in (llm, rollback, semantic):
+        for node, scope in _scoped(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Try):
+                continue
+            calls = {ast.unparse(n.func).split(".")[-1] for n in ast.walk(ast.Module(node.body, [])) if isinstance(n, ast.Call)}
+            for handler in node.handlers:
+                names = _caught(handler)
+                classes = [getattr(builtins, name, None) or getattr(errors, name) for name in names]
+                if calls & {"chat", "complete"} or any(issubclass(OSError, c) or issubclass(c, OSError) for c in classes):
+                    sites.add((Path(module.__file__).name, scope, frozenset(names)))
+    assert sites == {
+        ("llm.py", "chat", frozenset({"OSError", "TablePrepError"})),
+        ("llm.py", "generate_candidates.one", frozenset({"RequestFailedError"})),
+    }
 
 
 def test_only_chat_sends_a_request_or_sleeps():

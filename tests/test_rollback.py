@@ -1,6 +1,6 @@
 import pytest
 
-from tableprep.errors import QaTransportError
+from tableprep.errors import QaTransportError, RequestFailedError, TablePrepError
 from tableprep.llm import GenerationConfig
 from tableprep.ops import parse_pipeline
 from tableprep.rollback import (
@@ -138,7 +138,7 @@ class TestTransportErrors:
             def ask(self, question, submitted):
                 self.calls += 1
                 if self.calls == 2:
-                    raise QaTransportError("boom")
+                    raise TablePrepError("boom")
                 return NO_DATA
 
         with pytest.raises(QaTransportError) as exc:
@@ -180,12 +180,15 @@ class TestHttpQaClient:
         assert transport.attempts[0] == 3
         assert backoffs == [0.1, 0.2]
 
-    def test_exhausted_retries_raise_qa_transport_error(self, table, backoffs):
+    def test_exhausted_retries_raise_request_failed_and_rollback_names_the_state(self, table, pipeline, backoffs):
         transport = FlakyTransport(fail_first=3)
         qa = HttpQaClient(transport, GenerationConfig(retries=2))
-        with pytest.raises(QaTransportError, match="transient"):
+        with pytest.raises(RequestFailedError, match="^transient$"):
             qa.ask("q", table)
         assert transport.attempts[0] == 3
+        with pytest.raises(QaTransportError, match="^rollback state 1: permanently down$") as exc:
+            answer_with_rollback("q", table, pipeline, HttpQaClient(FlakyTransport(dead_indices={0}), GenerationConfig()))
+        assert exc.value.state == 1
 
     def test_prompt_rows_capped_by_config(self):
         big = make_table(["a"], [[i] for i in range(30)])

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableprep.engine import FAILED, OK, SKIPPED, execute
-from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
+from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError, RequestFailedError
 from tableprep.llm import GenerationConfig, ScriptedTransport
 from tableprep.ops import parse_pipeline
 from tableprep.table import CELL_DECODER, Table, load_json_table
@@ -130,13 +130,23 @@ class TestMockExecutor:
         out = exec_add_column(names_table, "g", "infer gender", executor)
         assert out.rows[0][2] == "first"
 
-    def test_raising_rule_surfaces_executor_failure(self, names_table):
-        def boom(cell):
-            raise RuntimeError("bad rule")
+    def test_refusing_rule_surfaces_executor_failure(self, names_table):
+        def refuse(cell):
+            raise ExecutorFailureError("refused")
 
-        executor = MockSemanticExecutor({"infer": boom})
-        with pytest.raises(ExecutorFailureError):
-            exec_add_column(names_table, "g", "infer", executor)
+        executor = MockSemanticExecutor({"infer": refuse})
+        trace = execute(parse_pipeline([{"operation": "add_column", "new_column": "g", "description": "infer"}]),
+                        names_table, executor)
+        assert trace.steps[0].status == FAILED and trace.steps[0].error == "refused"
+
+    def test_a_bug_in_a_rule_propagates(self, names_table):
+        def bug(cell):
+            return 1 / 0
+
+        executor = MockSemanticExecutor({"infer": bug})
+        with pytest.raises(ZeroDivisionError):
+            execute(parse_pipeline([{"operation": "add_column", "new_column": "g", "description": "infer"}]),
+                    names_table, executor)
 
     def test_callable_rule(self, names_table):
         executor = MockSemanticExecutor(
@@ -365,13 +375,13 @@ class TestLlmExecutor:
         with pytest.raises(ExecutorFailureError):
             exec_add_column(names_table, "g", "x", executor)
 
-    def test_transport_error_is_executor_failure(self, names_table):
+    def test_transport_error_is_a_failed_request(self, names_table, backoffs):
         class Boom:
             def complete(self, messages, config, index=0):
-                raise RuntimeError("down")
+                raise ConnectionError("down")
 
         executor = LlmSemanticExecutor(Boom(), GenerationConfig())
-        with pytest.raises(ExecutorFailureError):
+        with pytest.raises(RequestFailedError, match="^down$"):
             exec_add_column(names_table, "g", "x", executor)
 
     def test_recovers_after_retries(self, names_table, backoffs):
@@ -382,10 +392,10 @@ class TestLlmExecutor:
         assert transport.attempts[0] == 3
         assert backoffs == [0.1, 0.2]
 
-    def test_exhausted_retries_raise_executor_failure(self, names_table, backoffs):
+    def test_exhausted_retries_raise_request_failed(self, names_table, backoffs):
         transport = FlakyTransport(text='["F", "M"]', fail_first=3)
         executor = LlmSemanticExecutor(transport, GenerationConfig(retries=2))
-        with pytest.raises(ExecutorFailureError, match="transient"):
+        with pytest.raises(RequestFailedError, match="^transient$"):
             exec_add_column(names_table, "g", "x", executor)
         assert transport.attempts[0] == 3
 
