@@ -47,7 +47,7 @@ def _load_config(path: str | None) -> AppConfig:
 
 def _read_json(path: str, parse=CELL_DECODER.decode):
     """The value ``parse`` reads from the text of the file ``path``."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return parse(fh.read())
         except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, a number over 4,300 digits, too deep

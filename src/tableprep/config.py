@@ -157,7 +157,7 @@ def client_config(config: AppConfig, section: str) -> GenerationConfig:
 
 def load_config(path: str) -> AppConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = CELL_DECODER.decode(fh.read())
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
@@ -187,7 +187,7 @@ def _load_json_file(config: AppConfig, key: str, path, what: str):
     if not isinstance(path, str):
         raise ConfigError(f"{key} must be a string path, got {path!r}")
     try:
-        with open(config.resolve(path), encoding="utf-8") as fh:
+        with open(config.resolve(path), encoding="utf-8-sig") as fh:
             return CELL_DECODER.decode(fh.read())
     except (OSError, ValueError, RecursionError) as err:  # as in load_config, or a NUL in the path
         raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err

@@ -82,7 +82,7 @@ def load_instances_jsonl(path: str, matching: str = "exact"):
     instances: list[Instance] = []
     errors: list[dict] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if line.strip() == "":
                 continue

@@ -15,11 +15,11 @@ The merged pipeline is assembled in three segments:
 Weight ties prefer the longer path; remaining ties prefer the
 lexicographically smaller canonical-key sequence.
 
-The ``select`` also keeps each column a path operator reads if some candidate
-through that operator's node could see it there: every column before the
-candidate's own first ``select``, after it only the columns each preceding
-``select`` names (so never one outside the union). A name that a path
-``add_column`` has created by the time the operator reads it is never added.
+The ``select`` also keeps each column that a path operator reads while some
+candidate ran that operator's node before its own first ``select`` (inserting
+the candidate marks such nodes ``unselected``; after that ``select`` it sees
+only columns in the union). A name that a path ``add_column`` has created by
+the time the operator reads it is never added.
 """
 
 from __future__ import annotations
@@ -35,7 +35,19 @@ class TrieNode:
     key: str
     spec: OperatorSpec | None
     weight: int = 0
+    unselected: bool = False  # some candidate runs this node before its first select
     children: dict = field(default_factory=dict)  # key -> TrieNode
+
+    def insert(self, spec: OperatorSpec, unselected: bool = False) -> TrieNode:
+        """The child keyed by ``spec``, made if new, with one more vote, and
+        marked if ``unselected``."""
+        key = canonical_key(spec)
+        child = self.children.get(key)
+        if child is None:
+            child = self.children[key] = TrieNode(key, spec)
+        child.weight += 1
+        child.unselected |= unselected
+        return child
 
 
 def build_trie(sequences: list[list[OperatorSpec]]) -> TrieNode:
@@ -46,18 +58,18 @@ def build_trie(sequences: list[list[OperatorSpec]]) -> TrieNode:
     for sequence in sequences:
         node = root
         for spec in sequence:
-            key = canonical_key(spec)
-            child = node.children.get(key)
-            if child is None:
-                child = node.children[key] = TrieNode(key, spec)
-            child.weight += 1
-            node = child
+            node = node.insert(spec)
     return root
 
 
 def best_path(root: TrieNode) -> list[OperatorSpec]:
     """Root-to-leaf path with the largest weight sum, then the most nodes, then
     the smallest key list: the leaf ranked smallest by (-sum, -length, keys)."""
+    return [node.spec for node in _best_nodes(root)]
+
+
+def _best_nodes(root: TrieNode) -> list[TrieNode]:
+    """The nodes of :func:`best_path`, root excluded."""
     best_rank = None
     best: list[TrieNode] = []
     stack = [(root, 0, [])]
@@ -69,7 +81,7 @@ def best_path(root: TrieNode) -> list[OperatorSpec]:
             rank = (-weight_sum, -len(path), [n.key for n in path])
             if best_rank is None or rank < best_rank:
                 best_rank, best = rank, path
-    return [node.spec for node in best]
+    return best
 
 
 def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
@@ -79,47 +91,29 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
 
     union: dict[str, None] = {}
     adds: dict[str, AddColumnOp] = {}
-    stripped: list[list[OperatorSpec]] = []
-    firsts: list[int | None] = []  # per candidate: path operators before its first select
+    root = TrieNode("", None)
     for pipeline in candidates:
-        remaining: list[OperatorSpec] = []
-        first = None
-        grouped = False
+        node = root
+        selected = grouped = False
         for spec in pipeline.ops:
             if isinstance(spec, SelectOp):
-                if first is None:
-                    first = len(remaining)
+                selected = True
                 union.update(dict.fromkeys(spec.columns))
             elif isinstance(spec, AddColumnOp) and not grouped:
                 adds.setdefault(spec.new_column, spec)
             else:
                 grouped = grouped or isinstance(spec, GroupByOp)
-                remaining.append(spec)
-        stripped.append(remaining)
-        firsts.append(first)
+                node = node.insert(spec, not selected)
 
-    path = best_path(build_trie(stripped))
+    path = _best_nodes(root)
     if union:
         union.update(dict.fromkeys(adds))
         created = set()
-        for spec in path[:_unselected_reach(path, stripped, firsts)]:
+        # a candidate marks a node only after every node above it: marks lead a path
+        for spec in (node.spec for node in path if node.unselected):
             if isinstance(spec, AddColumnOp):
                 created.add(spec.new_column)
             elif spec.column not in created:
                 union.setdefault(spec.column)
     select = (SelectOp(tuple(union)),) if union else ()
-    return Pipeline((*adds.values(), *select, *path))
-
-
-def _unselected_reach(path, stripped, firsts) -> int:
-    """The longest path prefix that some candidate runs before its first select."""
-    keys = [canonical_key(spec) for spec in path]
-    reach = 0
-    for ops, first in zip(stripped, firsts):
-        n = 0
-        for spec, key in zip(ops[:first], keys):
-            if canonical_key(spec) != key:
-                break
-            n += 1
-        reach = max(reach, n)
-    return reach
+    return Pipeline((*adds.values(), *select, *(node.spec for node in path)))

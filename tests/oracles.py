@@ -593,6 +593,54 @@ def ref_merge_hoisting_every_add(candidates):
     return Pipeline(tuple(merged))
 
 
+def ref_merge_walking_each_prefix(candidates):
+    """The consensus merge as it was before the trie marked the nodes run
+    before a select: it keeps each candidate's path operators and the count of
+    them it runs before its first select, then walks every candidate's prefix
+    against the best path's canonical keys to find the longest such prefix."""
+    union = {}
+    adds = {}
+    stripped = []
+    firsts = []
+    for pipeline in candidates:
+        remaining = []
+        first = None
+        grouped = False
+        for spec in pipeline.ops:
+            if isinstance(spec, SelectOp):
+                if first is None:
+                    first = len(remaining)
+                union.update(dict.fromkeys(spec.columns))
+            elif isinstance(spec, AddColumnOp) and not grouped:
+                adds.setdefault(spec.new_column, spec)
+            else:
+                grouped = grouped or isinstance(spec, GroupByOp)
+                remaining.append(spec)
+        stripped.append(remaining)
+        firsts.append(first)
+
+    path = best_path(build_trie(stripped))
+    if union:
+        union.update(dict.fromkeys(adds))
+        keys = [canonical_key(spec) for spec in path]
+        reach = 0
+        for ops, first in zip(stripped, firsts):
+            n = 0
+            for spec, key in zip(ops[:first], keys):
+                if canonical_key(spec) != key:
+                    break
+                n += 1
+            reach = max(reach, n)
+        created = set()
+        for spec in path[:reach]:
+            if isinstance(spec, AddColumnOp):
+                created.add(spec.new_column)
+            elif spec.column not in created:
+                union.setdefault(spec.column)
+    select = (SelectOp(tuple(union)),) if union else ()
+    return Pipeline((*adds.values(), *select, *path))
+
+
 # Memo-free references of the per-candidate path: parse, execute, score.
 
 

@@ -291,6 +291,13 @@ class TestMerge:
             {"operation": "sort_by", "column": "B", "order": "desc"},
         ]
 
+    def test_a_byte_order_mark_is_read_past(self, runner, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes("\ufeff".encode("utf-8") + Path(fx("merge_candidates.json")).read_bytes())
+        result = runner.invoke(main, ["merge", str(path)])
+        assert result.exit_code == 0, result.output
+        assert result.output == runner.invoke(main, ["merge", fx("merge_candidates.json")]).output
+
     def test_infinite_threshold_is_dataset_error(self, runner, tmp_path):
         path = tmp_path / "c.json"
         path.write_text('[[{"operation": "filter", "column": "amount", "cmp": "<", "value": Infinity}]]')

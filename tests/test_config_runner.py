@@ -37,6 +37,7 @@ from tableprep.semantic import MockSemanticExecutor
 from oracles import ref_client_config, ref_gate_config, ref_reward_config
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
+BOM = "\ufeff".encode("utf-8")
 
 
 def fx(name):
@@ -69,6 +70,11 @@ class TestLoadConfig:
         path.write_text("nope")
         with pytest.raises(ConfigError):
             load_config(str(path))
+
+    def test_a_byte_order_mark_is_read_past(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(BOM + b'{"run": {"n": 7}}')
+        assert load_config(str(path)).run.n == 7
 
     def test_bad_eval_matching(self, tmp_path):
         path = tmp_path / "c.json"
@@ -396,6 +402,13 @@ class TestFactories:
         with pytest.raises(ConfigError, match="unknown qa mode 'scripted'"):
             build_qa_client(load_config(str(path)))
 
+    def test_a_script_with_a_byte_order_mark_loads(self, tmp_path):
+        (tmp_path / "qa.json").write_bytes(BOM + Path(fx("qa_expected.json")).read_bytes())
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"qa": {"mode": "cell_lookup", "script": "qa.json"}}))
+        fixture = build_qa_client(load_config(fx("run_config.json")))
+        assert build_qa_client(load_config(str(path))).expected == fixture.expected
+
     def test_semantic_modes(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"semantic_executor": {"mode": "none"}}))
@@ -475,6 +488,11 @@ class TestDataModule:
         assert len(instances) == 20 and errors == []
         assert instances[0].id == "i01"
         assert instances[0].answers is not None
+
+    def test_a_byte_order_mark_keeps_the_first_instance(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(BOM + Path(fx("run_instances.jsonl")).read_bytes())
+        assert load_instances_jsonl(str(path)) == load_instances_jsonl(fx("run_instances.jsonl"))
 
     def test_duplicate_ids_flagged(self, tmp_path):
         line = json.dumps(

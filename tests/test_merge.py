@@ -22,7 +22,7 @@ from tableprep.ops import (
 from tableprep.semantic import MockSemanticExecutor
 
 from conftest import make_table
-from oracles import ref_best_path, ref_merge_hoisting_every_add, ref_merge_pipelines
+from oracles import ref_best_path, ref_merge_hoisting_every_add, ref_merge_pipelines, ref_merge_walking_each_prefix
 
 F_X = FilterOp("A", "==", "x")
 F_Y = FilterOp("A", "==", "y")
@@ -470,6 +470,12 @@ def test_merge_matches_reference_apart_from_appended_select_columns(candidates):
             read.add(spec.column)
     assert len(set(appended)) == len(appended)
     assert set(appended) <= read - set(ref_columns)
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=candidate_sets)
+def test_merge_equals_the_merge_that_walks_each_candidate_prefix(candidates):
+    assert merge_pipelines(candidates) == ref_merge_walking_each_prefix(candidates)
 
 
 @settings(max_examples=300, deadline=None)
