@@ -22,7 +22,7 @@ from .errors import ConfigError, DatasetError, GroupTooSmallError, TablePrepErro
 from .gate import GateConfig, GroupMember, as_fraction, gate_record, sample_accepted_group
 from .merge import merge_pipelines
 from .ops import parse_pipeline, pipeline_to_json
-from .reward import approx_token_count, filter_dataset, total_reward
+from .reward import EXACT, approx_token_count, filter_dataset, total_reward
 from .table import CELL_DECODER, load_csv, load_json_table, serialize_json
 
 CONFIG_EXIT = 2
@@ -43,6 +43,15 @@ class _Main(click.Group):
 
 def _load_config(path: str | None) -> AppConfig:
     return AppConfig() if path is None else load_config(path)
+
+
+def _read_instances(path: str, matching: str = EXACT):
+    """The instances of the JSONL dataset ``path`` and its bad lines; a file
+    with bad lines and no readable instance is refused."""
+    instances, line_errors = load_instances_jsonl(path, matching)
+    if not instances and line_errors:
+        raise DatasetError(f"dataset has no readable instances ({len(line_errors)} bad lines)")
+    return instances, line_errors
 
 
 def _read_json(path: str, parse=CELL_DECODER.decode):
@@ -79,9 +88,7 @@ def main():
 def run(dataset, config_path, out):
     """Answer every dataset instance end to end and write a run report."""
     config = _load_config(config_path)
-    instances, line_errors = load_instances_jsonl(dataset, config.reward.matching)
-    if not instances and line_errors:
-        raise DatasetError(f"dataset has no readable instances ({len(line_errors)} bad lines)")
+    instances, line_errors = _read_instances(dataset, config.reward.matching)
     report = runner_mod.run_dataset(instances, config, line_errors)
     _write_text(runner_mod.dump_report(report), out)
 
@@ -219,7 +226,7 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
 @click.option("--stats-out", type=click.Path(), default=None)
 def filter_dataset_cmd(input_path, output_path, max_tokens, stats_out):
     """Keep cell-focused instances under the token budget; write kept + stats."""
-    instances, line_errors = load_instances_jsonl(input_path)
+    instances, line_errors = _read_instances(input_path)
     kept, stats = filter_dataset(instances, max_tokens=max_tokens)
     write_instances_jsonl(output_path, kept)
     doc = stats.to_json()

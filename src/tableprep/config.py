@@ -16,12 +16,15 @@ Example::
               "request_cap": null}
     }
 
-Relative paths resolve against the config file's directory. Every training
-hyperparameter has a default, so an empty JSON object is a valid config for
-mock-free computations. This module alone knows the format: the run, reward
-and gate sections and the client keys are read field by field through
-``_READERS``, and a bad value raises ``ConfigError`` as ``bad config value:
-<section>.<key> must be <expected>, got <value>``.
+Each mock's data key (``generator.script``, ``qa.script``,
+``semantic_executor.rules``) takes either a path to a JSON file or the JSON
+object itself, read by ``_mock_data``; relative paths resolve against the
+config file's directory. Every training hyperparameter has a default, so an
+empty JSON object is a valid config for mock-free computations. This module
+alone knows the format: the run, reward and gate sections and the client keys
+are read field by field through ``_READERS``, and a bad value raises
+``ConfigError`` as ``bad config value: <section>.<key> must be <expected>,
+got <value>``.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ class RunSection:
 @dataclass
 class AppConfig:
     generator: dict = field(default_factory=lambda: {"mode": "mock", "default_texts": ["[]"]})
-    qa: dict = field(default_factory=lambda: {"mode": "cell_lookup", "expected": {}})
+    qa: dict = field(default_factory=lambda: {"mode": "cell_lookup"})
     semantic_executor: dict = field(default_factory=lambda: {"mode": "none"})
     reward: RewardConfig = field(default_factory=RewardConfig)
     gate: GateConfig = field(default_factory=GateConfig)
@@ -182,15 +185,17 @@ def load_config(path: str) -> AppConfig:
     return config
 
 
-def _load_json_file(config: AppConfig, key: str, path, what: str):
-    """The JSON document at ``path``, the value of config key ``key``."""
-    if not isinstance(path, str):
-        raise ConfigError(f"{key} must be a string path, got {path!r}")
+def _mock_data(config: AppConfig, section: str, key: str, what: str):
+    """The mock data under ``<section>.<key>``: ``{}`` when the key is absent,
+    the JSON document at a string path, else the value itself."""
+    value = getattr(config, section).get(key, {})
+    if not isinstance(value, str):
+        return value
     try:
-        with open(config.resolve(path), encoding="utf-8-sig") as fh:
+        with open(config.resolve(value), encoding="utf-8-sig") as fh:
             return CELL_DECODER.decode(fh.read())
     except (OSError, ValueError, RecursionError) as err:  # as in load_config, or a NUL in the path
-        raise ConfigError(f"cannot load {what} from {path!r}: {err}") from err
+        raise ConfigError(f"cannot load {what} from {value!r}: {err}") from err
 
 
 def _all_str(items) -> bool:
@@ -213,7 +218,7 @@ class GeneratorFactory:
 
     HTTP mode shares one transport, built here, so a missing API key stops
     the run before its first instance; mock mode builds a per-instance
-    scripted transport from a script file keyed by instance id.
+    scripted transport from a script keyed by instance id.
     """
 
     def __init__(self, config: AppConfig):
@@ -222,11 +227,8 @@ class GeneratorFactory:
         if self.mode == "http":
             self._shared = HttpChatTransport(api_key_env=client_config(config, "generator").api_key_env)
         elif self.mode == "mock":
-            self._scripts = {}
-            if "script" in gen:
-                scripts = _load_json_file(config, "generator.script", gen["script"], "generator script")
-                self._scripts = _check_map(scripts, "generator script", _is_texts,
-                                           "a non-empty list of strings")
+            self._scripts = _check_map(_mock_data(config, "generator", "script", "generator script"),
+                                       "generator script", _is_texts, "a non-empty list of strings")
             self._default_texts = gen.get("default_texts", ["[]"])
             if not _is_texts(self._default_texts):
                 raise ConfigError("generator.default_texts must be a non-empty list of strings")
@@ -246,11 +248,8 @@ def build_qa_client(config: AppConfig):
         qa_config = client_config(config, "qa")
         return HttpQaClient(HttpChatTransport(api_key_env=qa_config.api_key_env), qa_config)
     if mode == "cell_lookup":
-        expected = qa.get("expected", {})
-        if "script" in qa:
-            expected = _load_json_file(config, "qa.script", qa["script"], "QA script")
-        _check_map(expected, "qa expected answers", lambda v: isinstance(v, list) and _all_str(v),
-                   "a list of answer strings")
+        expected = _check_map(_mock_data(config, "qa", "script", "QA script"), "QA script",
+                              lambda v: isinstance(v, list) and _all_str(v), "a list of answer strings")
         return CellLookupQaClient(expected)
     raise ConfigError(f"unknown qa mode {mode!r}")
 
@@ -261,11 +260,9 @@ def build_semantic_executor(config: AppConfig):
     if mode == "none":
         return None
     if mode == "mock":
-        rules = sem.get("rules", {})
-        if isinstance(rules, str):
-            rules = _load_json_file(config, "semantic_executor.rules", rules, "semantic rules")
-        _check_map(rules, "semantic_executor rules", lambda v: isinstance(v, dict),
-                   "an object of {input: output}")
+        rules = _check_map(_mock_data(config, "semantic_executor", "rules", "semantic rules"),
+                           "semantic_executor rules", lambda v: isinstance(v, dict),
+                           "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)
     if mode == "http":
         sem_config = client_config(config, "semantic_executor")

@@ -149,17 +149,8 @@ class GroupMember:
 
 
 @dataclass(frozen=True)
-class CandidateGroup:
-    members: tuple[GroupMember, ...]
-
-    @property
-    def rewards(self) -> list[Fraction]:
-        return [m.reward for m in self.members]
-
-
-@dataclass(frozen=True)
 class SampleOutcome:
-    group: CandidateGroup | None  # None when exhausted
+    group: tuple[GroupMember, ...] | None  # the accepted members; None when exhausted
     advantages: tuple[Fraction, ...] | None
     attempts: int
     rejection_reasons: tuple[str, ...]
@@ -186,8 +177,8 @@ def sample_accepted_group(
         raise GroupTooSmallError("group_size must be at least 2")
     reasons: list[str] = []
     for attempt in range(1, cfg.max_resample_attempts + 1):
-        group = CandidateGroup(tuple(source(group_size)))
-        rewards = group.rewards
+        group = tuple(source(group_size))
+        rewards = [m.reward for m in group]
         stats = group_stats(rewards)
         decision = _decide(stats, cfg)
         if decision.accepted:
@@ -209,7 +200,7 @@ def gate_record(instance_id: str, outcome: SampleOutcome) -> dict:
         "advantages": None,
     }
     if outcome.group is not None:
-        record["rewards"] = [float(r) for r in outcome.group.rewards]
+        record["rewards"] = [float(m.reward) for m in outcome.group]
         record["advantages"] = [float(a) for a in outcome.advantages or ()]
     return record
 

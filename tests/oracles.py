@@ -24,7 +24,6 @@ from tableprep.errors import (
 from tableprep.gate import (
     LOW_QUALITY,
     LOW_VARIANCE,
-    CandidateGroup,
     GateConfig,
     GroupStats,
     SampleOutcome,
@@ -229,20 +228,21 @@ def ref_sample_accepted_group(source, group_size: int, config: GateConfig) -> Sa
         raise GroupTooSmallError("group_size must be at least 2")
     reasons = []
     for attempt in range(1, config.max_resample_attempts + 1):
-        group = CandidateGroup(tuple(source(group_size)))
-        if not group.rewards:
+        group = tuple(source(group_size))
+        rewards = [m.reward for m in group]
+        if not rewards:
             raise EmptyGroupError("cannot compute statistics of an empty group")
-        stats = ref_group_stats(group.rewards)
+        stats = ref_group_stats(rewards)
         if stats.variance < config.variance_threshold:
             reasons.append(LOW_VARIANCE)
         elif stats.max < config.quality_threshold:
             reasons.append(LOW_QUALITY)
         else:
-            if len(group.rewards) < 2:
+            if len(rewards) < 2:
                 raise GroupTooSmallError("advantages need a group of at least 2")
-            stats = ref_group_stats(group.rewards)
+            stats = ref_group_stats(rewards)
             denominator = stats.std + as_fraction(config.advantage_epsilon)
-            adv = tuple((as_fraction(r) - stats.mean) / denominator for r in group.rewards)
+            adv = tuple((as_fraction(r) - stats.mean) / denominator for r in rewards)
             return SampleOutcome(group, adv, attempt, tuple(reasons))
     return SampleOutcome(None, None, config.max_resample_attempts, tuple(reasons))
 

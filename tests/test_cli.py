@@ -114,11 +114,14 @@ class TestRun:
     @pytest.mark.parametrize("doc, message", [
         ({"semantic_executor": {"mode": "mock", "rules": {"p": "x"}}}, "semantic_executor rules"),
         ({"qa": {"mode": "scripted", "responses": {}}}, "unknown qa mode 'scripted'"),
-        ({"qa": {"mode": "cell_lookup", "expected": {"q": "x"}}}, "qa expected answers"),
+        ({"qa": {"mode": "cell_lookup", "script": {"q": "x"}}},
+         "QA script must be a JSON object mapping each key to a list of answer strings"),
         ({"generator": {"mode": "mock", "default_texts": "[]"}}, "generator.default_texts"),
-        ({"generator": {"mode": "mock", "script": 5}}, "generator.script must be a string path, got 5"),
-        ({"qa": {"mode": "cell_lookup", "script": ["a"]}}, "qa.script must be a string path, got ['a']"),
-    ], ids=["semantic_rules", "qa_scripted", "qa_expected", "default_texts",
+        ({"generator": {"mode": "mock", "script": 5}},
+         "generator script must be a JSON object mapping each key to a non-empty list of strings"),
+        ({"qa": {"mode": "cell_lookup", "script": ["a"]}},
+         "QA script must be a JSON object mapping each key to a list of answer strings"),
+    ], ids=["semantic_rules", "qa_scripted", "qa_script_answers", "default_texts",
             "generator_script", "qa_script"])
     def test_malformed_mock_section_exit_2(self, runner, tmp_path, doc, message):
         bad = tmp_path / "bad.json"
@@ -550,6 +553,19 @@ class TestFilterDataset:
         assert "--max-tokens" in result.output and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--dataset", "DATA", "--config", fx("run_config.json"), "--out", "OUT"],
+    ["filter-dataset", "--input", "DATA", "--output", "OUT"],
+], ids=lambda argv: argv[0])
+def test_a_dataset_with_no_readable_line_exits_3(runner, tmp_path, argv):
+    """``run`` and ``filter-dataset`` refuse a dataset file whose every line is bad."""
+    (tmp_path / "DATA").write_text("{not json\n5\n")
+    result = runner.invoke(main, [str(tmp_path / a) if a in ("DATA", "OUT") else a for a in argv])
+    assert result.exit_code == 3, result.output
+    assert result.stderr == "error: dataset has no readable instances (2 bad lines)\n"
+    assert not (tmp_path / "OUT").exists()
+
+
 class _CountingSession:
     """Fake ``requests`` session counting posts; it has no server to reach."""
 
@@ -687,7 +703,7 @@ _MALFORMED = [
     (["gate", "BAD.json"], _HUGE_PAIR, 3, "reward_over_float"),
     *_config_cases(["gate", fx("gate_groups.jsonl")]),
     (["gate", fx("gate_groups.jsonl"), "--out", "BAD.json"], None, 3, "unwritable"),
-    # a line that is not an instance is recorded in the stats, not fatal
+    # a line that is not an instance is recorded in the stats, not fatal while another line is readable
     *_reads(["filter-dataset", "--input", "BAD.json", "--output", "OUT"], kinds=("missing", "not_utf8")),
     (["filter-dataset", "--input", fx("filter_50.jsonl"), "--output", "BAD.json"], None, 3, "unwritable"),
     (["filter-dataset", "--input", fx("filter_50.jsonl"), "--output", "OUT",

@@ -277,7 +277,7 @@ _SECTION_KEYS = {
     "reward": [f.name for f in fields(RewardConfig)],
     "gate": [f.name for f in fields(GateConfig)],
     "generator": [*_CLIENT_KEYS, "mode", "script", "default_texts"],
-    "qa": [*_CLIENT_KEYS, "mode", "script", "expected"],
+    "qa": [*_CLIENT_KEYS, "mode", "script"],
     "semantic_executor": [*_CLIENT_KEYS, "mode", "rules"],
 }
 _ANY_CONFIG = _section(**{
@@ -371,6 +371,9 @@ def test_readme_key_table_matches_the_readers():
     assert set(config_mod._READERS) == sectioned | client_keys
 
 
+_MOCK_DATA_KEYS = [("generator", "script"), ("qa", "script"), ("semantic_executor", "rules")]
+
+
 class TestFactories:
     def test_mock_generator_keyed_by_id(self):
         config = load_config(fx("run_config.json"))
@@ -408,6 +411,26 @@ class TestFactories:
         path.write_text(json.dumps({"qa": {"mode": "cell_lookup", "script": "qa.json"}}))
         fixture = build_qa_client(load_config(fx("run_config.json")))
         assert build_qa_client(load_config(str(path))).expected == fixture.expected
+
+    @pytest.mark.parametrize("section, key", _MOCK_DATA_KEYS, ids=[f"{s}.{k}" for s, k in _MOCK_DATA_KEYS])
+    def test_mock_data_reads_alike_from_a_path_and_inline(self, tmp_path, section, key):
+        """A mock data key gives the fixture run the same report whether it
+        names the fixture file or holds its JSON object, and a different one
+        without the data."""
+        doc = json.loads(Path(fx("run_config.json")).read_text())
+        for s, k in _MOCK_DATA_KEYS:
+            doc[s][k] = fx(doc[s][k])
+        data = Path(doc[section][key]).read_text(encoding="utf-8")
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+
+        def report(doc):
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(doc).replace('"INLINE"', data))
+            return dump_report(run_dataset(instances, load_config(str(path))))
+
+        from_path = report(doc)
+        assert report({**doc, section: {**doc[section], key: "INLINE"}}) == from_path
+        assert report({**doc, section: {k: v for k, v in doc[section].items() if k != key}}) != from_path
 
     def test_semantic_modes(self, tmp_path):
         path = tmp_path / "c.json"

@@ -16,7 +16,6 @@ from tableprep.errors import EmptyGroupError, GroupTooSmallError
 from tableprep.gate import (
     LOW_QUALITY,
     LOW_VARIANCE,
-    CandidateGroup,
     GateConfig,
     GroupMember,
     advantages,
@@ -266,7 +265,7 @@ class TestSampleAcceptedGroup:
             outcome = sample_accepted_group(source, 4, cfg)
             if outcome.accepted:
                 accepted += 1
-                stats = group_stats(outcome.group.rewards)
+                stats = group_stats([m.reward for m in outcome.group])
                 assert stats.variance >= cfg.variance_threshold
                 assert stats.max >= cfg.quality_threshold
         assert accepted > 0
@@ -310,8 +309,8 @@ def test_sample_accepted_group_matches_two_pass_oracle(draws, group_size, varian
     assert got == _outcome_or_error(ref_sample_accepted_group, draws, group_size, cfg)
 
 
-def test_candidate_group_rewards():
-    group = CandidateGroup(
-        (GroupMember("a", Fraction(1, 2)), GroupMember("b", Fraction(1, 4)))
-    )
-    assert group.rewards == [Fraction(1, 2), Fraction(1, 4)]
+def test_accepted_outcome_holds_the_drawn_members():
+    members = (GroupMember("a", Fraction(1, 2)), GroupMember("b", Fraction(1, 4)))
+    outcome = sample_accepted_group(lambda n: list(members), 2, GateConfig(0, 0))
+    assert outcome.group == members
+    assert gate_record("i", outcome)["rewards"] == [0.5, 0.25]

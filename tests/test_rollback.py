@@ -106,6 +106,21 @@ class TestRollbackStates:
         assert seen[0] == table and seen[1] == table and seen[2] == table
 
 
+    def test_one_operator_pipeline_asks_twice_about_one_table(self, table):
+        """With one operator, states 1 and 2 both submit ``trace.final``, so a
+        refused answer repeats the same QA call; pinned at today's three calls."""
+        seen = []
+
+        class Spy:
+            def ask(self, question, submitted):
+                seen.append(submitted)
+                return NO_DATA
+
+        result = answer_with_rollback("q", table, pipe({"operation": "select", "columns": ["name"]}), Spy())
+        assert result.qa_calls == 3
+        assert seen[0] is seen[1] is result.trace.final and seen[2] is table
+
+
 class TestEmptyPipeline:
     def test_short_circuit_default(self, table):
         qa = SequenceQaClient(["42"])
