@@ -103,7 +103,7 @@ def run(dataset, config_path, out):
 def exec_cmd(table_path, pipeline_path, config_path, trace_path, out):
     """Execute a pipeline file over a table file and print the final table."""
     config = _load_config(config_path)
-    if table_path.endswith(".csv"):
+    if table_path.lower().endswith(".csv"):
         with open(table_path, "rb") as fh:
             table = load_csv(fh.read())
     else:
@@ -111,7 +111,7 @@ def exec_cmd(table_path, pipeline_path, config_path, trace_path, out):
     pipeline = parse_pipeline(_read_json(pipeline_path))
     trace = execute(pipeline, table, build_semantic_executor(config))
     if trace_path:
-        _write_text(json.dumps(trace_to_json(trace), indent=2, sort_keys=True) + "\n", trace_path)
+        _write_json(trace_to_json(trace), trace_path)
     _write_json(serialize_json(trace.final), out)
 
 

@@ -53,9 +53,9 @@ class RunSection:
 
 @dataclass
 class AppConfig:
-    generator: dict = field(default_factory=lambda: {"mode": "mock", "default_texts": ["[]"]})
-    qa: dict = field(default_factory=lambda: {"mode": "cell_lookup"})
-    semantic_executor: dict = field(default_factory=lambda: {"mode": "none"})
+    generator: dict = field(default_factory=dict)
+    qa: dict = field(default_factory=dict)
+    semantic_executor: dict = field(default_factory=dict)
     reward: RewardConfig = field(default_factory=RewardConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     run: RunSection = field(default_factory=RunSection)
@@ -149,6 +149,10 @@ _CLIENT_DEFAULTS = {
     "semantic_executor": {"temperature": 0.0, "max_tokens": 1024},
 }
 
+# each client's modes, its default first
+_CLIENT_MODES = {"generator": ("mock", "http"), "qa": ("cell_lookup", "http"),
+                 "semantic_executor": ("none", "mock", "http")}
+
 _SECTIONS = {"run": RunSection, "reward": RewardConfig, "gate": GateConfig}
 
 
@@ -156,6 +160,16 @@ def client_config(config: AppConfig, section: str) -> GenerationConfig:
     """Chat-client settings from one client section of ``config``:
     ``"generator"``, ``"qa"`` or ``"semantic_executor"``."""
     return _read_section(GenerationConfig, section, getattr(config, section), **_CLIENT_DEFAULTS[section])
+
+
+def client_mode(config: AppConfig, section: str) -> str:
+    """The ``mode`` of one client section of ``config``, its default when absent."""
+    modes = _CLIENT_MODES[section]
+    mode = getattr(config, section).get("mode", modes[0])
+    if mode not in modes:
+        expected = ", ".join(map(repr, modes[:-1])) + f" or {modes[-1]!r}"
+        raise ValueError(f"{section}.mode must be {expected}, got {mode!r}")
+    return mode
 
 
 def load_config(path: str) -> AppConfig:
@@ -179,7 +193,10 @@ def load_config(path: str) -> AppConfig:
         )
         # check every client's keys now, whatever its mode, not when it is built
         for name in _CLIENT_DEFAULTS:
+            client_mode(config, name)
             client_config(config, name)
+        if "default_texts" in config.generator and not _is_texts(texts := config.generator["default_texts"]):
+            raise ValueError(f"generator.default_texts must be a non-empty list of strings, got {texts!r}")
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
     return config
@@ -222,18 +239,13 @@ class GeneratorFactory:
     """
 
     def __init__(self, config: AppConfig):
-        gen = config.generator
-        self.mode = gen.get("mode", "mock")
+        self.mode = client_mode(config, "generator")
         if self.mode == "http":
             self._shared = HttpChatTransport(api_key_env=client_config(config, "generator").api_key_env)
-        elif self.mode == "mock":
+        else:
             self._scripts = _check_map(_mock_data(config, "generator", "script", "generator script"),
                                        "generator script", _is_texts, "a non-empty list of strings")
-            self._default_texts = gen.get("default_texts", ["[]"])
-            if not _is_texts(self._default_texts):
-                raise ConfigError("generator.default_texts must be a non-empty list of strings")
-        else:
-            raise ConfigError(f"unknown generator mode {self.mode!r}")
+            self._default_texts = config.generator.get("default_texts", ["[]"])
 
     def transport_for(self, instance_id: str, question: str):
         if self.mode == "http":
@@ -242,21 +254,16 @@ class GeneratorFactory:
 
 
 def build_qa_client(config: AppConfig):
-    qa = config.qa
-    mode = qa.get("mode", "cell_lookup")
-    if mode == "http":
+    if client_mode(config, "qa") == "http":
         qa_config = client_config(config, "qa")
         return HttpQaClient(HttpChatTransport(api_key_env=qa_config.api_key_env), qa_config)
-    if mode == "cell_lookup":
-        expected = _check_map(_mock_data(config, "qa", "script", "QA script"), "QA script",
-                              lambda v: isinstance(v, list) and _all_str(v), "a list of answer strings")
-        return CellLookupQaClient(expected)
-    raise ConfigError(f"unknown qa mode {mode!r}")
+    expected = _check_map(_mock_data(config, "qa", "script", "QA script"), "QA script",
+                          lambda v: isinstance(v, list) and _all_str(v), "a list of answer strings")
+    return CellLookupQaClient(expected)
 
 
 def build_semantic_executor(config: AppConfig):
-    sem = config.semantic_executor
-    mode = sem.get("mode", "none")
+    mode = client_mode(config, "semantic_executor")
     if mode == "none":
         return None
     if mode == "mock":
@@ -264,7 +271,5 @@ def build_semantic_executor(config: AppConfig):
                            "semantic_executor rules", lambda v: isinstance(v, dict),
                            "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)
-    if mode == "http":
-        sem_config = client_config(config, "semantic_executor")
-        return LlmSemanticExecutor(HttpChatTransport(api_key_env=sem_config.api_key_env), sem_config)
-    raise ConfigError(f"unknown semantic executor mode {mode!r}")
+    sem_config = client_config(config, "semantic_executor")
+    return LlmSemanticExecutor(HttpChatTransport(api_key_env=sem_config.api_key_env), sem_config)

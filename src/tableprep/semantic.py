@@ -8,18 +8,14 @@ model's reply or a mock rule's mapping becomes a cell by the one rule of
 :meth:`~tableprep.table.CellMemo.cell`, as in a dataset table.
 
 The operators check only the values an executor returns; the rest of the
-table was validated where it entered the program. One pass collects the
-values' types. When each is exactly ``None``, ``str`` or ``Decimal`` and every
-``Decimal`` is finite, the values pass; otherwise they go through
-:func:`~tableprep.table.check_rows` as one-cell rows, which names the first bad
-row (a ``str`` subclass passes there too). The output rows are built by
-C-level maps over the input rows, with no per-row Python code.
+table was validated where it entered the program. Each operator makes the
+values one-cell rows once, checks them by :func:`~tableprep.table.check_rows`
+and adds them to the input rows by C-level maps, with no per-row Python code.
 """
 
 from __future__ import annotations
 
 import logging
-from decimal import Decimal
 from operator import add, itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -52,28 +48,15 @@ def _repair_length(values: Sequence[Value], n_rows: int, pad, context: str) -> l
     return out
 
 
-# the cell types whose every value is valid, but for non-finite Decimals
-_CELL_TYPES = frozenset({type(None), str, Decimal})
-
-
-def _check_values(values: list) -> None:
-    """Raise unless every value is a cell, with :func:`check_rows`' message."""
-    types = set(map(type, values))
-    if types <= _CELL_TYPES and (
-        Decimal not in types or all(v.is_finite() for v in values if type(v) is Decimal)
-    ):
-        return
-    check_rows([(value,) for value in values], 1)
-
-
 def exec_add_column(table: Table, new_column: str, description: str, executor: SemanticExecutor) -> Table:
     """Append one inferred column; existing columns and row count are untouched."""
     if table.column_index(new_column) is not None:
         raise ColumnExistsError(new_column)
     values = executor.infer_column(table, new_column, description)
     values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
-    _check_values(values)
-    rows = tuple(map(add, table.rows, zip(values)))
+    cells = tuple(zip(values))
+    check_rows(cells, 1)
+    rows = tuple(map(add, table.rows, cells))
     return Table._trusted(table.columns + (new_column,), rows)
 
 
@@ -86,10 +69,11 @@ def exec_clean_column(table: Table, column: str, description: str, executor: Sem
     values = _repair_length(
         values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
     )
-    _check_values(values)
+    cells = tuple(zip(values))
+    check_rows(cells, 1)
     heads = map(itemgetter(slice(None, idx)), table.rows)
     tails = map(itemgetter(slice(idx + 1, None)), table.rows)
-    rows = tuple(map(add, map(add, heads, zip(values)), tails))
+    rows = tuple(map(add, map(add, heads, cells), tails))
     return Table._trusted(table.columns, rows)
 
 

@@ -23,12 +23,12 @@ it: ASCII text by its length, other text by its UTF-8 encoding, ``None`` as 0
 and a number by the length of its canonical ``format_number`` spelling, which
 is ASCII.
 
-Cells are validated where they enter the program: the public ``Table(...)``
-constructor, CSV/JSON ingestion, and the cells a semantic executor returns
-(:mod:`tableprep.semantic`). The structured operators in :mod:`tableprep.ops`
-only move, drop or count cells of a table that already passed these checks, so
-they build their outputs with ``Table._trusted`` and reuse the validated cells
-without checking them again.
+Each cell is checked once, where it enters the program. :func:`check_rows` is
+the one checker for cells from outside: the public ``Table(...)`` and the cells
+a semantic executor returns. The loaders type cells by :class:`CellMemo`, which
+makes only valid ones, and check only row widths and names (``Table._typed``).
+The operators in :mod:`tableprep.ops` only move, drop or count checked cells,
+so they build their outputs with ``Table._trusted`` and check none again.
 """
 
 from __future__ import annotations
@@ -113,9 +113,11 @@ class CellMemo(dict):
         mock rule's output: ``null`` is missing, text is typed by
         :func:`ingest_cell`, a ``Decimal`` is itself, and any other value (an
         integer, ``true``, a list) is typed as its ``str()``. A non-finite
-        ``Decimal`` is returned as is: each route's cell check names its row."""
+        ``Decimal``, which ``CELL_DECODER`` never makes, raises InvalidCellError."""
         if isinstance(value, Decimal):
-            return self[value] if value.is_finite() else value
+            if not value.is_finite():
+                raise InvalidCellError("non-finite number")
+            return self[value]
         return None if value is None else self[value if isinstance(value, str) else str(value)]
 
 
@@ -158,7 +160,14 @@ def render_lookup(texts) -> dict:
 
 def check_rows(rows, width: int) -> None:
     """Raise unless every row has ``width`` cells and each cell is None, text
-    or a finite Decimal."""
+    or a finite Decimal. The rows are walked, to name the first bad one, only
+    when C-level passes over the widths and the cell types find a fault."""
+    if set(map(len, rows)) <= {width}:
+        types = set(map(type, chain.from_iterable(rows)))
+        if types <= {type(None), str, Decimal} and (Decimal not in types or all(
+            cell.is_finite() for cell in chain.from_iterable(rows) if type(cell) is Decimal
+        )):
+            return
     for i, row in enumerate(rows):
         if len(row) != width:
             raise RaggedRowError(i, width, len(row))
@@ -194,12 +203,21 @@ class Table:
         """Build a table without ``__post_init__``'s checks.
 
         Only for operator kernels whose columns and cells come from a table
-        that was already validated (or were checked with :func:`check_rows`).
+        that was already validated (or checked with :func:`check_rows`), and
+        for :meth:`_typed`.
         """
         table = object.__new__(cls)
         object.__setattr__(table, "columns", columns)
         object.__setattr__(table, "rows", rows)
         return table
+
+    @classmethod
+    def _typed(cls, columns: tuple[str, ...], rows: tuple[tuple[Value, ...], ...]) -> "Table":
+        """:meth:`_trusted` for cells that :class:`CellMemo` typed, unless the
+        constructor must name a repeated name or a ragged row."""
+        if len(set(columns)) == len(columns) and set(map(len, rows)) <= {len(columns)}:
+            return cls._trusted(columns, rows)
+        return cls(columns, rows)
 
     @property
     def n_rows(self) -> int:
@@ -238,15 +256,15 @@ def load_csv(data: bytes) -> Table:
         raise EmptyInputError("CSV input has no header row")
     typed = CellMemo().__getitem__
     rows = tuple(tuple(map(typed, raw)) for raw in records[1:])
-    return Table(tuple(records[0]), rows)
+    return Table._typed(tuple(records[0]), rows)
 
 
 def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
     """Parse a ``{"header": [...], "rows": [[...], ...]}`` object into a table.
 
-    Each cell is typed by :meth:`CellMemo.cell`, and a number must be finite.
-    Cells are typed through ``memo``, which a caller loading many tables
-    shares across them (a fresh one by default).
+    Each cell is typed by :meth:`CellMemo.cell`; this names the row of a
+    non-finite number. Cells are typed through ``memo``, which a caller
+    loading many tables shares across them (a fresh one by default).
     """
     if not isinstance(doc, dict):
         raise EmptyInputError("table document must be a JSON object")
@@ -265,8 +283,11 @@ def load_json_table(doc: dict, memo: CellMemo | None = None) -> Table:
     for i, raw in enumerate(raw_rows):
         if not isinstance(raw, list):
             raise InvalidCellError(f"row {i} is not a list")
-        rows.append(tuple([typed[cell] if isinstance(cell, str) else typed.cell(cell) for cell in raw]))
-    return Table(tuple(header), tuple(rows))
+        try:
+            rows.append(tuple([typed[cell] if isinstance(cell, str) else typed.cell(cell) for cell in raw]))
+        except InvalidCellError as err:
+            raise InvalidCellError(f"{err} in row {i}") from err
+    return Table._typed(tuple(header), tuple(rows))
 
 
 def serialize_json(table: Table) -> dict:

@@ -18,7 +18,9 @@ from tableprep.errors import (
     ColumnNotFoundError,
     EmptyGroupError,
     GroupTooSmallError,
+    InvalidCellError,
     NoJsonFoundError,
+    RaggedRowError,
     TablePrepError,
 )
 from tableprep.gate import (
@@ -52,7 +54,7 @@ from tableprep.reward import (
     match_answer,
 )
 from tableprep.semantic import _repair_length
-from tableprep.table import Table, check_rows, format_number, ingest_cell, parse_number, render_value
+from tableprep.table import Table, format_number, ingest_cell, parse_number, render_value
 
 
 def ref_render(cell):
@@ -84,6 +86,19 @@ def ref_contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     )
 
 
+def ref_check_rows(rows, width: int) -> None:
+    """Walk every row and every cell, and raise at the first bad one."""
+    for i, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRowError(i, width, len(row))
+        for cell in row:
+            if isinstance(cell, Decimal):
+                if not cell.is_finite():
+                    raise InvalidCellError(f"non-finite number in row {i}")
+            elif cell is not None and not isinstance(cell, str):
+                raise InvalidCellError(f"unsupported cell type {type(cell).__name__} in row {i}")
+
+
 def ref_load_csv(data: bytes) -> Table:
     """Type every CSV cell on its own, with no memo."""
     records = [row for row in csv.reader(io.StringIO(data.decode("utf-8-sig"))) if row != []]
@@ -99,7 +114,11 @@ def ref_json_cell(value):
 
 
 def ref_load_json_table(doc: dict) -> Table:
-    """Type every JSON cell on its own by :func:`ref_json_cell`."""
+    """Refuse the first row that is not a list, then type every JSON cell on
+    its own by :func:`ref_json_cell` and check the table by ``Table(...)``."""
+    for i, raw in enumerate(doc["rows"]):
+        if not isinstance(raw, list):
+            raise InvalidCellError(f"row {i} is not a list")
     return Table(tuple(doc["header"]), tuple(tuple(map(ref_json_cell, raw)) for raw in doc["rows"]))
 
 
@@ -140,7 +159,7 @@ def ref_exec_add_column(table: Table, new_column: str, description: str, executo
         raise ColumnExistsError(new_column)
     values = executor.infer_column(table, new_column, description)
     values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
-    check_rows([(value,) for value in values], 1)
+    ref_check_rows([(value,) for value in values], 1)
     rows = tuple(row + (value,) for row, value in zip(table.rows, values))
     return Table._trusted(table.columns + (new_column,), rows)
 
@@ -155,7 +174,7 @@ def ref_exec_clean_column(table: Table, column: str, description: str, executor)
     values = _repair_length(
         values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
     )
-    check_rows([(value,) for value in values], 1)
+    ref_check_rows([(value,) for value in values], 1)
     rows = tuple(
         row[:idx] + (value,) + row[idx + 1 :] for row, value in zip(table.rows, values)
     )

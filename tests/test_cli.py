@@ -113,7 +113,7 @@ class TestRun:
 
     @pytest.mark.parametrize("doc, message", [
         ({"semantic_executor": {"mode": "mock", "rules": {"p": "x"}}}, "semantic_executor rules"),
-        ({"qa": {"mode": "scripted", "responses": {}}}, "unknown qa mode 'scripted'"),
+        ({"qa": {"mode": "scripted", "responses": {}}}, "qa.mode must be 'cell_lookup' or 'http', got 'scripted'"),
         ({"qa": {"mode": "cell_lookup", "script": {"q": "x"}}},
          "QA script must be a JSON object mapping each key to a list of answer strings"),
         ({"generator": {"mode": "mock", "default_texts": "[]"}}, "generator.default_texts"),
@@ -131,6 +131,27 @@ class TestRun:
         )
         assert result.exit_code == 2
         assert message in result.output
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--dataset", fx("run_instances.jsonl")],
+        ["exec", "--table", fx("table.csv"), "--pipeline", fx("pipeline.json")],
+        ["reward", fx("reward_bundle.json")],
+        ["gate", fx("gate_groups.jsonl")],
+    ], ids=["run", "exec", "reward", "gate"])
+    @pytest.mark.parametrize("doc, message", [
+        ({"qa": {"mode": "htp"}}, "qa.mode must be 'cell_lookup' or 'http', got 'htp'"),
+        ({"generator": {"mode": "mok"}}, "generator.mode must be 'mock' or 'http', got 'mok'"),
+        ({"semantic_executor": {"mode": "mocks"}},
+         "semantic_executor.mode must be 'none', 'mock' or 'http', got 'mocks'"),
+        ({"generator": {"mode": "http", "default_texts": []}},
+         "generator.default_texts must be a non-empty list of strings, got []"),
+    ], ids=["qa_mode", "generator_mode", "semantic_mode", "default_texts"])
+    def test_a_bad_mode_or_default_texts_exits_2_whichever_subcommand_runs(self, runner, tmp_path, argv, doc, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        result = runner.invoke(main, [*argv, "--config", str(bad)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: bad config value: {message}\n"
 
     def test_non_finite_threshold_is_a_candidate_error(self, runner, tmp_path):
         dataset = tmp_path / "data.jsonl"
@@ -264,6 +285,25 @@ class TestExec:
         assert result.exit_code == 0
         trace = json.loads(trace_path.read_text())
         assert trace["steps"][0]["status"] == "failed"
+
+    def test_a_csv_suffix_in_any_case_reads_the_table_as_csv(self, runner, tmp_path):
+        table = tmp_path / "T.CSV"
+        table.write_bytes(Path(fx("table.csv")).read_bytes())
+        result = runner.invoke(main, ["exec", "--table", str(table), "--pipeline", fx("pipeline.json")])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output) == {"header": ["Country", "Score"], "rows": [["Norway", "71"]]}
+
+    def test_the_trace_writes_non_ascii_text_as_utf8(self, runner, tmp_path):
+        pipeline = tmp_path / "p.json"
+        pipeline.write_text(json.dumps([{"operation": "select", "columns": ["Zürich"]}]), encoding="utf-8")
+        trace_path = tmp_path / "trace.json"
+        result = runner.invoke(
+            main, ["exec", "--table", fx("table.csv"), "--pipeline", str(pipeline), "--trace", str(trace_path)],
+        )
+        assert result.exit_code == 0, result.output
+        text = trace_path.read_text(encoding="utf-8")
+        assert "Zürich" in json.loads(text)["steps"][0]["error"]
+        assert text.count("Zürich") == 2 and "\\u" not in text  # the op key and the error, unescaped
 
     def test_json_table_input(self, runner, tmp_path):
         table = tmp_path / "t.json"

@@ -402,7 +402,7 @@ class TestFactories:
     def test_qa_scripted_mode_is_unknown(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"qa": {"mode": "scripted", "responses": {}}}))
-        with pytest.raises(ConfigError, match="unknown qa mode 'scripted'"):
+        with pytest.raises(ConfigError, match="qa.mode must be 'cell_lookup' or 'http', got 'scripted'"):
             build_qa_client(load_config(str(path)))
 
     def test_a_script_with_a_byte_order_mark_loads(self, tmp_path):

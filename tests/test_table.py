@@ -16,12 +16,14 @@ from tableprep.errors import (
     EmptyInputError,
     InvalidCellError,
     RaggedRowError,
+    TablePrepError,
 )
 from tableprep.table import (
     CELL_DECODER,
     CellWidths,
     Table,
     cell_count,
+    check_rows,
     format_number,
     load_csv,
     load_json_table,
@@ -33,7 +35,7 @@ from tableprep.table import (
 )
 
 from conftest import make_table
-from oracles import ref_format_number, ref_load_csv, ref_load_json_table
+from oracles import ref_check_rows, ref_format_number, ref_load_csv, ref_load_json_table
 
 
 class TestIngestion:
@@ -270,13 +272,17 @@ def _same_cells(table, reference):
     assert repr(table.rows) == repr(reference.rows)
 
 
+def _csv_bytes(doc):
+    buffer = io.StringIO()
+    csv.writer(buffer).writerows([doc["header"], *doc["rows"]])
+    return buffer.getvalue().encode("utf-8")
+
+
 class TestLoadersMatchTheOracle:
     @settings(max_examples=200, deadline=None)
     @given(_raw_tables(_RAW_TEXT_CELLS))
     def test_csv(self, doc):
-        buffer = io.StringIO()
-        csv.writer(buffer).writerows([doc["header"], *doc["rows"]])
-        data = buffer.getvalue().encode("utf-8")
+        data = _csv_bytes(doc)
         _same_cells(load_csv(data), ref_load_csv(data))
 
     @settings(max_examples=200, deadline=None)
@@ -301,6 +307,99 @@ class TestLoadersMatchTheOracle:
                     assert type(cell) is type(ref)
                     if not isinstance(raw, Decimal):  # equal numbers, such as 0.0 and -0.0, share one object
                         assert repr(cell) == repr(ref)
+
+
+_NON_FINITE = [Decimal("NaN"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("sNaN"), Decimal("-sNaN")]
+_NOT_A_LIST = st.one_of(st.none(), st.text(max_size=3), st.integers(), st.just({"a": 1}), st.just(("x",)))
+
+
+@st.composite
+def _planted(draw, cells, faults, min_width):
+    """A table document and a copy with one fault planted: a ragged row (of
+    at least ``min_width`` cells), a repeated name, a row that is not a list,
+    or a non-finite Decimal, which only a Python caller can pass."""
+    doc = draw(_raw_tables(cells))
+    header, rows = list(doc["header"]), [list(row) for row in doc["rows"]]
+    width, fault = len(header), draw(st.sampled_from(faults))
+    if fault == "repeated_name":
+        j = draw(st.integers(0, width))
+        header.insert(j, draw(st.sampled_from(header)))
+        for row in rows:
+            row.insert(j, draw(cells))
+        return doc, {"header": header, "rows": rows}
+    rows = rows or [draw(st.lists(cells, min_size=width, max_size=width))]
+    i = draw(st.integers(0, len(rows) - 1))
+    if fault == "ragged":
+        size = draw(st.sampled_from([n for n in range(min_width, width + 3) if n != width]))
+        rows[i] = (rows[i] + draw(st.lists(cells, min_size=2, max_size=2)))[:size]
+    elif fault == "not_a_list":
+        rows[i] = draw(_NOT_A_LIST)
+    else:
+        rows[i][draw(st.integers(0, width - 1))] = draw(st.sampled_from(_NON_FINITE))
+    return doc, {"header": header, "rows": rows}
+
+
+def _load_outcome(load, source):
+    """The table a loader returns, or the class and message of its error."""
+    try:
+        table = load(source)
+    except TablePrepError as err:
+        return type(err), str(err)
+    return table.columns, repr(table.rows)
+
+
+class TestLoadersCheckWhatTypingCannot:
+    """The loaders check row widths, names, rows that are not lists and
+    non-finite Decimals, and no cell again: a document with one fault raises
+    what the oracle's full check raises, and a valid one loads cell for cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_planted(_JSON_CELLS, ("ragged", "repeated_name", "not_a_list", "non_finite"), 0))
+    def test_json_table(self, docs):
+        valid, faulty = docs
+        _same_cells(load_json_table(valid), ref_load_json_table(valid))
+        outcome = _load_outcome(load_json_table, faulty)
+        assert outcome == _load_outcome(ref_load_json_table, faulty)
+        assert issubclass(outcome[0], TablePrepError)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_planted(_RAW_TEXT_CELLS, ("ragged", "repeated_name"), 1))
+    def test_csv(self, docs):
+        valid, faulty = map(_csv_bytes, docs)
+        _same_cells(load_csv(valid), ref_load_csv(valid))
+        outcome = _load_outcome(load_csv, faulty)
+        assert outcome == _load_outcome(ref_load_csv, faulty)
+        assert issubclass(outcome[0], TablePrepError)
+
+    @pytest.mark.parametrize("header, rows, message", [
+        (["a", "a"], [[1, 2], [Decimal("NaN"), 2]], "non-finite number in row 1"),
+        (["a"], [[1, 2], [Decimal("NaN")]], "non-finite number in row 1"),
+        (["a"], [[1, 2], 5, [Decimal("NaN")]], "row 1 is not a list"),
+        (["a", "a"], [[1]], "duplicate column name: 'a'"),
+    ], ids=["non_finite_before_names", "non_finite_before_widths", "first_typing_fault", "names_before_widths"])
+    def test_a_document_with_several_faults_reports_typing_then_names_then_widths(self, header, rows, message):
+        with pytest.raises(TablePrepError) as caught:
+            load_json_table({"header": header, "rows": rows})
+        assert str(caught.value) == message
+
+
+# rows for the cell checker: cells, values it must refuse, and widths around 2
+_CHECKED_VALUES = st.one_of(
+    st.none(), st.text(max_size=2), st.decimals(places=1, min_value=-5, max_value=5),
+    st.sampled_from([*_NON_FINITE, 3, 2.5, True, b"x", ["x"]]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(_CHECKED_VALUES, min_size=1, max_size=3).map(tuple), max_size=5))
+def test_check_rows_raises_what_a_walk_of_every_cell_raises(rows):
+    outcomes = []
+    for check in (check_rows, ref_check_rows):
+        try:
+            outcomes.append(check(rows, 2))
+        except TablePrepError as err:
+            outcomes.append((type(err), str(err)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_equal_cells_of_one_jsonl_load_share_one_object(tmp_path):
@@ -423,19 +522,22 @@ def test_serialize_json_shape():
 
 
 def test_trusted_constructor_stays_inside_the_operator_kernels():
-    """Only the operator kernels skip validation; ingestion and the public
-    constructor must keep checking every cell."""
+    """Only the operator kernels and the loaders skip the cell check. The
+    loaders reach ``_trusted`` only through ``Table._typed``, whose cells
+    ``CellMemo`` typed; the public constructor keeps checking every cell.
+    (``semantic._typed`` is another function, called by its bare name.)"""
     package = Path(tableprep.__file__).parent
-    users = set()
+    users = {"_trusted": set(), "_typed": set()}
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Attribute) and node.attr == "_trusted":
-                users.add(path.name)
+        for owner, node in _nodes_by_function(path):
+            if isinstance(node, ast.Attribute) and node.attr in users:
+                users[node.attr].add((path.name, owner))
             elif isinstance(node, ast.Name) and node.id == "_trusted":
-                users.add(path.name)
-    assert users <= {"ops.py", "semantic.py"}
-    assert users  # the scan sees the kernels' own references
+                users["_trusted"].add((path.name, owner))
+    assert {module for module, _ in users["_trusted"]} <= {"ops.py", "semantic.py", "table.py"}
+    assert {owner for module, owner in users["_trusted"] if module == "table.py"} == {"_typed"}
+    assert users["_typed"] == {("table.py", "load_csv"), ("table.py", "load_json_table")}
+    assert {module for module, _ in users["_trusted"]} > {"table.py"}  # the scan sees the kernels' own references
 
 
 def test_input_json_is_decoded_by_one_decoder():
@@ -472,8 +574,8 @@ def test_only_table_py_turns_a_json_value_into_a_cell():
     cell: the table loader, the LLM executor's reply and the mock mapping
     outputs call it, and no other code types a non-text value by its
     ``str()`` or tests a number's finiteness on the way in. ``semantic.py``
-    tests finiteness only in ``_check_values``, the check of every executor's
-    values, which a callable rule's Python values also pass."""
+    tests no finiteness: ``check_rows`` checks every executor's values, which
+    a callable rule's Python values also pass."""
     package = Path(tableprep.__file__).parent
     modules = {name: _nodes_by_function(package / name) for name in ("table.py", "semantic.py")}
 
@@ -491,6 +593,6 @@ def test_only_table_py_turns_a_json_value_into_a_cell():
     assert owners("table.py", is_call_of("str")) == ["cell", "format_number"]
     assert owners("semantic.py", is_call_of("str")) == []
     assert owners("table.py", is_attribute("is_finite")) == ["cell", "check_rows"]
-    assert owners("semantic.py", is_attribute("is_finite")) == ["_check_values"]
+    assert owners("semantic.py", is_attribute("is_finite")) == []
     assert owners("semantic.py", lambda node: isinstance(node, ast.Name) and node.id == "ingest_cell") == ["_typed"]
     assert "_finite" not in {node.name for _, node in modules["table.py"] if isinstance(node, ast.FunctionDef)}
