@@ -19,7 +19,7 @@ from .config import AppConfig, build_semantic_executor, load_config
 from .data import load_instances_jsonl, parse_answers, write_instances_jsonl
 from .engine import execute, trace_to_json
 from .errors import ConfigError, DatasetError, GroupTooSmallError, TablePrepError
-from .gate import GateConfig, GroupMember, as_fraction, gate_record, sample_accepted_group
+from .gate import GateConfig, GroupMember, as_fraction, fits_float, gate_record, sample_accepted_group
 from .merge import merge_pipelines
 from .ops import parse_pipeline, pipeline_to_json
 from .reward import EXACT, approx_token_count, filter_dataset, total_reward
@@ -148,7 +148,7 @@ def reward(bundle_path, config_path, out):
     pipeline = parse_pipeline(doc["pipeline"])
     trace = execute(pipeline, table, build_semantic_executor(config))
     breakdown = total_reward(trace, answers, approx_token_count(output_text), config.reward)
-    if abs(breakdown.total) > sys.float_info.max:
+    if not fits_float(breakdown.total):
         raise DatasetError("reward total is too large for a float")
     _write_json(breakdown.to_json(), out)
 
@@ -198,7 +198,7 @@ def _gate_all(groups: list, cfg: GateConfig) -> list[dict]:
         except ValueError as err:
             raise DatasetError(f"instance {instance_id}: bad reward: {err}") from err
         for j, reward in enumerate(rewards):
-            if abs(reward) > sys.float_info.max:
+            if not fits_float(reward):
                 raise DatasetError(f"instance {instance_id}: reward {j} is too large for a float")
         by_instance.setdefault(instance_id, []).append(rewards)
 

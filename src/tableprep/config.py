@@ -18,24 +18,23 @@ Example::
 
 Each mock's data key (``generator.script``, ``qa.script``,
 ``semantic_executor.rules``) takes either a path to a JSON file or the JSON
-object itself, read by ``_mock_data``; relative paths resolve against the
-config file's directory. Every training hyperparameter has a default, so an
-empty JSON object is a valid config for mock-free computations. This module
-alone knows the format: the run, reward and gate sections and the client keys
-are read field by field through ``_READERS``, and a bad value raises
-``ConfigError`` as ``bad config value: <section>.<key> must be <expected>,
-got <value>``.
+object itself; relative paths resolve against the config file's directory.
+Every training hyperparameter has a default, so an empty JSON object is a
+valid config for mock-free computations. This module alone knows the format:
+``load_config`` reads each section once, field by field through ``_READERS``,
+a client's into a :class:`ClientConfig`, and a bad value raises ``ConfigError``
+as ``bad config value: <section>.<key> must be <expected>, got <value>``. A
+client's mock data file is read when the client is built.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields
 from decimal import Decimal
 
 from .errors import ConfigError
-from .gate import GateConfig, as_fraction
+from .gate import GateConfig, as_fraction, fits_float
 from .llm import GenerationConfig, HttpChatTransport, ScriptedTransport
 from .reward import EXACT, NORMALIZED, RewardConfig
 from .rollback import CellLookupQaClient, HttpQaClient
@@ -51,28 +50,33 @@ class RunSection:
     request_cap: int | None = None
 
 
+@dataclass(frozen=True)
+class ClientConfig:
+    """One client section as read: ``data`` is its mock data as written, a
+    path or the value itself, and ``path`` where a path resolves;
+    ``default_texts`` is the generator's, None for the other clients."""
+
+    mode: str
+    settings: GenerationConfig
+    data: object
+    path: str | None
+    default_texts: list[str] | None
+
+
 @dataclass
 class AppConfig:
-    generator: dict = field(default_factory=dict)
-    qa: dict = field(default_factory=dict)
-    semantic_executor: dict = field(default_factory=dict)
+    generator: ClientConfig = field(default_factory=lambda: _read_clients({}, "")["generator"])
+    qa: ClientConfig = field(default_factory=lambda: _read_clients({}, "")["qa"])
+    semantic_executor: ClientConfig = field(default_factory=lambda: _read_clients({}, "")["semantic_executor"])
     reward: RewardConfig = field(default_factory=RewardConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     run: RunSection = field(default_factory=RunSection)
-    base_dir: str = "."
-
-    def resolve(self, path: str) -> str:
-        return path if os.path.isabs(path) else os.path.join(self.base_dir, path)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
 
 
 def _is_number(value) -> bool:
     """A JSON number that a float holds: an int or a Decimal, not ``1e400`` or
     ``10**400``; bool, str and the decoder's NaN and Infinity floats are not."""
-    return type(value) in (int, Decimal) and math.isfinite(Decimal(value))
+    return type(value) in (int, Decimal) and fits_float(value)
 
 
 def _at_least(low: int):
@@ -83,7 +87,11 @@ def _or_null(ok):
     return lambda value: value is None or ok(value)
 
 
-_STRING = (_is_str, "a string", None)
+def _one_of(*choices):
+    return (lambda value: value in choices, ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}", None)
+
+
+_STRING = (lambda value: isinstance(value, str), "a string", None)
 _INTEGER = (lambda value: type(value) is int, "an integer", None)
 _COUNT = (_at_least(1), "an integer >= 1", None)
 _RATIONAL = (_is_number, "a number", as_fraction)
@@ -96,7 +104,7 @@ _FLOAT = (_is_number, "a number", float)
 _READERS = {
     "n": _COUNT,
     "parallelism": _COUNT,
-    "eval_matching": (lambda value: value in (EXACT, NORMALIZED), f"{EXACT!r} or {NORMALIZED!r}", None),
+    "eval_matching": _one_of(EXACT, NORMALIZED),
     "request_cap": (_or_null(_at_least(1)), "an integer >= 1 or null", None),
     "lambda_compress": _RATIONAL,
     "lambda_length": _RATIONAL,
@@ -114,14 +122,14 @@ _READERS = {
     "max_tokens": _COUNT,
     "timeout": _FLOAT,
     "retries": (_at_least(0), "an integer >= 0", None),
-    "api_key_env": (_or_null(lambda value: _is_str(value) and value != ""),
+    "api_key_env": (_or_null(lambda value: isinstance(value, str) and value != ""),
                     "a non-empty string or null", None),
     "prompt_max_rows": (_or_null(_at_least(0)), "an integer >= 0 or null", None),
 }
 
 
-def _read(section: str, key: str, value):
-    ok, expected, convert = _READERS[key]
+def _read(section: str, key: str, value, reader=None):
+    ok, expected, convert = reader or _READERS[key]
     if ok(value):
         return convert(value) if convert else value
     raise ValueError(f"{section}.{key} must be {expected}, got {value!r}")
@@ -142,37 +150,36 @@ def _read_section(cls, section: str, doc: dict, **defaults):
         raise ValueError(f"{section}.{err}") from err
 
 
-# each client's own temperature and max_tokens defaults; the other keys share GenerationConfig's
-_CLIENT_DEFAULTS = {
-    "generator": {"temperature": 0.8, "max_tokens": 1024},
-    "qa": {"temperature": 0.0, "max_tokens": 256},
-    "semantic_executor": {"temperature": 0.0, "max_tokens": 1024},
+# Each client's modes (its default first), its mock data key, and its own
+# temperature and max_tokens defaults; its other keys share GenerationConfig's.
+_CLIENTS = {
+    "generator": (("mock", "http"), "script", 0.8, 1024),
+    "qa": (("cell_lookup", "http"), "script", 0.0, 256),
+    "semantic_executor": (("none", "mock", "http"), "rules", 0.0, 1024),
 }
-
-# each client's modes, its default first
-_CLIENT_MODES = {"generator": ("mock", "http"), "qa": ("cell_lookup", "http"),
-                 "semantic_executor": ("none", "mock", "http")}
 
 _SECTIONS = {"run": RunSection, "reward": RewardConfig, "gate": GateConfig}
 
 
-def client_config(config: AppConfig, section: str) -> GenerationConfig:
-    """Chat-client settings from one client section of ``config``:
-    ``"generator"``, ``"qa"`` or ``"semantic_executor"``."""
-    return _read_section(GenerationConfig, section, getattr(config, section), **_CLIENT_DEFAULTS[section])
-
-
-def client_mode(config: AppConfig, section: str) -> str:
-    """The ``mode`` of one client section of ``config``, its default when absent."""
-    modes = _CLIENT_MODES[section]
-    mode = getattr(config, section).get("mode", modes[0])
-    if mode not in modes:
-        expected = ", ".join(map(repr, modes[:-1])) + f" or {modes[-1]!r}"
-        raise ValueError(f"{section}.mode must be {expected}, got {mode!r}")
-    return mode
+def _read_clients(doc: dict, base_dir: str) -> dict[str, ClientConfig]:
+    """Every client section of ``doc``; a relative mock data path resolves against ``base_dir``."""
+    texts = doc.get("generator", {}).get("default_texts", ["[]"])
+    clients = {}
+    for name, (modes, data_key, temperature, max_tokens) in _CLIENTS.items():
+        section = doc.get(name, {})
+        mode = _read(name, "mode", section.get("mode", modes[0]), _one_of(*modes))
+        settings = _read_section(GenerationConfig, name, section, temperature=temperature, max_tokens=max_tokens)
+        data = section.get(data_key, {})
+        path = os.path.join(base_dir, data) if isinstance(data, str) else None
+        clients[name] = ClientConfig(mode, settings, data, path, texts if name == "generator" else None)
+    # after every client's mode and keys, in the order that load_config names
+    _read("generator", "default_texts", texts, (_is_texts, "a non-empty list of strings", None))
+    return clients
 
 
 def load_config(path: str) -> AppConfig:
+    """The config in the JSON file ``path``. ``ConfigError`` names the first fault of: a section that
+    is not an object; run, reward, gate; each client's mode and keys in turn; generator.default_texts."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             doc = CELL_DECODER.decode(fh.read())
@@ -183,44 +190,32 @@ def load_config(path: str) -> AppConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
     try:
-        for name in (*_CLIENT_DEFAULTS, *_SECTIONS):
+        for name in (*_CLIENTS, *_SECTIONS):
             if not isinstance(doc.get(name, {}), dict):
                 raise ValueError(f"{name} must be a JSON object, got {doc[name]!r}")
-        config = AppConfig(
-            **{name: doc[name] for name in _CLIENT_DEFAULTS if name in doc},
-            **{name: _read_section(cls, name, doc.get(name, {})) for name, cls in _SECTIONS.items()},
-            base_dir=os.path.dirname(os.path.abspath(path)),
-        )
-        # check every client's keys now, whatever its mode, not when it is built
-        for name in _CLIENT_DEFAULTS:
-            client_mode(config, name)
-            client_config(config, name)
-        if "default_texts" in config.generator and not _is_texts(texts := config.generator["default_texts"]):
-            raise ValueError(f"generator.default_texts must be a non-empty list of strings, got {texts!r}")
+        sections = {name: _read_section(cls, name, doc.get(name, {})) for name, cls in _SECTIONS.items()}
+        return AppConfig(**sections, **_read_clients(doc, os.path.dirname(os.path.abspath(path))))
     except ValueError as err:
         raise ConfigError(f"bad config value: {err}") from err
-    return config
 
 
-def _mock_data(config: AppConfig, section: str, key: str, what: str):
-    """The mock data under ``<section>.<key>``: ``{}`` when the key is absent,
-    the JSON document at a string path, else the value itself."""
-    value = getattr(config, section).get(key, {})
-    if not isinstance(value, str):
-        return value
+def _mock_data(client: ClientConfig, what: str):
+    """The client's mock data: the JSON document at its path, else as written."""
+    if client.path is None:
+        return client.data
     try:
-        with open(config.resolve(value), encoding="utf-8-sig") as fh:
+        with open(client.path, encoding="utf-8-sig") as fh:
             return CELL_DECODER.decode(fh.read())
     except (OSError, ValueError, RecursionError) as err:  # as in load_config, or a NUL in the path
-        raise ConfigError(f"cannot load {what} from {value!r}: {err}") from err
+        raise ConfigError(f"cannot load {what} from {client.data!r}: {err}") from err
 
 
-def _all_str(items) -> bool:
-    return all(isinstance(item, str) for item in items)
+def _is_strs(value) -> bool:
+    return isinstance(value, list) and all(isinstance(item, str) for item in value)
 
 
 def _is_texts(value) -> bool:
-    return isinstance(value, list) and bool(value) and _all_str(value)
+    return _is_strs(value) and bool(value)
 
 
 def _check_map(doc, what: str, value_ok, shape: str) -> dict:
@@ -239,37 +234,33 @@ class GeneratorFactory:
     """
 
     def __init__(self, config: AppConfig):
-        self.mode = client_mode(config, "generator")
-        if self.mode == "http":
-            self._shared = HttpChatTransport(api_key_env=client_config(config, "generator").api_key_env)
+        self._client = client = config.generator
+        if client.mode == "http":
+            self._shared = HttpChatTransport(api_key_env=client.settings.api_key_env)
         else:
-            self._scripts = _check_map(_mock_data(config, "generator", "script", "generator script"),
+            self._scripts = _check_map(_mock_data(client, "generator script"),
                                        "generator script", _is_texts, "a non-empty list of strings")
-            self._default_texts = config.generator.get("default_texts", ["[]"])
 
     def transport_for(self, instance_id: str, question: str):
-        if self.mode == "http":
+        if self._client.mode == "http":
             return self._shared
-        return ScriptedTransport(self._scripts.get(instance_id, self._default_texts))
+        return ScriptedTransport(self._scripts.get(instance_id, self._client.default_texts))
 
 
 def build_qa_client(config: AppConfig):
-    if client_mode(config, "qa") == "http":
-        qa_config = client_config(config, "qa")
-        return HttpQaClient(HttpChatTransport(api_key_env=qa_config.api_key_env), qa_config)
-    expected = _check_map(_mock_data(config, "qa", "script", "QA script"), "QA script",
-                          lambda v: isinstance(v, list) and _all_str(v), "a list of answer strings")
-    return CellLookupQaClient(expected)
+    client = config.qa
+    if client.mode == "http":
+        return HttpQaClient(HttpChatTransport(api_key_env=client.settings.api_key_env), client.settings)
+    return CellLookupQaClient(_check_map(_mock_data(client, "QA script"), "QA script",
+                                         _is_strs, "a list of answer strings"))
 
 
 def build_semantic_executor(config: AppConfig):
-    mode = client_mode(config, "semantic_executor")
-    if mode == "none":
+    client = config.semantic_executor
+    if client.mode == "none":
         return None
-    if mode == "mock":
-        rules = _check_map(_mock_data(config, "semantic_executor", "rules", "semantic rules"),
-                           "semantic_executor rules", lambda v: isinstance(v, dict),
-                           "an object of {input: output}")
+    if client.mode == "mock":
+        rules = _check_map(_mock_data(client, "semantic rules"), "semantic_executor rules",
+                           lambda v: isinstance(v, dict), "an object of {input: output}")
         return MockSemanticExecutor.from_json(rules)
-    sem_config = client_config(config, "semantic_executor")
-    return LlmSemanticExecutor(HttpChatTransport(api_key_env=sem_config.api_key_env), sem_config)
+    return LlmSemanticExecutor(HttpChatTransport(api_key_env=client.settings.api_key_env), client.settings)

@@ -28,6 +28,12 @@ LOW_VARIANCE = "low_variance"
 LOW_QUALITY = "low_quality"
 
 
+def fits_float(x) -> bool:
+    """Whether ``float(x)`` of an exact number ``x`` is finite, decided without converting it:
+    float() rounds to infinity from the largest float plus half its spacing on."""
+    return abs(x) < 2**1024 - 2**970
+
+
 def as_fraction(x) -> Fraction:
     """``x`` as an exact rational; it must be an int, float, Decimal or
     Fraction, and neither a bool nor text such as ``"0.5"``."""

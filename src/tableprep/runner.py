@@ -14,7 +14,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from .config import AppConfig, GeneratorFactory, build_qa_client, build_semantic_executor, client_config
+from .config import AppConfig, GeneratorFactory, build_qa_client, build_semantic_executor
 from .data import Instance
 from .engine import OK
 from .errors import TablePrepError
@@ -95,7 +95,7 @@ def run_instance(
 ) -> InstanceRecord:
     transport = factory.transport_for(instance.id, instance.question)
     outcomes = generate_candidates(
-        instance.question, instance.table, client_config(config, "generator"), transport, config.run.n, requests
+        instance.question, instance.table, config.generator.settings, transport, config.run.n, requests
     )
 
     pipelines = []

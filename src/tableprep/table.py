@@ -191,6 +191,9 @@ class Table:
     rows: tuple[tuple[Value, ...], ...] = field(default=())
 
     def __post_init__(self):
+        # the operators concatenate tuples, so a caller's lists are stored as tuples
+        object.__setattr__(self, "columns", tuple(self.columns))
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         seen: set[str] = set()
         for name in self.columns:
             if name in seen:

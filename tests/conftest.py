@@ -8,6 +8,9 @@ from tableprep.table import Table
 
 CELL_TEXTS = ["x", "y", "q", "apple", "5"]
 
+# the least magnitude that float() rounds to infinity: the largest float plus half its spacing
+FLOAT_BOUND = 2**1024 - 2**970
+
 
 def make_table(columns, rows) -> Table:
     """Build a table from plain Python values; ints become Decimals."""

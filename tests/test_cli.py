@@ -16,6 +16,8 @@ from tableprep.llm import HttpChatTransport, extract_pipeline_json
 from tableprep.runner import load_run_report
 from tableprep.table import CELL_DECODER, load_json_table
 
+from conftest import FLOAT_BOUND
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
 
@@ -402,6 +404,22 @@ class TestReward:
         assert result.exit_code == 3, result.output
         assert result.stderr == "error: reward total is too large for a float\n"
 
+    @pytest.mark.parametrize("past", [False, True], ids=["under", "past"])
+    def test_a_total_at_the_float_bound(self, runner, tmp_path, past):
+        # as above the total is 1 + 3/2 * lambda_compress: FLOAT_BOUND - 1/2 under the bound, which
+        # rounds to the largest float, and FLOAT_BOUND + 1 past it
+        bundle, config = tmp_path / "b.json", tmp_path / "c.json"
+        bundle.write_text('{"table": {"header": ["a"], "rows": [["x"], ["y"]]}, "answers": ["x"], '
+                          '"pipeline": [{"operation": "group_by", "column": "a"}]}')
+        config.write_text('{"reward": {"lambda_compress": %d}}' % (2 * (FLOAT_BOUND - 1) // 3 + past))
+        result = runner.invoke(main, ["reward", str(bundle), "--config", str(config)])
+        if past:
+            assert result.exit_code == 3, result.output
+            assert result.stderr == "error: reward total is too large for a float\n"
+        else:
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["total"] == 1.7976931348623157e308
+
     @pytest.mark.parametrize("answers", ["Paris", 5, [], None])
     def test_answers_must_be_a_non_empty_list(self, runner, tmp_path, answers):
         bundle = json.loads(Path(fx("reward_bundle.json")).read_text())
@@ -525,6 +543,23 @@ class TestGate:
         record = json.loads(result.output)
         assert record["accepted"] and record["rewards"] == [1e200, 0.0, 3.0]
         assert sum(record["advantages"]) == pytest.approx(0, abs=1e-12)
+
+    @pytest.mark.parametrize("literal, fits", [
+        (str(FLOAT_BOUND - 1), True), ("1.7976931348623158e308", True),
+        (str(FLOAT_BOUND), False), ("1.797693134862315808e308", False),
+    ], ids=["int_under", "decimal_under", "int_at", "decimal_past"])
+    def test_a_reward_at_the_float_bound(self, runner, tmp_path, literal, fits):
+        """A reward fits exactly when float() of it is finite: under the bound
+        it rounds to the largest float, from the bound on it is refused."""
+        path = tmp_path / "g.jsonl"
+        path.write_text('{"instance_id": "a", "rewards": [0, %s]}\n' % literal)
+        result = runner.invoke(main, ["gate", str(path)])
+        if fits:
+            assert result.exit_code == 0, result.output
+            assert json.loads(result.output)["rewards"] == [0.0, 1.7976931348623157e308]
+        else:
+            assert result.exit_code == 3, result.output
+            assert result.output == "error: instance a: reward 1 is too large for a float\n"
 
     @pytest.mark.parametrize("rewards", [
         "[1e400, 0]",

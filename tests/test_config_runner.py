@@ -22,7 +22,6 @@ from tableprep.config import (
     RunSection,
     build_qa_client,
     build_semantic_executor,
-    client_config,
     load_config,
 )
 from tableprep.data import instance_from_json, load_instances_jsonl
@@ -34,6 +33,7 @@ from tableprep.rollback import CellLookupQaClient
 from tableprep.runner import compute_aggregates, dump_report, load_run_report, run_dataset
 from tableprep.semantic import MockSemanticExecutor
 
+from conftest import FLOAT_BOUND
 from oracles import ref_client_config, ref_gate_config, ref_reward_config
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -50,7 +50,7 @@ class TestLoadConfig:
         assert config.run.n == 3
         assert config.gate.max_resample_attempts == 4
         assert config.reward.l_max == 2560
-        assert config.base_dir == FIXTURES
+        assert (config.qa.data, config.qa.path) == ("qa_expected.json", fx("qa_expected.json"))
 
     def test_empty_object_uses_defaults(self, tmp_path):
         path = tmp_path / "c.json"
@@ -220,6 +220,23 @@ class TestSectionValues:
         assert str(err.value) == f"bad config value: {section}.{key} must be a number, got {shown}"
 
 
+@pytest.mark.parametrize("literal, fits", [
+    (str(FLOAT_BOUND - 1), True), ("1.7976931348623158e308", True),
+    (str(FLOAT_BOUND), False), ("1.797693134862315808e308", False),
+], ids=["int_under", "decimal_under", "int_at", "decimal_past"])
+@pytest.mark.parametrize("section, key", [("reward", "lambda_length"), ("qa", "temperature")])
+def test_a_config_number_at_the_float_bound(tmp_path, section, key, literal, fits):
+    """A number fits exactly when float() of it is finite, as a reward does
+    in ``gate``: under the bound it reads, from the bound on it is refused."""
+    path = tmp_path / "c.json"
+    path.write_text('{"%s": {"%s": %s}}' % (section, key, literal))
+    if fits:
+        load_config(str(path))
+    else:
+        with pytest.raises(ConfigError, match=f"^bad config value: {section}.{key} must be a number, got"):
+            load_config(str(path))
+
+
 def _section(**keys):
     """A section object in which every key may be absent."""
     return st.fixed_dictionaries({}, optional=keys)
@@ -259,7 +276,31 @@ def test_loader_matches_the_key_by_key_readers(reward, gate, clients):
     assert config.reward == ref_reward_config(reward)
     assert config.gate == ref_gate_config(gate)
     for (name, defaults), section in zip(_REF_CLIENT_DEFAULTS.items(), clients):
-        assert client_config(config, name) == ref_client_config(section, *defaults)
+        assert getattr(config, name).settings == ref_client_config(section, *defaults)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"gate": [], "run": {"n": 0}}, "gate must be a JSON object, got []"),
+    ({"reward": {"l_max": "x"}, "run": {"n": 0}}, "run.n must be an integer >= 1, got 0"),
+    ({"gate": {"max_resample_attempts": 0}, "reward": {"l_max": "x"}}, "reward.l_max must be an integer, got 'x'"),
+    ({"generator": {"mode": "x"}, "gate": {"variance_threshold": True}},
+     "gate.variance_threshold must be a number, got True"),
+    ({"semantic_executor": {"mode": "x"}, "qa": {"retries": -1}}, "qa.retries must be an integer >= 0, got -1"),
+    ({"qa": {"retries": -1, "mode": "x"}}, "qa.mode must be 'cell_lookup' or 'http', got 'x'"),
+    ({"qa": {"timeout": "x", "endpoint": 5}}, "qa.endpoint must be a string, got 5"),
+    ({"generator": {"default_texts": []}, "semantic_executor": {"timeout": 0}},
+     "semantic_executor.timeout must be positive, got 0.0"),
+], ids=["shape_then_run", "run_then_reward", "reward_then_gate", "gate_then_client", "client_order",
+        "mode_then_keys", "key_order", "clients_then_default_texts"])
+def test_the_first_of_two_faults_is_reported(tmp_path, doc, message):
+    """With faults in two places the loader names the first of: a section that
+    is not an object, run, reward, gate, then each client's mode and keys in
+    client order, then generator.default_texts."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as err:
+        load_config(str(path))
+    assert str(err.value) == f"bad config value: {message}"
 
 
 # any JSON value, with the ones json.load also reads: NaN, +-Infinity, 30-digit ints
@@ -343,8 +384,9 @@ def test_readme_config_loads_as_shown(tmp_path):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(block))
     config = load_config(str(path))
-    for section in ("generator", "qa", "semantic_executor"):
-        assert getattr(config, section) == block[section]
+    for section, key in _MOCK_DATA_KEYS:
+        client = getattr(config, section)
+        assert (client.mode, client.data) == (block[section]["mode"], block[section][key])
     for section in ("reward", "gate", "run"):
         for key, shown in block[section].items():
             expected = Fraction(str(shown)) if isinstance(shown, float) else shown
@@ -462,7 +504,18 @@ class TestFactories:
         assert (qa_cfg.retries, qa_cfg.timeout, qa_cfg.prompt_max_rows) == (5, 9.0, 4)
         assert (qa_cfg.temperature, qa_cfg.max_tokens) == (0.0, 256)
         assert (sem_cfg.retries, sem_cfg.model, sem_cfg.max_tokens) == (0, "m", 1024)
-        assert client_config(AppConfig(), "generator") == GenerationConfig()
+        assert AppConfig().generator.settings == GenerationConfig()
+
+    def test_a_run_builds_no_client_settings(self, monkeypatch):
+        """Each client section is read once, when the config loads, so running
+        the fixture dataset constructs no GenerationConfig."""
+        config = load_config(fx("run_config.json"))
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+        built = []
+        post_init = GenerationConfig.__post_init__
+        monkeypatch.setattr(GenerationConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
+        report = run_dataset(instances, config)
+        assert len(report.records) == len(instances) and built == []
 
     @staticmethod
     def _generator_calls(tmp_path, monkeypatch, doc):

@@ -321,11 +321,13 @@ class TestMissingApiKey:
         ("qa", config_mod.build_qa_client),
         ("semantic_executor", config_mod.build_semantic_executor),
     ], ids=["generator", "qa", "semantic_executor"])
-    def test_each_client_builder_raises_before_any_request(self, monkeypatch, backoffs, section, build):
+    def test_each_client_builder_raises_before_any_request(self, monkeypatch, tmp_path, backoffs, section, build):
         monkeypatch.delenv("TP_TEST_KEY", raising=False)
         session = _CountingSession()
         monkeypatch.setattr(config_mod, "HttpChatTransport", functools.partial(HttpChatTransport, session=session))
-        config = config_mod.AppConfig(**{section: {"mode": "http", "api_key_env": "TP_TEST_KEY", "retries": 3}})
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {"mode": "http", "api_key_env": "TP_TEST_KEY", "retries": 3}}))
+        config = config_mod.load_config(str(path))
         with pytest.raises(AuthMissingError, match="TP_TEST_KEY"):
             build(config)
         assert session.posts == 0 and backoffs == []

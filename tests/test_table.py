@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import tableprep
 from tableprep.data import load_instances_jsonl
+from tableprep.engine import apply_operator
 from tableprep.errors import (
     DuplicateColumnError,
     EmptyInputError,
@@ -18,6 +19,8 @@ from tableprep.errors import (
     RaggedRowError,
     TablePrepError,
 )
+from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, OperatorSpec, SelectOp, SortByOp
+from tableprep.semantic import MockSemanticExecutor
 from tableprep.table import (
     CELL_DECODER,
     CellWidths,
@@ -176,6 +179,20 @@ class TestTableInvariants:
             Table(("a",), ((Decimal("NaN"),),))
         with pytest.raises(InvalidCellError):
             Table(("a",), ((Decimal("Infinity"),),))
+
+    def test_every_operator_runs_on_a_table_built_from_lists(self):
+        """The operators build rows by tuple concatenation, so the public
+        constructor stores a caller's list rows as tuples: every operator
+        gives the same table on them as on tuple rows."""
+        rows = [["x", Decimal(1)], ["y", Decimal(2)], ["x", Decimal(3)]]
+        listed, tupled = Table(["a", "b"], rows), Table(("a", "b"), tuple(map(tuple, rows)))
+        assert listed == tupled and type(listed.columns) is tuple and type(listed.rows[0]) is tuple
+        executor = MockSemanticExecutor({"up": {"x": "X", "y": "Y"}})
+        specs = [SelectOp(("b",)), FilterOp("a", "==", "x"), SortByOp("b", "desc"), GroupByOp("a"),
+                 AddColumnOp("c", "up"), CleanColumnOp("a", "up")]
+        assert {type(spec) for spec in specs} == set(OperatorSpec.__args__)
+        for spec in specs:
+            assert apply_operator(spec, listed, executor) == apply_operator(spec, tupled, executor), spec
 
     def test_cell_count(self):
         assert cell_count(make_table("abcd", [[1, 2, 3, 4]] * 3)) == 12
