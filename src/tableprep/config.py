@@ -262,5 +262,5 @@ def build_semantic_executor(config: AppConfig):
     if client.mode == "mock":
         rules = _check_map(_mock_data(client, "semantic rules"), "semantic_executor rules",
                            lambda v: isinstance(v, dict), "an object of {input: output}")
-        return MockSemanticExecutor.from_json(rules)
+        return MockSemanticExecutor(rules)
     return LlmSemanticExecutor(HttpChatTransport(api_key_env=client.settings.api_key_env), client.settings)

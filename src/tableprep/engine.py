@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .errors import TablePrepError
+from .errors import ExecutorFailureError, TablePrepError
 from .ops import (
     AddColumnOp,
     CleanColumnOp,
@@ -64,10 +64,10 @@ class _NoExecutor:
     """Placeholder when no semantic executor is configured; semantic ops fail."""
 
     def infer_column(self, table, new_column, description):
-        raise TablePrepError("no semantic executor configured")
+        raise ExecutorFailureError("no semantic executor configured")
 
     def rewrite_column(self, table, column, description):
-        raise TablePrepError("no semantic executor configured")
+        raise ExecutorFailureError("no semantic executor configured")
 
 
 _NO_EXECUTOR = _NoExecutor()

@@ -1,8 +1,13 @@
 """Exception hierarchy shared across the package.
 
-Every error raised by tableprep derives from :class:`TablePrepError`, so the
-pipeline engine can catch exactly the failures it is allowed to absorb
-(truncation policy) while programming errors still propagate.
+A failure of input data, of a file's contents, of a model reply or of an
+operator on its table raises a :class:`TablePrepError`, so the pipeline
+engine can catch exactly the failures it is allowed to absorb (truncation
+policy) while programming errors still propagate. A file that cannot be
+opened raises Python's ``OSError``. A bad argument from library code is a
+``ValueError`` (``AnswerSet(())``, ``GenerationConfig(timeout=0)``,
+``as_fraction("x")``) or a ``TypeError`` (``apply_operator`` given a
+non-spec), not a TablePrepError.
 A chat transport fails by raising ``OSError``, as every ``requests`` error
 does, or a :class:`TablePrepError`; ``llm.chat`` retries those, then raises
 :class:`RequestFailedError`. Any other exception from a transport is a bug.

@@ -2,15 +2,18 @@
 
 Two implementations ship here: a deterministic rule-based mock for tests and
 offline runs, and a chat-model-backed executor that batches all rows into one
-request. Both satisfy the same contract: one value per input row for
-add_column, a same-shape column rewrite for clean_column. A JSON value in a
-model's reply or a mock rule's mapping becomes a cell by the one rule of
+request. Both satisfy one contract: an executor returns one value per row,
+and ``None`` for a row it has no value for. add_column leaves such a cell
+missing; clean_column keeps the input cell. A JSON value in a model's reply
+or a mock rule's mapping becomes a cell by the one rule of
 :meth:`~tableprep.table.CellMemo.cell`, as in a dataset table.
 
-The operators check only the values an executor returns; the rest of the
-table was validated where it entered the program. Each operator makes the
-values one-cell rows once, checks them by :func:`~tableprep.table.check_rows`
-and adds them to the input rows by C-level maps, with no per-row Python code.
+The operators alone repair a reply of the wrong length and keep a cleaned
+cell. They check only the values an executor returns; the rest of the table
+was validated where it entered the program. Each operator makes the values
+one-cell rows once, checks them by :func:`~tableprep.table.check_rows` and
+adds them to the input rows by C-level maps; clean_column first takes the
+input cell for each ``None`` value in one pass over the column.
 """
 
 from __future__ import annotations
@@ -21,27 +24,29 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from .llm import GenerationConfig, chat, first_json_array
-from .table import CellMemo, Table, Value, check_rows, ingest_cell, render_lookup, render_value
+from .table import CellMemo, Table, Value, check_rows, render_lookup, render_value
 
 log = logging.getLogger(__name__)
 
 
 class SemanticExecutor(Protocol):
     def infer_column(self, table: Table, new_column: str, description: str) -> list[Value]:
-        """Return exactly one value per row for the new column."""
+        """Return one value per row for the new column; ``None`` leaves the
+        row's cell missing."""
         ...
 
     def rewrite_column(self, table: Table, column: str, description: str) -> list[Value]:
-        """Return the full rewritten column, same length as the table."""
+        """Return one value per row for ``column``; ``None`` keeps the row's
+        input cell."""
         ...
 
 
-def _repair_length(values: Sequence[Value], n_rows: int, pad, context: str) -> list[Value]:
-    """Pad with ``pad(i)`` or truncate so the output has exactly one value per row."""
+def _repair_length(values: Sequence[Value], n_rows: int, context: str) -> list[Value]:
+    """Pad with ``None`` or truncate so the output has exactly one value per row."""
     out = list(values)
     if len(out) < n_rows:
         log.warning("%s: executor returned %d values for %d rows; padding", context, len(out), n_rows)
-        out.extend(pad(i) for i in range(len(out), n_rows))
+        out.extend([None] * (n_rows - len(out)))
     elif len(out) > n_rows:
         log.warning("%s: executor returned %d values for %d rows; truncating", context, len(out), n_rows)
         del out[n_rows:]
@@ -53,7 +58,7 @@ def exec_add_column(table: Table, new_column: str, description: str, executor: S
     if table.column_index(new_column) is not None:
         raise ColumnExistsError(new_column)
     values = executor.infer_column(table, new_column, description)
-    values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
+    values = _repair_length(values, table.n_rows, f"add_column {new_column!r}")
     cells = tuple(zip(values))
     check_rows(cells, 1)
     rows = tuple(map(add, table.rows, cells))
@@ -61,15 +66,15 @@ def exec_add_column(table: Table, new_column: str, description: str, executor: S
 
 
 def exec_clean_column(table: Table, column: str, description: str, executor: SemanticExecutor) -> Table:
-    """Rewrite one column in place; shape and column names never change."""
+    """Rewrite one column in place; shape and column names never change, and
+    a row the executor has no value for keeps its cell."""
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
     values = executor.rewrite_column(table, column, description)
-    values = _repair_length(
-        values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
-    )
-    cells = tuple(zip(values))
+    values = _repair_length(values, table.n_rows, f"clean_column {column!r}")
+    inputs = map(itemgetter(idx), table.rows)
+    cells = tuple(zip([cell if value is None else value for value, cell in zip(values, inputs)]))
     check_rows(cells, 1)
     heads = map(itemgetter(slice(None, idx)), table.rows)
     tails = map(itemgetter(slice(idx + 1, None)), table.rows)
@@ -77,44 +82,24 @@ def exec_clean_column(table: Table, column: str, description: str, executor: Sem
     return Table._trusted(table.columns, rows)
 
 
-# A mock rule is either a mapping from rendered input value to output JSON
-# value, or a callable taking one cell value and returning a replacement (None
-# = no opinion). Patterns match by substring against the operator description;
-# first registered pattern wins.
-MockRule = Mapping[str, object] | Callable[[Value], Value | str | None]
-
-
-def _typed(out):
-    """A callable rule's output, typed as a raw cell when it is text."""
-    return ingest_cell(out) if isinstance(out, str) else out
-
-
-def _per_cell(rule: MockRule) -> Callable[[Value], Value | None]:
-    """The rule as one function of a cell.
-
-    A mapping matches each cell whose rendering is one of its keys, looked up
-    by value (:func:`~tableprep.table.render_lookup`), and its outputs are
-    typed once here, as JSON values. A callable rule refuses a cell by raising
-    :class:`ExecutorFailureError`; anything else it raises is a bug and propagates.
-    """
-    if not callable(rule):
-        cell_of = CellMemo().cell
-        return {cell: cell_of(rule[text]) for cell, text in render_lookup(rule).items()}.get
-    return lambda cell: _typed(rule(cell))
-
-
 class MockSemanticExecutor:
-    """Deterministic executor dispatching on substring match of the description."""
+    """Deterministic executor dispatching on substring match of the description.
 
-    def __init__(self, rules: Mapping[str, MockRule] | None = None):
-        self._rules = {pattern: _per_cell(rule) for pattern, rule in (rules or {}).items()}
+    ``rules`` is ``{pattern: {input: output}}`` of JSON values. The first
+    pattern that occurs in an operator's description picks the mapping. A
+    mapping matches each cell whose rendering is one of its keys, looked up by
+    value (:func:`~tableprep.table.render_lookup`), and its outputs are typed
+    once, as JSON values; a cell it does not match has no value.
+    """
 
-    @classmethod
-    def from_json(cls, doc: Mapping[str, Mapping[str, object]]) -> "MockSemanticExecutor":
-        """Load ``{pattern: {input: output, ...}}`` fixture rules."""
-        return cls({pattern: dict(mapping) for pattern, mapping in doc.items()})
+    def __init__(self, rules: Mapping[str, Mapping[str, object]]):
+        cell_of = CellMemo().cell
+        self._rules = {
+            pattern: {cell: cell_of(mapping[text]) for cell, text in render_lookup(mapping).items()}.get
+            for pattern, mapping in rules.items()
+        }
 
-    def _find_rule(self, description: str) -> Callable[[Value], Value | None] | None:
+    def _find_rule(self, description: str) -> Callable[[Value], Value] | None:
         for pattern, apply in self._rules.items():
             if pattern in description:
                 return apply
@@ -137,13 +122,11 @@ class MockSemanticExecutor:
         return values
 
     def rewrite_column(self, table: Table, column: str, description: str) -> list[Value]:
-        idx = table.columns.index(column)
-        cells = [row[idx] for row in table.rows]
         apply = self._find_rule(description)
         if apply is None:
             log.warning("no mock rule matches clean_column description %r; column unchanged", description)
-            return cells
-        return [cell if (result := apply(cell)) is None else result for cell in cells]
+            return [None] * table.n_rows
+        return list(map(apply, map(itemgetter(table.columns.index(column)), table.rows)))
 
 
 class LlmSemanticExecutor:
@@ -152,9 +135,10 @@ class LlmSemanticExecutor:
     The prompt lists one line per row: the row index plus the cells of the
     columns named in the description when any match, otherwise the whole row.
     The model must answer with a JSON array of exactly one string per row;
-    length mismatches are repaired upstream by padding or truncation. A failed
-    request raises ``RequestFailedError``, which ``execute`` records as a
-    failed step, as it does an :class:`ExecutorFailureError`.
+    an empty answer is ``None``, no value, and the operators repair a reply
+    of the wrong length. A failed request raises ``RequestFailedError``,
+    which ``execute`` records as a failed step, as it does an
+    :class:`ExecutorFailureError`.
     """
 
     SYSTEM_PROMPT = (
@@ -196,11 +180,5 @@ class LlmSemanticExecutor:
         return self._ask(instruction, table, columns)
 
     def rewrite_column(self, table: Table, column: str, description: str) -> list[Value]:
-        idx = table.columns.index(column)
         instruction = f"Rewrite column {column!r}: {description}"
-        values = self._ask(instruction, table, [column])
-        # Unparsed cells (empty answers) stay unchanged.
-        return [
-            table.rows[i][idx] if i < table.n_rows and v is None else v
-            for i, v in enumerate(values)
-        ]
+        return self._ask(instruction, table, [column])

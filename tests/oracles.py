@@ -53,7 +53,6 @@ from tableprep.reward import (
     length_reward,
     match_answer,
 )
-from tableprep.semantic import _repair_length
 from tableprep.table import Table, format_number, ingest_cell, parse_number, render_value
 
 
@@ -152,28 +151,36 @@ def ref_mock_rewrite_column(rule: dict, table: Table, column: str) -> list:
     return values
 
 
+def _ref_value_of_row(reply: list, i: int):
+    """Row ``i``'s value in an executor reply: its ``i``-th entry, or None
+    past the reply's end; entries past the last row are never read."""
+    return reply[i] if i < len(reply) else None
+
+
 def ref_exec_add_column(table: Table, new_column: str, description: str, executor) -> Table:
-    """Check each executor value as a one-cell row, then append it to its row
-    one row at a time."""
+    """Take each row's value from the reply one row at a time, check it as a
+    one-cell row, then append it to its row."""
     if table.column_index(new_column) is not None:
         raise ColumnExistsError(new_column)
-    values = executor.infer_column(table, new_column, description)
-    values = _repair_length(values, table.n_rows, lambda i: None, f"add_column {new_column!r}")
+    reply = executor.infer_column(table, new_column, description)
+    values = [_ref_value_of_row(reply, i) for i in range(table.n_rows)]
     ref_check_rows([(value,) for value in values], 1)
     rows = tuple(row + (value,) for row, value in zip(table.rows, values))
     return Table._trusted(table.columns + (new_column,), rows)
 
 
 def ref_exec_clean_column(table: Table, column: str, description: str, executor) -> Table:
-    """Check each executor value as a one-cell row, then splice it into its
-    row one row at a time."""
+    """Take each row's value from the reply one row at a time, the row's own
+    cell where it is None, check it as a one-cell row, then splice it into
+    its row."""
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
-    values = executor.rewrite_column(table, column, description)
-    values = _repair_length(
-        values, table.n_rows, lambda i: table.rows[i][idx], f"clean_column {column!r}"
-    )
+    reply = executor.rewrite_column(table, column, description)
+    values = []
+    for i, row in enumerate(table.rows):
+        value = _ref_value_of_row(reply, i)
+        values.append(row[idx] if value is None else value)
     ref_check_rows([(value,) for value in values], 1)
     rows = tuple(
         row[:idx] + (value,) + row[idx + 1 :] for row, value in zip(table.rows, values)

@@ -85,6 +85,12 @@ class TestExecute:
         assert trace.steps[0].status == FAILED
         assert trace.final == table
 
+    def test_no_executor_refuses_as_every_executor_does(self, table):
+        for spec in (AddColumnOp("g", "infer"), CleanColumnOp("a", "tidy")):
+            with pytest.raises(ExecutorFailureError, match="^no semantic executor configured$"):
+                engine.apply_operator(spec, table, engine._NO_EXECUTOR)
+            assert execute(Pipeline((spec,)), table).steps[0].error == "no semantic executor configured"
+
     def test_an_object_that_is_not_a_spec_is_a_bug(self, table):
         for call in (lambda: engine.apply_operator("select a", table, None), lambda: execute(Pipeline(("select a",)), table)):
             with pytest.raises(TypeError, match="^unsupported operator spec str$"):

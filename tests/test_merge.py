@@ -19,7 +19,6 @@ from tableprep.ops import (
     SortByOp,
     canonical_key,
 )
-from tableprep.semantic import MockSemanticExecutor
 
 from conftest import make_table
 from oracles import ref_best_path, ref_merge_hoisting_every_add, ref_merge_pipelines, ref_merge_walking_each_prefix
@@ -393,12 +392,23 @@ class TestAddColumnAfterGroupBy:
         assert merge_pipelines([after, Pipeline((SelectOp(("a",)),))]).ops == (SelectOp(("a",)), *after.ops)
 
 
+class _InferV:
+    """An add_column whose description says "infer" fills "v", any other has
+    no value; a clean_column keeps its column."""
+
+    def infer_column(self, table, new_column, description):
+        return ["v" if "infer" in description else None] * table.n_rows
+
+    def rewrite_column(self, table, column, description):
+        return [None] * table.n_rows
+
+
 # Path operators read table columns and an absent column ("z"), and the
 # add_column names are table columns too. A candidate may run a group_by right
 # before an add_column, which the merge must then keep after that group_by.
 TABLE_COLUMNS = ["a", "b", "c", "count"]
 READ_COLUMNS = [*TABLE_COLUMNS, "z"]
-EXECUTOR = MockSemanticExecutor({"infer": lambda cell: "v", "tidy": lambda cell: None})
+EXECUTOR = _InferV()
 
 read_column = st.sampled_from(READ_COLUMNS)
 why = st.sampled_from([None, "why"])

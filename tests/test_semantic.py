@@ -121,6 +121,16 @@ class TestCleanColumn:
         assert out.n_rows == names_table.n_rows
         assert out.columns == names_table.columns
 
+    def test_a_none_value_keeps_the_cell(self, names_table):
+        out = exec_clean_column(names_table, "Name", "whatever", _Returns([None, "B"]))
+        assert [row[0] for row in out.rows] == ["Ada", "B"]
+
+    def test_short_output_keeps_the_remaining_cells(self, names_table, caplog):
+        with caplog.at_level(logging.WARNING):
+            out = exec_clean_column(names_table, "Score", "whatever", _Returns(["v"]))
+        assert [row[1] for row in out.rows] == ["v", Decimal(7)]
+        assert any("padding" in r.message for r in caplog.records)
+
 
 class TestMockExecutor:
     def test_first_registered_pattern_wins(self, names_table):
@@ -134,7 +144,7 @@ class TestMockExecutor:
         def refuse(cell):
             raise ExecutorFailureError("refused")
 
-        executor = MockSemanticExecutor({"infer": refuse})
+        executor = _PerCell(refuse)
         trace = execute(parse_pipeline([{"operation": "add_column", "new_column": "g", "description": "infer"}]),
                         names_table, executor)
         assert trace.steps[0].status == FAILED and trace.steps[0].error == "refused"
@@ -143,20 +153,13 @@ class TestMockExecutor:
         def bug(cell):
             return 1 / 0
 
-        executor = MockSemanticExecutor({"infer": bug})
+        executor = _PerCell(bug)
         with pytest.raises(ZeroDivisionError):
             execute(parse_pipeline([{"operation": "add_column", "new_column": "g", "description": "infer"}]),
                     names_table, executor)
 
-    def test_callable_rule(self, names_table):
-        executor = MockSemanticExecutor(
-            {"upper": lambda cell: cell.upper() if isinstance(cell, str) else None}
-        )
-        out = exec_clean_column(names_table, "Name", "upper-case names", executor)
-        assert [row[0] for row in out.rows] == ["ADA", "BOB"]
-
     def test_from_json(self):
-        executor = MockSemanticExecutor.from_json({"p": {"in": "out"}})
+        executor = MockSemanticExecutor({"p": {"in": "out"}})
         table = make_table(["a"], [["in"]])
         out = exec_clean_column(table, "a", "p", executor)
         assert out.rows[0][0] == "out"
@@ -196,16 +199,21 @@ class TestMockMappingRulesMatchTheRenderingOracle:
     def test_infer_and_rewrite_column(self, rule_and_table):
         rule, table = rule_and_table
         executor = MockSemanticExecutor({"derive": rule})
-        got = executor.infer_column(table, "new", "derive")
-        assert repr(got) == repr(ref_mock_infer_column(rule, table))
-        for column in table.columns:
-            got = executor.rewrite_column(table, column, "derive")
-            assert repr(got) == repr(ref_mock_rewrite_column(rule, table, column))
+        got = exec_add_column(table, "new", "derive", executor).rows
+        values = ref_mock_infer_column(rule, table)
+        assert repr(got) == repr(tuple(row + (value,) for row, value in zip(table.rows, values)))
+        for idx, column in enumerate(table.columns):
+            got = exec_clean_column(table, column, "derive", executor).rows
+            values = ref_mock_rewrite_column(rule, table, column)
+            spliced = tuple(row[:idx] + (value,) + row[idx + 1 :] for row, value in zip(table.rows, values))
+            assert repr(got) == repr(spliced)
 
     def test_a_non_canonical_number_key_never_matches_a_number(self):
         table = make_table(["v"], [[Decimal(7)], [Decimal("7.0")], [Decimal("7.00")], ["7.0"]])
         executor = MockSemanticExecutor({"derive": {"7.0": "hit"}})
-        assert executor.rewrite_column(table, "v", "derive") == [Decimal(7)] * 3 + ["hit"]
+        assert executor.rewrite_column(table, "v", "derive") == [None] * 3 + ["hit"]
+        cleaned = exec_clean_column(table, "v", "derive", executor)
+        assert repr(cleaned.rows) == repr(tuple(table.rows[:3]) + (("hit",),))
         assert executor.infer_column(table, "new", "derive") == [None] * 3 + ["hit"]
 
 
@@ -233,7 +241,7 @@ class TestExecutorCellsValidated:
             return "ok" if isinstance(cell, str) or cell == Decimal(10) else None
 
         pipeline = parse_pipeline([op, {"operation": "select", "columns": ["Name"]}])
-        trace = execute(pipeline, names_table, MockSemanticExecutor({"derive": rule}))
+        trace = execute(pipeline, names_table, _PerCell(rule))
         assert [step.status for step in trace.steps] == [FAILED, SKIPPED]
         assert trace.steps[0].error == message
         assert trace.final == names_table
@@ -244,7 +252,7 @@ class TestExecutorCellsValidated:
     ], ids=["add_column", "clean_column"])
     def test_json_mapping_rule_with_a_number_output(self, names_table, op, rows):
         # a mapping output is a JSON value, typed as a dataset table types it
-        executor = MockSemanticExecutor.from_json({"derive": {"Ada": 3, "10": 3}})
+        executor = MockSemanticExecutor({"derive": {"Ada": 3, "10": 3}})
         trace = execute(parse_pipeline([op]), names_table, executor)
         assert trace.steps[0].status == OK
         assert trace.final.rows == rows
@@ -280,6 +288,21 @@ class _Returns:
 
     def rewrite_column(self, table, column, description):
         return list(self.values)
+
+
+class _PerCell:
+    """An executor that calls ``rule`` on cells: add_column takes each row's
+    first value that is not None, clean_column the value of each cell."""
+
+    def __init__(self, rule):
+        self.rule = rule
+
+    def infer_column(self, table, new_column, description):
+        return [next((value for value in map(self.rule, row) if value is not None), None) for row in table.rows]
+
+    def rewrite_column(self, table, column, description):
+        idx = table.columns.index(column)
+        return [self.rule(row[idx]) for row in table.rows]
 
 
 def _outcome(kernel, *args):
@@ -448,7 +471,7 @@ def test_a_json_value_is_the_same_cell_on_every_route(literals):
     keys = Table(("key",), tuple((f"k{i}",) for i in range(len(literals))))
     llm = LlmSemanticExecutor(ScriptedTransport([reply]), GenerationConfig())
     mapping = "{%s}" % ", ".join(f'"k{i}": {literal}' for i, literal in enumerate(literals))
-    mock = MockSemanticExecutor.from_json({"derive": CELL_DECODER.decode(mapping)})
+    mock = MockSemanticExecutor({"derive": CELL_DECODER.decode(mapping)})
     for route in (dataset,
                   [row[1] for row in exec_add_column(keys, "v", "derive", llm).rows],
                   [row[1] for row in exec_add_column(keys, "v", "derive", mock).rows]):

@@ -541,8 +541,7 @@ def test_serialize_json_shape():
 def test_trusted_constructor_stays_inside_the_operator_kernels():
     """Only the operator kernels and the loaders skip the cell check. The
     loaders reach ``_trusted`` only through ``Table._typed``, whose cells
-    ``CellMemo`` typed; the public constructor keeps checking every cell.
-    (``semantic._typed`` is another function, called by its bare name.)"""
+    ``CellMemo`` typed; the public constructor keeps checking every cell."""
     package = Path(tableprep.__file__).parent
     users = {"_trusted": set(), "_typed": set()}
     for path in sorted(package.glob("*.py")):
@@ -591,8 +590,9 @@ def test_only_table_py_turns_a_json_value_into_a_cell():
     cell: the table loader, the LLM executor's reply and the mock mapping
     outputs call it, and no other code types a non-text value by its
     ``str()`` or tests a number's finiteness on the way in. ``semantic.py``
-    tests no finiteness: ``check_rows`` checks every executor's values, which
-    a callable rule's Python values also pass."""
+    tests no finiteness, since ``check_rows`` checks every executor's values,
+    and it has one mock rule format: it calls no ``callable`` and types no
+    text by ``ingest_cell`` beside the memo."""
     package = Path(tableprep.__file__).parent
     modules = {name: _nodes_by_function(package / name) for name in ("table.py", "semantic.py")}
 
@@ -605,11 +605,16 @@ def test_only_table_py_turns_a_json_value_into_a_cell():
     def is_attribute(name):
         return lambda node: isinstance(node, ast.Attribute) and node.attr == name
 
+    def names(name):  # as a variable, an import, an attribute or a definition
+        return lambda node: name in (getattr(node, "id", None), getattr(node, "name", None),
+                                     getattr(node, "attr", None))
+
     assert owners("table.py", is_attribute("cell")) == ["load_json_table"]
-    assert owners("semantic.py", is_attribute("cell")) == ["_ask", "_per_cell"]
+    assert owners("semantic.py", is_attribute("cell")) == ["__init__", "_ask"]
     assert owners("table.py", is_call_of("str")) == ["cell", "format_number"]
     assert owners("semantic.py", is_call_of("str")) == []
     assert owners("table.py", is_attribute("is_finite")) == ["cell", "check_rows"]
     assert owners("semantic.py", is_attribute("is_finite")) == []
-    assert owners("semantic.py", lambda node: isinstance(node, ast.Name) and node.id == "ingest_cell") == ["_typed"]
+    assert owners("semantic.py", names("ingest_cell")) == []
+    assert owners("semantic.py", is_call_of("callable")) == []
     assert "_finite" not in {node.name for _, node in modules["table.py"] if isinstance(node, ast.FunctionDef)}
