@@ -6,13 +6,14 @@ table is the last successfully produced one, so downstream QA always has a
 usable table.
 
 Execution shares work between calls on one thread (:class:`ThreadScope`),
-scoped to one input table and one executor. It keeps the table each successful
-operator prefix produced, so each distinct prefix runs once, and the trace of
-each pipeline that ran with no failed step, which that pipeline gets back. A
-failed step is never kept, so a transient semantic failure is retried. Specs
-compare without their explanations, so an operator that differs from one
-already run only in its explanation runs no second time, and a trace taken
-from the memo may carry an earlier variant's explanation text.
+scoped to one input table and one executor; ``None``, no executor, is passed
+through to the semantic operators, which refuse it. It keeps the table each
+successful operator prefix produced, so each distinct prefix runs once, and
+the trace of each pipeline that ran with no failed step, which that pipeline
+gets back. A failed step is never kept, so a transient semantic failure is
+retried. Specs compare without their explanations, so an operator that
+differs from one already run only in its explanation runs no second time, and
+a trace taken from the memo may carry an earlier variant's explanation text.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 
-from .errors import ExecutorFailureError, TablePrepError
+from .errors import TablePrepError
 from .ops import (
     AddColumnOp,
     CleanColumnOp,
@@ -60,19 +61,6 @@ class ExecutionTrace:
     truncated_at: int | None = None
 
 
-class _NoExecutor:
-    """Placeholder when no semantic executor is configured; semantic ops fail."""
-
-    def infer_column(self, table, new_column, description):
-        raise ExecutorFailureError("no semantic executor configured")
-
-    def rewrite_column(self, table, column, description):
-        raise ExecutorFailureError("no semantic executor configured")
-
-
-_NO_EXECUTOR = _NoExecutor()
-
-
 class ThreadScope(threading.local):
     """Per-thread work shared between calls on the same pair of objects.
 
@@ -103,7 +91,7 @@ class ThreadScope(threading.local):
 _SCOPE = ThreadScope(lambda: ({}, {}))
 
 
-def apply_operator(spec: OperatorSpec, table: Table, executor: SemanticExecutor) -> Table:
+def apply_operator(spec: OperatorSpec, table: Table, executor: SemanticExecutor | None) -> Table:
     if isinstance(spec, SelectOp):
         return exec_select(table, spec.columns)
     if isinstance(spec, FilterOp):
@@ -126,8 +114,7 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
     Steps and whole traces this thread already ran on ``table`` with
     ``executor`` are reused (see the module docstring).
     """
-    ex = executor if executor is not None else _NO_EXECUTOR
-    node, traces = _SCOPE.memo(table, ex)
+    node, traces = _SCOPE.memo(table, executor)
     trace = traces.get(pipeline.ops)
     if trace is not None:
         return trace
@@ -144,7 +131,7 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
             steps.append(StepRecord(spec, OK, current))
             continue
         try:
-            current = apply_operator(spec, current, ex)
+            current = apply_operator(spec, current, executor)
         except TablePrepError as err:
             truncated_at = i
             steps.append(StepRecord(spec, FAILED, current, error=str(err)))

@@ -106,12 +106,6 @@ class BadBudgetError(TablePrepError):
     pass
 
 
-# --- merge ---
-
-class EmptyCandidatesError(TablePrepError):
-    pass
-
-
 # --- group gate ---
 
 class EmptyGroupError(TablePrepError):

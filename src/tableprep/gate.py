@@ -191,7 +191,7 @@ def sample_accepted_group(
             _require_pair(rewards)
             adv = tuple(_normalized(rewards, stats, cfg.advantage_epsilon))
             return SampleOutcome(group, adv, attempt, tuple(reasons))
-        reasons.append(decision.reason or "rejected")
+        reasons.append(decision.reason)
     return SampleOutcome(None, None, cfg.max_resample_attempts, tuple(reasons))
 
 

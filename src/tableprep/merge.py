@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import EmptyCandidatesError
 from .ops import AddColumnOp, GroupByOp, OperatorSpec, Pipeline, SelectOp, canonical_key
 
 
@@ -85,10 +84,8 @@ def _best_nodes(root: TrieNode) -> list[TrieNode]:
 
 
 def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
-    """Merge N candidate pipelines into one consensus pipeline."""
-    if not candidates:
-        raise EmptyCandidatesError("no candidate pipelines to merge")
-
+    """Merge N candidate pipelines into one consensus pipeline; no candidates
+    merge to the identity pipeline, ``Pipeline()``."""
     union: dict[str, None] = {}
     adds: dict[str, AddColumnOp] = {}
     root = TrieNode("", None)

@@ -20,7 +20,6 @@ from .engine import OK
 from .errors import TablePrepError
 from .llm import extract_pipeline_json, generate_candidates
 from .merge import merge_pipelines
-from .ops import Pipeline
 from .reward import match_answer
 from .rollback import answer_with_rollback
 from .table import cell_count
@@ -93,6 +92,9 @@ def compute_aggregates(records: list[dict]) -> dict:
 def run_instance(
     instance: Instance, config: AppConfig, factory: GeneratorFactory, qa, executor, requests: Executor
 ) -> InstanceRecord:
+    """Generate, parse, merge, answer with rollback, and record one instance.
+    A candidate that failed is recorded in ``candidate_errors``; when none
+    parsed, the merge is the identity pipeline and the QA model sees the table."""
     transport = factory.transport_for(instance.id, instance.question)
     outcomes = generate_candidates(
         instance.question, instance.table, config.generator.settings, transport, config.run.n, requests
@@ -109,8 +111,7 @@ def run_instance(
         except TablePrepError as err:
             candidate_errors.append(f"candidate {outcome.index}: {err}")
 
-    # Zero surviving candidates degrade to the identity pipeline (no preparation).
-    merged = merge_pipelines(pipelines) if pipelines else Pipeline()
+    merged = merge_pipelines(pipelines)
 
     result = answer_with_rollback(instance.question, instance.table, merged, qa, executor)
     trace = result.trace

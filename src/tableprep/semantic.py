@@ -9,8 +9,10 @@ or a mock rule's mapping becomes a cell by the one rule of
 :meth:`~tableprep.table.CellMemo.cell`, as in a dataset table.
 
 The operators alone repair a reply of the wrong length and keep a cleaned
-cell. They check only the values an executor returns; the rest of the table
-was validated where it entered the program. Each operator makes the values
+cell. With no executor (``None``) they refuse, after their own column checks,
+with the :class:`ExecutorFailureError` that a refusing executor raises. They
+check only the values an executor returns; the rest of the table was
+validated where it entered the program. Each operator makes the values
 one-cell rows once, checks them by :func:`~tableprep.table.check_rows` and
 adds them to the input rows by C-level maps; clean_column first takes the
 input cell for each ``None`` value in one pass over the column.
@@ -19,6 +21,7 @@ input cell for each ``None`` value in one pass over the column.
 from __future__ import annotations
 
 import logging
+import re
 from operator import add, itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
@@ -53,11 +56,18 @@ def _repair_length(values: Sequence[Value], n_rows: int, context: str) -> list[V
     return out
 
 
-def exec_add_column(table: Table, new_column: str, description: str, executor: SemanticExecutor) -> Table:
+def _configured(executor: SemanticExecutor | None) -> SemanticExecutor:
+    """``executor`` itself; an operator with none to run refuses, as an executor would."""
+    if executor is None:
+        raise ExecutorFailureError("no semantic executor configured")
+    return executor
+
+
+def exec_add_column(table: Table, new_column: str, description: str, executor: SemanticExecutor | None) -> Table:
     """Append one inferred column; existing columns and row count are untouched."""
     if table.column_index(new_column) is not None:
         raise ColumnExistsError(new_column)
-    values = executor.infer_column(table, new_column, description)
+    values = _configured(executor).infer_column(table, new_column, description)
     values = _repair_length(values, table.n_rows, f"add_column {new_column!r}")
     cells = tuple(zip(values))
     check_rows(cells, 1)
@@ -65,13 +75,13 @@ def exec_add_column(table: Table, new_column: str, description: str, executor: S
     return Table._trusted(table.columns + (new_column,), rows)
 
 
-def exec_clean_column(table: Table, column: str, description: str, executor: SemanticExecutor) -> Table:
+def exec_clean_column(table: Table, column: str, description: str, executor: SemanticExecutor | None) -> Table:
     """Rewrite one column in place; shape and column names never change, and
     a row the executor has no value for keeps its cell."""
     idx = table.column_index(column)
     if idx is None:
         raise ColumnNotFoundError(column)
-    values = executor.rewrite_column(table, column, description)
+    values = _configured(executor).rewrite_column(table, column, description)
     values = _repair_length(values, table.n_rows, f"clean_column {column!r}")
     inputs = map(itemgetter(idx), table.rows)
     cells = tuple(zip([cell if value is None else value for value, cell in zip(values, inputs)]))
@@ -133,7 +143,8 @@ class LlmSemanticExecutor:
     """Executor that asks a chat model for the whole column in one request.
 
     The prompt lists one line per row: the row index plus the cells of the
-    columns named in the description when any match, otherwise the whole row.
+    columns that the description names as whole tokens when any match,
+    otherwise the whole row.
     The model must answer with a JSON array of exactly one string per row;
     an empty answer is ``None``, no value, and the operators repair a reply
     of the wrong length. A failed request raises ``RequestFailedError``,
@@ -152,7 +163,9 @@ class LlmSemanticExecutor:
         self._config = config
 
     def _relevant_columns(self, table: Table, description: str) -> list[str]:
-        named = [c for c in table.columns if c in description]
+        """The columns that the description names, else every column. A column
+        is named where it occurs with no word character on either side."""
+        named = [c for c in table.columns if re.search(rf"(?<!\w){re.escape(c)}(?!\w)", description)]
         return named if named else list(table.columns)
 
     def _row_listing(self, table: Table, columns: list[str]) -> str:

@@ -354,7 +354,8 @@ class TestMerge:
         path = tmp_path / "c.json"
         path.write_text("[]")
         result = runner.invoke(main, ["merge", str(path)])
-        assert result.exit_code == 3
+        assert result.exit_code == 0, result.output
+        assert result.output == "[]\n"
 
 
 class TestReward:

@@ -644,6 +644,37 @@ class TestRunner:
         run_dataset(instances, config)
         assert labeled and not any("lookup" in vars(answers) for answers in labeled)
 
+    def test_an_instance_with_no_parsed_candidate_is_answered_on_its_table(self, tmp_path):
+        # the merge of no candidates is the identity pipeline, so the record is
+        # the one the runner wrote when it stood in for the merge itself
+        doc = {
+            "generator": {"mode": "mock", "script": {"u1": ["no plan", '[{"operation": "explode"}]', '[{"operation": "select"}]']}},
+            "qa": {"mode": "cell_lookup", "script": {"Who scored 57?": ["Fiji"]}},
+            "run": {"n": 3},
+        }
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        table = {"header": ["Country", "Score"], "rows": [["Laos", "48"], ["Fiji", "57"]]}
+        instance = instance_from_json({"id": "u1", "question": "Who scored 57?", "table": table, "answers": ["Fiji"]})
+        (record,) = run_dataset([instance], load_config(str(path))).to_json()["records"]
+        assert record == {
+            "id": "u1",
+            "final_answer": "Fiji",
+            "state_used": 3,
+            "qa_calls": 1,
+            "ops_executed": 0,
+            "cells_before": 4,
+            "cells_after": 4,
+            "merged_ops": [],
+            "candidates_ok": 0,
+            "candidate_errors": [
+                "candidate 0: no JSON array found in model output",
+                "candidate 1: invalid operator at index 0: unknown operator: 'explode'",
+                "candidate 2: invalid operator at index 0: operator 'select' is missing parameter 'columns'",
+            ],
+            "correct": True,
+        }
+
     def test_one_instance_pool_and_one_request_pool(self, monkeypatch):
         config = load_config(fx("run_config.json"))
         config.run = replace(config.run, parallelism=2)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from tableprep import engine
 from tableprep.engine import FAILED, OK, SKIPPED, ThreadScope, execute, trace_to_json
-from tableprep.errors import ExecutorFailureError
+from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from tableprep.ops import (
     AddColumnOp,
     CleanColumnOp,
@@ -88,8 +88,14 @@ class TestExecute:
     def test_no_executor_refuses_as_every_executor_does(self, table):
         for spec in (AddColumnOp("g", "infer"), CleanColumnOp("a", "tidy")):
             with pytest.raises(ExecutorFailureError, match="^no semantic executor configured$"):
-                engine.apply_operator(spec, table, engine._NO_EXECUTOR)
+                engine.apply_operator(spec, table, None)
             assert execute(Pipeline((spec,)), table).steps[0].error == "no semantic executor configured"
+
+    def test_no_executor_refuses_only_after_the_column_checks(self, table):
+        with pytest.raises(ColumnExistsError):
+            engine.apply_operator(AddColumnOp("a", "infer"), table, None)
+        with pytest.raises(ColumnNotFoundError):
+            engine.apply_operator(CleanColumnOp("zz", "tidy"), table, None)
 
     def test_an_object_that_is_not_a_spec_is_a_bug(self, table):
         for call in (lambda: engine.apply_operator("select a", table, None), lambda: execute(Pipeline(("select a",)), table)):
@@ -418,3 +424,14 @@ def test_thread_scope_is_the_only_thread_local():
                 if ast.unparse(node.value) in ("threading", "_thread"):
                     uses.append((path.name, bases.get(id(node))))
     assert uses == [("engine.py", "ThreadScope")]
+
+
+def test_the_semantic_operators_alone_refuse_a_missing_executor():
+    """``engine.py`` stands in no executor of its own: it defines no executor
+    method and names no executor refusal, so ``None`` reaches the operators."""
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    defined = {node.name for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not defined & {"infer_column", "rewrite_column"}
+    assert "ExecutorFailureError" not in names

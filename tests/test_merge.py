@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tableprep.engine import OK, execute
-from tableprep.errors import ColumnExistsError, ColumnNotFoundError, EmptyCandidatesError
+from tableprep.errors import ColumnExistsError, ColumnNotFoundError
 from tableprep.merge import build_trie, best_path, merge_pipelines
 from tableprep.ops import (
     AddColumnOp,
@@ -96,9 +96,8 @@ class TestBestPath:
 
 
 class TestMergePipelines:
-    def test_empty_candidates_error(self):
-        with pytest.raises(EmptyCandidatesError):
-            merge_pipelines([])
+    def test_no_candidates_give_the_identity_pipeline(self):
+        assert merge_pipelines([]) == Pipeline()
 
     def test_single_candidate_passthrough(self):
         candidate = Pipeline((SelectOp(("a",)), F_X))

@@ -386,6 +386,23 @@ class TestLlmExecutor:
         assert "Name=Ada" in user
         assert "Score" not in user
 
+    @pytest.mark.parametrize(
+        "description, listed",
+        [
+            ("infer gender from Name", ["Name"]),
+            ("infer gender from Name, then a score band", ["Name", "a"]),
+            ("infer gender from (Name)", ["Name"]),
+            ("infer gender from Names", ["Name", "a", "Score"]),
+            ("infer gender from Name_2", ["Name", "a", "Score"]),
+        ],
+    )
+    def test_a_column_is_named_only_as_a_whole_token(self, description, listed):
+        table = make_table(["Name", "a", "Score"], [["Ada", "x", 10]])
+        transport = _FixedTransport('["F"]')
+        exec_add_column(table, "Gender", description, LlmSemanticExecutor(transport, GenerationConfig()))
+        row = transport.requests[0][1]["content"].splitlines()[2]
+        assert [cell.split("=")[0] for cell in row.removeprefix("0: ").split("; ")] == listed
+
     def test_whole_row_when_no_column_named(self, names_table):
         transport = _FixedTransport('["x", "y"]')
         executor = LlmSemanticExecutor(transport, GenerationConfig())
