@@ -65,9 +65,9 @@ class ClientConfig:
 
 @dataclass
 class AppConfig:
-    generator: ClientConfig = field(default_factory=lambda: _read_clients({}, "")["generator"])
-    qa: ClientConfig = field(default_factory=lambda: _read_clients({}, "")["qa"])
-    semantic_executor: ClientConfig = field(default_factory=lambda: _read_clients({}, "")["semantic_executor"])
+    generator: ClientConfig = field(default_factory=lambda: _DEFAULT_CLIENTS["generator"])
+    qa: ClientConfig = field(default_factory=lambda: _DEFAULT_CLIENTS["qa"])
+    semantic_executor: ClientConfig = field(default_factory=lambda: _DEFAULT_CLIENTS["semantic_executor"])
     reward: RewardConfig = field(default_factory=RewardConfig)
     gate: GateConfig = field(default_factory=GateConfig)
     run: RunSection = field(default_factory=RunSection)
@@ -216,6 +216,9 @@ def _is_strs(value) -> bool:
 
 def _is_texts(value) -> bool:
     return _is_strs(value) and bool(value)
+
+
+_DEFAULT_CLIENTS = _read_clients({}, "")  # AppConfig's, read once: ClientConfig is frozen
 
 
 def _check_map(doc, what: str, value_ok, shape: str) -> dict:

@@ -86,8 +86,8 @@ class ThreadScope(threading.local):
 
 
 # per (input table, executor): (trie root, traces); a trie node maps an
-# operator spec to (the table it produced, child node), and traces maps the ops
-# of each pipeline that ran with no failed step to its trace
+# operator spec to (the table it produced, child node), and traces maps each
+# pipeline that ran with no failed step to its trace
 _SCOPE = ThreadScope(lambda: ({}, {}))
 
 
@@ -115,13 +115,13 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
     ``executor`` are reused (see the module docstring).
     """
     node, traces = _SCOPE.memo(table, executor)
-    trace = traces.get(pipeline.ops)
+    trace = traces.get(pipeline)
     if trace is not None:
         return trace
     current = table
     steps: list[StepRecord] = []
     truncated_at: int | None = None
-    for i, spec in enumerate(pipeline.ops):
+    for i, spec in enumerate(pipeline):
         if truncated_at is not None:
             steps.append(StepRecord(spec, SKIPPED, current))
             continue
@@ -142,7 +142,7 @@ def execute(pipeline: Pipeline, table: Table, executor: SemanticExecutor | None 
         steps.append(StepRecord(spec, OK, current))
     trace = ExecutionTrace(table, tuple(steps), current, truncated_at)
     if truncated_at is None:
-        traces[pipeline.ops] = trace
+        traces[pipeline] = trace
     return trace
 
 

@@ -92,7 +92,7 @@ def merge_pipelines(candidates: list[Pipeline]) -> Pipeline:
     for pipeline in candidates:
         node = root
         selected = grouped = False
-        for spec in pipeline.ops:
+        for spec in pipeline:
             if isinstance(spec, SelectOp):
                 selected = True
                 union.update(dict.fromkeys(spec.columns))

@@ -89,17 +89,11 @@ class CleanColumnOp:
 OperatorSpec = Union[SelectOp, FilterOp, SortByOp, GroupByOp, AddColumnOp, CleanColumnOp]
 
 
-@dataclass(frozen=True)
-class Pipeline:
-    """Ordered operator sequence; empty means the identity pipeline."""
+class Pipeline(tuple):
+    """Ordered operator sequence: a tuple of specs, built from any iterable;
+    ``Pipeline()`` is the identity pipeline and, like any empty tuple, false."""
 
-    ops: tuple[OperatorSpec, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.ops)
-
-    def __iter__(self):
-        return iter(self.ops)
+    __slots__ = ()
 
 
 # --- wire format ---
@@ -212,7 +206,7 @@ def parse_pipeline(doc: list) -> Pipeline:
             ops.append(parse_operator(item))
         except OperatorParseError as err:
             raise PipelineParseError(i, err) from err
-    return Pipeline(tuple(ops))
+    return Pipeline(ops)
 
 
 def _params(spec: OperatorSpec) -> dict:
@@ -242,7 +236,7 @@ def operator_to_json(spec: OperatorSpec) -> dict:
 
 
 def pipeline_to_json(pipeline: Pipeline) -> list[dict]:
-    return [operator_to_json(spec) for spec in pipeline.ops]
+    return [operator_to_json(spec) for spec in pipeline]
 
 
 def canonical_key(spec: OperatorSpec) -> str:

@@ -123,7 +123,7 @@ def run_instance(
         ops_executed=sum(1 for s in trace.steps if s.status == OK),
         cells_before=cell_count(trace.initial),
         cells_after=cell_count(trace.final),
-        merged_ops=[spec.kind for spec in merged.ops],
+        merged_ops=[spec.kind for spec in merged],
         candidates_ok=len(pipelines),
         candidate_errors=candidate_errors,
     )
@@ -182,7 +182,7 @@ def dump_report(report: RunReport) -> str:
 def load_run_report(path: str, verify: bool = True) -> dict:
     """Load a report. With ``verify``, re-derive its aggregates from its records;
     a mismatch or a malformed report raises :class:`TablePrepError`."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except (ValueError, RecursionError) as err:  # not UTF-8 or not JSON, or nested too deep

@@ -20,6 +20,7 @@ from tableprep.errors import (
     GroupTooSmallError,
     InvalidCellError,
     NoJsonFoundError,
+    QaTransportError,
     RaggedRowError,
     TablePrepError,
 )
@@ -547,7 +548,7 @@ def ref_merge_pipelines(candidates):
     stripped = []
     for pipeline in candidates:
         remaining = []
-        for spec in pipeline.ops:
+        for spec in pipeline:
             if isinstance(spec, SelectOp):
                 for column in spec.columns:
                     if column not in seen_columns:
@@ -587,7 +588,7 @@ def ref_merge_hoisting_every_add(candidates):
     for pipeline in candidates:
         remaining = []
         first = None
-        for spec in pipeline.ops:
+        for spec in pipeline:
             if isinstance(spec, SelectOp):
                 if first is None:
                     first = len(remaining)
@@ -632,7 +633,7 @@ def ref_merge_walking_each_prefix(candidates):
         remaining = []
         first = None
         grouped = False
-        for spec in pipeline.ops:
+        for spec in pipeline:
             if isinstance(spec, SelectOp):
                 if first is None:
                     first = len(remaining)
@@ -684,7 +685,7 @@ def ref_execute(pipeline, table, executor) -> ExecutionTrace:
     current = table
     steps = []
     truncated_at = None
-    for i, spec in enumerate(pipeline.ops):
+    for i, spec in enumerate(pipeline):
         if truncated_at is not None:
             steps.append(StepRecord(spec, SKIPPED, current))
             continue
@@ -695,6 +696,29 @@ def ref_execute(pipeline, table, executor) -> ExecutionTrace:
             truncated_at = i
             steps.append(StepRecord(spec, FAILED, current, error=str(err)))
     return ExecutionTrace(table, tuple(steps), current, truncated_at)
+
+
+def ref_answer_with_rollback(question, table, pipeline, qa, executor=None):
+    """Walk the rollback states in a list: the fully prepared table, the first
+    operator's table, the input table; an empty pipeline asks about the input
+    table alone. The walk stops at the first reply that does not hold the
+    refusal phrase (case and whitespace runs aside), or at the last state.
+    Returns (answer, state, tables asked about, trace)."""
+    trace = ref_execute(pipeline, table, executor)
+    if trace.steps:
+        states = [(1, trace.final), (2, trace.steps[0].table_after), (3, table)]
+    else:
+        states = [(3, table)]
+    asked = []
+    for state, submitted in states:
+        asked.append(submitted)
+        try:
+            answer = qa.ask(question, submitted)
+        except TablePrepError as err:
+            raise QaTransportError(f"rollback state {state}: {err}", state=state) from err
+        if "no data available" not in " ".join(answer.split()).casefold():
+            break
+    return answer, state, asked, trace
 
 
 def ref_per_op_correctness(trace, answers: AnswerSet) -> list:

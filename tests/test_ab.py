@@ -33,6 +33,8 @@ def test_an_a_a_run_of_this_checkout(workload, timing):
     assert 0 < lo <= result["ratio"] <= hi
     assert result["head_wins"] + result["base_wins"] <= 3
     assert result["coverage"] == 0.75
+    assert result["base_ms"] > 0 and result["head_ms"] > 0
+    assert f"median time: base {result['base_ms']:.3f} ms, head {result['head_ms']:.3f} ms" in out.stdout
     assert {"nproc", "pinned_cpu", "python"} <= set(result["machine"])
 
 

@@ -169,7 +169,7 @@ def test_criterion_5_merge_oracle_equivalence():
             # the merged pipeline's trie segment is the same path (no
             # select/add_column in this vocabulary)
             merged = merge_pipelines([Pipeline(tuple(seq)) for seq in candidates])
-            assert [canonical_key(s) for s in merged.ops] == got
+            assert [canonical_key(s) for s in merged] == got
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

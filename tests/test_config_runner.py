@@ -61,6 +61,18 @@ class TestLoadConfig:
         assert float(config.gate.quality_threshold) == 0.5
         assert config.reward.l_max == 2560 and config.reward.l_cache == 512
 
+    def test_default_config_is_the_empty_file_read_once(self, tmp_path, monkeypatch):
+        """``AppConfig()`` is what ``{}`` loads to, and builds no client settings
+        of its own: the default clients are read once, at import."""
+        path = tmp_path / "c.json"
+        path.write_text("{}")
+        built = []
+        post_init = GenerationConfig.__post_init__
+        monkeypatch.setattr(GenerationConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
+        default = AppConfig()
+        assert built == []
+        assert default == load_config(str(path))
+
     def test_missing_file(self):
         with pytest.raises(ConfigError):
             load_config("/nonexistent/config.json")
@@ -715,6 +727,14 @@ class TestRunner:
         path.write_text(dump_report(report))
         doc = load_run_report(str(path), verify=True)
         assert doc["aggregates"]["instances"] == 20
+
+    def test_a_report_with_a_byte_order_mark_loads(self, tmp_path):
+        config = load_config(fx("run_config.json"))
+        instances, _ = load_instances_jsonl(fx("run_instances.jsonl"))
+        text = dump_report(run_dataset(instances[:3], config))
+        path = tmp_path / "r.json"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert load_run_report(str(path), verify=True) == json.loads(text)
 
     def test_tampered_aggregates_detected(self, tmp_path):
         config = load_config(fx("run_config.json"))

@@ -135,7 +135,7 @@ def test_prefix_consistency_property(seed, n_ops):
     trace = execute(pipeline, t)
     # rollback's state 2 reads the first step's table instead of re-executing
     for k in range(1, len(pipeline) + 1):
-        assert execute(Pipeline(pipeline.ops[:k]), t).final == trace.steps[k - 1].table_after
+        assert execute(Pipeline(pipeline[:k]), t).final == trace.steps[k - 1].table_after
 
 
 def test_reexecution_with_mock_is_identical(table):
@@ -230,7 +230,7 @@ def test_memo_traces_equal_fresh_execution_and_share_each_semantic_prefix(table,
         assert got == want
     semantic = (AddColumnOp, CleanColumnOp)
     prefixes = {
-        pipeline.ops[: i + 1]
+        pipeline[: i + 1]
         for pipeline, trace in zip(group, reference)
         for i, step in enumerate(trace.steps)
         if step.status == OK and isinstance(step.spec, semantic)

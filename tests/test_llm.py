@@ -127,13 +127,13 @@ class TestExtractPipelineJson:
     def test_skips_unparseable_spans(self):
         raw = '[not json] but then ["ok"... no: [{"operation":"group_by","column":"a"}]'
         pipeline = extract_pipeline_json(raw)
-        assert pipeline.ops[0].kind == "group_by"
+        assert pipeline[0].kind == "group_by"
 
     def test_string_aware_scan(self):
         raw = '[{"operation":"filter","column":"a]b","cmp":"==","value":"x["}]'
         pipeline = extract_pipeline_json(raw)
-        assert pipeline.ops[0].column == "a]b"
-        assert pipeline.ops[0].value == "x["
+        assert pipeline[0].column == "a]b"
+        assert pipeline[0].value == "x["
 
     def test_nested_arrays(self):
         raw = 'x [{"operation":"select","columns":["a","b"]}] y'

@@ -102,7 +102,7 @@ class TestMergePipelines:
     def test_single_candidate_passthrough(self):
         candidate = Pipeline((SelectOp(("a",)), F_X))
         merged = merge_pipelines([candidate])
-        assert keys(merged.ops) == keys([SelectOp(("a",)), F_X])
+        assert keys(merged) == keys([SelectOp(("a",)), F_X])
 
     def test_select_union(self):
         merged = merge_pipelines(
@@ -111,18 +111,18 @@ class TestMergePipelines:
                 Pipeline((SelectOp(("b", "c")),)),
             ]
         )
-        assert isinstance(merged.ops[0], SelectOp)
-        assert merged.ops[0].columns == ("a", "b", "c")
+        assert isinstance(merged[0], SelectOp)
+        assert merged[0].columns == ("a", "b", "c")
 
     def test_no_select_no_select_segment(self):
         merged = merge_pipelines([Pipeline((F_X,)), Pipeline((F_X,))])
-        assert all(not isinstance(op, SelectOp) for op in merged.ops)
+        assert all(not isinstance(op, SelectOp) for op in merged)
 
     def test_add_columns_retained_in_candidate_order(self):
         a1 = AddColumnOp("g", "infer one")
         a2 = AddColumnOp("h", "infer two")
         merged = merge_pipelines([Pipeline((a2, F_X)), Pipeline((a1,))])
-        adds = [op for op in merged.ops if isinstance(op, AddColumnOp)]
+        adds = [op for op in merged if isinstance(op, AddColumnOp)]
         assert adds == [a2, a1]
 
     def test_add_columns_deduplicated_on_name(self):
@@ -131,7 +131,7 @@ class TestMergePipelines:
         a3 = AddColumnOp("g", "infer differently")
         a4 = AddColumnOp("h", "infer")
         merged = merge_pipelines([Pipeline((a1,)), Pipeline((a2, a3, a4))])
-        adds = [op for op in merged.ops if isinstance(op, AddColumnOp)]
+        adds = [op for op in merged if isinstance(op, AddColumnOp)]
         assert adds == [a1, a4]
         assert [op.explanation for op in adds] == ["first", None]  # a1 == a2: specs compare without it
 
@@ -139,13 +139,13 @@ class TestMergePipelines:
         merged = merge_pipelines(
             [Pipeline((F_X, SelectOp(("a",)), AddColumnOp("g", "x")))]
         )
-        assert merged.ops == (AddColumnOp("g", "x"), SelectOp(("a", "g", "A")), F_X)
+        assert merged == (AddColumnOp("g", "x"), SelectOp(("a", "g", "A")), F_X)
 
     def test_explanations_do_not_split_votes(self):
         f1 = FilterOp("A", "==", "x", explanation="because")
         f2 = FilterOp("A", "==", "x", explanation="different words")
         merged = merge_pipelines([Pipeline((f1,)), Pipeline((f2,)), Pipeline((F_Y,))])
-        assert keys(merged.ops) == keys([F_X])
+        assert keys(merged) == keys([F_X])
 
     def test_an_int_and_a_decimal_threshold_share_a_vote(self):
         clean = Pipeline((CleanColumnOp("a", "tidy"),))
@@ -153,7 +153,7 @@ class TestMergePipelines:
         mixed = merge_pipelines(
             [Pipeline((FilterOp("x", "==", 5),)), Pipeline((FilterOp("x", "==", Decimal(5)),)), clean]
         )
-        assert keys(mixed.ops) == keys(decimals.ops) == keys([FilterOp("x", "==", "5")])
+        assert keys(mixed) == keys(decimals) == keys([FilterOp("x", "==", "5")])
 
     def test_a_none_and_an_empty_text_threshold_vote_apart(self):
         none, empty = FilterOp("x", "!=", None), FilterOp("x", "!=", "")
@@ -162,7 +162,7 @@ class TestMergePipelines:
         assert execute(Pipeline((none,)), table).final.rows == (("a",),)
         assert execute(Pipeline((empty,)), table).final.rows == ((None,), ("a",))
         merged = merge_pipelines([Pipeline((none,)), Pipeline((empty,)), Pipeline((empty,))])
-        assert merged.ops == (empty,)
+        assert merged == (empty,)
         assert canonical_key(none) != canonical_key(empty)
 
 
@@ -214,7 +214,7 @@ class TestOracleEquivalence:
                         hoisted.setdefault(add.new_column, add)
                 candidates.append(Pipeline(tuple(ops)))
             merged = merge_pipelines(candidates)
-            adds = [op for op in merged.ops if isinstance(op, AddColumnOp)]
+            adds = [op for op in merged if isinstance(op, AddColumnOp)]
             assert adds[: len(hoisted)] == list(hoisted.values())
             assert set(adds[len(hoisted):]) <= voted
 
@@ -232,7 +232,7 @@ class TestOracleEquivalence:
                     expected_union.update(cols)
                 candidates.append(Pipeline(tuple(ops)))
             merged = merge_pipelines(candidates)
-            selects = [op for op in merged.ops if isinstance(op, SelectOp)]
+            selects = [op for op in merged if isinstance(op, SelectOp)]
             if expected_union:
                 assert len(selects) == 1
                 assert set(selects[0].columns) == expected_union
@@ -289,7 +289,7 @@ class TestReadColumnClosure:
         table = make_table(["X", "Y"], [[1, 1], [2, 0]])
         f = FilterOp("Y", "==", "1")
         merged = merge_pipelines([Pipeline((SelectOp(("X",)),)), Pipeline((f,)), Pipeline((f,))])
-        assert merged.ops == (SelectOp(("X", "Y")), f)
+        assert merged == (SelectOp(("X", "Y")), f)
         trace = execute(merged, table)
         assert trace.truncated_at is None
         assert trace.final.rows == ((Decimal(1), Decimal(1)),)
@@ -297,7 +297,7 @@ class TestReadColumnClosure:
     def test_operator_before_its_own_select_keeps_its_column(self):
         table = make_table(["B", "C"], [[1, "p"], [2, "q"]])
         merged = merge_pipelines([Pipeline((SortByOp("B", "desc"), SelectOp(("C",))))])
-        assert merged.ops == (SelectOp(("C", "B")), SortByOp("B", "desc"))
+        assert merged == (SelectOp(("C", "B")), SortByOp("B", "desc"))
         trace = execute(merged, table)
         assert trace.truncated_at is None
         assert trace.final.rows == ((Decimal(2), "q"), (Decimal(1), "p"))
@@ -305,14 +305,14 @@ class TestReadColumnClosure:
     def test_column_kept_only_for_a_candidate_that_reads_it_before_selecting(self):
         f = FilterOp("Y", "==", "1")
         hidden = [Pipeline((SelectOp(("X",)), f))] * 3 + [Pipeline((FilterOp("Z", "==", "1"), f))]
-        assert merge_pipelines(hidden).ops == (SelectOp(("X",)), f)
+        assert merge_pipelines(hidden) == (SelectOp(("X",)), f)
         seen = hidden + [Pipeline((f, SelectOp(("X",))))]
-        assert merge_pipelines(seen).ops == (SelectOp(("X", "Y")), f)
+        assert merge_pipelines(seen) == (SelectOp(("X", "Y")), f)
 
     def test_long_candidate_merges(self):
         ops = tuple(FilterOp("X", "!=", f"v{i}") for i in range(1500))
         merged = merge_pipelines([Pipeline(ops), Pipeline(ops[:10]), Pipeline((SelectOp(("Y",)),))])
-        assert merged.ops == (SelectOp(("Y", "X")), *ops)
+        assert merged == (SelectOp(("Y", "X")), *ops)
         assert keys(best_path(build_trie([list(ops)]))) == keys(ops)
 
 
@@ -330,12 +330,12 @@ class TestHoistedAddColumns:
     def test_added_names_stay_in_the_union_select(self):
         add = AddColumnOp("n", "infer one")
         merged = merge_pipelines([Pipeline((add, SelectOp(("n", "a")))), Pipeline((SelectOp(("b", "n")),))])
-        assert merged.ops == (add, SelectOp(("n", "a", "b")))
+        assert merged == (add, SelectOp(("n", "a", "b")))
 
     def test_a_name_added_after_the_select_is_kept(self):
         add = AddColumnOp("n", "infer one")
         merged = merge_pipelines([Pipeline((SelectOp(("a",)), add))])
-        assert merged.ops == (add, SelectOp(("a", "n")))
+        assert merged == (add, SelectOp(("a", "n")))
         assert execute(merged, self.TABLE, EXECUTOR).final.columns == ("a", "n")
 
     def test_a_select_of_an_absent_name_beside_an_added_one_runs(self):
@@ -353,7 +353,7 @@ class TestHoistedAddColumns:
         candidate = Pipeline((SelectOp(("a",)), AddColumnOp("b", "infer one")))
         assert execute(candidate, self.TABLE, EXECUTOR).truncated_at is None
         merged = merge_pipelines([candidate, candidate])
-        assert merged.ops == (AddColumnOp("b", "infer one"), SelectOp(("a", "b")))
+        assert merged == (AddColumnOp("b", "infer one"), SelectOp(("a", "b")))
         trace = execute(merged, self.TABLE, EXECUTOR)
         assert trace.truncated_at == 0
         assert trace.steps[0].error == str(ColumnExistsError("b"))
@@ -363,7 +363,7 @@ class TestHoistedAddColumns:
         candidates = [Pipeline((first, FilterOp("n", "==", "v")))] * 2 + [Pipeline((second, FilterOp("n", "==", "w")))]
         assert all(execute(c, self.TABLE, EXECUTOR).truncated_at is None for c in candidates)
         merged = merge_pipelines(candidates)
-        assert merged.ops == (first, FilterOp("n", "==", "v"))
+        assert merged == (first, FilterOp("n", "==", "v"))
         assert execute(merged, self.TABLE, EXECUTOR).truncated_at is None
 
 
@@ -379,16 +379,16 @@ class TestAddColumnAfterGroupBy:
     def test_only_add_columns_before_the_first_group_by_are_hoisted(self):
         early, late = AddColumnOp("E", "infer"), AddColumnOp("L", "infer")
         merged = merge_pipelines([Pipeline((F_X, early, G_C, late, S_B))])
-        assert merged.ops == (early, F_X, G_C, late, S_B)
+        assert merged == (early, F_X, G_C, late, S_B)
 
     def test_a_column_read_before_a_path_add_column_creates_its_name_is_kept(self):
         table = make_table(["a", "N"], [["x", 1], ["y", 0]])
         reads_n = Pipeline((FilterOp("N", "==", "1"), GroupByOp("a"), AddColumnOp("N", "infer")))
         merged = merge_pipelines([reads_n, Pipeline((SelectOp(("a",)),))])
-        assert merged.ops == (SelectOp(("a", "N")), *reads_n.ops)
+        assert merged == (SelectOp(("a", "N")), *reads_n)
         assert execute(merged, table, EXECUTOR).truncated_at is None
         after = Pipeline((GroupByOp("a"), AddColumnOp("N", "infer"), FilterOp("N", "==", "1")))
-        assert merge_pipelines([after, Pipeline((SelectOp(("a",)),))]).ops == (SelectOp(("a",)), *after.ops)
+        assert merge_pipelines([after, Pipeline((SelectOp(("a",)),))]) == (SelectOp(("a",)), *after)
 
 
 class _InferV:
@@ -463,16 +463,16 @@ def _path_positions(ops):
 def test_merge_matches_reference_apart_from_appended_select_columns(candidates):
     got = merge_pipelines(candidates)
     ref = ref_merge_pipelines(candidates)
-    at = next((i for i, spec in enumerate(ref.ops) if isinstance(spec, SelectOp)), None)
+    at = next((i for i, spec in enumerate(ref) if isinstance(spec, SelectOp)), None)
     if at is None:
         assert got == ref
         return
-    assert got.ops[:at] == ref.ops[:at] and got.ops[at + 1:] == ref.ops[at + 1:]
-    columns, ref_columns = got.ops[at].columns, ref.ops[at].columns
+    assert got[:at] == ref[:at] and got[at + 1:] == ref[at + 1:]
+    columns, ref_columns = got[at].columns, ref[at].columns
     assert columns[: len(ref_columns)] == ref_columns
     appended = columns[len(ref_columns):]
     created, read = set(), set()
-    for spec in (got.ops[i] for i in _path_positions(got.ops)):
+    for spec in (got[i] for i in _path_positions(got)):
         if isinstance(spec, AddColumnOp):
             created.add(spec.new_column)
         elif spec.column not in created:
@@ -491,7 +491,7 @@ def test_merge_equals_the_merge_that_walks_each_candidate_prefix(candidates):
 @given(candidates=candidate_sets)
 def test_merge_is_unchanged_when_no_add_column_follows_a_group_by(candidates):
     def add_after_group_by(pipeline):
-        kinds = [spec.kind for spec in pipeline.ops]
+        kinds = [spec.kind for spec in pipeline]
         return "group_by" in kinds and "add_column" in kinds[kinds.index("group_by"):]
 
     if not any(add_after_group_by(pipeline) for pipeline in candidates):
@@ -508,14 +508,14 @@ def test_no_merged_step_loses_a_column_a_candidate_could_read(table, candidates)
         return
     step = trace.steps[at]
     column = getattr(step.spec, "column", None)
-    path = _path_positions(merged.ops)
+    path = _path_positions(merged)
     if column is None or step.error != str(ColumnNotFoundError(column)) or at not in path:
         return
     depth = path.index(at)
-    path_keys = keys(merged.ops[i] for i in path[: depth + 1])
+    path_keys = keys(merged[i] for i in path[: depth + 1])
     for candidate in candidates:
-        positions = _path_positions(candidate.ops)
-        if keys(candidate.ops[i] for i in positions[: depth + 1]) == path_keys:
+        positions = _path_positions(candidate)
+        if keys(candidate[i] for i in positions[: depth + 1]) == path_keys:
             own = execute(candidate, table, EXECUTOR)
             assert own.steps[positions[depth]].status != OK
 
@@ -524,7 +524,7 @@ def test_no_merged_step_loses_a_column_a_candidate_could_read(table, candidates)
 @given(table=tables(), before=pipelines, after=pipelines, copies=st.integers(min_value=1, max_value=3),
        grouped=st.builds(_group_then_add, st.builds(GroupByOp, read_column, why), add_columns, st.just(True)))
 def test_copies_of_a_pipeline_that_runs_merge_to_no_missing_column(table, before, grouped, after, copies):
-    pipeline = Pipeline(before.ops + grouped + after.ops)
+    pipeline = Pipeline(before + grouped + after)
     if execute(pipeline, table, EXECUTOR).truncated_at is None:
         trace = execute(merge_pipelines([pipeline] * copies), table, EXECUTOR)
         assert not any(step.error and step.error.startswith("column not found") for step in trace.steps)

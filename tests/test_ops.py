@@ -117,7 +117,14 @@ class TestParsePipeline:
                 {"operation": "filter", "column": "a", "cmp": "==", "value": "x"},
             ]
         )
-        assert [op.kind for op in pipeline.ops] == ["select", "filter"]
+        assert [op.kind for op in pipeline] == ["select", "filter"]
+
+    def test_pipeline_is_the_tuple_of_its_specs(self):
+        spec = SelectOp(("a",))
+        assert Pipeline() == () and len(Pipeline()) == 0 and not Pipeline()
+        assert Pipeline([spec]) == Pipeline(iter([spec])) == (spec,)
+        assert hash(Pipeline([spec])) == hash((spec,))
+        assert not hasattr(Pipeline(), "__dict__")
 
     def test_error_carries_index(self):
         with pytest.raises(PipelineParseError) as exc:
@@ -186,7 +193,7 @@ def test_non_finite_json_threshold_is_a_parse_error(text):
 
 def test_a_decimal_threshold_is_kept_exact_and_must_be_finite():
     doc = CELL_DECODER.decode('[{"operation": "filter", "column": "a", "cmp": ">", "value": 0.10000000000000000001}]')
-    assert parse_pipeline(doc).ops[0].value == Decimal("0.10000000000000000001")
+    assert parse_pipeline(doc)[0].value == Decimal("0.10000000000000000001")
     for value in (Decimal("NaN"), Decimal("-Infinity"), Decimal("sNaN")):
         with pytest.raises(PipelineParseError, match="expected a string or a finite number"):
             parse_pipeline([{"operation": "filter", "column": "a", "cmp": ">", "value": value}])

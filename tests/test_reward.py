@@ -687,7 +687,7 @@ class TestSharingAlongThePerCandidatePath:
         ran = Pipeline((AddColumnOp("n", "swap it"), FilterOp("n", "==", "y")))
         first = execute(ran, table, executor)
         assert first.truncated_at is None and executor.calls == 1
-        assert execute(Pipeline(tuple(ran.ops)), table, executor) is first
+        assert execute(Pipeline(list(ran)), table, executor) is first
         truncated = Pipeline((AddColumnOp("n", "swap it"), CleanColumnOp("a", "refuse it"), SortByOp("a", "asc")))
         traces = [execute(truncated, table, executor) for _ in range(3)]
         assert [t.truncated_at for t in traces] == [1, 1, 1]

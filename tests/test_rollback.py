@@ -1,16 +1,20 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tableprep.errors import QaTransportError, RequestFailedError, TablePrepError
 from tableprep.llm import GenerationConfig
-from tableprep.ops import parse_pipeline
+from tableprep.ops import AddColumnOp, CleanColumnOp, FilterOp, GroupByOp, Pipeline, SelectOp, SortByOp, parse_pipeline
 from tableprep.rollback import (
     CellLookupQaClient,
     HttpQaClient,
     answer_with_rollback,
     detect_no_data,
 )
+from tableprep.semantic import MockSemanticExecutor
 
 from conftest import CountingExecutor, FlakyTransport, SequenceQaClient, make_table
+from oracles import ref_answer_with_rollback
 
 NO_DATA = "No data available"
 
@@ -210,3 +214,59 @@ class TestHttpQaClient:
         transport = FlakyTransport(text="0")
         HttpQaClient(transport, GenerationConfig(prompt_max_rows=5)).ask("q", big)
         assert "(25 rows omitted)" in transport.sent[0][1]["content"]
+
+
+# Small tables over three columns, pipelines that read an absent column too
+# ("z") and whose semantic steps may have no matching rule, and cell_lookup
+# scripts whose answers are cells, a group count, or absent from every table.
+ROLLBACK_COLUMNS = ["a", "b", "c"]
+rollback_column = st.sampled_from([*ROLLBACK_COLUMNS, "z"])
+rollback_cells = ["x", "y", "1", "2"]
+rollback_operators = st.one_of(
+    st.builds(SelectOp, st.lists(rollback_column, min_size=1, max_size=2).map(tuple)),
+    st.builds(FilterOp, rollback_column, st.sampled_from(["==", "!=", ">"]), st.sampled_from(["x", "1"])),
+    st.builds(SortByOp, rollback_column, st.sampled_from(["asc", "desc"]), st.sampled_from([None, 1])),
+    st.builds(GroupByOp, rollback_column),
+    st.builds(AddColumnOp, st.sampled_from(["n", "a"]), st.sampled_from(["flip", "unknown"])),
+    st.builds(CleanColumnOp, rollback_column, st.sampled_from(["flip", "unknown"])),
+)
+ROLLBACK_EXECUTOR = MockSemanticExecutor({"flip": {"x": "y", "y": "x", "1": "2"}})
+
+
+@st.composite
+def rollback_tables(draw):
+    columns = draw(st.lists(st.sampled_from(ROLLBACK_COLUMNS), min_size=1, unique=True))
+    cells = st.sampled_from([*rollback_cells, 1, 2, None])
+    rows = draw(st.lists(st.lists(cells, min_size=len(columns), max_size=len(columns)), max_size=4))
+    return make_table(columns, rows)
+
+
+class RecordingQa:
+    """Records each table a QA client is asked about."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.asked = []
+
+    def ask(self, question, table):
+        self.asked.append(table)
+        return self.inner.ask(question, table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    table=rollback_tables(),
+    pipeline=st.lists(rollback_operators, max_size=4).map(Pipeline),
+    script=st.dictionaries(st.sampled_from(["q", "other"]),
+                           st.lists(st.sampled_from([*rollback_cells, "3", "zz"]), max_size=3), max_size=2),
+    with_executor=st.booleans(),
+)
+def test_rollback_matches_the_plain_walk_over_its_states(table, pipeline, script, with_executor):
+    executor = ROLLBACK_EXECUTOR if with_executor else None
+    got_qa, ref_qa = RecordingQa(CellLookupQaClient(script)), RecordingQa(CellLookupQaClient(script))
+    got = answer_with_rollback("q", table, pipeline, got_qa, executor)
+    answer, state, asked, trace = ref_answer_with_rollback("q", table, pipeline, ref_qa, executor)
+    assert (got.answer, got.state_used, got.qa_calls) == (answer, state, len(asked))
+    assert got_qa.asked == asked
+    assert got.tables_tried == tuple((t.n_rows, t.n_cols) for t in asked)
+    assert got.trace == trace

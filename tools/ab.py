@@ -17,10 +17,11 @@ The driver asks the workers over a pipe for one timed pass each
 ``--setup``), in ABBA order: base first in even pairs, head first in odd
 ones. A pair's ratio is the head's time over the base's, so below 1 is
 faster. The tool prints the median ratio with its order-statistic 95%
-interval, the wins per side, the machine facts, and whether the two trees'
-outputs match (the serve report bytes, or the train reward digest). The last
-line of standard output is one JSON object of the same facts. It exits 1 as
-soon as a pass fails a workload check, and 0 otherwise.
+interval, each side's median time in ms, the wins per side, the machine
+facts, and whether the two trees' outputs match (the serve report bytes, or
+the train reward digest). The last line of standard output is one JSON object
+of the same facts. It exits 1 as soon as a pass fails a workload check, and 0
+otherwise.
 """
 
 from __future__ import annotations
@@ -203,19 +204,22 @@ def run(args) -> None:
         a, b = workers
         for side in workers:  # one untimed pass each, so both start warm
             side.time(what)
-        ratios = []
+        times = {"base": [], "head": []}
         for i in range(args.pairs):
             if i % 2 == 0:
                 t_base, t_head = a.time(what), b.time(what)
             else:
                 t_head, t_base = b.time(what), a.time(what)
-            ratios.append(t_head / t_base)
+            times["base"].append(t_base)
+            times["head"].append(t_head)
     finally:
         for side in workers:
             side.close()
         shutil.rmtree(work_dir, ignore_errors=True)
 
+    ratios = [t_head / t_base for t_base, t_head in zip(times["base"], times["head"])]
     median = statistics.median(ratios)
+    base_ms, head_ms = (statistics.median(times[name]) * 1000 for name in ("base", "head"))
     lo, hi, coverage = median_interval(ratios)
     head_wins = sum(r < 1 for r in ratios)
     base_wins = sum(r > 1 for r in ratios)
@@ -228,13 +232,14 @@ def run(args) -> None:
     print(f"head: {head_name}")
     print("machine: " + " ".join(f"{k}={v}" for k, v in machine.items()))
     print(f"head/base: {median:.4f}x (interval {lo:.4f}-{hi:.4f}, coverage {coverage:.1%})")
+    print(f"median time: base {base_ms:.3f} ms, head {head_ms:.3f} ms")
     print(f"faster: head in {head_wins} of {args.pairs} pairs, base in {base_wins}")
     print("outputs: " + ("match" if outputs_match else "DIFFER")
           + f" (base {digests['base'][:16]}, head {digests['head'][:16]})")
     print(json.dumps({"workload": args.workload, "seed": args.seed, "size": args.size, "timing": what,
                       "pairs": args.pairs, "ratio": median, "interval": [lo, hi], "coverage": coverage,
-                      "head_wins": head_wins, "base_wins": base_wins, "outputs_match": outputs_match,
-                      "machine": machine}))
+                      "base_ms": base_ms, "head_ms": head_ms, "head_wins": head_wins, "base_wins": base_wins,
+                      "outputs_match": outputs_match, "machine": machine}))
 
 
 def main() -> None:
