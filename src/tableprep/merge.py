@@ -37,7 +37,7 @@ class TrieNode:
     unselected: bool = False  # some candidate runs this node before its first select
     children: dict = field(default_factory=dict)  # key -> TrieNode
 
-    def insert(self, spec: OperatorSpec, unselected: bool = False) -> TrieNode:
+    def insert(self, spec: OperatorSpec, unselected: bool) -> TrieNode:
         """The child keyed by ``spec``, made if new, with one more vote, and
         marked if ``unselected``."""
         key = canonical_key(spec)
@@ -49,26 +49,11 @@ class TrieNode:
         return child
 
 
-def build_trie(sequences: list[list[OperatorSpec]]) -> TrieNode:
-    """Insert each op sequence as a branch under a root (key ``""``), bumping
-    weights along its path. Node identity is the canonical operator key, so
-    explanation text never splits branches; empty sequences add nothing."""
-    root = TrieNode("", None)
-    for sequence in sequences:
-        node = root
-        for spec in sequence:
-            node = node.insert(spec)
-    return root
-
-
-def best_path(root: TrieNode) -> list[OperatorSpec]:
-    """Root-to-leaf path with the largest weight sum, then the most nodes, then
-    the smallest key list: the leaf ranked smallest by (-sum, -length, keys)."""
-    return [node.spec for node in _best_nodes(root)]
-
-
 def _best_nodes(root: TrieNode) -> list[TrieNode]:
-    """The nodes of :func:`best_path`, root excluded."""
+    """The nodes of the root-to-leaf path with the largest weight sum, then the
+    most nodes, then the smallest key list (the leaf ranked smallest by
+    ``(-sum, -length, keys)``), root excluded; a root with no children gives
+    no nodes."""
     best_rank = None
     best: list[TrieNode] = []
     stack = [(root, 0, [])]

@@ -105,11 +105,6 @@ def contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     return False
 
 
-def op_correctness(table_after: Table, answers: AnswerSet) -> int:
-    """Per-operation correctness: 1 iff the produced table keeps all answers."""
-    return 1 if contains_all_answers(table_after, answers) else 0
-
-
 def is_cell_focused(table: Table, answers: AnswerSet) -> bool:
     """Instance-level check under exact matching, whatever the reward policy."""
     exact = answers if answers.matching == EXACT else AnswerSet(answers.answers, EXACT)
@@ -139,24 +134,9 @@ def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
         table = step.table_after
         hit = scanned.get(id(table))
         if hit is None:
-            hit = scanned[id(table)] = (table, op_correctness(table, answers))
+            hit = scanned[id(table)] = (table, 1 if contains_all_answers(table, answers) else 0)
         bits.append(hit[1])
     return bits
-
-
-def accuracy_reward(trace: ExecutionTrace, answers: AnswerSet, k: int | None = None) -> Fraction:
-    """Cumulative correctness of the first ``k`` steps over pipeline length.
-
-    The denominator is always the full pipeline length, so dropping the answer
-    early costs every subsequent step. An empty pipeline scores 0.
-    """
-    n = len(trace.steps)
-    if n == 0:
-        return _ZERO
-    if k is None:
-        k = n
-    bits = per_op_correctness(trace, answers)
-    return Fraction(sum(bits[:k]), n)
 
 
 def compression_reward(trace: ExecutionTrace, orientation: str = AS_WRITTEN) -> Fraction:
@@ -258,9 +238,11 @@ def total_reward(
 ) -> RewardBreakdown:
     """Weighted sum of accuracy, compression, and length rewards.
 
-    The total is formed once, as one Fraction whose numerator and denominator
-    are integer sums and products of the terms' own numerators and
-    denominators. A trace this thread already scored with the same
+    ``r_acc`` is the sum of the correctness bits over the pipeline length, so
+    dropping the answer early costs every later step; an empty pipeline
+    scores 0. The total is formed once, as one Fraction whose numerator and
+    denominator are integer sums and products of the terms' own numerators
+    and denominators. A trace this thread already scored with the same
     ``answers``, ``token_len`` and config object returns that breakdown (see
     the module docstring).
     """

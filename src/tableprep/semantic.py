@@ -27,7 +27,8 @@ from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
 from .llm import GenerationConfig, chat, first_json_array
-from .table import CellMemo, Table, Value, check_rows, render_lookup, render_value
+from .ops import exec_select
+from .table import CellMemo, Table, Value, check_rows, render_lookup, serialize_markdown
 
 log = logging.getLogger(__name__)
 
@@ -142,9 +143,9 @@ class MockSemanticExecutor:
 class LlmSemanticExecutor:
     """Executor that asks a chat model for the whole column in one request.
 
-    The prompt lists one line per row: the row index plus the cells of the
-    columns that the description names as whole tokens when any match,
-    otherwise the whole row.
+    The prompt lists every row as :func:`~tableprep.table.serialize_markdown`
+    of the columns that the description names as whole tokens when any
+    match, otherwise of the whole table.
     The model must answer with a JSON array of exactly one string per row;
     an empty answer is ``None``, no value, and the operators repair a reply
     of the wrong length. A failed request raises ``RequestFailedError``,
@@ -168,18 +169,10 @@ class LlmSemanticExecutor:
         named = [c for c in table.columns if re.search(rf"(?<!\w){re.escape(c)}(?!\w)", description)]
         return named if named else list(table.columns)
 
-    def _row_listing(self, table: Table, columns: list[str]) -> str:
-        indices = [table.columns.index(c) for c in columns]
-        lines = []
-        for i, row in enumerate(table.rows):
-            cells = "; ".join(f"{c}={render_value(row[j])}" for c, j in zip(columns, indices))
-            lines.append(f"{i}: {cells}")
-        return "\n".join(lines)
-
     def _ask(self, instruction: str, table: Table, columns: list[str]) -> list[Value]:
         user = (
             f"Instruction: {instruction}\n"
-            f"Rows ({table.n_rows} total):\n{self._row_listing(table, columns)}\n"
+            f"Rows ({table.n_rows} total):\n{serialize_markdown(exec_select(table, columns))}\n"
             f"Answer with a JSON array of exactly {table.n_rows} strings."
         )
         doc = first_json_array(chat(self._transport, self._config, self.SYSTEM_PROMPT, user))

@@ -19,9 +19,9 @@ for that load (one ``load_csv``/``load_json_table`` call, or one
 building it. It measures each cell through a :class:`CellWidths` memo that the
 caller makes for one call over many tables (``reward.filter_dataset`` makes
 one per call) and drops with it. The memo measures a cell without rendering
-it: ASCII text by its length, other text by its UTF-8 encoding, ``None`` as 0
-and a number by the length of its canonical ``format_number`` spelling, which
-is ASCII.
+it: escaped ASCII text by its length, other escaped text by its UTF-8
+encoding, ``None`` as 0 and a number by the length of its canonical
+``format_number`` spelling, which is ASCII and needs no escape.
 
 Each cell is checked once, where it enters the program. :func:`check_rows` is
 the one checker for cells from outside: the public ``Table(...)`` and the cells
@@ -301,35 +301,60 @@ def serialize_json(table: Table) -> dict:
     }
 
 
+_ESCAPES = str.maketrans({"\\": "\\\\", "|": "\\|", "\r": "\\r", "\n": "\\n"})
+
+
+def _escape(text: str) -> str:
+    """``text`` as one markdown field, by the rule of :func:`serialize_markdown`."""
+    if "|" in text or "\\" in text or "\n" in text or "\r" in text:
+        return text.translate(_ESCAPES)
+    return text
+
+
 def serialize_markdown(table: Table, max_rows: int | None = None) -> str:
     """Pipe-delimited markdown used to show tables to a model.
 
     Missing values render as empty strings and numbers render canonically.
-    When ``max_rows`` is set and exceeded, only the first ``max_rows`` data
-    rows are emitted followed by ``... (K rows omitted)``.
+    Every header name and text cell is escaped by one rule: ``\\`` as
+    ``\\\\``, ``|`` as ``\\|``, and a carriage return or line feed as the
+    two-character text ``\\r`` or ``\\n``. So each line holds ``n_cols``
+    fields and each row takes one line. When ``max_rows`` is set and
+    exceeded, only the first ``max_rows`` data rows are emitted followed by
+    ``... (K rows omitted)``.
     """
-    lines = [
-        "| " + " | ".join(table.columns) + " |",
-        "| " + " | ".join("---" for _ in table.columns) + " |",
-    ]
     shown = table.rows
     omitted = 0
     if max_rows is not None and table.n_rows > max_rows:
         shown = table.rows[:max_rows]
         omitted = table.n_rows - max_rows
-    for row in shown:
+    text = _markdown(table.columns, shown)
+    # a field needs the escape rule iff the text holds a backslash or a
+    # carriage return, or more pipes or line feeds than the frame has
+    pipes = (table.n_cols + 1 if table.n_cols else 2) * (len(shown) + 2)
+    if "\\" in text or "\r" in text or text.count("\n") != len(shown) + 1 or text.count("|") != pipes:
+        escaped = [tuple(_escape(cell) if isinstance(cell, str) else cell for cell in row) for row in shown]
+        text = _markdown(tuple(map(_escape, table.columns)), escaped)
+    if omitted:
+        text += f"\n... ({omitted} rows omitted)"
+    return text
+
+
+def _markdown(columns: tuple[str, ...], rows) -> str:
+    lines = [
+        "| " + " | ".join(columns) + " |",
+        "| " + " | ".join("---" for _ in columns) + " |",
+    ]
+    for row in rows:
         cells = [
             cell if isinstance(cell, str) else "" if cell is None else format_number(cell)
             for cell in row
         ]
         lines.append("| " + " | ".join(cells) + " |")
-    if omitted:
-        lines.append(f"... ({omitted} rows omitted)")
     return "\n".join(lines)
 
 
 class CellWidths(dict):
-    """Cell -> UTF-8 length of its rendering, measured on first sight.
+    """Cell -> UTF-8 length of its escaped rendering, measured on first sight.
 
     ``format_number`` is a function of the value, so equal cells share one
     entry. Make one per call that sizes many tables and drop it with the call.
@@ -341,7 +366,8 @@ class CellWidths(dict):
         elif cell is None:
             width = 0
         else:
-            width = len(cell) if cell.isascii() else len(cell.encode("utf-8"))
+            text = _escape(cell)
+            width = len(text) if text.isascii() else len(text.encode("utf-8"))
         self[cell] = width
         return width
 

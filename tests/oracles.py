@@ -33,7 +33,6 @@ from tableprep.gate import (
     as_fraction,
 )
 from tableprep.llm import GenerationConfig, first_json_array
-from tableprep.merge import best_path, build_trie
 from tableprep.ops import (
     AddColumnOp,
     CleanColumnOp,
@@ -42,7 +41,6 @@ from tableprep.ops import (
     Pipeline,
     SelectOp,
     SortByOp,
-    canonical_key,
     parse_pipeline,
 )
 from tableprep.reward import (
@@ -538,9 +536,8 @@ def ref_merge_pipelines(candidates):
     """The consensus merge without the read-column closure: the add_columns
     each candidate runs before its first group_by deduplicated through a
     seen-name set; the select union kept in a list beside a seen-set, then
-    extended by the hoisted names it lacks; and the path from
-    :func:`ref_best_path` over every other operator. Each path operator is
-    the spec of the first candidate reaching that prefix."""
+    extended by the hoisted names it lacks; and the path of
+    :func:`ref_consensus_path` over every other operator."""
     select_columns = []
     seen_columns = set()
     add_columns = []
@@ -564,15 +561,20 @@ def ref_merge_pipelines(candidates):
     if select_columns:
         select_columns += [spec.new_column for spec in add_columns if spec.new_column not in seen_columns]
 
-    key_sequences = [[ref_canonical_key(spec) for spec in ops] for ops in stripped]
-    path = ref_best_path(key_sequences)
-    path_specs = []
-    for j in range(len(path)):
-        first = next(i for i, keys in enumerate(key_sequences) if keys[: j + 1] == path[: j + 1])
-        path_specs.append(stripped[first][j])
-
     select = [SelectOp(tuple(select_columns))] if select_columns else []
-    return Pipeline(tuple(add_columns + select + path_specs))
+    return Pipeline(tuple(add_columns + select + ref_consensus_path(stripped)))
+
+
+def ref_consensus_path(sequences) -> list:
+    """:func:`ref_best_path` over the :func:`ref_canonical_key` sequences of
+    ``sequences``, each path operator the spec of the first sequence reaching
+    that prefix."""
+    key_sequences = [[ref_canonical_key(spec) for spec in ops] for ops in sequences]
+    path = ref_best_path(key_sequences)
+    return [
+        next(ops[j] for ops, keys in zip(sequences, key_sequences) if keys[: j + 1] == path[: j + 1])
+        for j in range(len(path))
+    ]
 
 
 def ref_merge_hoisting_every_add(candidates):
@@ -600,18 +602,18 @@ def ref_merge_hoisting_every_add(candidates):
         stripped.append(remaining)
         firsts.append(first)
 
-    path = best_path(build_trie(stripped))
+    path = ref_consensus_path(stripped)
     merged = [*adds.values(), *path]
     if union:
         union.update(dict.fromkeys(adds))
         outside = [(depth, spec.column) for depth, spec in enumerate(path) if spec.column not in union]
         if outside:
-            keys = [canonical_key(spec) for spec in path]
+            keys = [ref_canonical_key(spec) for spec in path]
             reach = 0
             for ops, first in zip(stripped, firsts):
                 n = 0
                 for spec, key in zip(ops[:first], keys):
-                    if canonical_key(spec) != key:
+                    if ref_canonical_key(spec) != key:
                         break
                     n += 1
                 reach = max(reach, n)
@@ -646,15 +648,15 @@ def ref_merge_walking_each_prefix(candidates):
         stripped.append(remaining)
         firsts.append(first)
 
-    path = best_path(build_trie(stripped))
+    path = ref_consensus_path(stripped)
     if union:
         union.update(dict.fromkeys(adds))
-        keys = [canonical_key(spec) for spec in path]
+        keys = [ref_canonical_key(spec) for spec in path]
         reach = 0
         for ops, first in zip(stripped, firsts):
             n = 0
             for spec, key in zip(ops[:first], keys):
-                if canonical_key(spec) != key:
+                if ref_canonical_key(spec) != key:
                     break
                 n += 1
             reach = max(reach, n)
@@ -738,3 +740,129 @@ def ref_total_reward(trace, answers: AnswerSet, token_len: int, config: RewardCo
     r_length = length_reward(token_len, config.l_max, config.l_cache)
     total = r_acc + config.lambda_compress * r_compress + config.lambda_length * r_length
     return RewardBreakdown(tuple(bits), r_acc, r_compress, r_length, total, n, token_len)
+
+
+# The whole run: a sequential composition of the references above.
+
+
+class RefCellLookupQa:
+    """The cell_lookup QA model: the first expected answer of the question
+    that renders as some cell, else the refusal."""
+
+    def __init__(self, expected: dict):
+        self.expected = expected
+
+    def ask(self, question, table):
+        for answer in self.expected.get(question, []):
+            if ref_contains_all_answers(table, AnswerSet.of(answer)):
+                return answer
+        return "No data available"
+
+
+class RefMockExecutor:
+    """The mock semantic executor: the first rule whose pattern occurs in the
+    description, applied by :func:`ref_mock_infer_column` or
+    :func:`ref_mock_rewrite_column`; no value for any row without one."""
+
+    def __init__(self, rules: dict):
+        self.rules = rules
+
+    def _rule(self, description):
+        return next((rule for pattern, rule in self.rules.items() if pattern in description), None)
+
+    def infer_column(self, table, new_column, description):
+        rule = self._rule(description)
+        return [None] * len(table.rows) if rule is None else ref_mock_infer_column(rule, table)
+
+    def rewrite_column(self, table, column, description):
+        rule = self._rule(description)
+        return [None] * len(table.rows) if rule is None else ref_mock_rewrite_column(rule, table, column)
+
+
+def _ref_cells(table) -> int:
+    return sum(len(row) for row in table.rows)
+
+
+def _ref_matches(answer: str, gold: str, matching: str) -> bool:
+    if matching == "normalized":
+        return answer.strip().casefold() == gold.strip().casefold()
+    return answer == gold
+
+
+def ref_run_dataset(instances, doc: dict) -> str:
+    """The report dump of a mock-backed run, instance after instance.
+
+    ``doc`` is the config as a JSON object whose mock data is inline. Each
+    instance's candidates are its script's texts in turn, parsed by
+    :func:`ref_extract_pipeline_json`, merged by
+    :func:`ref_merge_walking_each_prefix` and answered by
+    :func:`ref_answer_with_rollback`; a blank question fails the instance.
+    The records, the aggregates and the JSON are written out here."""
+    generator = doc.get("generator", {})
+    scripts = generator.get("script", {})
+    default_texts = generator.get("default_texts", ["[]"])
+    qa = RefCellLookupQa(doc.get("qa", {}).get("script", {}))
+    semantic = doc.get("semantic_executor", {})
+    executor = RefMockExecutor(semantic.get("rules", {})) if semantic.get("mode") == "mock" else None
+    run = doc.get("run", {})
+    n = run.get("n", 5)
+    matching = run.get("eval_matching", "normalized")
+
+    records, errors = [], []
+    for instance in instances:
+        if not instance.question.strip():
+            errors.append({"id": instance.id, "error": "question must be non-empty"})
+            continue
+        texts = scripts.get(instance.id, default_texts)
+        pipelines, candidate_errors = [], []
+        for k in range(n):
+            try:
+                pipelines.append(ref_extract_pipeline_json(texts[k % len(texts)]))
+            except TablePrepError as err:
+                candidate_errors.append(f"candidate {k}: {err}")
+        merged = ref_merge_walking_each_prefix(pipelines)
+        answer, state, asked, trace = ref_answer_with_rollback(instance.question, instance.table, merged, qa, executor)
+        record = {
+            "id": instance.id,
+            "final_answer": answer,
+            "state_used": state,
+            "qa_calls": len(asked),
+            "ops_executed": len([step for step in trace.steps if step.status == OK]),
+            "cells_before": _ref_cells(instance.table),
+            "cells_after": _ref_cells(trace.final),
+            "merged_ops": [spec.kind for spec in merged],
+            "candidates_ok": len(pipelines),
+            "candidate_errors": candidate_errors,
+        }
+        if instance.answers is not None:
+            record["correct"] = any(_ref_matches(answer, gold, matching) for gold in instance.answers.answers)
+        records.append(record)
+    records.sort(key=lambda r: r["id"])
+    errors.sort(key=lambda e: e["id"])
+
+    labeled = [r["correct"] for r in records if "correct" in r]
+    compression = Fraction(0)
+    histogram = {}
+    for r in records:
+        if r["cells_before"]:
+            compression += 1 - Fraction(r["cells_after"], r["cells_before"])
+        for kind in r["merged_ops"]:
+            histogram[kind] = histogram.get(kind, 0) + 1
+    report = {
+        "metadata": {
+            "n_candidates": n,
+            "eval_matching": matching,
+            "compression_definition": "mean over instances of 1 - cells_after/cells_before",
+        },
+        "aggregates": {
+            "instances": len(records),
+            "accuracy": float(Fraction(labeled.count(True), len(labeled))) if labeled else None,
+            "mean_compression": float(compression / len(records)) if records else 0.0,
+            "rollback_rate": float(Fraction(len([r for r in records if r["qa_calls"] > 1]), len(records)))
+            if records else 0.0,
+            "op_type_histogram": histogram,
+        },
+        "records": records,
+        "errors": errors,
+    }
+    return json.dumps(report, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

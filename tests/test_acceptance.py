@@ -19,7 +19,7 @@ from click.testing import CliRunner
 from tableprep.cli import main as cli_main
 from tableprep.engine import execute
 from tableprep.gate import LOW_VARIANCE, advantages, vgr_accept
-from tableprep.merge import best_path, build_trie, merge_pipelines
+from tableprep.merge import merge_pipelines
 from tableprep.ops import (
     FilterOp,
     GroupByOp,
@@ -32,7 +32,7 @@ from tableprep.ops import (
     exec_sort_by,
     parse_pipeline,
 )
-from tableprep.reward import AnswerSet, accuracy_reward, compression_reward, length_reward, total_reward
+from tableprep.reward import AnswerSet, compression_reward, length_reward, total_reward
 
 from conftest import CELL_TEXTS, CountingExecutor, SequenceQaClient, make_table, random_table
 from oracles import ref_best_path, ref_filter, ref_group_by, ref_select, ref_sort_by
@@ -119,7 +119,7 @@ def test_criterion_4_reward_stack():
             {"operation": "sort_by", "column": "val", "order": "desc"},
         ])
         trace4 = execute(four_op, table)
-        assert accuracy_reward(trace4, answers) == Fraction(1, 2)
+        assert total_reward(trace4, answers, 0).r_acc == Fraction(1, 2)
 
         # compression: 10x5 -> 2x2 is exactly 0.3
         rows = [["target" if i == 0 else f"r{i}", i, i, i, i] for i in range(10)]
@@ -161,15 +161,13 @@ def test_criterion_5_merge_oracle_equivalence():
                 [rng.choice(vocabulary) for _ in range(rng.randint(0, 5))]
                 for _ in range(rng.randint(1, 6))
             ]
-            got = [canonical_key(s) for s in best_path(build_trie(candidates))]
+            # no select/add_column in this vocabulary: the merged pipeline is
+            # the trie path alone
+            merged = merge_pipelines([Pipeline(tuple(seq)) for seq in candidates])
             expected = ref_best_path(
                 [tuple(canonical_key(s) for s in seq) for seq in candidates]
             )
-            assert got == list(expected), f"trial {trial}"
-            # the merged pipeline's trie segment is the same path (no
-            # select/add_column in this vocabulary)
-            merged = merge_pipelines([Pipeline(tuple(seq)) for seq in candidates])
-            assert [canonical_key(s) for s in merged] == got
+            assert [canonical_key(s) for s in merged] == list(expected), f"trial {trial}"
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 

@@ -24,17 +24,18 @@ from tableprep.config import (
     build_semantic_executor,
     load_config,
 )
-from tableprep.data import instance_from_json, load_instances_jsonl
+from tableprep.data import Instance, instance_from_json, load_instances_jsonl
 from tableprep.errors import ConfigError, DatasetError, TablePrepError
 from tableprep.gate import GateConfig
 from tableprep.llm import GenerationConfig
-from tableprep.reward import RewardConfig
+from tableprep.reward import AnswerSet, RewardConfig
 from tableprep.rollback import CellLookupQaClient
 from tableprep.runner import compute_aggregates, dump_report, load_run_report, run_dataset
 from tableprep.semantic import MockSemanticExecutor
+from tableprep.table import Table
 
 from conftest import FLOAT_BOUND
-from oracles import ref_client_config, ref_gate_config, ref_reward_config
+from oracles import ref_client_config, ref_gate_config, ref_reward_config, ref_run_dataset
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 BOM = "\ufeff".encode("utf-8")
@@ -799,3 +800,72 @@ def test_default_appconfig_is_usable():
     assert factory.transport_for("any", "q").texts == ["[]"]
     assert build_qa_client(config).expected == {}
     assert build_semantic_executor(config) is None
+
+
+# Whole mock-backed runs: small tables over three columns, generator scripts
+# mixing pipelines (some reading an absent column "z"), prose around them,
+# junk, "[]" and an unknown operator, and cell_lookup scripts whose answers
+# are cells, a group count or absent from every table.
+RUN_COLUMNS = ["a", "b", "c"]
+RUN_CELLS = ["x", "y", "1", "2"]
+_run_column = st.sampled_from([*RUN_COLUMNS, "z"])
+_run_operator = st.one_of(
+    st.builds(lambda columns: {"operation": "select", "columns": columns}, st.lists(_run_column, min_size=1, max_size=2)),
+    st.builds(lambda column, cmp, value: {"operation": "filter", "column": column, "cmp": cmp, "value": value},
+              _run_column, st.sampled_from(["==", "!=", ">"]), st.sampled_from(["x", "1"])),
+    st.builds(lambda column, order: {"operation": "sort_by", "column": column, "order": order},
+              _run_column, st.sampled_from(["asc", "desc"])),
+    st.builds(lambda column: {"operation": "group_by", "column": column}, _run_column),
+    st.builds(lambda name, description: {"operation": "add_column", "new_column": name, "description": description},
+              st.sampled_from(["n", "a"]), st.sampled_from(["flip", "unknown"])),
+    st.builds(lambda column, description: {"operation": "clean_column", "column": column, "description": description},
+              _run_column, st.sampled_from(["flip", "unknown"])),
+)
+_run_text = st.one_of(
+    st.lists(_run_operator, min_size=1, max_size=3).map(json.dumps),
+    st.lists(_run_operator, min_size=1, max_size=3).map(lambda ops: f"Plan: {json.dumps(ops)} done."),
+    st.sampled_from(["[]", "no plan", "[note 1]", '[{"operation": "explode"}]', '[{"operation": "select"}]']),
+)
+_run_texts = st.lists(_run_text, min_size=1, max_size=3)
+
+
+@st.composite
+def whole_runs(draw):
+    """Instances and an inline mock config for them."""
+    ids = draw(st.lists(st.sampled_from(["i0", "i1", "i2", "i3"]), min_size=1, max_size=4, unique=True))
+    instances = []
+    for instance_id in ids:
+        columns = draw(st.lists(st.sampled_from(RUN_COLUMNS), min_size=1, unique=True))
+        cells = st.sampled_from([*RUN_CELLS, None])
+        rows = draw(st.lists(st.tuples(*[cells] * len(columns)), max_size=4))
+        answers = draw(st.none() | st.lists(st.sampled_from([*RUN_CELLS, "X ", "3"]), min_size=1, max_size=2))
+        question = draw(st.sampled_from(["q", "other", " "]))
+        instances.append(Instance(instance_id, question, Table(tuple(columns), tuple(rows)),
+                                  None if answers is None else AnswerSet.of(*answers)))
+    doc = {
+        "generator": {"mode": "mock", "script": draw(st.dictionaries(st.sampled_from(ids), _run_texts)),
+                      "default_texts": draw(_run_texts)},
+        "qa": {"mode": "cell_lookup",
+               "script": draw(st.dictionaries(st.sampled_from(["q", "other"]),
+                                              st.lists(st.sampled_from([*RUN_CELLS, "3", "zz"]), max_size=3)))},
+        "semantic_executor": draw(st.sampled_from([
+            {"mode": "none"}, {"mode": "mock", "rules": {"flip": {"x": "y", "y": "x", "1": "2"}}}])),
+        "run": {"n": draw(st.integers(1, 4)), "parallelism": draw(st.integers(1, 4)),
+                "eval_matching": draw(st.sampled_from(["exact", "normalized"]))},
+    }
+    return instances, doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(whole_runs())
+def test_a_run_is_the_plain_composition_of_the_references(run):
+    instances, doc = run
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, report_path = os.path.join(tmp, "config.json"), os.path.join(tmp, "report.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        text = dump_report(run_dataset(instances, load_config(config_path)))
+        assert text == ref_run_dataset(instances, doc)
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        load_run_report(report_path, verify=True)

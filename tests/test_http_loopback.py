@@ -55,7 +55,7 @@ class ScriptedModels:
     run must send its candidates one at a time. The QA model looks the
     expected answers up in the markdown table's cells, and the semantic model
     applies the first rule whose pattern occurs in the description to the
-    listed cells of each row.
+    cells of each row of its markdown table.
     """
 
     def __init__(self, config_path, dataset_path):
@@ -76,20 +76,24 @@ class ScriptedModels:
                 self.asked[question] += 1
                 return texts[(self.asked[question] - 1) % len(texts)]
         if system == QA_SYSTEM_PROMPT:
-            cells = {cell for line in user.split("\nTable:\n", 1)[1].splitlines()[2:]
-                     for cell in line[2:-2].split(" | ")}
+            cells = {cell for row in _markdown_rows(user.split("\nTable:\n", 1)[1]) for cell in row}
             return next((a for a in self.expected.get(_question(user), []) if a in cells), NO_DATA)
         assert system == LlmSemanticExecutor.SYSTEM_PROMPT
         instruction, rest = user.split("\n", 1)
         description = instruction.split(": ", 2)[2]
         mapping = next((m for pattern, m in self.rules.items() if pattern in description), {})
-        rows = rest.split("\n")[1:-1]
-        listed = [[part.split("=", 1)[1] for part in row.split(": ", 1)[1].split("; ")] for row in rows]
+        listed = _markdown_rows("\n".join(rest.split("\n")[1:-1]))
         return json.dumps([next((mapping[cell] for cell in cells if cell in mapping), None) for cells in listed])
 
 
 def _question(user):
     return user.split("\n", 1)[0].removeprefix("Question: ")
+
+
+def _markdown_rows(text):
+    """The fields of each row of a markdown table, the header and the ``---``
+    line dropped; the fixtures' cells hold no character the markdown escapes."""
+    return [line[2:-2].split(" | ") for line in text.splitlines()[2:]]
 
 
 class ChatServer(ThreadingHTTPServer):

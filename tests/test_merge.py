@@ -1,6 +1,8 @@
+import ast
 import os
 import re
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from tableprep.engine import OK, execute
 from tableprep.errors import ColumnExistsError, ColumnNotFoundError
-from tableprep.merge import build_trie, best_path, merge_pipelines
+from tableprep.merge import TrieNode, merge_pipelines
 from tableprep.ops import (
     AddColumnOp,
     CleanColumnOp,
@@ -20,6 +22,7 @@ from tableprep.ops import (
     canonical_key,
 )
 
+import oracles
 from conftest import make_table
 from oracles import ref_best_path, ref_merge_hoisting_every_add, ref_merge_pipelines, ref_merge_walking_each_prefix
 
@@ -33,9 +36,23 @@ def keys(specs):
     return [canonical_key(s) for s in specs]
 
 
+def grow(sequences):
+    """A trie grown by the merge's own insert, no node marked unselected."""
+    root = TrieNode("", None)
+    for sequence in sequences:
+        node = root
+        for spec in sequence:
+            node = node.insert(spec, False)
+    return root
+
+
+def merged_keys(sequences):
+    return keys(merge_pipelines([Pipeline(tuple(seq)) for seq in sequences]))
+
+
 class TestBuildTrie:
     def test_identical_sequences_share_branch(self):
-        trie = build_trie([[F_X, S_B], [F_X, S_B]])
+        trie = grow([[F_X, S_B], [F_X, S_B]])
         assert len(trie.children) == 1
         node = next(iter(trie.children.values()))
         assert node.weight == 2
@@ -43,15 +60,15 @@ class TestBuildTrie:
         assert child.weight == 2
 
     def test_shared_prefix_divergent_children(self):
-        trie = build_trie([[F_X, S_B], [F_X, G_C]])
+        trie = grow([[F_X, S_B], [F_X, G_C]])
         node = next(iter(trie.children.values()))
         assert node.weight == 2
         assert sorted(c.weight for c in node.children.values()) == [1, 1]
 
     def test_empty_sequences_contribute_nothing(self):
-        trie = build_trie([[], []])
+        trie = grow([[], []])
         assert trie.children == {}
-        assert best_path(trie) == []
+        assert merged_keys([[], []]) == []
 
     def test_weight_sum_equals_total_ops(self, rng):
         vocabulary = [F_X, F_Y, S_B, G_C]
@@ -60,7 +77,7 @@ class TestBuildTrie:
                 [rng.choice(vocabulary) for _ in range(rng.randint(0, 5))]
                 for _ in range(rng.randint(1, 6))
             ]
-            nodes = list(build_trie(sequences).children.values())
+            nodes = list(grow(sequences).children.values())
             total = 0
             while nodes:
                 node = nodes.pop()
@@ -70,29 +87,26 @@ class TestBuildTrie:
 
 
 class TestBestPath:
+    # no select or add_column here: the merge is the best trie path alone
     def test_majority_branch_wins(self):
         # two candidates share f(x)->s(B); one dissents with f(y)
-        trie = build_trie([[F_X, S_B], [F_X, S_B], [F_Y]])
-        assert keys(best_path(trie)) == keys([F_X, S_B])
+        assert merged_keys([[F_X, S_B], [F_X, S_B], [F_Y]]) == keys([F_X, S_B])
 
     def test_longer_path_beats_equal_weight(self):
         # f1 alone scores 2; f1->g1 scores 2+1=3
-        trie = build_trie([[F_X], [F_X, G_C]])
-        assert keys(best_path(trie)) == keys([F_X, G_C])
+        assert merged_keys([[F_X], [F_X, G_C]]) == keys([F_X, G_C])
 
     def test_tie_prefers_longer(self):
         # [f_x] x2 vs [f_y, g, s]: sums 2 vs 3; make a real tie:
         # [f_x] x3 (sum 3) vs [f_y, g_c, s_b] (sum 1+1+1=3) -> longer wins
-        trie = build_trie([[F_X], [F_X], [F_X], [F_Y, G_C, S_B]])
-        assert keys(best_path(trie)) == keys([F_Y, G_C, S_B])
+        assert merged_keys([[F_X], [F_X], [F_X], [F_Y, G_C, S_B]]) == keys([F_Y, G_C, S_B])
 
     def test_remaining_tie_lexicographic(self):
         # two single-op leaves, weight 1 each, same length
-        trie = build_trie([[F_Y], [F_X]])
-        assert keys(best_path(trie)) == [min(canonical_key(F_X), canonical_key(F_Y))]
+        assert merged_keys([[F_Y], [F_X]]) == [min(canonical_key(F_X), canonical_key(F_Y))]
 
     def test_root_only(self):
-        assert best_path(build_trie([])) == []
+        assert merged_keys([[]]) == []
 
 
 class TestMergePipelines:
@@ -192,7 +206,7 @@ class TestOracleEquivalence:
         assert len({canonical_key(s) for s in vocabulary}) == 8
         for _ in range(500):
             sequences = random_candidates(rng, vocabulary)
-            got = keys(best_path(build_trie(sequences)))
+            got = merged_keys(sequences)
             expected = ref_best_path([tuple(keys(s)) for s in sequences])
             assert got == list(expected)
 
@@ -313,7 +327,7 @@ class TestReadColumnClosure:
         ops = tuple(FilterOp("X", "!=", f"v{i}") for i in range(1500))
         merged = merge_pipelines([Pipeline(ops), Pipeline(ops[:10]), Pipeline((SelectOp(("Y",)),))])
         assert merged == (SelectOp(("Y", "X")), *ops)
-        assert keys(best_path(build_trie([list(ops)]))) == keys(ops)
+        assert merge_pipelines([Pipeline(ops)]) == ops
 
 
 class TestHoistedAddColumns:
@@ -558,3 +572,20 @@ def test_candidates_that_select_added_names_and_run_merge_to_a_pipeline_that_run
     merged = merge_pipelines(candidates)
     trace = execute(merged, table, EXECUTOR)
     assert trace.truncated_at is None, trace.steps[trace.truncated_at]
+
+
+def test_the_merge_references_import_nothing_from_the_merge():
+    """oracles.py takes nothing from tableprep.merge, so no merge reference
+    checks merge_pipelines with the code it checks."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or "", *(f"{node.module}.{alias.name}" for alias in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        if any(name == "tableprep.merge" or name.startswith("tableprep.merge.") for name in names):
+            found.append(node.lineno)
+    assert found == []

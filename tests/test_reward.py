@@ -30,14 +30,12 @@ from tableprep.reward import (
     AnswerSet,
     FilterStats,
     RewardConfig,
-    accuracy_reward,
     approx_token_count,
     compression_reward,
     contains_all_answers,
     filter_dataset,
     is_cell_focused,
     length_reward,
-    op_correctness,
     per_op_correctness,
     total_reward,
 )
@@ -220,10 +218,13 @@ class TestAnswerSetLookup:
 
 class TestOpCorrectness:
     def test_kept_answer_scores_one(self, answer_table):
-        assert op_correctness(answer_table, AnswerSet.of("target")) == 1
+        trace = execute(pipe({"operation": "select", "columns": ["name"]}), answer_table)
+        assert per_op_correctness(trace, AnswerSet.of("target")) == [1]
 
     def test_dropped_answer_scores_zero(self, answer_table):
-        assert op_correctness(make_table(["name"], [["other"]]), AnswerSet.of("target")) == 0
+        trace = execute(pipe({"operation": "filter", "column": "name", "cmp": "==", "value": "other"}), answer_table)
+        assert trace.final == make_table(["name", "val"], [["other", 2]])
+        assert per_op_correctness(trace, AnswerSet.of("target")) == [0]
 
     def test_skipped_steps_score_zero(self, answer_table):
         pipeline = pipe(
@@ -242,11 +243,11 @@ class TestAccuracyReward:
             {"operation": "sort_by", "column": "val", "order": "asc"},
         )
         trace = execute(pipeline, answer_table)
-        assert accuracy_reward(trace, AnswerSet.of("target")) == 1
+        assert total_reward(trace, AnswerSet.of("target"), 0).r_acc == 1
 
     def test_half_correct_four_ops(self, answer_table):
         # ops 1-2 preserve the answer, op 3 drops it, op 4 works on the
-        # answer-free table: cumulative 2 of 4
+        # answer-free table: 2 of 4
         pipeline = pipe(
             {"operation": "select", "columns": ["name", "val"]},
             {"operation": "sort_by", "column": "val", "order": "asc"},
@@ -256,29 +257,18 @@ class TestAccuracyReward:
         trace = execute(pipeline, answer_table)
         answers = AnswerSet.of("target")
         assert per_op_correctness(trace, answers) == [1, 1, 0, 0]
-        assert accuracy_reward(trace, answers) == Fraction(1, 2)
+        assert total_reward(trace, answers, 0).r_acc == Fraction(1, 2)
 
     def test_single_dropping_op(self, answer_table):
         pipeline = pipe({"operation": "filter", "column": "name", "cmp": "==", "value": "other"})
         trace = execute(pipeline, answer_table)
-        assert accuracy_reward(trace, AnswerSet.of("target")) == 0
+        assert total_reward(trace, AnswerSet.of("target"), 0).r_acc == 0
 
     def test_empty_pipeline_zero_without_a_record(self, answer_table, caplog):
         trace = execute(pipe(), answer_table)
         with caplog.at_level(logging.DEBUG):
-            assert accuracy_reward(trace, AnswerSet.of("target")) == 0
+            assert total_reward(trace, AnswerSet.of("target"), 0).r_acc == 0
         assert caplog.records == []
-
-    def test_partial_sums_non_decreasing(self, answer_table):
-        pipeline = pipe(
-            {"operation": "select", "columns": ["name"]},
-            {"operation": "filter", "column": "name", "cmp": "==", "value": "other"},
-            {"operation": "sort_by", "column": "name", "order": "asc"},
-        )
-        trace = execute(pipeline, answer_table)
-        answers = AnswerSet.of("target")
-        values = [accuracy_reward(trace, answers, k) for k in range(1, 4)]
-        assert values == sorted(values)
 
 
 @pytest.fixture
@@ -436,7 +426,7 @@ class TestOneScanPerTrace:
         answers = AnswerSet.of("target")
         breakdown = total_reward(trace, answers, token_len=10)
         assert [id(t) for t in calls] == [id(step.table_after) for step in trace.steps[:2]]
-        assert breakdown.r_acc == accuracy_reward(trace, answers) == Fraction(2, 4)
+        assert breakdown.r_acc == Fraction(2, 4)
 
     def test_empty_pipeline_scores_zero(self, wide_table, caplog):
         trace = execute(pipe(), wide_table)

@@ -10,7 +10,7 @@ from tableprep.engine import FAILED, OK, SKIPPED, execute
 from tableprep.errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError, RequestFailedError
 from tableprep.llm import GenerationConfig, ScriptedTransport
 from tableprep.ops import parse_pipeline
-from tableprep.table import CELL_DECODER, Table, load_json_table
+from tableprep.table import CELL_DECODER, Table, load_json_table, serialize_markdown
 from tableprep.semantic import (
     LlmSemanticExecutor,
     MockSemanticExecutor,
@@ -367,24 +367,49 @@ class _FixedTransport:
         return self.text
 
 
+def _listed(transport):
+    """The table that the one request's prompt lists, as its markdown."""
+    (request,) = transport.requests
+    lines = request[1]["content"].splitlines()
+    assert lines[1].startswith("Rows (") and lines[-1].startswith("Answer with")
+    return "\n".join(lines[2:-1])
+
+
 class TestLlmExecutor:
     def test_batched_add_column(self, names_table):
         transport = _FixedTransport('["F", "M"]')
         executor = LlmSemanticExecutor(transport, GenerationConfig())
         out = exec_add_column(names_table, "Gender", "infer genders from Name", executor)
         assert [row[2] for row in out.rows] == ["F", "M"]
-        # one request for the whole column
-        assert len(transport.requests) == 1
-        user = transport.requests[0][1]["content"]
-        assert "0:" in user and "1:" in user
+        # one request for the whole column, every row listed
+        assert _listed(transport) == serialize_markdown(make_table(["Name"], [["Ada"], ["Bob"]]))
 
     def test_relevant_columns_only(self, names_table):
         transport = _FixedTransport('["F", "M"]')
         executor = LlmSemanticExecutor(transport, GenerationConfig())
         exec_add_column(names_table, "Gender", "infer genders from the column Name", executor)
-        user = transport.requests[0][1]["content"]
-        assert "Name=Ada" in user
-        assert "Score" not in user
+        assert _listed(transport) == "| Name |\n| --- |\n| Ada |\n| Bob |"
+        assert "Score" not in transport.requests[0][1]["content"]
+
+    def test_every_row_is_listed_whatever_the_prompt_cap(self):
+        table = make_table(["d"], [[f"v{i}"] for i in range(5)])
+        transport = _FixedTransport('["a", "b", "c", "d", "e"]')
+        exec_clean_column(table, "d", "normalize d", LlmSemanticExecutor(transport, GenerationConfig(prompt_max_rows=1)))
+        assert _listed(transport) == serialize_markdown(table)
+
+    @pytest.mark.parametrize(
+        "row, listed",
+        [
+            (["x; b=y", "z"], "| x; b=y | z |"),
+            (["x | y", "z"], "| x \\| y | z |"),
+            (["line1\nline2", "w\\"], "| line1\\nline2 | w\\\\ |"),
+        ],
+    )
+    def test_a_row_is_listed_unambiguously(self, row, listed):
+        table = make_table(["a", "b"], [row])
+        transport = _FixedTransport('["F"]')
+        exec_add_column(table, "g", "something unrelated", LlmSemanticExecutor(transport, GenerationConfig()))
+        assert _listed(transport) == "| a | b |\n| --- | --- |\n" + listed
 
     @pytest.mark.parametrize(
         "description, listed",
@@ -400,15 +425,14 @@ class TestLlmExecutor:
         table = make_table(["Name", "a", "Score"], [["Ada", "x", 10]])
         transport = _FixedTransport('["F"]')
         exec_add_column(table, "Gender", description, LlmSemanticExecutor(transport, GenerationConfig()))
-        row = transport.requests[0][1]["content"].splitlines()[2]
-        assert [cell.split("=")[0] for cell in row.removeprefix("0: ").split("; ")] == listed
+        header = _listed(transport).splitlines()[0]
+        assert header[2:-2].split(" | ") == listed
 
     def test_whole_row_when_no_column_named(self, names_table):
         transport = _FixedTransport('["x", "y"]')
         executor = LlmSemanticExecutor(transport, GenerationConfig())
         exec_add_column(names_table, "g", "something unrelated", executor)
-        user = transport.requests[0][1]["content"]
-        assert "Name=Ada" in user and "Score=10" in user
+        assert _listed(transport) == serialize_markdown(names_table)
 
     def test_no_json_is_executor_failure(self, names_table):
         executor = LlmSemanticExecutor(_FixedTransport("cannot comply"), GenerationConfig())

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import json
+import re
 from decimal import Decimal
 from pathlib import Path
 
@@ -230,6 +231,20 @@ class TestSerialization:
         for _ in range(25):
             table = random_table(rng)
             assert len(serialize_markdown(table).split("\n")) == table.n_rows + 2
+
+    @pytest.mark.parametrize("table", [
+        Table(("a", "b"), (("x | y", "z"), ("line1\nline2", "w"))),
+        Table(("a|b", "c\\"), (("\r\n", "|"), ("\\|", " | | "), (None, "\\n"))),
+    ])
+    def test_a_cell_keeps_the_shape_of_the_table(self, table):
+        lines = serialize_markdown(table).split("\n")
+        assert len(lines) == table.n_rows + 2
+        for line in lines:  # a field's own pipes are escaped: the rest frame n_cols fields
+            assert len(re.findall(r"(?<!\\)\|", line)) == table.n_cols + 1
+
+    def test_markdown_escapes_backslash_pipe_and_line_breaks(self):
+        table = Table(("a|b",), (("x | y\\",), ("p\r\nq",)))
+        assert serialize_markdown(table) == "| a\\|b |\n| --- |\n| x \\| y\\\\ |\n| p\\r\\nq |"
 
     def test_markdown_size_by_hand(self):
         table = make_table(["a", "é"], [[None, Decimal("2.50")], ["ü", "x"]])
@@ -490,10 +505,10 @@ class TestExactJsonNumbers:
             load_json_table({"header": ["a"], "rows": [[Decimal("NaN")]]})
 
 
-_SIZE_NAMES = st.text(alphabet="ab é字\U0001f600|-", max_size=3)
+_SIZE_NAMES = st.text(alphabet="ab é字\U0001f600|-\\\n\r", max_size=3)
 _SIZE_CELLS = st.one_of(
     st.none(),
-    st.text(alphabet="a7 .é字\U0001f600|", max_size=4),
+    st.text(alphabet="a7 .é字\U0001f600|\\\n\r", max_size=4),
     st.sampled_from(["7", "", "-0"]),
     st.decimals(allow_nan=False, allow_infinity=False, places=2, min_value=-1000, max_value=1000),
     st.sampled_from([Decimal("7"), Decimal("7.00"), Decimal("-0"), Decimal("0E+3"), Decimal("1E+2")]),
@@ -528,7 +543,8 @@ def test_markdown_size_is_the_byte_length_of_the_markdown(tables):
 def test_cell_widths_are_the_byte_length_of_the_rendering(cells):
     widths = CellWidths()  # equal cells share an entry, so one memo serves the list
     for cell in cells:
-        assert widths[cell] == len(render_value(cell).encode("utf-8"))
+        text = render_value(cell).replace("\\", "\\\\").replace("|", "\\|").replace("\r", "\\r").replace("\n", "\\n")
+        assert widths[cell] == len(text.encode("utf-8"))
 
 
 def test_serialize_json_shape():

@@ -22,6 +22,22 @@ facts, and whether the two trees' outputs match (the serve report bytes, or
 the train reward digest). The last line of standard output is one JSON object
 of the same facts. It exits 1 as soon as a pass fails a workload check, and 0
 otherwise.
+
+With ``--runs K`` the tool judges a change as the benchmark does instead:
+
+    python3 tools/ab.py --base HEAD~1 --head . --workload train_groups --runs 10 --claim throughput_ips
+
+It runs each tree's own, unmodified ``perfbench/run.py --trace 0`` in a child
+process, ``K`` times per tree for the base tree's ``BENCHMARK.json``
+``run_seconds`` each (``SMOKE_SECONDS`` with ``--size smoke``), alternating
+which side goes first. For every end-to-end metric that the base tree's
+``BENCHMARK.json`` lists, it prints each side's median and quartiles, the
+pairs the head won, and whether the head's median is worse than the base's
+by more than the metric's bound, relative to the base's median. With
+``--claim METRIC`` it also prints whether the head won at least nine in ten
+pairs and beat the base's median by more than the distance between the base's
+quartiles. The last line is one JSON object of the same facts. It exits 1 as
+soon as a run fails its checks.
 """
 
 from __future__ import annotations
@@ -242,6 +258,115 @@ def run(args) -> None:
                       "outputs_match": outputs_match, "machine": machine}))
 
 
+# --- whole runs ----------------------------------------------------------------
+
+SMOKE_SECONDS = 0.2  # a smoke-size run checks the tool, not the change
+
+
+def benchmark_spec(tree: str) -> dict:
+    path = os.path.join(tree, "BENCHMARK.json")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:
+        fail(f"cannot read {path}: {err}")
+
+
+def bench_once(name: str, tree: str, args, seconds: float) -> dict:
+    """The end-to-end metric values of one ``perfbench/run.py --trace 0`` of ``tree``;
+    exits 1 when the run failed its checks."""
+    command = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", args.workload,
+               "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0", "--size", args.size]
+    out = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+    try:
+        result = json.loads(out.stdout.strip().splitlines()[-1])
+    except (IndexError, ValueError):
+        fail(f"the {name} tree's perfbench/run.py exited with {out.returncode} and no result:\n{out.stderr}")
+    if out.returncode != 0 or not result["correct"]:
+        print(f"ab: the {name} tree failed its workload checks:", file=sys.stderr)
+        for line in out.stdout.splitlines():
+            if "CHECK FAILED" in line:
+                print(line, file=sys.stderr)
+        sys.exit(1)
+    return {metric: doc["value"] for metric, doc in result["metrics"].items()}
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """First quartile, median and third quartile (``statistics.quantiles``, inclusive)."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def judge(spec: dict, base_runs: list[dict], head_runs: list[dict], claim: str | None) -> dict:
+    """Per end-to-end metric: each side's quartiles, the head's pair wins, its
+    relative change and whether that is worse than the bound; and the claim."""
+    metrics = {}
+    for entry in spec["end_to_end"]:
+        name, higher = entry["name"], entry["better"] == "higher"
+        base = [run[name] for run in base_runs]
+        head = [run[name] for run in head_runs]
+        (b1, bm, b3), (h1, hm, h3) = quartiles(base), quartiles(head)
+        gain = (hm - bm) if higher else (bm - hm)  # > 0: the head is better
+        metrics[name] = {
+            "better": entry["better"], "bound": entry["bound"],
+            "base": {"median": bm, "q1": b1, "q3": b3}, "head": {"median": hm, "q1": h1, "q3": h3},
+            "head_wins": sum((h > b) if higher else (h < b) for b, h in zip(base, head)),
+            "change": (hm - bm) / bm if bm else 0.0,
+            "worse_than_bound": -gain > entry["bound"] * abs(bm),
+            "gain": gain,
+        }
+    verdict = None
+    if claim is not None:
+        m = metrics[claim]
+        pairs = len(base_runs)
+        won = 10 * m["head_wins"] >= 9 * pairs
+        beat = m["gain"] > m["base"]["q3"] - m["base"]["q1"]
+        verdict = {"metric": claim, "head_wins": m["head_wins"], "pairs": pairs, "won_nine_in_ten": won,
+                   "gain": m["gain"], "base_quartile_spread": m["base"]["q3"] - m["base"]["q1"],
+                   "beat_spread": beat, "met": won and beat}
+    return {"metrics": metrics, "claim": verdict}
+
+
+def run_benchmark(args) -> None:
+    base, base_name = materialize(args.base)
+    head, head_name = materialize(args.head)
+    spec = benchmark_spec(base)
+    names = [entry["name"] for entry in spec["end_to_end"]]
+    if args.claim is not None and args.claim not in names:
+        fail(f"--claim {args.claim} is not an end-to-end metric of {base_name}: {', '.join(names)}")
+    seconds = SMOKE_SECONDS if args.size == "smoke" else spec["run_seconds"]
+    runs = {"base": [], "head": []}
+    sides = (("base", base), ("head", head))
+    for i in range(args.runs):
+        for name, tree in (sides if i % 2 == 0 else sides[::-1]):
+            runs[name].append(bench_once(name, tree, args, seconds))
+    result = judge(spec, runs["base"], runs["head"], args.claim)
+    machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
+               "implementation": platform.python_implementation(), "machine": platform.machine()}
+
+    print(f"ab {args.workload} seed={args.seed} size={args.size} timing=runs runs={args.runs} seconds={seconds}")
+    print(f"base: {base_name}")
+    print(f"head: {head_name}")
+    print("machine: " + " ".join(f"{k}={v}" for k, v in machine.items()))
+    for name, m in result["metrics"].items():
+        b, h = m["base"], m["head"]
+        print(f"  {name:<15} base {b['median']:.6g} [{b['q1']:.6g}-{b['q3']:.6g}]"
+              f"  head {h['median']:.6g} [{h['q1']:.6g}-{h['q3']:.6g}]"
+              f"  head better in {m['head_wins']} of {args.runs}  change {m['change']:+.2%}"
+              f"  ({m['better']} is better; bound {m['bound']}: "
+              + ("WORSE THAN BOUND)" if m["worse_than_bound"] else "within)"))
+    claim = result["claim"]
+    if claim is not None:
+        print(f"claim {claim['metric']}: head better in {claim['head_wins']} of {claim['pairs']} pairs "
+              f"({'at least' if claim['won_nine_in_ten'] else 'fewer than'} nine in ten); median gain "
+              f"{claim['gain']:.6g} {'over' if claim['beat_spread'] else 'within'} the base's quartile spread "
+              f"{claim['base_quartile_spread']:.6g}: " + ("met" if claim["met"] else "NOT MET"))
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "size": args.size, "timing": "runs",
+                      "runs": args.runs, "seconds": seconds, **result, "machine": machine}))
+
+
 def main() -> None:
     if sys.argv[1:2] == ["--worker"]:
         tree, work_dir, cpu = sys.argv[2:]
@@ -255,10 +380,21 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--size", choices=("full", "smoke"), default="full")
     parser.add_argument("--setup", action="store_true", help="time workloads.setup instead of a pass")
+    parser.add_argument("--runs", type=int, help="run each tree's perfbench/run.py this many times instead")
+    parser.add_argument("--claim", metavar="METRIC", help="with --runs: judge a claimed gain in this metric")
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    run(args)
+    if args.runs is None:
+        if args.claim is not None:
+            parser.error("--claim needs --runs")
+        run(args)
+        return
+    if args.runs < 1:
+        parser.error("--runs must be at least 1")
+    if args.setup:
+        parser.error("--setup times passes in workers; --runs reports setup_s itself")
+    run_benchmark(args)
 
 
 if __name__ == "__main__":
