@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import DatasetError, TablePrepError
-from .reward import AnswerSet
+from .reward import EXACT, AnswerSet
 from .table import CELL_DECODER, CellMemo, Table, format_number, load_json_table, serialize_json
 
 
@@ -34,7 +34,7 @@ class Instance:
         return doc
 
 
-def instance_from_json(doc: dict, matching: str = "exact", memo: CellMemo | None = None) -> Instance:
+def instance_from_json(doc: dict, matching: str = EXACT, memo: CellMemo | None = None) -> Instance:
     if not isinstance(doc, dict):
         raise DatasetError("instance must be a JSON object")
     for key in ("id", "question", "table"):
@@ -66,7 +66,7 @@ def parse_answers(raw, matching: str) -> AnswerSet:
     return AnswerSet(tuple(format_number(a) if isinstance(a, Decimal) else str(a) for a in raw), matching)
 
 
-def load_instances_jsonl(path: str, matching: str = "exact"):
+def load_instances_jsonl(path: str, matching: str = EXACT):
     """Read instances from a JSONL file.
 
     Lines are read through :data:`~tableprep.table.CELL_DECODER`, so a JSON

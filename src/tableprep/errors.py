@@ -7,7 +7,8 @@ policy) while programming errors still propagate. A file that cannot be
 opened raises Python's ``OSError``. A bad argument from library code is a
 ``ValueError`` (``AnswerSet(())``, ``GenerationConfig(timeout=0)``,
 ``as_fraction("x")``) or a ``TypeError`` (``apply_operator`` given a
-non-spec), not a TablePrepError.
+non-spec), not a TablePrepError: a bad reward or gate setting, such as
+``RewardConfig(l_cache=0)``, is refused by the config that holds it.
 A chat transport fails by raising ``OSError``, as every ``requests`` error
 does, or a :class:`TablePrepError`; ``llm.chat`` retries those, then raises
 :class:`RequestFailedError`. Any other exception from a transport is a bug.
@@ -99,10 +100,6 @@ class ExecutorFailureError(OperatorError):
 # --- reward computation ---
 
 class DegenerateInitialTableError(TablePrepError):
-    pass
-
-
-class BadBudgetError(TablePrepError):
     pass
 
 

@@ -100,10 +100,10 @@ def _require_pair(rewards: Sequence) -> None:
         raise GroupTooSmallError("advantages need a group of at least 2")
 
 
-def _normalized(rewards: Sequence, stats: GroupStats, advantage_epsilon) -> list[Fraction]:
+def _normalized(rewards: Sequence, stats: GroupStats, cfg: GateConfig) -> list[Fraction]:
     """(R_i - mean) / (std + epsilon) for the group that ``stats`` describes,
     each formed as one Fraction of integers."""
-    scale = stats.std + as_fraction(advantage_epsilon)
+    scale = stats.std + as_fraction(cfg.advantage_epsilon)
     m, n = stats.mean.numerator, stats.mean.denominator
     p, q = scale.numerator, scale.denominator
     # (a/b - m/n) / (p/q) = (a n - m b) q / (b n p)
@@ -113,8 +113,8 @@ def _normalized(rewards: Sequence, stats: GroupStats, advantage_epsilon) -> list
     ]
 
 
-def advantages(rewards: Sequence, advantage_epsilon=Fraction(1, 10**6)) -> list[Fraction]:
-    """Normalized deviations (R_i - mean) / (std + epsilon), as Fractions.
+def advantages(rewards: Sequence, config: GateConfig) -> list[Fraction]:
+    """Normalized deviations (R_i - mean) / (std + advantage_epsilon), as Fractions.
 
     The mean and deviations are exact; the std is the square root of the
     variance p/q rounded down to a multiple of 1/(q 2^64), so the shared
@@ -122,7 +122,7 @@ def advantages(rewards: Sequence, advantage_epsilon=Fraction(1, 10**6)) -> list[
     advantages sum to zero, and constant groups map to zeros.
     """
     _require_pair(rewards)
-    return _normalized(rewards, group_stats(rewards), advantage_epsilon)
+    return _normalized(rewards, group_stats(rewards), config)
 
 
 @dataclass(frozen=True)
@@ -139,12 +139,12 @@ def _decide(stats: GroupStats, cfg: GateConfig) -> GateDecision:
     return GateDecision(True)
 
 
-def vgr_accept(rewards: Sequence, config: GateConfig | None = None) -> GateDecision:
+def vgr_accept(rewards: Sequence, config: GateConfig) -> GateDecision:
     """Apply both group constraints; the first failing one names the rejection.
 
     Variance is checked before quality.
     """
-    return _decide(group_stats(rewards), config or GateConfig())
+    return _decide(group_stats(rewards), config)
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ class SampleOutcome:
 def sample_accepted_group(
     source: Callable[[int], Sequence[GroupMember]],
     group_size: int,
-    config: GateConfig | None = None,
+    config: GateConfig,
 ) -> SampleOutcome:
     """Draw whole groups from ``source`` until one passes the gate.
 
@@ -178,21 +178,20 @@ def sample_accepted_group(
     reason seen. Each draw's statistics are computed once and give both the
     decision and, when it passes, the advantages.
     """
-    cfg = config or GateConfig()
     if group_size < 2:
         raise GroupTooSmallError("group_size must be at least 2")
     reasons: list[str] = []
-    for attempt in range(1, cfg.max_resample_attempts + 1):
+    for attempt in range(1, config.max_resample_attempts + 1):
         group = tuple(source(group_size))
         rewards = [m.reward for m in group]
         stats = group_stats(rewards)
-        decision = _decide(stats, cfg)
+        decision = _decide(stats, config)
         if decision.accepted:
             _require_pair(rewards)
-            adv = tuple(_normalized(rewards, stats, cfg.advantage_epsilon))
+            adv = tuple(_normalized(rewards, stats, config))
             return SampleOutcome(group, adv, attempt, tuple(reasons))
         reasons.append(decision.reason)
-    return SampleOutcome(None, None, cfg.max_resample_attempts, tuple(reasons))
+    return SampleOutcome(None, None, config.max_resample_attempts, tuple(reasons))
 
 
 def gate_record(instance_id: str, outcome: SampleOutcome) -> dict:

@@ -137,10 +137,19 @@ class ScriptedTransport:
         return self.texts[index % len(self.texts)]
 
 
+_ONE_LINE = str.maketrans({"\\": "\\\\", "\r": "\\r", "\n": "\\n"})
+
+
+def one_line(text: str) -> str:
+    """``text`` as one prompt line, so that a question or an instruction adds no line:
+    ``\\`` as ``\\\\``, a carriage return or line feed as the text ``\\r`` or ``\\n``."""
+    return text.translate(_ONE_LINE)
+
+
 def question_prompt(question: str, table: Table, max_rows: int | None = None) -> str:
-    """The user text the generator and the QA client share: the question and
-    the table as markdown, cut to ``max_rows`` rows."""
-    return f"Question: {question}\n\nTable:\n{serialize_markdown(table, max_rows)}"
+    """The user text the generator and the QA client share: the question as
+    :func:`one_line` and the table as markdown, cut to ``max_rows`` rows."""
+    return f"Question: {one_line(question)}\n\nTable:\n{serialize_markdown(table, max_rows)}"
 
 
 def chat(transport: ChatTransport, config: GenerationConfig, system: str, user: str, index: int = 0) -> str:

@@ -9,8 +9,8 @@ Scoring shares work between calls on one thread
 (:class:`~tableprep.engine.ThreadScope`), scoped to one initial table and one
 :class:`AnswerSet`. It keeps the correctness bit of each table it scanned,
 keyed by the table object, and each :class:`RewardBreakdown`, keyed by the
-trace object, ``token_len`` and the config object (``config=None`` is one
-module-level default).
+trace object, ``token_len`` and the :class:`RewardConfig` object, which alone
+checks the settings that the rewards read from it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from itertools import chain
 from typing import Iterable
 
 from .engine import OK, ExecutionTrace, ThreadScope
-from .errors import BadBudgetError, DegenerateInitialTableError
+from .errors import DegenerateInitialTableError
 from .table import CellWidths, Table, markdown_size, render_lookup
 # Unused here: perfbench/spans.py wraps reward.serialize_markdown
 # by name when it traces a run, so the name stays until that patch is dropped.
@@ -139,12 +139,12 @@ def per_op_correctness(trace: ExecutionTrace, answers: AnswerSet) -> list[int]:
     return bits
 
 
-def compression_reward(trace: ExecutionTrace, orientation: str = AS_WRITTEN) -> Fraction:
+def compression_reward(trace: ExecutionTrace, config: RewardConfig) -> Fraction:
     """Half row ratio plus half column ratio of the final versus the initial table.
 
     As written, an identity pipeline scores 1 and adding columns can exceed 1;
-    ``orientation="inverted"`` flips to ``max(0, 1 - value)`` for callers that
-    want shrinkage rewarded directly.
+    ``compression_orientation="inverted"`` flips to ``max(0, 1 - value)`` for
+    callers that want shrinkage rewarded directly.
     """
     initial = trace.initial
     if initial.n_rows == 0 or initial.n_cols == 0:
@@ -156,26 +156,22 @@ def compression_reward(trace: ExecutionTrace, orientation: str = AS_WRITTEN) -> 
         current.n_rows * initial.n_cols + current.n_cols * initial.n_rows,
         2 * initial.n_rows * initial.n_cols,
     )
-    if orientation == INVERTED:
+    if config.compression_orientation == INVERTED:
         return max(Fraction(0), 1 - value)
-    if orientation != AS_WRITTEN:
-        raise ValueError(f"unknown compression orientation {orientation!r}")
     return value
 
 
-def length_reward(token_len: int, l_max: int = 2560, l_cache: int = 512) -> Fraction:
+def length_reward(token_len: int, config: RewardConfig) -> Fraction:
     """Soft output-length penalty: free below the budget, -1 above the cap.
 
     Piecewise linear and continuous: 0 up to ``l_max - l_cache``, then a ramp
     down to -1 at ``l_max``, then -1.
     """
-    if not 0 < l_cache < l_max:
-        raise BadBudgetError(f"need 0 < l_cache < l_max, got l_cache={l_cache}, l_max={l_max}")
-    threshold = l_max - l_cache
+    threshold = config.l_max - config.l_cache
     if token_len <= threshold:
         return _ZERO
-    if token_len <= l_max:
-        return Fraction(threshold - token_len, l_cache)
+    if token_len <= config.l_max:
+        return Fraction(threshold - token_len, config.l_cache)
     return Fraction(-1)
 
 
@@ -197,9 +193,6 @@ class RewardConfig:
         if not 0 < self.l_cache < self.l_max:
             raise ValueError(f"l_cache must satisfy 0 < l_cache < l_max, "
                              f"got l_cache={self.l_cache}, l_max={self.l_max}")
-
-
-_DEFAULT_CONFIG = RewardConfig()
 
 
 @dataclass(frozen=True)
@@ -234,7 +227,7 @@ def total_reward(
     trace: ExecutionTrace,
     answers: AnswerSet,
     token_len: int,
-    config: RewardConfig | None = None,
+    config: RewardConfig,
 ) -> RewardBreakdown:
     """Weighted sum of accuracy, compression, and length rewards.
 
@@ -246,22 +239,21 @@ def total_reward(
     ``answers``, ``token_len`` and config object returns that breakdown (see
     the module docstring).
     """
-    cfg = _DEFAULT_CONFIG if config is None else config
     scored = _SCOPE.memo(trace.initial, answers)[1]
-    key = (id(trace), token_len, id(cfg))
+    key = (id(trace), token_len, id(config))
     hit = scored.get(key)
     if hit is not None:
         return hit[2]
     bits = per_op_correctness(trace, answers)
     n = len(trace.steps)
     r_acc = Fraction(sum(bits), n) if n else _ZERO
-    r_compress = compression_reward(trace, orientation=cfg.compression_orientation)
-    r_length = length_reward(token_len, cfg.l_max, cfg.l_cache)
+    r_compress = compression_reward(trace, config)
+    r_length = length_reward(token_len, config)
     # a/b + (c/d)(e/f) + (g/h)(i/j) over the common denominator b*d*f*h*j
     a, b = r_acc.numerator, r_acc.denominator
-    c, d = cfg.lambda_compress.numerator, cfg.lambda_compress.denominator
+    c, d = config.lambda_compress.numerator, config.lambda_compress.denominator
     e, f = r_compress.numerator, r_compress.denominator
-    g, h = cfg.lambda_length.numerator, cfg.lambda_length.denominator
+    g, h = config.lambda_length.numerator, config.lambda_length.denominator
     i, j = r_length.numerator, r_length.denominator
     df, hj = d * f, h * j
     total = Fraction(a * df * hj + c * e * b * hj + g * i * b * df, b * df * hj)
@@ -274,7 +266,7 @@ def total_reward(
         n=n,
         token_len=token_len,
     )
-    scored[key] = (trace, cfg, breakdown)
+    scored[key] = (trace, config, breakdown)
     return breakdown
 
 
@@ -303,7 +295,7 @@ class FilterStats:
         }
 
 
-def filter_dataset(instances: Iterable, max_tokens: int = 2800):
+def filter_dataset(instances: Iterable, max_tokens: int):
     """Keep instances that are cell-focused and fit the training token budget.
 
     Each instance must expose ``id``, ``question``, ``table``, and ``answers``.

@@ -26,7 +26,7 @@ from operator import add, itemgetter
 from typing import Callable, Mapping, Protocol, Sequence
 
 from .errors import ColumnExistsError, ColumnNotFoundError, ExecutorFailureError
-from .llm import GenerationConfig, chat, first_json_array
+from .llm import GenerationConfig, chat, first_json_array, one_line
 from .ops import exec_select
 from .table import CellMemo, Table, Value, check_rows, render_lookup, serialize_markdown
 
@@ -171,7 +171,7 @@ class LlmSemanticExecutor:
 
     def _ask(self, instruction: str, table: Table, columns: list[str]) -> list[Value]:
         user = (
-            f"Instruction: {instruction}\n"
+            f"Instruction: {one_line(instruction)}\n"
             f"Rows ({table.n_rows} total):\n{serialize_markdown(exec_select(table, columns))}\n"
             f"Answer with a JSON array of exactly {table.n_rows} strings."
         )

@@ -43,15 +43,7 @@ from tableprep.ops import (
     SortByOp,
     parse_pipeline,
 )
-from tableprep.reward import (
-    AnswerSet,
-    RewardBreakdown,
-    RewardConfig,
-    compression_reward,
-    contains_all_answers,
-    length_reward,
-    match_answer,
-)
+from tableprep.reward import AnswerSet, RewardBreakdown, RewardConfig
 from tableprep.table import Table, format_number, ingest_cell, parse_number, render_value
 
 
@@ -75,11 +67,19 @@ def ref_format_number(value: Decimal) -> str:
     return text.rstrip("0").rstrip(".") if "." in text else text
 
 
+def ref_match(answer: str, text: str, matching: str) -> bool:
+    """Equal text; under ``normalized`` matching, equal once both are
+    stripped and casefolded."""
+    if matching == "normalized":
+        return answer.strip().casefold() == text.strip().casefold()
+    return answer == text
+
+
 def ref_contains_all_answers(table: Table, answers: AnswerSet) -> bool:
     """Render every cell, then look for each answer among the renderings."""
     rendered = [render_value(cell) for row in table.rows for cell in row]
     return all(
-        any(match_answer(answer, cell, answers.matching) for cell in rendered)
+        any(ref_match(answer, cell, answers.matching) for cell in rendered)
         for answer in answers.answers
     )
 
@@ -726,18 +726,26 @@ def ref_answer_with_rollback(question, table, pipeline, qa, executor=None):
 def ref_per_op_correctness(trace, answers: AnswerSet) -> list:
     """Scan every OK step's table; failed and skipped steps score 0."""
     return [
-        (1 if contains_all_answers(step.table_after, answers) else 0) if step.status == OK else 0
+        (1 if ref_contains_all_answers(step.table_after, answers) else 0) if step.status == OK else 0
         for step in trace.steps
     ]
 
 
 def ref_total_reward(trace, answers: AnswerSet, token_len: int, config: RewardConfig) -> RewardBreakdown:
-    """Every OK step scanned, and the total summed Fraction by Fraction."""
+    """Every OK step scanned, each term by the README's formula, and the
+    total summed Fraction by Fraction: compression ``0.5 * R_n/R + 0.5 *
+    C_n/C`` (inverted, ``max(0, 1 - value)``), and length the line through 0
+    at ``l_max - l_cache`` tokens and -1 at ``l_max``, clamped to [-1, 0]."""
     bits = ref_per_op_correctness(trace, answers)
     n = len(trace.steps)
     r_acc = Fraction(sum(bits), n) if n else Fraction(0)
-    r_compress = compression_reward(trace, orientation=config.compression_orientation)
-    r_length = length_reward(token_len, config.l_max, config.l_cache)
+    initial, final = trace.initial, trace.final
+    half = Fraction(1, 2)
+    r_compress = half * Fraction(final.n_rows, initial.n_rows) + half * Fraction(final.n_cols, initial.n_cols)
+    if config.compression_orientation == "inverted":
+        r_compress = max(Fraction(0), 1 - r_compress)
+    ramp = Fraction(config.l_max - config.l_cache - token_len, config.l_cache)
+    r_length = min(Fraction(0), max(Fraction(-1), ramp))
     total = r_acc + config.lambda_compress * r_compress + config.lambda_length * r_length
     return RewardBreakdown(tuple(bits), r_acc, r_compress, r_length, total, n, token_len)
 
@@ -781,12 +789,6 @@ class RefMockExecutor:
 
 def _ref_cells(table) -> int:
     return sum(len(row) for row in table.rows)
-
-
-def _ref_matches(answer: str, gold: str, matching: str) -> bool:
-    if matching == "normalized":
-        return answer.strip().casefold() == gold.strip().casefold()
-    return answer == gold
 
 
 def ref_run_dataset(instances, doc: dict) -> str:
@@ -835,7 +837,7 @@ def ref_run_dataset(instances, doc: dict) -> str:
             "candidate_errors": candidate_errors,
         }
         if instance.answers is not None:
-            record["correct"] = any(_ref_matches(answer, gold, matching) for gold in instance.answers.answers)
+            record["correct"] = any(ref_match(answer, gold, matching) for gold in instance.answers.answers)
         records.append(record)
     records.sort(key=lambda r: r["id"])
     errors.sort(key=lambda e: e["id"])

@@ -74,6 +74,12 @@ def test_a_pair_of_benchmark_runs_reports_every_end_to_end_metric():
     assert result["claim"]["metric"] == "throughput_ips" and result["claim"]["pairs"] == 1
     assert result["claim"]["met"] == (result["claim"]["won_nine_in_ten"] and result["claim"]["beat_spread"])
     assert "claim throughput_ips: head better in " in out.stdout
+    operations = result["operations"]
+    for side in ("base", "head"):
+        assert operations[side]["attempted"] > 0 and operations[side]["failed"] == 0
+    assert operations["head_fails_larger_share"] is False
+    assert (f"  failed operations: base 0 / {operations['base']['attempted']}, "
+            f"head 0 / {operations['head']['attempted']}\n") in out.stdout
 
 
 def test_a_run_that_fails_its_checks_exits_1(tmp_path):

@@ -18,7 +18,7 @@ from click.testing import CliRunner
 
 from tableprep.cli import main as cli_main
 from tableprep.engine import execute
-from tableprep.gate import LOW_VARIANCE, advantages, vgr_accept
+from tableprep.gate import LOW_VARIANCE, GateConfig, advantages, vgr_accept
 from tableprep.merge import merge_pipelines
 from tableprep.ops import (
     FilterOp,
@@ -32,7 +32,7 @@ from tableprep.ops import (
     exec_sort_by,
     parse_pipeline,
 )
-from tableprep.reward import AnswerSet, compression_reward, length_reward, total_reward
+from tableprep.reward import AnswerSet, RewardConfig, compression_reward, length_reward, total_reward
 
 from conftest import CELL_TEXTS, CountingExecutor, SequenceQaClient, make_table, random_table
 from oracles import ref_best_path, ref_filter, ref_group_by, ref_select, ref_sort_by
@@ -57,13 +57,14 @@ def criterion(number, name):
 def test_criterion_1_advantage_distortion():
     with criterion(1, "advantage distortion reproduction"):
         expected = [1.41, -0.70, -0.70]
+        config = GateConfig()
         for group in ([0.9, 0.5, 0.5], [0.3, 0.1, 0.1]):
-            got = [float(a) for a in advantages(group)]
+            got = [float(a) for a in advantages(group, config)]
             assert all(abs(g - e) <= 0.01 for g, e in zip(got, expected)), (group, got)
 
-        advantages([0.9, 0.5, 0.5])  # warm caches before timing
+        advantages([0.9, 0.5, 0.5], config)  # warm caches before timing
         best = min(
-            _timed(lambda: (advantages([0.9, 0.5, 0.5]), advantages([0.3, 0.1, 0.1])))
+            _timed(lambda: (advantages([0.9, 0.5, 0.5], config), advantages([0.3, 0.1, 0.1], config)))
             for _ in range(10)
         )
         assert best < 0.001, f"advantage computation took {best * 1e3:.3f} ms"
@@ -77,20 +78,21 @@ def _timed(fn):
 
 def test_criterion_2_vgr_gate():
     with criterion(2, "variance-aware group gate"):
-        low = vgr_accept([0.3, 0.1, 0.1])
+        config = GateConfig()
+        low = vgr_accept([0.3, 0.1, 0.1], config)
         assert not low.accepted
 
-        constant = vgr_accept([0.5, 0.5, 0.5])
+        constant = vgr_accept([0.5, 0.5, 0.5], config)
         assert not constant.accepted and constant.reason == LOW_VARIANCE
 
-        assert vgr_accept([0.9, 0.1, 0.2]).accepted
+        assert vgr_accept([0.9, 0.1, 0.2], config).accepted
 
         rng = random.Random(4242)
         rejections = 0
         for _ in range(100):
             value = Fraction(rng.randint(0, 400), 100)
             group = [value] * rng.randint(2, 10)
-            decision = vgr_accept(group)
+            decision = vgr_accept(group, config)
             if not decision.accepted and decision.reason == LOW_VARIANCE:
                 rejections += 1
         assert rejections == 100
@@ -99,16 +101,18 @@ def test_criterion_2_vgr_gate():
 def test_criterion_3_length_reward_goldens():
     with criterion(3, "length reward golden values"):
         golden = {0: 0, 2048: 0, 2304: Fraction(-1, 2), 2560: -1, 2561: -1, 10000: -1}
+        budget = RewardConfig(l_max=2560, l_cache=512)
         for token_len, expected in golden.items():
-            assert length_reward(token_len, 2560, 512) == expected, token_len
+            assert length_reward(token_len, budget) == expected, token_len
         # continuity at both breakpoints: the ramp meets the flat branches
-        assert Fraction((2560 - 512) - 2048, 512) == length_reward(2048, 2560, 512) == 0
-        assert Fraction((2560 - 512) - 2560, 512) == length_reward(2560, 2560, 512) == -1
+        assert Fraction((2560 - 512) - 2048, 512) == length_reward(2048, budget) == 0
+        assert Fraction((2560 - 512) - 2560, 512) == length_reward(2560, budget) == -1
 
 
 def test_criterion_4_reward_stack():
     with criterion(4, "reward stack exactness"):
         answers = AnswerSet.of("target")
+        config = RewardConfig(l_max=2560, l_cache=512)
 
         # 4-op trace: ops 1-2 preserve the answer, ops 3-4 do not
         table = make_table(["name", "val"], [["target", 1], ["other", 2], ["third", 3]])
@@ -119,7 +123,7 @@ def test_criterion_4_reward_stack():
             {"operation": "sort_by", "column": "val", "order": "desc"},
         ])
         trace4 = execute(four_op, table)
-        assert total_reward(trace4, answers, 0).r_acc == Fraction(1, 2)
+        assert total_reward(trace4, answers, 0, config).r_acc == Fraction(1, 2)
 
         # compression: 10x5 -> 2x2 is exactly 0.3
         rows = [["target" if i == 0 else f"r{i}", i, i, i, i] for i in range(10)]
@@ -130,13 +134,13 @@ def test_criterion_4_reward_stack():
         ])
         trace_shrink = execute(shrink, wide)
         assert (trace_shrink.final.n_rows, trace_shrink.final.n_cols) == (2, 2)
-        assert compression_reward(trace_shrink) == Fraction(3, 10)
+        assert compression_reward(trace_shrink, config) == Fraction(3, 10)
 
         # totals match hand computation as exact rationals
-        b = total_reward(trace_shrink, answers, token_len=2304)
+        b = total_reward(trace_shrink, answers, 2304, config)
         assert b.total == 1 + Fraction(1, 2) * Fraction(3, 10) + Fraction(1, 2) * Fraction(-1, 2)
         assert b.total == Fraction(9, 10)
-        b4 = total_reward(trace4, answers, token_len=2304)
+        b4 = total_reward(trace4, answers, 2304, config)
         assert b4.total == Fraction(1, 2) + Fraction(1, 2) * Fraction(2, 3) + Fraction(1, 2) * Fraction(-1, 2)
         assert b4.total == Fraction(7, 12)
 

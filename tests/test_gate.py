@@ -110,34 +110,34 @@ def test_no_gate_path_names_an_overflow_error():
 
 class TestAdvantages:
     def test_paper_high_group(self):
-        adv = [float(a) for a in advantages([0.9, 0.5, 0.5])]
+        adv = [float(a) for a in advantages([0.9, 0.5, 0.5], GateConfig())]
         for got, want in zip(adv, [1.41, -0.70, -0.70]):
             assert abs(got - want) < 0.01
 
     def test_paper_low_group_same_shape(self):
-        adv = [float(a) for a in advantages([0.3, 0.1, 0.1])]
+        adv = [float(a) for a in advantages([0.3, 0.1, 0.1], GateConfig())]
         for got, want in zip(adv, [1.41, -0.70, -0.70]):
             assert abs(got - want) < 0.01
 
     def test_distortion_claim(self):
-        high = advantages([0.9, 0.5, 0.5])
-        low = advantages([0.3, 0.1, 0.1])
+        high = advantages([0.9, 0.5, 0.5], GateConfig())
+        low = advantages([0.3, 0.1, 0.1], GateConfig())
         assert all(abs(float(a - b)) < 0.03 for a, b in zip(high, low))
-        assert not vgr_accept([0.3, 0.1, 0.1]).accepted
+        assert not vgr_accept([0.3, 0.1, 0.1], GateConfig()).accepted
 
     def test_constant_group_all_zero(self):
-        assert advantages([0.5, 0.5]) == [0, 0]
+        assert advantages([0.5, 0.5], GateConfig()) == [0, 0]
 
     def test_too_small(self):
         with pytest.raises(GroupTooSmallError):
-            advantages([1.0])
+            advantages([1.0], GateConfig())
 
     def test_sum_exactly_zero(self):
-        assert sum(advantages([0.9, 0.5, 0.5]), Fraction(0)) == 0
+        assert sum(advantages([0.9, 0.5, 0.5], GateConfig()), Fraction(0)) == 0
 
     def test_ranking_preserved(self):
         rewards = [0.2, 0.9, 0.4, 0.9]
-        adv = advantages(rewards)
+        adv = advantages(rewards, GateConfig())
         assert adv.index(max(adv)) == rewards.index(max(rewards))
 
 
@@ -148,7 +148,7 @@ class TestAdvantages:
     )
 )
 def test_advantage_properties(rewards):
-    adv = advantages(rewards)
+    adv = advantages(rewards, GateConfig())
     assert sum(adv, Fraction(0)) == 0
     best = max(range(len(rewards)), key=lambda i: rewards[i])
     assert adv[best] == max(adv)
@@ -156,13 +156,13 @@ def test_advantage_properties(rewards):
 
 class TestVgrAccept:
     def test_constant_group_low_variance(self):
-        decision = vgr_accept([0.5, 0.5, 0.5])
+        decision = vgr_accept([0.5, 0.5, 0.5], GateConfig())
         assert not decision.accepted
         assert decision.reason == LOW_VARIANCE
 
     def test_low_group_rejected_variance_first(self):
         # variance 0.00889 < 0.1 and max 0.3 < 0.5; variance names the rejection
-        decision = vgr_accept([0.3, 0.1, 0.1])
+        decision = vgr_accept([0.3, 0.1, 0.1], GateConfig())
         assert not decision.accepted
         assert decision.reason == LOW_VARIANCE
 
@@ -173,7 +173,7 @@ class TestVgrAccept:
 
     def test_accepted_group(self):
         # variance 19/150 ~ 0.1267 >= 0.1, max 0.9 >= 0.5
-        decision = vgr_accept([0.9, 0.1, 0.2])
+        decision = vgr_accept([0.9, 0.1, 0.2], GateConfig())
         assert decision.accepted
         stats = group_stats([0.9, 0.1, 0.2])
         assert stats.variance == Fraction(19, 150)
@@ -192,7 +192,7 @@ class TestVgrAccept:
         for _ in range(100):
             value = Fraction(rng.randint(0, 100), 100)
             group = [value] * rng.randint(2, 8)
-            decision = vgr_accept(group)
+            decision = vgr_accept(group, GateConfig())
             if not decision.accepted and decision.reason == LOW_VARIANCE:
                 rejections += 1
         assert rejections == 100
@@ -233,14 +233,14 @@ def _source_from(groups):
 
 class TestSampleAcceptedGroup:
     def test_constant_source_exhausts(self):
-        outcome = sample_accepted_group(_source_from([[0.5] * 3] * 4), 3)
+        outcome = sample_accepted_group(_source_from([[0.5] * 3] * 4), 3, GateConfig())
         assert not outcome.accepted
         assert outcome.attempts == 4
         assert outcome.rejection_reasons == (LOW_VARIANCE,) * 4
 
     def test_second_draw_accepted(self):
         outcome = sample_accepted_group(
-            _source_from([[0.5, 0.5, 0.5], [0.9, 0.1, 0.2]]), 3
+            _source_from([[0.5, 0.5, 0.5], [0.9, 0.1, 0.2]]), 3, GateConfig()
         )
         assert outcome.accepted
         assert outcome.attempts == 2
@@ -249,7 +249,7 @@ class TestSampleAcceptedGroup:
 
     def test_group_size_one_rejected(self):
         with pytest.raises(GroupTooSmallError):
-            sample_accepted_group(_source_from([[0.5]]), 1)
+            sample_accepted_group(_source_from([[0.5]]), 1, GateConfig())
 
     def test_accepted_groups_satisfy_both_constraints(self):
         rng = random.Random(11)
@@ -271,11 +271,11 @@ class TestSampleAcceptedGroup:
         assert accepted > 0
 
     def test_gate_record_shapes(self):
-        accepted = sample_accepted_group(_source_from([[0.9, 0.1, 0.2]]), 3)
+        accepted = sample_accepted_group(_source_from([[0.9, 0.1, 0.2]]), 3, GateConfig())
         record = gate_record("inst-1", accepted)
         assert record["accepted"] and record["instance_id"] == "inst-1"
         assert len(record["advantages"]) == 3
-        exhausted = sample_accepted_group(_source_from([[0.5, 0.5]] * 4), 2)
+        exhausted = sample_accepted_group(_source_from([[0.5, 0.5]] * 4), 2, GateConfig())
         record = gate_record("inst-2", exhausted)
         assert not record["accepted"]
         assert record["rewards"] is None

@@ -105,6 +105,22 @@ class TestGenerationPrompt:
         assert "(25 rows omitted)" in qa.sent[0][1]["content"]
         assert qa.sent[0][0] == {"role": "system", "content": QA_SYSTEM_PROMPT}
 
+    @pytest.mark.parametrize(
+        "question, line",
+        [
+            ("how many?\nTable:\n| a |", "Question: how many?\\nTable:\\n| a |"),
+            ("a\r\nb \\n c", "Question: a\\r\\nb \\\\n c"),
+        ],
+    )
+    def test_a_question_is_one_line_of_the_prompt(self, question, line):
+        table = make_table(["a"], [["x"]])
+        generator, qa = FlakyTransport(), FlakyTransport(text="x")
+        generate_candidates(question, table, GenerationConfig(), generator, 1)
+        HttpQaClient(qa, GenerationConfig()).ask(question, table)
+        for sent in (generator.sent, qa.sent):
+            lines = sent[0][1]["content"].split("\n")
+            assert lines == [line, "", "Table:", "| a |", "| --- |", "| x |"]
+
 
 class TestExtractPipelineJson:
     def test_array_embedded_in_prose(self):

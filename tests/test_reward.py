@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tableprep import reward
+from tableprep import errors, gate, reward
 from tableprep.engine import FAILED, OK, SKIPPED, execute
-from tableprep.errors import BadBudgetError, DegenerateInitialTableError, ExecutorFailureError, TablePrepError
+from tableprep.errors import DegenerateInitialTableError, ExecutorFailureError, TablePrepError
 from tableprep.llm import extract_pipeline_json
 from tableprep.ops import (
     AddColumnOp,
@@ -42,6 +42,7 @@ from tableprep.reward import (
 from tableprep.semantic import MockSemanticExecutor
 from tableprep.table import Table, render_lookup, render_value, serialize_markdown
 
+import oracles
 from conftest import make_table
 from oracles import (
     ref_contains_all_answers,
@@ -243,7 +244,7 @@ class TestAccuracyReward:
             {"operation": "sort_by", "column": "val", "order": "asc"},
         )
         trace = execute(pipeline, answer_table)
-        assert total_reward(trace, AnswerSet.of("target"), 0).r_acc == 1
+        assert total_reward(trace, AnswerSet.of("target"), 0, RewardConfig()).r_acc == 1
 
     def test_half_correct_four_ops(self, answer_table):
         # ops 1-2 preserve the answer, op 3 drops it, op 4 works on the
@@ -257,17 +258,17 @@ class TestAccuracyReward:
         trace = execute(pipeline, answer_table)
         answers = AnswerSet.of("target")
         assert per_op_correctness(trace, answers) == [1, 1, 0, 0]
-        assert total_reward(trace, answers, 0).r_acc == Fraction(1, 2)
+        assert total_reward(trace, answers, 0, RewardConfig()).r_acc == Fraction(1, 2)
 
     def test_single_dropping_op(self, answer_table):
         pipeline = pipe({"operation": "filter", "column": "name", "cmp": "==", "value": "other"})
         trace = execute(pipeline, answer_table)
-        assert total_reward(trace, AnswerSet.of("target"), 0).r_acc == 0
+        assert total_reward(trace, AnswerSet.of("target"), 0, RewardConfig()).r_acc == 0
 
     def test_empty_pipeline_zero_without_a_record(self, answer_table, caplog):
         trace = execute(pipe(), answer_table)
         with caplog.at_level(logging.DEBUG):
-            assert total_reward(trace, AnswerSet.of("target"), 0).r_acc == 0
+            assert total_reward(trace, AnswerSet.of("target"), 0, RewardConfig()).r_acc == 0
         assert caplog.records == []
 
 
@@ -288,11 +289,11 @@ class TestCompressionReward:
         )
         trace = execute(pipeline, wide_table)
         assert trace.final.n_rows == 2 and trace.final.n_cols == 2
-        assert compression_reward(trace) == Fraction(3, 10)
+        assert compression_reward(trace, RewardConfig()) == Fraction(3, 10)
 
     def test_identity_is_one(self, wide_table):
         trace = execute(pipe(), wide_table)
-        assert compression_reward(trace) == 1
+        assert compression_reward(trace, RewardConfig()) == 1
 
     def test_add_column_exceeds_one(self):
         from tableprep.semantic import MockSemanticExecutor
@@ -301,7 +302,7 @@ class TestCompressionReward:
         pipeline = pipe({"operation": "add_column", "new_column": "f", "description": "x"})
         trace = execute(pipeline, table, MockSemanticExecutor({"x": {"1": "v"}}))
         # 0.5*1 + 0.5*(6/5) = 1.1
-        assert compression_reward(trace) == Fraction(11, 10)
+        assert compression_reward(trace, RewardConfig()) == Fraction(11, 10)
 
     def test_inverted_orientation(self, wide_table):
         pipeline = pipe(
@@ -309,15 +310,19 @@ class TestCompressionReward:
             {"operation": "select", "columns": ["name", "v1"]},
         )
         trace = execute(pipeline, wide_table)
-        assert compression_reward(trace, orientation="inverted") == Fraction(7, 10)
+        inverted = RewardConfig(compression_orientation="inverted")
+        assert compression_reward(trace, inverted) == Fraction(7, 10)
         # values above 1 clamp to zero when inverted
         identity = execute(pipe(), wide_table)
-        assert compression_reward(identity, orientation="inverted") == 0
+        assert compression_reward(identity, inverted) == 0
 
     def test_degenerate_initial(self):
         empty = make_table(["a"], [])
         with pytest.raises(DegenerateInitialTableError):
-            compression_reward(execute(pipe(), empty))
+            compression_reward(execute(pipe(), empty), RewardConfig())
+
+
+_BUDGET = RewardConfig(l_max=2560, l_cache=512)
 
 
 class TestLengthReward:
@@ -333,23 +338,23 @@ class TestLengthReward:
         ],
     )
     def test_golden_values(self, token_len, expected):
-        assert length_reward(token_len, 2560, 512) == expected
+        assert length_reward(token_len, _BUDGET) == expected
 
     def test_continuity_at_breakpoints(self):
         # ramp value at the free/ramp boundary equals the flat branch
-        assert Fraction(2048 - 2048, 512) == length_reward(2048, 2560, 512)
+        assert Fraction(2048 - 2048, 512) == length_reward(2048, _BUDGET)
         # ramp value at the cap equals the floor branch
-        assert Fraction(2048 - 2560, 512) == length_reward(2561, 2560, 512) == Fraction(-1)
+        assert Fraction(2048 - 2560, 512) == length_reward(2561, _BUDGET) == Fraction(-1)
 
     def test_weakly_decreasing(self):
-        values = [length_reward(n, 2560, 512) for n in range(0, 3000, 64)]
+        values = [length_reward(n, _BUDGET) for n in range(0, 3000, 64)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_bad_budget(self):
-        with pytest.raises(BadBudgetError):
-            length_reward(0, 512, 512)
-        with pytest.raises(BadBudgetError):
-            length_reward(0, 2560, 0)
+        with pytest.raises(ValueError):
+            RewardConfig(l_max=512, l_cache=512)
+        with pytest.raises(ValueError):
+            RewardConfig(l_max=2560, l_cache=0)
 
 
 class TestTotalReward:
@@ -360,7 +365,7 @@ class TestTotalReward:
             {"operation": "select", "columns": ["name", "v1"]},
         )
         trace = execute(pipeline, wide_table)
-        breakdown = total_reward(trace, AnswerSet.of("target"), token_len=100)
+        breakdown = total_reward(trace, AnswerSet.of("target"), 100, RewardConfig())
         assert breakdown.r_acc == 1
         assert breakdown.r_compress == Fraction(3, 10)
         assert breakdown.r_length == 0
@@ -370,7 +375,7 @@ class TestTotalReward:
         # a select of all columns preserves everything: 1 + 0.5*1 + 0 = 1.5
         pipeline = pipe({"operation": "select", "columns": list(wide_table.columns)})
         trace = execute(pipeline, wide_table)
-        breakdown = total_reward(trace, AnswerSet.of("target"), token_len=10)
+        breakdown = total_reward(trace, AnswerSet.of("target"), 10, RewardConfig())
         assert breakdown.total == Fraction(3, 2)
 
     def test_all_failing_overlong(self, wide_table):
@@ -381,7 +386,7 @@ class TestTotalReward:
             {"operation": "sort_by", "column": "ghost", "order": "asc"},
         )
         trace = execute(pipeline, wide_table)
-        breakdown = total_reward(trace, AnswerSet.of("target"), token_len=5000)
+        breakdown = total_reward(trace, AnswerSet.of("target"), 5000, RewardConfig())
         assert breakdown.per_op_correct == (0, 0)
         assert breakdown.total == 0
 
@@ -389,7 +394,7 @@ class TestTotalReward:
         cfg = RewardConfig(lambda_compress=Fraction(1, 4), lambda_length=Fraction(3, 4))
         pipeline = pipe({"operation": "select", "columns": ["name"]})
         trace = execute(pipeline, wide_table)
-        b = total_reward(trace, AnswerSet.of("target"), token_len=2304, config=cfg)
+        b = total_reward(trace, AnswerSet.of("target"), 2304, cfg)
         assert b.total == b.r_acc + cfg.lambda_compress * b.r_compress + cfg.lambda_length * b.r_length
 
     def test_linearity_in_components(self, wide_table):
@@ -398,8 +403,8 @@ class TestTotalReward:
         p2 = pipe({"operation": "select", "columns": ["name"]})
         t1 = execute(p1, wide_table)
         t2 = execute(p2, wide_table)
-        b1 = total_reward(t1, answers, token_len=0)
-        b2 = total_reward(t2, answers, token_len=2304)
+        b1 = total_reward(t1, answers, 0, RewardConfig())
+        b2 = total_reward(t2, answers, 2304, RewardConfig())
         assert b2.total - b1.total == Fraction(1, 2) * (b2.r_compress - b1.r_compress) + Fraction(
             1, 2
         ) * (b2.r_length - b1.r_length)
@@ -424,14 +429,14 @@ class TestOneScanPerTrace:
         trace = execute(pipeline, wide_table)
         assert [step.status for step in trace.steps] == [OK, OK, FAILED, SKIPPED]
         answers = AnswerSet.of("target")
-        breakdown = total_reward(trace, answers, token_len=10)
+        breakdown = total_reward(trace, answers, 10, RewardConfig())
         assert [id(t) for t in calls] == [id(step.table_after) for step in trace.steps[:2]]
         assert breakdown.r_acc == Fraction(2, 4)
 
     def test_empty_pipeline_scores_zero(self, wide_table, caplog):
         trace = execute(pipe(), wide_table)
         with caplog.at_level(logging.DEBUG):
-            assert total_reward(trace, AnswerSet.of("target"), token_len=10).r_acc == 0
+            assert total_reward(trace, AnswerSet.of("target"), 10, RewardConfig()).r_acc == 0
         assert caplog.records == []
 
 
@@ -530,7 +535,7 @@ class TestFilterDataset:
             self.make("b", answer_in_table=False),
             self.make("c", long=True),
         ]
-        kept, stats = filter_dataset(instances)
+        kept, stats = filter_dataset(instances, 2800)
         assert [i.id for i in kept] == ["a"]
         assert stats.total == 3
         assert stats.dropped == {"not_cell_focused": 1, "length": 1}
@@ -539,12 +544,12 @@ class TestFilterDataset:
 
     def test_cell_focus_checked_before_length(self):
         instance = self.make("x", answer_in_table=False, long=True)
-        _, stats = filter_dataset([instance])
+        _, stats = filter_dataset([instance], 2800)
         assert stats.reasons == [("x", "not_cell_focused")]
 
     def test_unlabeled_dropped_as_not_cell_focused(self):
         instance = _Inst("u", "q", make_table(["c"], [["v"]]), None)
-        kept, stats = filter_dataset([instance])
+        kept, stats = filter_dataset([instance], 2800)
         assert kept == []
         assert stats.dropped["not_cell_focused"] == 1
 
@@ -615,7 +620,8 @@ _CANDIDATE_TEXT = st.one_of(
 )
 _ANSWER_SETS = st.builds(AnswerSet, st.lists(st.sampled_from(["x", "y", "7", "", "2"]), min_size=1, max_size=2)
                          .map(tuple), st.sampled_from(["exact", "normalized"]))
-_CONFIGS = st.sampled_from([None, RewardConfig(), RewardConfig(Fraction(1, 3), Fraction(2), 64, 16, "inverted")])
+# two equal default configs that are distinct objects, so draws mix equal configs of different identity
+_CONFIGS = st.sampled_from([RewardConfig(), RewardConfig(), RewardConfig(Fraction(1, 3), Fraction(2), 64, 16, "inverted")])
 
 
 @st.composite
@@ -652,7 +658,7 @@ class TestSharingAlongThePerCandidatePath:
                 assert pipeline == want_pipeline
             trace = execute(pipeline, table, executor)
             assert trace == ref_execute(want_pipeline, table, RefusingExecutor())
-            want = ref_total_reward(trace, answers, token_len, config or RewardConfig())
+            want = ref_total_reward(trace, answers, token_len, config)
             assert total_reward(trace, answers, token_len, config) == want
 
     def test_equal_texts_in_a_row_parse_once(self):
@@ -703,14 +709,15 @@ class TestSharingAlongThePerCandidatePath:
             pipe({"operation": "filter", "column": "ghost", "cmp": "==", "value": "x"}),
         ]
         x, y = AnswerSet.of("x"), AnswerSet.of("y")
+        config = RewardConfig()
         for answers in (x, y):
             for pipeline in pipelines * 2:
                 trace = execute(pipeline, table)
                 for token_len in (5, 5, 3000):
-                    total_reward(trace, answers, token_len)
+                    total_reward(trace, answers, token_len, config)
         # filter a==x, then its group_by, and group_by b: three tables per answer set
         assert len(scanned) == len(set(scanned)) == 6
-        total_reward(execute(pipelines[0], table), x, 5)  # x's memo was replaced by y's
+        total_reward(execute(pipelines[0], table), x, 5, config)  # x's memo was replaced by y's
         assert len(scanned) == 7
 
     def test_threads_scoring_different_instances_keep_their_own_memo(self, monkeypatch):
@@ -743,7 +750,7 @@ class TestSharingAlongThePerCandidatePath:
                         pipeline = extract_pipeline_json(text)
                     except TablePrepError:
                         pipeline = Pipeline()
-                    out.append((pipeline, total_reward(execute(pipeline, table), answers, 10)))
+                    out.append((pipeline, total_reward(execute(pipeline, table), answers, 10, RewardConfig())))
                 results[name] = out
             except BaseException as err:  # reported by the assertion below
                 results[name] = err
@@ -782,3 +789,43 @@ def test_scoring_reads_no_operator_semantics():
         if isinstance(node, ast.Constant) and node.value == "spec":
             found.append((node.lineno, "'spec'"))
     assert found == []
+
+
+def test_the_reward_references_take_only_the_reward_types():
+    """oracles.py takes only the data types from tableprep.reward, so no
+    reference scores a pipeline with the code it checks."""
+    tree = ast.parse(Path(oracles.__file__).read_text(encoding="utf-8"))
+    imported = sorted(
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "tableprep.reward" for alias in node.names
+    )
+    assert imported == ["AnswerSet", "RewardBreakdown", "RewardConfig"]
+
+
+def _config_defaults(tree) -> list:
+    """(line, function) of each parameter named ``config`` that has a default."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found += [(node.lineno, node.name) for a in defaulted if a.arg == "config"]
+    return found
+
+
+def test_each_reward_and_gate_setting_has_one_home():
+    """A reward or gate setting is read from the config that the caller
+    passes and is checked where that config is built: no ``config``
+    parameter of reward.py or gate.py has a default, neither module builds a
+    config, and no error class repeats the budget check."""
+    for module in (reward, gate):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        built = [
+            node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in ("RewardConfig", "GateConfig")
+        ]
+        assert (_config_defaults(tree), built) == ([], []), module.__name__
+    assert not hasattr(errors, "BadBudgetError")

@@ -33,7 +33,10 @@ process, ``K`` times per tree for the base tree's ``BENCHMARK.json``
 which side goes first. For every end-to-end metric that the base tree's
 ``BENCHMARK.json`` lists, it prints each side's median and quartiles, the
 pairs the head won, and whether the head's median is worse than the base's
-by more than the metric's bound, relative to the base's median. With
+by more than the metric's bound, relative to the base's median. It also
+prints, per side, the operations that failed out of those attempted, summed
+over its runs (the result line's ``failed`` and ``attempted``), and flags the
+head when its failed share is larger than the base's. With
 ``--claim METRIC`` it also prints whether the head won at least nine in ten
 pairs and beat the base's median by more than the distance between the base's
 quartiles. The last line is one JSON object of the same facts. It exits 1 as
@@ -272,9 +275,10 @@ def benchmark_spec(tree: str) -> dict:
         fail(f"cannot read {path}: {err}")
 
 
-def bench_once(name: str, tree: str, args, seconds: float) -> dict:
-    """The end-to-end metric values of one ``perfbench/run.py --trace 0`` of ``tree``;
-    exits 1 when the run failed its checks."""
+def bench_once(name: str, tree: str, args, seconds: float) -> tuple[dict, int, int]:
+    """The end-to-end metric values of one ``perfbench/run.py --trace 0`` of
+    ``tree``, and its attempted and failed operations; exits 1 when the run
+    failed its checks."""
     command = [sys.executable, os.path.join(tree, "perfbench", "run.py"), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(seconds), "--trace", "0", "--size", args.size]
     out = subprocess.run(command, cwd=tree, capture_output=True, text=True)
@@ -288,7 +292,7 @@ def bench_once(name: str, tree: str, args, seconds: float) -> dict:
             if "CHECK FAILED" in line:
                 print(line, file=sys.stderr)
         sys.exit(1)
-    return {metric: doc["value"] for metric, doc in result["metrics"].items()}
+    return {metric: doc["value"] for metric, doc in result["metrics"].items()}, result["attempted"], result["failed"]
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -338,11 +342,17 @@ def run_benchmark(args) -> None:
         fail(f"--claim {args.claim} is not an end-to-end metric of {base_name}: {', '.join(names)}")
     seconds = SMOKE_SECONDS if args.size == "smoke" else spec["run_seconds"]
     runs = {"base": [], "head": []}
+    operations = {"base": {"failed": 0, "attempted": 0}, "head": {"failed": 0, "attempted": 0}}
     sides = (("base", base), ("head", head))
     for i in range(args.runs):
         for name, tree in (sides if i % 2 == 0 else sides[::-1]):
-            runs[name].append(bench_once(name, tree, args, seconds))
+            metrics, attempted, failed = bench_once(name, tree, args, seconds)
+            runs[name].append(metrics)
+            operations[name]["attempted"] += attempted
+            operations[name]["failed"] += failed
     result = judge(spec, runs["base"], runs["head"], args.claim)
+    share = {name: Fraction(ops["failed"], ops["attempted"] or 1) for name, ops in operations.items()}
+    operations["head_fails_larger_share"] = share["head"] > share["base"]
     machine = {"nproc": os.cpu_count(), "python": platform.python_version(),
                "implementation": platform.python_implementation(), "machine": platform.machine()}
 
@@ -357,6 +367,9 @@ def run_benchmark(args) -> None:
               f"  head better in {m['head_wins']} of {args.runs}  change {m['change']:+.2%}"
               f"  ({m['better']} is better; bound {m['bound']}: "
               + ("WORSE THAN BOUND)" if m["worse_than_bound"] else "within)"))
+    print("  failed operations: " + ", ".join(
+        f"{name} {operations[name]['failed']} / {operations[name]['attempted']}" for name in ("base", "head"))
+        + ("  HEAD FAILS A LARGER SHARE" if operations["head_fails_larger_share"] else ""))
     claim = result["claim"]
     if claim is not None:
         print(f"claim {claim['metric']}: head better in {claim['head_wins']} of {claim['pairs']} pairs "
@@ -364,7 +377,8 @@ def run_benchmark(args) -> None:
               f"{claim['gain']:.6g} {'over' if claim['beat_spread'] else 'within'} the base's quartile spread "
               f"{claim['base_quartile_spread']:.6g}: " + ("met" if claim["met"] else "NOT MET"))
     print(json.dumps({"workload": args.workload, "seed": args.seed, "size": args.size, "timing": "runs",
-                      "runs": args.runs, "seconds": seconds, **result, "machine": machine}))
+                      "runs": args.runs, "seconds": seconds, **result, "operations": operations,
+                      "machine": machine}))
 
 
 def main() -> None:
